@@ -236,8 +236,9 @@ def cmd_train(args, cfg: RunConfig) -> int:
         raise SchemaError(f"split leaks videos across parts: {sorted(leaked)}")
 
     tensors = {vid: entry.tensor for vid, entry in entries.items()}
+    train_ids = set(split.train)
     train_rows = build_training_matrix(
-        [r for r in records if r.video_id in set(split.train)], tensors, cfg.approach
+        [r for r in records if r.video_id in train_ids], tensors, cfg.approach
     )
     model = train(
         train_rows,
@@ -257,7 +258,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
         "r2": None,
         "spearman": None,
     }
-    val_records = [r for r in records if r.video_id in set(split.validation)]
+    validation_ids = set(split.validation)
+    val_records = [r for r in records if r.video_id in validation_ids]
     if val_records:
         val_rows = build_training_matrix(val_records, tensors, cfg.approach)
         X = np.array([vec.values for vec, _ in val_rows])
@@ -449,15 +451,22 @@ def _journal_path(out: Path) -> Path:
 
 
 def _read_journal(path: Path) -> dict[tuple[int, int, int], EncodeRecord]:
+    """Cells an earlier run finished, validated like an encode log.
+
+    Every journal line is written with its newline, so a last line without
+    one is an interrupted write: it is cut from the file and its cell runs
+    again.
+    """
     if not path.exists():
         return {}
-    done = {}
-    rows = list(csv.reader(io.StringIO(path.read_text())))
-    for row in rows[1:]:
-        record = EncodeRecord(row[0], int(row[1]), int(row[2]), int(row[3]),
-                              float(row[4]), float(row[5]))
-        done[(record.width, record.height, record.crf)] = record
-    return done
+    text = path.read_text()
+    complete = text[: text.rfind("\n") + 1]
+    if not complete:
+        path.unlink()
+        return {}
+    if complete != text:
+        atomic_write_text(path, complete)
+    return {(r.width, r.height, r.crf): r for r in parse_encode_log(path)}
 
 
 def _run_cell(template: str, input_path: Path, video_id: str, w: int, h: int,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,8 +54,8 @@ class SplitManifest:
 def _validate_record(record: EncodeRecord, line: int, resolutions) -> None:
     if not (CRF_MIN <= record.crf <= CRF_MAX):
         raise RangeError(f"line {line}: crf {record.crf} outside [{CRF_MIN}, {CRF_MAX}]")
-    if record.bitrate_bps <= 0:
-        raise RangeError(f"line {line}: bitrate {record.bitrate_bps} must be > 0")
+    if not (math.isfinite(record.bitrate_bps) and record.bitrate_bps > 0):
+        raise RangeError(f"line {line}: bitrate {record.bitrate_bps} must be finite and > 0")
     if not (VMAF_MIN <= record.vmaf <= VMAF_MAX):
         raise RangeError(f"line {line}: vmaf {record.vmaf} outside [0, 100]")
     if record.width <= 0 or record.height <= 0:

@@ -32,22 +32,10 @@ BLOCK_DIM = BLOCK_SIZE * BLOCK_SIZE
 NUM_BANDS = 2
 DEFAULT_NOISE_VAR = 2.0
 _PEAK_8BIT = 255.0
-_EIG_REL_TOL = 1e-12     # Jacobi stop: off-diagonal Frobenius vs trace
 _RANK_REL_TOL = 1e-10    # pseudo-inverse rank cut vs largest eigenvalue
 
 FRAME_FEATURE_COUNT = NUM_SCALES * NUM_BANDS * BLOCK_DIM + NUM_SCALES * NUM_BANDS + NUM_SCALES
 TENSOR_VALUE_COUNT = 2 * FRAME_FEATURE_COUNT + 1
-
-
-@dataclass(frozen=True)
-class GsmSubbandModel:
-    """Sufficient statistics of the scale-mixture fit for one subband."""
-
-    block_dim: int
-    covariance: np.ndarray
-    eigenvalues: np.ndarray
-    multipliers: np.ndarray
-    noise_var: float
 
 
 @dataclass(frozen=True)
@@ -80,63 +68,22 @@ class VifFeatureTensor:
     frame_count: int
 
 
-def jacobi_eigh(matrix, rel_tol: float = _EIG_REL_TOL, max_sweeps: int = 64):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(matrix):
+    """Eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
-    Sweeps until the off-diagonal Frobenius norm drops below
-    rel_tol * trace. Returns (eigenvalues descending, eigenvectors as
-    columns in matching order); values are raw, not clamped.
+    Returns (eigenvalues descending, eigenvectors as columns in matching
+    order); values are raw, not clamped. The name predates the switch from
+    cyclic Jacobi rotations and is kept because the benchmark's traced run
+    (perfbench/layers.py) wraps gsm_vif.jacobi_eigh by name.
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DegenerateInput(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > 1e-8 * scale:
         raise DegenerateInput("matrix is not symmetric")
-    a = (a + a.T) / 2.0
-
-    v = np.eye(n)
-    threshold = rel_tol * float(np.trace(a))
-    rows = np.arange(n)
-    for _ in range(max_sweeps):
-        off = a.copy()
-        off[rows, rows] = 0.0
-        if np.sqrt((off * off).sum()) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                mask = (rows != p) & (rows != q)
-                aip = a[mask, p].copy()
-                aiq = a[mask, q].copy()
-                a[mask, p] = a[p, mask] = aip - s * (aiq + tau * aip)
-                a[mask, q] = a[q, mask] = aiq + s * (aip - tau * aiq)
-
-                vip = v[:, p].copy()
-                viq = v[:, q].copy()
-                v[:, p] = vip - s * (viq + tau * vip)
-                v[:, q] = viq + s * (vip - tau * viq)
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge")
-
-    eigvals = np.diag(a).copy()
-    order = np.argsort(-eigvals, kind="stable")
-    return eigvals[order], v[:, order]
+    eigvals, eigvecs = np.linalg.eigh((a + a.T) / 2.0)
+    return eigvals[::-1], eigvecs[:, ::-1]
 
 
 def extract_block_vectors(subband) -> np.ndarray:
@@ -176,11 +123,27 @@ def fit_covariance(vectors) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fit_eigen(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One subband's whole fit: centre once, decompose once, whiten once.
+
+    Returns (covariance, clamped eigenvalues descending, multipliers).
+    """
     centered = _centered(vectors)
     cov = centered.T @ centered / centered.shape[0]
     cov = (cov + cov.T) / 2.0
     eigvals, eigvecs = jacobi_eigh(cov)
-    return cov, np.maximum(eigvals, 0.0), eigvecs
+    eigvals = np.maximum(eigvals, 0.0)
+    return cov, eigvals, _whitened_energy(centered, eigvals, eigvecs)
+
+
+def _whitened_energy(centered, eigenvalues, eigenvectors) -> np.ndarray:
+    """s_i^2 = |z_i V_k / sqrt(lambda_k)|^2 / block_dim over the kept channels k."""
+    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
+    lam_max = eigenvalues.max(initial=0.0)
+    keep = eigenvalues > _RANK_REL_TOL * lam_max
+    if lam_max <= 0.0 or not keep.any():
+        return np.zeros(centered.shape[0])
+    whitened = centered @ (eigenvectors[:, keep] / np.sqrt(eigenvalues[keep]))
+    return np.maximum(np.einsum("ij,ij->i", whitened, whitened) / centered.shape[1], 0.0)
 
 
 def estimate_multipliers(vectors, covariance, eigenvalues=None, eigenvectors=None) -> np.ndarray:
@@ -192,25 +155,9 @@ def estimate_multipliers(vectors, covariance, eigenvalues=None, eigenvectors=Non
     """
     centered = _centered(vectors)
     if eigenvectors is None:
-        eigenvalues, eigenvectors = jacobi_eigh(np.asarray(covariance, dtype=np.float64))
+        eigenvalues, eigenvectors = jacobi_eigh(covariance)
         eigenvalues = np.maximum(eigenvalues, 0.0)
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    lam_max = eigenvalues.max(initial=0.0)
-    keep = eigenvalues > _RANK_REL_TOL * lam_max
-    if lam_max <= 0.0 or not keep.any():
-        return np.zeros(centered.shape[0])
-    proj = centered @ eigenvectors[:, keep]
-    quad = (proj * proj / eigenvalues[keep]).sum(axis=1)
-    return np.maximum(quad / centered.shape[1], 0.0)
-
-
-def fit_subband_model(vectors, noise_var: float = DEFAULT_NOISE_VAR) -> GsmSubbandModel:
-    """Full scale-mixture fit for one subband's block vectors."""
-    if noise_var <= 0.0:
-        raise InvalidNoiseVariance(f"noise variance must be > 0, got {noise_var}")
-    cov, eigvals, eigvecs = _fit_eigen(vectors)
-    multipliers = estimate_multipliers(vectors, cov, eigvals, eigvecs)
-    return GsmSubbandModel(BLOCK_DIM, cov, eigvals, multipliers, noise_var)
+    return _whitened_energy(centered, eigenvalues, eigenvectors)
 
 
 def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.ndarray, float]:
@@ -250,9 +197,7 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR) -> FrameVifF
             rows, cols = subband.coeffs.shape
             if rows < BLOCK_SIZE or cols < BLOCK_SIZE:
                 continue
-            vectors = extract_block_vectors(subband)
-            cov, eigvals, eigvecs = _fit_eigen(vectors)
-            s2 = estimate_multipliers(vectors, cov, eigvals, eigvecs)
+            _, eigvals, s2 = _fit_eigen(extract_block_vectors(subband))
             info, total = subband_information(s2, eigvals, noise_var)
             per_eig[k, subband.band - 1] = info
             per_band[k, subband.band - 1] = total

@@ -7,7 +7,6 @@ downstream is bit-depth agnostic; chroma planes are skipped, never decoded.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, Iterator
@@ -55,17 +54,11 @@ class VideoHeader:
 
 @dataclass(frozen=True)
 class LumaFrame:
-    """Normalized luma plane; samples is float64 with shape (height, width)."""
+    """Normalized luma plane; samples is float64 with shape (height, width).
 
-    width: int
-    height: int
-    samples: np.ndarray
-    index: int
-
-
-@dataclass(frozen=True)
-class DiffFrame:
-    """Signed difference of consecutive luma planes; samples in [-1, 1]."""
+    A difference of consecutive planes (frame_diff) is also a LumaFrame,
+    with samples in [-1, 1].
+    """
 
     width: int
     height: int
@@ -155,20 +148,14 @@ def read_header(stream: BinaryIO) -> VideoHeader:
 
 def _read_line(stream: BinaryIO) -> bytes | None:
     """Read bytes up to (not including) a newline; None on immediate EOF."""
-    chunks = []
-    total = 0
-    while True:
-        byte = stream.read(1)
-        if not byte:
-            if not chunks:
-                return None
-            raise MalformedHeader("stream ended inside a record line")
-        if byte == b"\n":
-            return b"".join(chunks)
-        chunks.append(byte)
-        total += 1
-        if total > _MAX_HEADER_BYTES:
-            raise MalformedHeader("record line exceeds sane length")
+    line = stream.readline(_MAX_HEADER_BYTES + 1)
+    if not line:
+        return None
+    if line.endswith(b"\n"):
+        return line[:-1]
+    if len(line) > _MAX_HEADER_BYTES:
+        raise MalformedHeader("record line exceeds sane length")
+    raise MalformedHeader("stream ended inside a record line")
 
 
 def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> LumaFrame | None:
@@ -233,14 +220,14 @@ def _owned_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
         stream.close()
 
 
-def frame_diff(current: LumaFrame, previous: LumaFrame) -> DiffFrame:
+def frame_diff(current: LumaFrame, previous: LumaFrame) -> LumaFrame:
     """Signed luma difference current - previous."""
     if (current.width, current.height) != (previous.width, previous.height):
         raise ShapeMismatch(
             f"frame {current.index} is {current.width}x{current.height}, "
             f"frame {previous.index} is {previous.width}x{previous.height}"
         )
-    return DiffFrame(
+    return LumaFrame(
         current.width,
         current.height,
         current.samples - previous.samples,
@@ -248,17 +235,10 @@ def frame_diff(current: LumaFrame, previous: LumaFrame) -> DiffFrame:
     )
 
 
-def mean_abs_luma_diff(diff: DiffFrame) -> float:
+def mean_abs_luma_diff(diff: LumaFrame) -> float:
     """Mean absolute difference, rescaled to 8-bit-equivalent units.
 
     The x255 rescale keeps the motion feature's magnitude in line with the
     conventional 8-bit definition regardless of source bit depth.
     """
     return float(np.mean(np.abs(diff.samples)) * 255.0)
-
-
-def load_luma_frames(data: bytes) -> tuple[VideoHeader, list[LumaFrame]]:
-    """Decode an in-memory stream fully; convenience for small inputs."""
-    stream = io.BytesIO(data)
-    header = read_header(stream)
-    return header, list(iter_luma_frames(stream, header))

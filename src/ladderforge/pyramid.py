@@ -66,8 +66,8 @@ def _decimate(plane: np.ndarray) -> np.ndarray:
 def build_scale_stack(frame) -> ScaleStack:
     """Four-level pyramid of a luma or difference plane.
 
-    Accepts a LumaFrame/DiffFrame or a bare 2-D array. Requires at least
-    16x16 so the smallest level keeps a usable extent.
+    Accepts a LumaFrame (luma or difference samples) or a bare 2-D array.
+    Requires at least 16x16 so the smallest level keeps a usable extent.
     """
     plane = _as_plane(frame)
     h, w = plane.shape

@@ -568,6 +568,35 @@ def test_sweep_resume_skips_done_cells(tmp_path, pipeline):
     assert total_calls == first_calls + 3  # only the missing cells re-ran
 
 
+def test_sweep_resumes_after_truncated_journal_line(tmp_path, pipeline):
+    template, counter = write_fake_encoder(tmp_path)
+    out = tmp_path / "log.csv"
+    assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_OK
+    first_calls = len(counter.read_text().splitlines())
+
+    journal = Path(str(out) + ".journal.csv")
+    lines = journal.read_text().splitlines()
+    partial = ",".join(lines[4].split(",")[:4]) + ",10"  # a write cut inside the bitrate
+    journal.write_text("\n".join(lines[:4]) + "\n" + partial)
+    out.unlink()
+
+    assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_OK
+    assert len(dataset.parse_encode_log(out)) == 6
+    assert len(dataset.parse_encode_log(journal)) == 6
+    assert len(counter.read_text().splitlines()) == first_calls + 3
+
+
+def test_sweep_rejects_out_of_range_journal_row(tmp_path, pipeline, capsys):
+    template, counter = write_fake_encoder(tmp_path)
+    out = tmp_path / "log.csv"
+    journal = Path(str(out) + ".journal.csv")
+    journal.write_text("video_id,width,height,crf,bitrate_bps,vmaf\n"
+                       "clip0,64,36,18,inf,80.0\n")
+    assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_DATA
+    assert "bitrate" in capsys.readouterr().err
+    assert counter.read_text() == ""
+
+
 def test_sweep_failures_recorded_and_resumable(tmp_path, pipeline, capsys):
     template, counter = write_fake_encoder(tmp_path, fail_crf=19)
     out = tmp_path / "log.csv"

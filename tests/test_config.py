@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -125,3 +126,15 @@ def test_fixed_ladder_must_ascend(tmp_path):
     )
     with pytest.raises(ValueError):
         cfg.load_config(path)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme[readme.index("## Configuration"):]
+    start = section.index("```json\n") + len("```json\n")
+    path = tmp_path / "readme.json"
+    path.write_text(section[start:section.index("```", start)])
+    c = cfg.load_config(path)
+    assert c.rung_bps == (250000.0, 500000.0)
+    assert c.resolutions == ((3840, 2160), (1920, 1080))
+    assert c.fixed_ladder == ((250000.0, (512, 288)),)

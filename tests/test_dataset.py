@@ -88,6 +88,14 @@ def test_out_of_range_fields(tmp_path, crf, bitrate, vmaf):
         dataset.parse_encode_log(_write(tmp_path, text))
 
 
+def test_non_finite_bitrate_rejected(tmp_path):
+    rows = ["a,640,360,20,nan,50", "a,640,360,22,inf,48"]
+    for order in (rows, rows[::-1]):
+        text = "video_id,width,height,crf,bitrate_bps,vmaf\n" + "\n".join(order) + "\n"
+        with pytest.raises(RangeError, match="line 2: bitrate"):
+            dataset.parse_encode_log(_write(tmp_path, text))
+
+
 def test_crf_bounds_inclusive(tmp_path):
     text = ("video_id,width,height,crf,bitrate_bps,vmaf\n"
             "a,640,360,18,1000,0\n"

@@ -170,6 +170,16 @@ def test_jacobi_trace_preserved():
     assert vals.sum() == pytest.approx(np.trace(m), rel=1e-12)
 
 
+@pytest.mark.parametrize("matrix", [
+    np.zeros((3, 4)),               # not square
+    np.zeros(9),                    # not a matrix
+    np.triu(np.ones((9, 9))),       # not symmetric
+])
+def test_jacobi_rejects_degenerate_input(matrix):
+    with pytest.raises(DegenerateInput):
+        gsm_vif.jacobi_eigh(matrix)
+
+
 # ---------------------------------------------------------------------------
 # covariance fit
 # ---------------------------------------------------------------------------
@@ -337,6 +347,24 @@ def test_frame_features_match_straight_line_oracle():
     assert np.allclose(feats.per_eig, per_eig, atol=1e-9)
     assert np.allclose(feats.per_band, per_band, atol=1e-9)
     assert np.allclose(feats.per_scale, per_scale, atol=1e-9)
+
+
+def test_rank_deficient_subbands_match_oracle():
+    # a plane that varies only along x: every 3x3 block of the x-difference
+    # band repeats one row (covariance rank <= 3), the y-difference band is 0
+    rng = np.random.default_rng(22)
+    plane = np.tile(rng.random(64), (48, 1))
+    band1, band2 = gsm_vif.subband_decompose(plane * 255.0)
+    _, lam = gsm_vif.fit_covariance(gsm_vif.extract_block_vectors(band1))
+    assert lam[0] > 0.0 and np.all(lam[3:] <= 1e-10 * lam[0])
+    assert np.all(band2.coeffs == 0.0)
+
+    feats = gsm_vif.frame_vif_features(plane, noise_var=2.0)
+    per_eig, per_band, per_scale = features_oracle(plane, 2.0)
+    assert feats.per_band[0, 0] > 0.0
+    assert np.abs(feats.per_eig - per_eig).max() <= 1e-9
+    assert np.abs(feats.per_band - per_band).max() <= 1e-9
+    assert np.abs(feats.per_scale - per_scale).max() <= 1e-9
 
 
 def test_noise_variance_monotonicity_full_frame():

@@ -97,6 +97,32 @@ def test_truncated_mid_plane():
         media_io.read_luma_frame(stream, hdr, 0)
 
 
+def _with_frame_line(line):
+    """One 16x16 frame whose FRAME record line is replaced by line."""
+    data = y4m_bytes([np.full((16, 16), 7)])
+    return io.BytesIO(data.replace(b"FRAME\n", line, 1))
+
+
+def test_record_line_at_length_limit_is_read():
+    stream = _with_frame_line(b"FRAME " + b"X" * (4096 - 6) + b"\n")
+    hdr = media_io.read_header(stream)
+    assert len(list(media_io.iter_luma_frames(stream, hdr))) == 1
+
+
+def test_record_line_over_length_limit():
+    stream = _with_frame_line(b"FRAME " + b"X" * (4097 - 6) + b"\n")
+    hdr = media_io.read_header(stream)
+    with pytest.raises(MalformedHeader, match="exceeds"):
+        list(media_io.iter_luma_frames(stream, hdr))
+
+
+def test_stream_ends_inside_record_line():
+    stream = io.BytesIO(y4m_bytes([np.full((16, 16), 7)]) + b"FRA")
+    hdr = media_io.read_header(stream)
+    with pytest.raises(MalformedHeader, match="ended inside"):
+        list(media_io.iter_luma_frames(stream, hdr))
+
+
 def test_frame_indices_and_count():
     rng = np.random.default_rng(3)
     planes = [random_plane(rng, 16, 32) for _ in range(5)]
