@@ -9,11 +9,8 @@ so results are exact for the interpolant rather than grid-approximated.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +21,11 @@ from .errors import (
     NoOverlap,
     OutOfRange,
     SchemaError,
+)
+from .ioutil import (
+    csv_text,
+    finite_float,
+    read_csv,
 )
 
 # overlap shorter than this fraction of either curve's span is flagged
@@ -321,58 +323,48 @@ class ReportRow:
     note: str = ""  # set when comparison failed (for example no overlap)
 
 
+def _report_fields(row: ReportRow) -> list:
+    if row.result is None:
+        return [row.video_id, row.pair, "", "", "", "", "", "", row.note]
+    r = row.result
+    warnings = list(r.warnings)
+    if row.note:
+        warnings.append(row.note)
+    return [
+        row.video_id,
+        row.pair,
+        repr(float(r.bd_rate_percent)),
+        repr(float(r.bd_quality)),
+        repr(float(r.quality_overlap[0])),
+        repr(float(r.quality_overlap[1])),
+        repr(float(r.rate_overlap[0])),
+        repr(float(r.rate_overlap[1])),
+        "; ".join(warnings),
+    ]
+
+
 def report_csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for row in rows:
-        if row.result is None:
-            writer.writerow([row.video_id, row.pair, "", "", "", "", "", "", row.note])
-            continue
-        r = row.result
-        warnings = list(r.warnings)
-        if row.note:
-            warnings.append(row.note)
-        writer.writerow(
-            [
-                row.video_id,
-                row.pair,
-                repr(float(r.bd_rate_percent)),
-                repr(float(r.bd_quality)),
-                repr(float(r.quality_overlap[0])),
-                repr(float(r.quality_overlap[1])),
-                repr(float(r.rate_overlap[0])),
-                repr(float(r.rate_overlap[1])),
-                "; ".join(warnings),
-            ]
-        )
-    return buf.getvalue()
+    return csv_text(REPORT_COLUMNS, map(_report_fields, rows))
+
+
+def _optional_float(text: str) -> float | None:
+    """A result column: empty in a row whose comparison failed."""
+    return None if text == "" else finite_float(text)
+
+
+_CONVERTERS = (str, str) + (_optional_float,) * 6 + (str,)
 
 
 def parse_report_csv(path) -> list[ReportRow]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError(f"unreadable report {path}: {exc}") from None
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != REPORT_COLUMNS:
-        raise SchemaError(f"{path}: expected header {','.join(REPORT_COLUMNS)}")
     parsed = []
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(REPORT_COLUMNS):
-            raise SchemaError(f"{path} line {line}: expected {len(REPORT_COLUMNS)} fields")
-        if row[2] == "":
-            parsed.append(ReportRow(row[0], row[1], None, row[8]))
+    for line, (video_id, pair, *numbers, warnings) in read_csv(path, REPORT_COLUMNS, _CONVERTERS):
+        if numbers[0] is None:
+            parsed.append(ReportRow(video_id, pair, None, warnings))
             continue
-        try:
-            result = BdResult(
-                float(row[2]),
-                float(row[3]),
-                (float(row[4]), float(row[5])),
-                (float(row[6]), float(row[7])),
-                tuple(w for w in row[8].split("; ") if w),
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{path} line {line}: {exc}") from None
-        parsed.append(ReportRow(row[0], row[1], result))
+        if None in numbers:
+            raise SchemaError(f"{path} line {line}: result columns must be all empty or all set")
+        rate, quality, q_lo, q_hi, r_lo, r_hi = numbers
+        result = BdResult(rate, quality, (q_lo, q_hi), (r_lo, r_hi),
+                          tuple(w for w in warnings.split("; ") if w))
+        parsed.append(ReportRow(video_id, pair, result))
     return parsed

@@ -10,10 +10,9 @@ the run can be reproduced.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
+import shlex
 import subprocess
 import sys
 import threading
@@ -27,13 +26,16 @@ from . import __version__
 from .bd_metrics import ReportRow, RqCurve, aggregate, compare_curves, parse_report_csv, report_csv_text
 from .config import RunConfig, apply_overrides, config_json_dict, load_config
 from .dataset import (
+    SCHEMA,
     EncodeRecord,
     build_training_matrix,
+    encode_log_row,
     encode_log_text,
     load_split,
     make_split,
     parse_encode_log,
     save_split,
+    validate_record,
 )
 from .errors import (
     ConfigMissing,
@@ -52,7 +54,7 @@ from .gsm_vif import (
     tensor_to_values,
     video_features,
 )
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv
 from .ladder import (
     Ladder,
     fixed_ladder,
@@ -72,6 +74,7 @@ EXIT_DATA = 2
 EXIT_TOOL = 3
 
 FEATURE_ID_COLUMNS = ("video_id", "width", "height", "bit_depth", "frame_count")
+BATCH_COLUMNS = ("video_id", "test", "anchor")
 TEMPLATE_PLACEHOLDERS = ("input", "width", "height", "crf", "output")
 
 
@@ -99,42 +102,24 @@ class FeatureEntry:
 
 def features_csv_text(rows) -> str:
     """Rows of (video_id, header, tensor): data columns first, ids last."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(feature_column_names() + list(FEATURE_ID_COLUMNS))
-    for video_id, header, tensor in rows:
-        values = [repr(float(v)) for v in tensor_to_values(tensor)]
-        writer.writerow(
-            values
-            + [video_id, header.width, header.height, header.bit_depth, tensor.frame_count]
-        )
-    return buf.getvalue()
+    return csv_text(feature_column_names() + list(FEATURE_ID_COLUMNS), (
+        [repr(float(v)) for v in tensor_to_values(tensor)]
+        + [video_id, header.width, header.height, header.bit_depth, tensor.frame_count]
+        for video_id, header, tensor in rows
+    ))
+
+
+_FEATURE_CONVERTERS = (finite_float,) * TENSOR_VALUE_COUNT + (str, int, int, int, int)
 
 
 def parse_features_csv(path) -> dict[str, FeatureEntry]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError(f"unreadable features file {path}: {exc}") from None
-    rows = list(csv.reader(io.StringIO(text)))
-    expected = feature_column_names() + list(FEATURE_ID_COLUMNS)
-    if not rows or rows[0] != expected:
-        raise SchemaError(f"{path}: feature CSV header does not match the expected layout")
+    columns = feature_column_names() + list(FEATURE_ID_COLUMNS)
     entries: dict[str, FeatureEntry] = {}
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(expected):
-            raise SchemaError(f"{path} line {line}: expected {len(expected)} fields")
-        try:
-            values = np.array([float(v) for v in row[:TENSOR_VALUE_COUNT]])
-            video_id = row[TENSOR_VALUE_COUNT]
-            width, height, bit_depth, frame_count = (
-                int(v) for v in row[TENSOR_VALUE_COUNT + 1 :]
-            )
-        except ValueError as exc:
-            raise SchemaError(f"{path} line {line}: {exc}") from None
+    for line, fields in read_csv(path, columns, _FEATURE_CONVERTERS):
+        video_id, width, height, bit_depth, frame_count = fields[TENSOR_VALUE_COUNT:]
         if video_id in entries:
             raise DuplicateKey(f"{path} line {line}: repeated video_id {video_id!r}")
-        tensor = tensor_from_values(values, frame_count)
+        tensor = tensor_from_values(fields[:TENSOR_VALUE_COUNT], frame_count)
         entries[video_id] = FeatureEntry(tensor, width, height, bit_depth, frame_count)
     if not entries:
         raise SchemaError(f"{path}: no feature rows")
@@ -340,17 +325,10 @@ def _compare_one(video_id: str, pair: str, test_path, anchor_path) -> ReportRow:
 
 def _parse_batch_listing(path) -> list[tuple[str, Path, Path]]:
     base = Path(path).parent
-    try:
-        rows = list(csv.reader(io.StringIO(Path(path).read_text())))
-    except OSError as exc:
-        raise SchemaError(f"unreadable batch listing {path}: {exc}") from None
-    if not rows or rows[0] != ["video_id", "test", "anchor"]:
-        raise SchemaError(f"{path}: batch listing must start with video_id,test,anchor")
-    out = []
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise SchemaError(f"{path} line {line}: expected 3 fields")
-        out.append((row[0], base / row[1], base / row[2]))
+    out = [
+        (video_id, base / test, base / anchor)
+        for _, (video_id, test, anchor) in read_csv(path, BATCH_COLUMNS, (str,) * 3)
+    ]
     if not out:
         raise SchemaError(f"{path}: batch listing has no rows")
     return out
@@ -450,43 +428,51 @@ def _journal_path(out: Path) -> Path:
     return Path(str(out) + ".journal.csv")
 
 
-def _read_journal(path: Path) -> dict[tuple[int, int, int], EncodeRecord]:
+def _read_journal(path: Path, video_id: str) -> dict[tuple[int, int, int], EncodeRecord]:
     """Cells an earlier run finished, validated like an encode log.
 
     Every journal line is written with its newline, so a last line without
     one is an interrupted write: it is cut from the file and its cell runs
-    again.
+    again. Rows of another video belong to another input's sweep.
     """
     if not path.exists():
         return {}
-    text = path.read_text()
-    complete = text[: text.rfind("\n") + 1]
+    text = path.read_bytes()
+    complete = text[: text.rfind(b"\n") + 1]
     if not complete:
         path.unlink()
         return {}
     if complete != text:
-        atomic_write_text(path, complete)
-    return {(r.width, r.height, r.crf): r for r in parse_encode_log(path)}
+        atomic_write_bytes(path, complete)
+    done = {}
+    for r in parse_encode_log(path):
+        if r.video_id != video_id:
+            raise SchemaError(f"{path}: row for video {r.video_id!r}, not {video_id!r}")
+        done[(r.width, r.height, r.crf)] = r
+    return done
 
 
 def _run_cell(template: str, input_path: Path, video_id: str, w: int, h: int,
               crf: int, work_dir: Path) -> EncodeRecord:
+    cell = f"{w}x{h} crf {crf}"
     output = work_dir / f"{video_id}_{w}x{h}_crf{crf}.out"
-    command = template.format(input=str(input_path), width=w, height=h,
-                              crf=crf, output=str(output))
+    command = template.format(input=shlex.quote(str(input_path)), width=w, height=h,
+                              crf=crf, output=shlex.quote(str(output)))
     proc = subprocess.run(command, shell=True, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise ExternalToolFailure(
-            f"{w}x{h} crf {crf}: encoder exited {proc.returncode}", proc.stderr
-        )
+        raise ExternalToolFailure(f"{cell}: encoder exited {proc.returncode}", proc.stderr)
     bit_m = _BITRATE_RE.search(proc.stdout)
     vmaf_m = _VMAF_RE.search(proc.stdout)
     if not bit_m or not vmaf_m:
         raise ExternalToolFailure(
-            f"{w}x{h} crf {crf}: stdout did not report bitrate_bps= and vmaf=",
-            proc.stdout[-2000:],
+            f"{cell}: stdout did not report bitrate_bps= and vmaf=", proc.stdout[-2000:]
         )
-    return EncodeRecord(video_id, w, h, crf, float(bit_m.group(1)), float(vmaf_m.group(1)))
+    try:
+        record = EncodeRecord(video_id, w, h, crf, float(bit_m.group(1)), float(vmaf_m.group(1)))
+        validate_record(record, "encoder output")
+    except (ValueError, LadderforgeError) as exc:
+        raise ExternalToolFailure(f"{cell}: {exc}", proc.stdout[-2000:]) from None
+    return record
 
 
 def cmd_encode_sweep(args, cfg: RunConfig) -> int:
@@ -503,7 +489,7 @@ def cmd_encode_sweep(args, cfg: RunConfig) -> int:
     work_dir.mkdir(parents=True, exist_ok=True)
 
     journal = _journal_path(out)
-    done = _read_journal(journal)
+    done = _read_journal(journal, video_id)
     grid = [
         (w, h, crf)
         for (w, h) in cfg.resolutions
@@ -522,16 +508,10 @@ def cmd_encode_sweep(args, cfg: RunConfig) -> int:
             with journal_lock:
                 failures.append(f"{exc}\nstderr: {exc.stderr}".rstrip())
             return
-        line = ",".join(
-            [record.video_id, str(record.width), str(record.height),
-             str(record.crf), repr(record.bitrate_bps), repr(record.vmaf)]
-        )
         with journal_lock:
-            new_file = not journal.exists()
-            with open(journal, "a") as fh:
-                if new_file:
-                    fh.write("video_id,width,height,crf,bitrate_bps,vmaf\n")
-                fh.write(line + "\n")
+            columns = () if journal.exists() else SCHEMA
+            with open(journal, "a", encoding="utf-8") as fh:
+                fh.write(csv_text(columns, [encode_log_row(record)]))
             done[cell] = record
 
     if pending:

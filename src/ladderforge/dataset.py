@@ -7,8 +7,6 @@ score. Splits are by video so no title leaks across train/validation/test.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import random
@@ -24,9 +22,10 @@ from .errors import (
     TooFewVideos,
 )
 from .gsm_vif import VifFeatureTensor
-from .ioutil import atomic_write_bytes, atomic_write_text
+from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv
 
 SCHEMA = ("video_id", "width", "height", "crf", "bitrate_bps", "vmaf")
+_CONVERTERS = (str, int, int, int, finite_float, finite_float)
 CRF_MIN, CRF_MAX = 18, 50
 VMAF_MIN, VMAF_MAX = 0.0, 100.0
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
@@ -51,18 +50,24 @@ class SplitManifest:
     test: tuple[str, ...]
 
 
-def _validate_record(record: EncodeRecord, line: int, resolutions) -> None:
+def validate_record(record: EncodeRecord, where: str, resolutions=None) -> None:
+    """Range rules every encode-log row and every encoder result must meet.
+
+    where names the row in messages, for example "log.csv line 2".
+    """
+    if not record.video_id:
+        raise SchemaError(f"{where}: empty video_id")
     if not (CRF_MIN <= record.crf <= CRF_MAX):
-        raise RangeError(f"line {line}: crf {record.crf} outside [{CRF_MIN}, {CRF_MAX}]")
+        raise RangeError(f"{where}: crf {record.crf} outside [{CRF_MIN}, {CRF_MAX}]")
     if not (math.isfinite(record.bitrate_bps) and record.bitrate_bps > 0):
-        raise RangeError(f"line {line}: bitrate {record.bitrate_bps} must be finite and > 0")
+        raise RangeError(f"{where}: bitrate {record.bitrate_bps} must be finite and > 0")
     if not (VMAF_MIN <= record.vmaf <= VMAF_MAX):
-        raise RangeError(f"line {line}: vmaf {record.vmaf} outside [0, 100]")
+        raise RangeError(f"{where}: vmaf {record.vmaf} outside [0, 100]")
     if record.width <= 0 or record.height <= 0:
-        raise RangeError(f"line {line}: non-positive dimensions")
+        raise RangeError(f"{where}: non-positive dimensions")
     if resolutions is not None and (record.width, record.height) not in resolutions:
         raise RangeError(
-            f"line {line}: {record.width}x{record.height} not in the configured "
+            f"{where}: {record.width}x{record.height} not in the configured "
             f"resolution set"
         )
 
@@ -77,41 +82,23 @@ def parse_encode_log(path, resolutions=None) -> list[EncodeRecord]:
         resolutions = {tuple(r) for r in resolutions}
     records: list[EncodeRecord] = []
     seen: set[tuple] = set()
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != SCHEMA:
-            raise SchemaError(f"header must be {','.join(SCHEMA)}, got {header}")
-        for line, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SCHEMA):
-                raise SchemaError(f"line {line}: expected {len(SCHEMA)} fields, got {len(row)}")
-            vid = row[0]
-            if not vid:
-                raise SchemaError(f"line {line}: empty video_id")
-            try:
-                record = EncodeRecord(
-                    vid, int(row[1]), int(row[2]), int(row[3]), float(row[4]), float(row[5])
-                )
-            except ValueError as exc:
-                raise SchemaError(f"line {line}: {exc}") from None
-            _validate_record(record, line, resolutions)
-            key = (record.video_id, record.width, record.height, record.crf)
-            if key in seen:
-                raise DuplicateKey(f"line {line}: repeated cell {key}")
-            seen.add(key)
-            records.append(record)
+    for line, fields in read_csv(path, SCHEMA, _CONVERTERS):
+        record = EncodeRecord(*fields)
+        validate_record(record, f"{path} line {line}", resolutions)
+        key = (record.video_id, record.width, record.height, record.crf)
+        if key in seen:
+            raise DuplicateKey(f"{path} line {line}: repeated cell {key}")
+        seen.add(key)
+        records.append(record)
     return records
 
 
+def encode_log_row(r: EncodeRecord) -> list:
+    return [r.video_id, r.width, r.height, r.crf, repr(float(r.bitrate_bps)), repr(float(r.vmaf))]
+
+
 def encode_log_text(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCHEMA)
-    for r in records:
-        writer.writerow([r.video_id, r.width, r.height, r.crf, repr(float(r.bitrate_bps)), repr(float(r.vmaf))])
-    return buf.getvalue()
+    return csv_text(SCHEMA, map(encode_log_row, records))
 
 
 def write_encode_log(records, path) -> None:

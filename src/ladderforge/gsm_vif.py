@@ -91,7 +91,7 @@ def extract_block_vectors(subband) -> np.ndarray:
 
     Rows and columns that do not fill a whole tile are dropped.
     """
-    coeffs = np.asarray(getattr(subband, "coeffs", subband), dtype=np.float64)
+    coeffs = np.asarray(subband, dtype=np.float64)
     if coeffs.ndim != 2:
         raise DegenerateInput(f"expected a 2-D subband, got shape {coeffs.shape}")
     rows, cols = coeffs.shape
@@ -187,20 +187,17 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR) -> FrameVifF
     if noise_var <= 0.0:
         raise InvalidNoiseVariance(f"noise variance must be > 0, got {noise_var}")
     plane = np.asarray(getattr(frame, "samples", frame), dtype=np.float64)
-    stack = build_scale_stack(plane * _PEAK_8BIT)
 
     per_eig = np.zeros((NUM_SCALES, NUM_BANDS, BLOCK_DIM))
     per_band = np.zeros((NUM_SCALES, NUM_BANDS))
     per_scale = np.zeros(NUM_SCALES)
-    for k, level in enumerate(stack.levels):
-        for subband in subband_decompose(level, scale=k + 1):
-            rows, cols = subband.coeffs.shape
+    for k, level in enumerate(build_scale_stack(plane * _PEAK_8BIT)):
+        for b, subband in enumerate(subband_decompose(level)):
+            rows, cols = subband.shape
             if rows < BLOCK_SIZE or cols < BLOCK_SIZE:
                 continue
             _, eigvals, s2 = _fit_eigen(extract_block_vectors(subband))
-            info, total = subband_information(s2, eigvals, noise_var)
-            per_eig[k, subband.band - 1] = info
-            per_band[k, subband.band - 1] = total
+            per_eig[k, b], per_band[k, b] = subband_information(s2, eigvals, noise_var)
         per_scale[k] = 0.5 * per_band[k].sum()
     return FrameVifFeatures(per_eig, per_band, per_scale)
 

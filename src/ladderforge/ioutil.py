@@ -1,10 +1,21 @@
-"""Small filesystem helpers shared by everything that writes artifacts."""
+"""Filesystem and CSV helpers shared by everything that reads or writes artifacts.
+
+Every CSV the package reads goes through read_csv and every CSV it
+writes through csv_text, so all file types share one set of rules: UTF-8,
+"\\n" line ends, an exact header, blank lines ignored, and finite floats.
+"""
 
 from __future__ import annotations
 
+import csv
+import io
+import math
 import os
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
+
+from .errors import RangeError, SchemaError
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -28,3 +39,69 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def finite_float(text: str) -> float:
+    """Converter for every float column: nan and inf are out of range."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise RangeError(f"{text!r} is not a finite number")
+    return value
+
+
+def read_csv(path, columns, converters) -> Iterator[tuple[int, list]]:
+    """Yield the data rows of a UTF-8 CSV file as (line, converted fields) pairs.
+
+    The first non-blank line must equal columns, every later non-blank line
+    must hold one field per column, and converters[i] turns field i into
+    its value. Every error names the path and line: SchemaError for an
+    unreadable file, bytes that are not UTF-8, malformed CSV, a wrong
+    header or field count, or a field its converter rejects with
+    ValueError; RangeError for a field a converter rejects with RangeError,
+    such as a float that is not finite.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL byte
+        raise SchemaError(f"unreadable file {path}: {exc}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path} line {line}: not UTF-8 ({exc.reason})") from None
+
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = (fields for fields in reader if fields)
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file, header must be {','.join(columns)}")
+        if tuple(header) != tuple(columns):
+            raise SchemaError(f"{path} line {reader.line_num}: header must be {','.join(columns)}")
+        for fields in rows:
+            line = reader.line_num
+            if len(fields) != len(columns):
+                raise SchemaError(
+                    f"{path} line {line}: expected {len(columns)} fields, got {len(fields)}"
+                )
+            values = []
+            try:
+                for column, convert, field in zip(columns, converters, fields):
+                    values.append(convert(field))
+            except ValueError as exc:
+                raise SchemaError(f"{path} line {line}: {column}: {exc}") from None
+            except RangeError as exc:
+                raise RangeError(f"{path} line {line}: {column}: {exc}") from None
+            yield line, values
+    except csv.Error as exc:
+        raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def csv_text(columns, rows) -> str:
+    """CSV text with "\\n" line ends: a header of columns, if any, then rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if columns:
+        writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -9,11 +9,8 @@ by snapping each rung to the closest logged point in log2 bitrate.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +24,11 @@ from .errors import (
 )
 from .feature_assembly import EncodeMeta, assemble
 from .gsm_vif import VifFeatureTensor
+from .ioutil import (
+    csv_text,
+    finite_float,
+    read_csv,
+)
 from .regressor import ExtraTreesModel, predict_batch
 
 # rung targets in bps: 0.25..10.5 Mbps
@@ -57,6 +59,7 @@ DEFAULT_RESOLUTIONS = (
 )
 
 LADDER_COLUMNS = ("rung_bps", "width", "height", "crf", "realized_bps", "vmaf")
+_CONVERTERS = (finite_float, int, int, int, finite_float, finite_float)
 
 
 @dataclass(frozen=True)
@@ -288,44 +291,23 @@ def predicted_ladder(
 # ---------------------------------------------------------------------------
 
 def ladder_csv_text(ladder: Ladder) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(LADDER_COLUMNS)
-    for rung in ladder.rungs:
-        writer.writerow(
-            [
-                repr(float(rung.target_bps)),
-                rung.width,
-                rung.height,
-                rung.point.crf,
-                repr(float(rung.point.bitrate_bps)),
-                repr(float(rung.point.vmaf)),
-            ]
-        )
-    return buf.getvalue()
+    return csv_text(LADDER_COLUMNS, (
+        [
+            repr(float(rung.target_bps)),
+            rung.width,
+            rung.height,
+            rung.point.crf,
+            repr(float(rung.point.bitrate_bps)),
+            repr(float(rung.point.vmaf)),
+        ]
+        for rung in ladder.rungs
+    ))
 
 
 def parse_ladder_csv(path, provenance: str = "unknown") -> Ladder:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise SchemaError(f"unreadable ladder file {path}: {exc}") from None
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != LADDER_COLUMNS:
-        raise SchemaError(
-            f"{path}: expected header {','.join(LADDER_COLUMNS)}, got {rows[0] if rows else 'nothing'}"
-        )
     rungs = []
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(LADDER_COLUMNS):
-            raise SchemaError(f"{path} line {line}: expected {len(LADDER_COLUMNS)} fields")
-        try:
-            target = float(row[0])
-            w, h, crf = int(row[1]), int(row[2]), int(row[3])
-            point = RdPoint(float(row[4]), float(row[5]), crf, w, h)
-        except ValueError as exc:
-            raise SchemaError(f"{path} line {line}: {exc}") from None
-        rungs.append(LadderRung(target, w, h, point))
+    for _, (target, w, h, crf, realized, vmaf) in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
+        rungs.append(LadderRung(target, w, h, RdPoint(realized, vmaf, crf, w, h)))
     if not rungs:
         raise SchemaError(f"{path}: ladder has no rungs")
     return Ladder(tuple(rungs), provenance)

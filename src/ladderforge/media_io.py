@@ -178,8 +178,12 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> Lum
 
     dtype = np.uint8 if bps == 1 else np.dtype("<u2")
     peak = float((1 << header.bit_depth) - 1)
-    samples = np.frombuffer(buf, dtype=dtype).astype(np.float64)
-    samples = samples.reshape(header.height, header.width) / peak
+    raw = np.frombuffer(buf, dtype=dtype)
+    if bps == 2 and raw.max() > peak:
+        raise UnsupportedFormat(
+            f"frame {index}: luma sample {raw.max()} exceeds {header.bit_depth}-bit range"
+        )
+    samples = raw.astype(np.float64).reshape(header.height, header.width) / peak
     return LumaFrame(header.width, header.height, samples, index)
 
 

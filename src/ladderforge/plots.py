@@ -8,12 +8,13 @@ documented fallbacks for degenerate data.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
 from .errors import EmptyInput
+from .ioutil import (
+    csv_text,
+)
 
 _CANVAS_W = 640
 _CANVAS_H = 420
@@ -76,12 +77,7 @@ def freedman_diaconis_bins(values) -> list[Bin]:
 
 
 def histogram_csv_text(bins: list[Bin]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HISTOGRAM_COLUMNS)
-    for b in bins:
-        writer.writerow([repr(b.lo), repr(b.hi), b.count])
-    return buf.getvalue()
+    return csv_text(HISTOGRAM_COLUMNS, ([repr(b.lo), repr(b.hi), b.count] for b in bins))
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +171,11 @@ def histogram_svg_text(values, title: str, xlabel: str) -> str:
 # ---------------------------------------------------------------------------
 
 def hull_csv_text(curves) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HULL_COLUMNS)
-    for label, points in curves:
-        for bitrate, quality in points:
-            writer.writerow([label, repr(float(bitrate)), repr(float(quality))])
-    return buf.getvalue()
+    return csv_text(HULL_COLUMNS, (
+        [label, repr(float(bitrate)), repr(float(quality))]
+        for label, points in curves
+        for bitrate, quality in points
+    ))
 
 
 def hull_svg_text(curves, title: str) -> str:

@@ -9,28 +9,12 @@ the transposed arrangement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import FrameTooSmall
 
 NUM_SCALES = 4
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-
-
-@dataclass(frozen=True)
-class ScaleStack:
-    """levels[0] is the input plane; levels[k] is its k-fold decimation."""
-
-    levels: tuple[np.ndarray, ...]
-
-
-@dataclass(frozen=True)
-class SubbandPlane:
-    scale: int
-    band: int
-    coeffs: np.ndarray
 
 
 def _as_plane(frame) -> np.ndarray:
@@ -63,9 +47,10 @@ def _decimate(plane: np.ndarray) -> np.ndarray:
     return plane[0:2 * (h // 2):2, 0:2 * (w // 2):2]
 
 
-def build_scale_stack(frame) -> ScaleStack:
+def build_scale_stack(frame) -> tuple[np.ndarray, ...]:
     """Four-level pyramid of a luma or difference plane.
 
+    Element 0 is the input plane and element k its k-fold decimation.
     Accepts a LumaFrame (luma or difference samples) or a bare 2-D array.
     Requires at least 16x16 so the smallest level keeps a usable extent.
     """
@@ -77,11 +62,11 @@ def build_scale_stack(frame) -> ScaleStack:
     for _ in range(NUM_SCALES - 1):
         blurred = _blur_axis(_blur_axis(levels[-1], 0), 1)
         levels.append(_decimate(blurred))
-    return ScaleStack(tuple(levels))
+    return tuple(levels)
 
 
-def subband_decompose(level, scale: int = 1) -> tuple[SubbandPlane, SubbandPlane]:
-    """Split a level into its two oriented detail subbands.
+def subband_decompose(level) -> tuple[np.ndarray, np.ndarray]:
+    """Split a level into its two oriented detail subbands, (band1, band2).
 
     Output planes are one row and one column smaller than the input (valid
     filter support only; no padding is invented at the borders).
@@ -94,7 +79,4 @@ def subband_decompose(level, scale: int = 1) -> tuple[SubbandPlane, SubbandPlane
     band1 = (plane[:-1, 1:] - plane[:-1, :-1] + plane[1:, 1:] - plane[1:, :-1]) / 4.0
     # band 2: difference along y, average along x
     band2 = (plane[1:, :-1] - plane[:-1, :-1] + plane[1:, 1:] - plane[:-1, 1:]) / 4.0
-    return (
-        SubbandPlane(scale, 1, band1),
-        SubbandPlane(scale, 2, band2),
-    )
+    return band1, band2

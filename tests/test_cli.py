@@ -597,6 +597,54 @@ def test_sweep_rejects_out_of_range_journal_row(tmp_path, pipeline, capsys):
     assert counter.read_text() == ""
 
 
+def test_sweep_rejects_journal_of_another_video(tmp_path, pipeline, capsys):
+    template, counter = write_fake_encoder(tmp_path)
+    out = tmp_path / "log.csv"
+    Path(str(out) + ".journal.csv").write_text("video_id,width,height,crf,bitrate_bps,vmaf\n"
+                                               "other,64,36,18,1000.0,80.0\n")
+    assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_DATA
+    assert "'other'" in capsys.readouterr().err
+    assert counter.read_text() == ""
+
+
+@pytest.mark.parametrize("report", [
+    "bitrate_bps=1e999 vmaf=50",   # overflows to inf
+    "bitrate_bps=1000 vmaf=150",   # quality above 100
+    "bitrate_bps=1.2.3 vmaf=50",   # not a number
+])
+def test_sweep_rejects_bad_encoder_output(tmp_path, pipeline, report):
+    script = tmp_path / "bad_encoder.py"
+    script.write_text(f"print({report!r})\n")
+    template = f"python3 {script} {{input}} {{width}} {{height}} {{crf}} {{output}}"
+    out = tmp_path / "log.csv"
+    assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_TOOL
+    assert "64x36 crf 18" in Path(str(out) + ".failures.txt").read_text()
+    assert not Path(str(out) + ".journal.csv").exists()
+
+    template_ok, _ = write_fake_encoder(tmp_path)
+    assert main(sweep_args(pipeline, tmp_path, out, template_ok)) == EXIT_OK
+    assert len(dataset.parse_encode_log(out)) == 6
+
+
+def test_sweep_quotes_paths_for_the_shell(tmp_path, pipeline, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where an unquoted command would leave files
+    source = tmp_path / "my clip;touch stray.y4m"
+    source.write_bytes(Path(pipeline["clips"][0]).read_bytes())
+    template, counter = write_fake_encoder(tmp_path)
+    out = tmp_path / "log.csv"
+    argv = sweep_args(pipeline, tmp_path, out, template)
+    argv[argv.index("--input") + 1] = str(source)
+    assert main(argv) == EXIT_OK
+    assert {r.video_id for r in dataset.parse_encode_log(out)} == {"my clip;touch stray"}
+    work = Path(str(out) + ".work")
+    assert (work / "my clip;touch stray_64x36_crf18.out").read_text() == "encoded"
+    assert len(list(work.iterdir())) == 6
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
+        source.name, "calls.txt", "fake_encoder.py", out.name, work.name,
+        out.name + ".journal.csv", out.name + ".runconfig.json",
+    ])
+
+
 def test_sweep_failures_recorded_and_resumable(tmp_path, pipeline, capsys):
     template, counter = write_fake_encoder(tmp_path, fail_crf=19)
     out = tmp_path / "log.csv"

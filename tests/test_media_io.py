@@ -80,6 +80,13 @@ def test_10bit_full_scale_normalizes_to_one():
     assert np.all(frames[0].samples == 0.0)
 
 
+def test_10bit_sample_above_1023_rejected():
+    plane = np.full((16, 16), 512)
+    plane[3, 5] = 1024
+    with pytest.raises(UnsupportedFormat, match="1024"):
+        _frames_from_bytes(y4m_bytes([plane], bit_depth=10))
+
+
 def test_10bit_samples_are_little_endian():
     plane = np.full((16, 16), 0x0201)  # bytes 01 02 per sample when LE
     data = y4m_bytes([plane], bit_depth=10)
