@@ -9,6 +9,7 @@ outputs so a run can be reproduced from the sidecar alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -18,6 +19,7 @@ from .dataset import CRF_MAX, CRF_MIN
 from .errors import ConfigMissing, InvalidNoiseVariance, SchemaError, UnknownApproach
 from .feature_assembly import APPROACH_FEATURE_LENGTHS
 from .gsm_vif import DEFAULT_NOISE_VAR
+from .ioutil import read_json
 from .ladder import DEFAULT_RESOLUTIONS, DEFAULT_RUNG_BPS, validate_rungs
 
 ENV_CONFIG = "LADDERFORGE_CONFIG"
@@ -72,8 +74,8 @@ class RunConfig:
 
 
 def validate_config(config: RunConfig) -> RunConfig:
-    if config.sigma_n2 <= 0:
-        raise InvalidNoiseVariance(f"sigma_n2 must be > 0, got {config.sigma_n2}")
+    if not 0 < config.sigma_n2 < math.inf:
+        raise InvalidNoiseVariance(f"sigma_n2 must be finite and > 0, got {config.sigma_n2}")
     if config.approach not in APPROACH_FEATURE_LENGTHS:
         raise UnknownApproach(f"approach must be 1..9, got {config.approach}")
     if not config.resolutions:
@@ -135,7 +137,7 @@ def _config_from_dict(payload: dict, origin: str) -> RunConfig:
             kwargs["fixed_ladder"] = _parse_fixed_ladder(payload["fixed_ladder"])
         if "encoder_template" in payload and payload["encoder_template"] is not None:
             kwargs["encoder_template"] = str(payload["encoder_template"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
         raise SchemaError(f"{origin}: {exc}") from None
     return validate_config(RunConfig(**kwargs))
 
@@ -150,10 +152,7 @@ def load_config(path=None, env=None) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigMissing(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"unreadable config {path}: {exc}") from None
+    payload = read_json(path, "config")
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
     return _config_from_dict(payload, str(path))

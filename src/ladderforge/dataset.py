@@ -11,7 +11,6 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import feature_assembly
 from .errors import (
@@ -22,7 +21,14 @@ from .errors import (
     TooFewVideos,
 )
 from .gsm_vif import VifFeatureTensor
-from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv
+from .ioutil import (
+    atomic_write_bytes,
+    atomic_write_text,
+    csv_text,
+    finite_float,
+    read_csv,
+    read_json,
+)
 
 SCHEMA = ("video_id", "width", "height", "crf", "bitrate_bps", "vmaf")
 _CONVERTERS = (str, int, int, int, finite_float, finite_float)
@@ -140,21 +146,21 @@ def save_split(split: SplitManifest, path) -> None:
 
 
 def load_split(path) -> SplitManifest:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"unreadable split manifest {path}: {exc}") from None
+    payload = read_json(path, "split manifest")
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: split manifest must be a JSON object")
     if payload.get("format") != _SPLIT_FORMAT:
         raise SchemaError(f"unknown split manifest format {payload.get('format')!r}")
-    try:
-        split = SplitManifest(
-            int(payload["seed"]),
-            tuple(payload["train"]),
-            tuple(payload["validation"]),
-            tuple(payload["test"]),
+    seed = payload.get("seed")
+    ids = [payload.get(key) for key in ("train", "validation", "test")]
+    if type(seed) is not int or not all(
+        isinstance(part, list) and all(isinstance(v, str) for v in part) for part in ids
+    ):
+        raise SchemaError(
+            f"malformed split manifest {path}: needs an integer seed and "
+            "train, validation and test lists of video ids"
         )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed split manifest: {exc}") from None
+    split = SplitManifest(seed, *map(tuple, ids))
     parts = [set(split.train), set(split.validation), set(split.test)]
     if sum(len(p) for p in parts) != len(parts[0] | parts[1] | parts[2]):
         raise SchemaError("split manifest parts overlap")

@@ -110,6 +110,13 @@ class NoPointsForResolution(LadderforgeError):
     """Encode log has no points at a resolution the ladder needs."""
 
 
+class InvalidRungs(LadderforgeError, ValueError):
+    """Rung bitrates empty, not finite and positive, or not strictly increasing.
+
+    Also a ValueError: a bad --rungs flag is a usage error, caught as one.
+    """
+
+
 class ConfigMissing(LadderforgeError):
     """Required configuration (e.g. fixed-ladder table) absent."""
 

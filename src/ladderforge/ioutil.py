@@ -3,12 +3,14 @@
 Every CSV the package reads goes through read_csv and every CSV it
 writes through csv_text, so all file types share one set of rules: UTF-8,
 "\\n" line ends, an exact header, blank lines ignored, and finite floats.
+Every JSON file it reads goes through read_json.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 import tempfile
@@ -70,7 +72,9 @@ def read_csv(path, columns, converters) -> Iterator[tuple[int, list]]:
         line = data.count(b"\n", 0, exc.start) + 1
         raise SchemaError(f"{path} line {line}: not UTF-8 ({exc.reason})") from None
 
-    reader = csv.reader(io.StringIO(text, newline=""))
+    # lines end only at "\n" and quoting is strict, so a lone "\r" in an
+    # unquoted field or a quote inside one is a csv.Error, not a quiet misread
+    reader = csv.reader(io.StringIO(text, newline="\n"), strict=True)
     rows = (fields for fields in reader if fields)
     try:
         header = next(rows, None)
@@ -95,6 +99,24 @@ def read_csv(path, columns, converters) -> Iterator[tuple[int, list]]:
             yield line, values
     except csv.Error as exc:
         raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
+
+
+def read_json(path, what: str):
+    """Parse a UTF-8 JSON file whose numbers are all finite.
+
+    Every failure is a SchemaError naming what and the path: an unreadable
+    file, bytes that are not UTF-8, malformed or too deeply nested JSON,
+    and NaN, Infinity or a number too large for a float.
+    """
+    try:
+        return json.loads(
+            Path(path).read_bytes().decode("utf-8"),
+            parse_float=finite_float,
+            parse_constant=finite_float,
+        )
+    except (OSError, ValueError, RecursionError, RangeError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and a NUL in the path
+        raise SchemaError(f"unreadable {what} {path}: {exc}") from None
 
 
 def csv_text(columns, rows) -> str:

@@ -17,6 +17,7 @@ import numpy as np
 from .dataset import EncodeRecord
 from .errors import (
     ConfigMissing,
+    InvalidRungs,
     NoPointsForResolution,
     NonpositiveBitrate,
     RangeError,
@@ -107,12 +108,13 @@ def pixel_count(resolution: tuple[int, int]) -> int:
 def validate_rungs(rungs) -> tuple[float, ...]:
     rungs = tuple(float(b) for b in rungs)
     if not rungs:
-        raise ValueError("rung list is empty")
-    if rungs[0] <= 0:
-        raise ValueError(f"rung bitrates must be > 0, got {rungs[0]}")
+        raise InvalidRungs("rung list is empty")
+    for b in rungs:
+        if not (math.isfinite(b) and b > 0):
+            raise InvalidRungs(f"rung bitrates must be finite and > 0, got {b}")
     for a, b in zip(rungs, rungs[1:]):
         if b <= a:
-            raise ValueError(f"rung bitrates must be strictly increasing, got {a} then {b}")
+            raise InvalidRungs(f"rung bitrates must be strictly increasing, got {a} then {b}")
     return rungs
 
 
@@ -306,8 +308,14 @@ def ladder_csv_text(ladder: Ladder) -> str:
 
 def parse_ladder_csv(path, provenance: str = "unknown") -> Ladder:
     rungs = []
-    for _, (target, w, h, crf, realized, vmaf) in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
-        rungs.append(LadderRung(target, w, h, RdPoint(realized, vmaf, crf, w, h)))
+    for line, (target, w, h, crf, realized, vmaf) in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
+        try:
+            point = RdPoint(realized, vmaf, crf, w, h)
+        except NonpositiveBitrate as exc:
+            raise NonpositiveBitrate(f"{path} line {line}: realized_bps: {exc}") from None
+        except RangeError as exc:
+            raise RangeError(f"{path} line {line}: vmaf: {exc}") from None
+        rungs.append(LadderRung(target, w, h, point))
     if not rungs:
         raise SchemaError(f"{path}: ladder has no rungs")
     return Ladder(tuple(rungs), provenance)

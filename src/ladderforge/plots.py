@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput
+from .errors import EmptyInput, RangeError
 from .ioutil import (
     csv_text,
 )
@@ -43,9 +43,9 @@ def _fmt(x: float) -> str:
 def freedman_diaconis_bins(values) -> list[Bin]:
     """Histogram bins: width 2*IQR/n^(1/3).
 
-    Falls back to a sqrt(n) bin count when the IQR is zero, and to one
-    unit-width bin when all values are equal. The last bin is closed so
-    the maximum lands inside it.
+    Falls back to a sqrt(n) bin count when that width would give more bins
+    than values (a zero or tiny IQR), and to one unit-width bin when all
+    values are equal. The last bin is closed so the maximum lands inside it.
     """
     values = sorted(float(v) for v in values)
     if not values:
@@ -54,6 +54,8 @@ def freedman_diaconis_bins(values) -> list[Bin]:
     lo, hi = values[0], values[-1]
     if lo == hi:
         return [Bin(lo - 0.5, lo + 0.5, n)]
+    if not math.isfinite(hi - lo):
+        raise RangeError(f"values from {lo!r} to {hi!r} span more than a float holds")
 
     def percentile(q: float) -> float:
         pos = q * (n - 1)
@@ -65,7 +67,7 @@ def freedman_diaconis_bins(values) -> list[Bin]:
 
     iqr = percentile(0.75) - percentile(0.25)
     width = 2.0 * iqr / n ** (1.0 / 3.0)
-    if width <= 0:
+    if not (width > 0 and (hi - lo) / width <= n):
         width = (hi - lo) / max(1, math.isqrt(n))
     count = max(1, math.ceil((hi - lo) / width))
     width = (hi - lo) / count

@@ -10,6 +10,13 @@ a shared seed share their first trees and scheduling cannot change the
 result. Training rows are put into a canonical lexicographic order first,
 which makes the model a pure function of the row *set*, the config and the
 seed; identical inputs give byte-identical model files.
+
+Trees grow level by level. At each depth the RNG is drawn twice, in the
+left-to-right order of the level's open nodes: first one uniform key per
+(node, feature), where a node's candidates are the features with its k
+smallest keys among those it does not hold constant; then one uniform
+threshold per (node, candidate), candidates in ascending feature order.
+Nodes are renumbered into pre-order before a tree is returned.
 """
 
 from __future__ import annotations
@@ -102,85 +109,113 @@ def train(rows, config: ExtraTreesConfig | None = None, seed: int = 0) -> ExtraT
     )
 
 
-def _choose_split(sub, ys, k, min_leaf, rng):
-    lows = sub.min(axis=0)
-    highs = sub.max(axis=0)
-    usable = np.flatnonzero(highs > lows)
-    if usable.size == 0:
-        return None
-    cands = rng.choice(usable, size=min(k, usable.size), replace=False)
-    thresholds = rng.uniform(lows[cands], highs[cands])
-    best = None
-    for f, thr in zip(cands, thresholds):
-        f, thr = int(f), float(thr)
-        if not (lows[f] < thr < highs[f]):
-            continue  # degenerate draw at the range edge
-        mask = sub[:, f] <= thr
-        n_left = int(mask.sum())
-        n_right = len(ys) - n_left
-        if n_left < min_leaf or n_right < min_leaf:
-            continue
-        y_left = ys[mask]
-        y_right = ys[~mask]
-        s_left, s_right = y_left.sum(), y_right.sum()
-        # total child SSE; minimizing it maximizes variance reduction
-        cost = float(
-            (y_left * y_left).sum() - s_left * s_left / n_left
-            + (y_right * y_right).sum() - s_right * s_right / n_right
-        )
-        if (
-            best is None
-            or cost < best[0]
-            or (cost == best[0] and (f, thr) < (best[1], best[2]))
-        ):
-            best = (cost, f, thr, mask)
-    if best is None:
-        return None
-    return best[1], best[2], best[3]
-
-
 def _grow_tree(X, y, k, min_leaf, rng) -> Tree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
+    """Grow one tree breadth-first, with a fixed number of numpy calls per depth.
 
-    # LIFO with the right child pushed first, so nodes append in pre-order
-    stack = [(np.arange(len(y)), -1, False)]
-    while stack:
-        idx, parent, is_left = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            (left if is_left else right)[parent] = node
-        ys = y[idx]
-        lo, hi = ys.min(), ys.max()
-        split = None
-        if len(idx) >= 2 * min_leaf and lo < hi:
-            split = _choose_split(X[idx], ys, k, min_leaf, rng)
-        if split is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            # a pure leaf stores the common target exactly, no mean round-off
-            value.append(float(ys[0]) if lo == hi else float(ys.mean()))
-        else:
-            f, thr, mask = split
-            feature.append(f)
-            threshold.append(thr)
-            left.append(-1)
-            right.append(-1)
-            value.append(0.0)
-            stack.append((idx[~mask], node, False))
-            stack.append((idx[mask], node, True))
-    return Tree(
-        np.asarray(feature, dtype=np.int32),
-        np.asarray(threshold, dtype=np.float64),
-        np.asarray(left, dtype=np.int32),
-        np.asarray(right, dtype=np.int32),
-        np.asarray(value, dtype=np.float64),
-    )
+    The rows of each frontier node stay contiguous in ``rows``, in their
+    canonical order, so every per-node statistic is one ``reduceat`` over
+    the node starts. Nodes get breadth-first ids while growing and are
+    renumbered into pre-order at the end. The ``del`` statements free the
+    (rows x d) and (nodes x d) temporaries before the (rows x k) ones are
+    made, which keeps the peak memory of a level down.
+    """
+    levels = []  # per depth: feature, threshold, value, positions that split
+    rows = np.arange(len(y))
+    starts = np.zeros(1, dtype=np.intp)
+    while starts.size:
+        counts = np.diff(starts, append=rows.size)
+        ys = y[rows]
+        pure = np.minimum.reduceat(ys, starts) == np.maximum.reduceat(ys, starts)
+        # a pure leaf stores the common target exactly, no mean round-off
+        value = np.where(pure, ys[starts], np.add.reduceat(ys, starts) / counts)
+        feature = np.full(starts.size, -1, dtype=np.int32)
+        threshold = np.zeros(starts.size)
+        is_open = ~pure & (counts >= 2 * min_leaf)
+        open_ = np.flatnonzero(is_open)
+        if not open_.size:
+            levels.append((feature, threshold, value, open_))
+            break
+        # only the rows of open nodes take part in the X reductions
+        n_open = counts[open_]
+        in_open = np.repeat(is_open, counts)
+        rows, ys = rows[in_open], ys[in_open]
+        at = np.cumsum(n_open) - n_open
+        node = np.repeat(np.arange(open_.size), n_open)
+        Xo = X[rows]
+        lows = np.minimum.reduceat(Xo, at, axis=0)
+        highs = np.maximum.reduceat(Xo, at, axis=0)
+        del Xo
+        # the k smallest of uniform keys over a node's non-constant
+        # features are a uniform draw of min(k, #usable) distinct ones
+        keys = rng.random(lows.shape)
+        keys[highs <= lows] = 2.0
+        cand = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+        ok = np.take_along_axis(keys, cand, axis=1) < 1.0
+        lo = np.take_along_axis(lows, cand, axis=1)
+        hi = np.take_along_axis(highs, cand, axis=1)
+        del keys, lows, highs
+        thr = rng.uniform(lo, hi)
+        ok &= (lo < thr) & (thr < hi)  # a draw at the range edge is skipped
+        del lo, hi
+        left = X[rows[:, None], cand[node]] <= thr[node]
+        n_left = np.add.reduceat(left, at, axis=0)
+        s_left = np.add.reduceat(np.where(left, ys[:, None], 0.0), at, axis=0)
+        n_right = n_open[:, None] - n_left
+        s_right = np.add.reduceat(ys, at)[:, None] - s_left
+        ok &= (n_left >= min_leaf) & (n_right >= min_leaf)
+        # total child SSE is sum(y^2) - s_l^2/n_l - s_r^2/n_r and sum(y^2)
+        # is the node's own, so the SSE argmin is this argmax; argmax
+        # takes the first maximum, the lowest of the sorted features
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.where(ok, s_left**2 / n_left + s_right**2 / n_right, -np.inf)
+        best = np.argmax(score, axis=1)
+        chosen = ok[np.arange(open_.size), best]
+        split = open_[chosen]
+        feature[split] = cand[chosen, best[chosen]]
+        threshold[split] = thr[chosen, best[chosen]]
+        value[split] = 0.0
+        levels.append((feature, threshold, value, split))
+        # stable partition: per split node its left rows, then its right rows
+        goes_left = left[np.arange(rows.size), best[node]]
+        keep = np.flatnonzero(chosen[node])
+        rows = rows[keep[np.argsort(2 * node[keep] + ~goes_left[keep], kind="stable")]]
+        n_l = n_left[chosen, best[chosen]]
+        children = np.column_stack((n_l, n_open[chosen] - n_l)).ravel()
+        starts = np.cumsum(children) - children
+    return _preorder(levels)
+
+
+def _preorder(levels) -> Tree:
+    """Renumber breadth-first levels into the pre-order arrays of a Tree.
+
+    Level D's j-th split node has its children at positions 2j and 2j + 1
+    of level D + 1.
+    """
+    base = np.cumsum([0] + [len(f) for f, _, _, _ in levels])
+    total = int(base[-1])
+    parents = [base[depth] + split for depth, (_, _, _, split) in enumerate(levels)]
+    first = np.full(total, -1, dtype=np.int64)  # breadth-first id of the left child
+    for depth, ids in enumerate(parents):
+        first[ids] = base[depth + 1] + 2 * np.arange(ids.size)
+    size = np.ones(total, dtype=np.int64)
+    for ids in reversed(parents):
+        size[ids] += size[first[ids]] + size[first[ids] + 1]
+    pre = np.zeros(total, dtype=np.int64)
+    for ids in parents:
+        pre[first[ids]] = pre[ids] + 1
+        pre[first[ids] + 1] = pre[ids] + 1 + size[first[ids]]
+    feature = np.empty(total, dtype=np.int32)
+    threshold = np.empty(total)
+    value = np.empty(total)
+    feature[pre] = np.concatenate([f for f, _, _, _ in levels])
+    threshold[pre] = np.concatenate([t for _, t, _, _ in levels])
+    value[pre] = np.concatenate([v for _, _, v, _ in levels])
+    inner = np.concatenate(parents)
+    left = np.full(total, -1, dtype=np.int32)
+    right = np.full(total, -1, dtype=np.int32)
+    left[pre[inner]] = pre[first[inner]]
+    right[pre[inner]] = pre[first[inner] + 1]
+    return Tree(feature, threshold, left, right, value)
 
 
 def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -265,8 +300,12 @@ def _parse_header(lines: list[str]) -> dict:
 
 
 def load_model(path) -> ExtraTreesModel:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptModel(f"{path}: not UTF-8 ({exc.reason})") from None
     head, sep, body = text.partition("\n---\n")
+    del text  # the body is the bulk of a model file; keep one copy of it
     if not sep:
         raise CorruptModel(f"{path}: missing header/body separator")
     header_lines = head.split("\n")
@@ -293,9 +332,29 @@ def load_model(path) -> ExtraTreesModel:
     trees = _parse_trees(body, path)
     if len(trees) != n_trees:
         raise CorruptModel(f"{path}: expected {n_trees} trees, found {len(trees)}")
+    for t, tree in enumerate(trees):
+        used = tree.feature[tree.left >= 0]
+        if used.size and not (0 <= used.min() and used.max() < len(columns)):
+            raise CorruptModel(f"{path}: tree {t}: split feature outside [0, {len(columns)})")
+        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
+            raise CorruptModel(f"{path}: tree {t}: threshold or leaf value not finite")
     return ExtraTreesModel(
         approach, columns, n_trees, min_samples_leaf, k_features, seed, tuple(trees)
     )
+
+
+def _lines(text: str, block: int = 1 << 16):
+    """text.splitlines(), split a block of about 64 KiB at a time.
+
+    Each block ends just after a "\\n", which ends a line for splitlines
+    too, so the lines are the same; a list of every line of a 100-tree
+    model would hold several times the model's size in small strings.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + block) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def _parse_trees(body: str, path) -> list[Tree]:
@@ -313,9 +372,13 @@ def _parse_trees(body: str, path) -> list[Tree]:
             return
         if pending:
             raise CorruptModel(f"{path}: tree truncated mid-branch")
+        try:
+            features = np.asarray(feature, dtype=np.int32)
+        except OverflowError:
+            raise CorruptModel(f"{path}: split feature out of range") from None
         trees.append(
             Tree(
-                np.asarray(feature, dtype=np.int32),
+                features,
                 np.asarray(threshold, dtype=np.float64),
                 np.asarray(left, dtype=np.int32),
                 np.asarray(right, dtype=np.int32),
@@ -324,7 +387,7 @@ def _parse_trees(body: str, path) -> list[Tree]:
         )
         feature.clear(); threshold.clear(); left.clear(); right.clear(); value.clear()
 
-    for line in body.splitlines():
+    for line in _lines(body):
         parts = line.split()
         if not parts:
             continue

@@ -465,6 +465,34 @@ def test_plot_empty_report_fails(tmp_path):
     assert not out.exists()
 
 
+def write_report(path, bd_rates):
+    path.write_text(
+        "video_id,pair,bd_rate_percent,bd_vmaf,quality_lo,quality_hi,"
+        "log2_rate_lo,log2_rate_hi,warnings\n"
+        + "".join(f"v{i},p,{r!r},1.0,40.0,60.0,19.0,21.0,\n" for i, r in enumerate(bd_rates))
+    )
+
+
+def test_plot_uneven_report_uses_at_most_n_bins(tmp_path):
+    # a zero IQR under a huge range: the Freedman-Diaconis count would be ~1e21
+    report_path = tmp_path / "report.csv"
+    write_report(report_path, [0.0, 0.0, 0.0, 1e-12, 1e9])
+    out = tmp_path / "h.svg"
+    assert main(["plot", "--report", str(report_path), "--out", str(out)]) == EXIT_OK
+    bins = list(csv.DictReader((tmp_path / "h.csv").read_text().splitlines()))
+    assert 1 <= len(bins) <= 5
+    assert sum(int(b["count"]) for b in bins) == 5
+
+
+def test_plot_report_wider_than_a_float_fails(tmp_path, capsys):
+    report_path = tmp_path / "report.csv"
+    write_report(report_path, [-1e308, 0.0, 1e308])
+    out = tmp_path / "h.svg"
+    assert main(["plot", "--report", str(report_path), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_plot_hulls(tmp_path, ladders):
     _, paths = ladders
     out = tmp_path / "hulls.svg"

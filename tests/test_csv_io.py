@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from ladderforge import bd_metrics, cli, dataset, ladder
 from ladderforge.cli import EXIT_DATA, main
-from ladderforge.errors import LadderforgeError, RangeError, SchemaError
+from ladderforge.errors import LadderforgeError, NonpositiveBitrate, RangeError, SchemaError
 from ladderforge.gsm_vif import TENSOR_VALUE_COUNT, feature_column_names
 from ladderforge.ioutil import csv_text, finite_float, read_csv
 
@@ -130,6 +130,8 @@ def test_csv_text_without_header():
     (b"name,n\nx,1,2\n", "line 2: expected 2 fields, got 3"),
     (b"name,n\nx,one\n", "line 2: n: invalid literal"),
     (b"name,n\nx,1\n\xe9,2\n", "line 3: not UTF-8"),
+    (b'name,n\nx,"1"2\n', "line 2: ',' expected after '\"'"),
+    (b"name,n\nx\ry,1\n", "line 2: new-line character seen in unquoted field"),
     (b"name,n\n" + b"x" * 200_000 + b",1\n", "line 2: field larger than field limit"),
 ])
 def test_reader_errors_name_path_and_line(tmp_path, data, match):
@@ -187,6 +189,21 @@ def test_zero_rows_is_allowed(tmp_path, name):
     path = tmp_path / "empty.csv"
     path.write_bytes(csv_bytes(columns, []))
     assert parse(path) == []
+
+
+@pytest.mark.parametrize("column,token,error", [
+    (5, "150", RangeError),
+    (4, "0", NonpositiveBitrate),
+])
+def test_ladder_point_errors_name_path_line_and_column(tmp_path, capsys, column, token, error):
+    path = tmp_path / "ladder.csv"
+    path.write_bytes(csv_bytes(ladder.LADDER_COLUMNS, LADDER_ROWS, [(1, column, token)]))
+    where = f"{path} line 3: {ladder.LADDER_COLUMNS[column]}: "
+    with pytest.raises(error, match=where):
+        ladder.parse_ladder_csv(path)
+    out = str(tmp_path / "report.csv")
+    assert main(["compare", "--test", str(path), "--anchor", str(path), "--out", out]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {where}")
 
 
 def test_report_result_columns_all_or_nothing(tmp_path):

@@ -1,0 +1,323 @@
+"""Model, split-manifest and config files: each load parses or raises a LadderforgeError.
+
+The model fuzz edits tokens of body lines and then recomputes the body
+checksum, so it reaches the body parser instead of stopping at the
+checksum. ``main`` answers every bad file with exit code 2 and an
+``error:`` line, never a traceback.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ladderforge import config, dataset, regressor
+from ladderforge.cli import EXIT_DATA, EXIT_OK, main
+from ladderforge.errors import CorruptModel, LadderforgeError, SchemaError
+from test_csv_io import FEATURE_COLUMNS, LADDER_ROWS, csv_bytes, feature_row, log_rows
+
+# An approach-1 model as the depth-first grower of earlier versions wrote
+# it, and the predictions that grower's model gave for constant query rows.
+OLD_MODEL = """\
+ladderforge-extra-trees v1
+approach 1
+columns frame_info_s1,frame_info_s2,frame_info_s3,frame_info_s4,log2_bitrate,width_scaled,height_scaled
+n_trees 2
+min_samples_leaf 1
+k_features 3
+seed 5
+checksum d328d293b6c06c59c61bb60fb4c6a8c347a375333b0c541bb972ef9f3ec1f723
+---
+tree 0
+s 0 0.3915168545807437
+s 6 0.5866869237247271
+s 1 0.4214301922373457
+l 0.0495
+l 0.0797
+l 0.1215
+s 4 0.24800289408099274
+l 0.2188
+s 1 0.8872049415344949
+l 0.3217
+l 0.317
+tree 1
+s 3 0.597837774358324
+s 1 0.29824024269382066
+l 0.0495
+s 4 0.5239240221283668
+l 0.1215
+l 0.0797
+s 4 0.42530002515944965
+l 0.2188
+s 1 0.8679504396627884
+l 0.3217
+l 0.317
+"""
+OLD_PREDICTIONS = {0.1: 0.0495, 0.5: 0.2216, 0.9: 0.317}
+
+HEAD, BODY = OLD_MODEL.split("---\n")
+
+
+def model_bytes(edits=(), drop=(), junk=b""):
+    """The old model with (line, token, text) edits to its body, lines
+    dropped and raw bytes appended, under a checksum of the new body.
+
+    Body line 1 is the first root split and the last line a leaf; indexes
+    wrap, and a text holding a space or a newline changes the line's shape.
+    """
+    lines = BODY.splitlines()
+    for i, t, text in edits:
+        parts = lines[i % len(lines)].split(" ")
+        parts[t % len(parts)] = text
+        lines[i % len(lines)] = " ".join(parts)
+    dropped = {d % len(lines) for d in drop}
+    body = "".join(line + "\n" for k, line in enumerate(lines) if k not in dropped)
+    body_bytes = body.encode("utf-8") + junk
+    head = "".join(
+        f"checksum {hashlib.sha256(body_bytes).hexdigest()}\n" if line.startswith("checksum ")
+        else line + "\n"
+        for line in HEAD.splitlines()
+    )
+    return head.encode("utf-8") + b"---\n" + body_bytes
+
+
+MODEL_PROBES = {
+    "not-utf8": {"junk": b"\xff\xfe\n"},
+    "feature-past-columns": {"edits": [(1, 1, "999")]},
+    "feature-at-columns": {"edits": [(1, 1, "7")]},
+    "feature-negative": {"edits": [(1, 1, "-5")]},
+    "feature-past-int32": {"edits": [(1, 1, "99999999999")]},
+    "threshold-nan": {"edits": [(1, 2, "nan")]},
+    "leaf-inf": {"edits": [(-1, 1, "inf")]},
+}
+
+TOKENS = st.one_of(
+    st.sampled_from(["999", "7", "6", "0", "-1", "-5", "99999999999", "nan", "inf", "-inf",
+                     "1e999", "0.5", "x", "", "s", "l", "tree", "1 2", "\n", "é"]),
+    st.text(max_size=3),
+)
+MODEL_EDITS = st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 3), TOKENS), max_size=3)
+DROPS = st.sets(st.integers(0, 30), max_size=2)
+JUNK = st.binary(max_size=3)
+
+
+def pin_model_probes(test):
+    for probe in MODEL_PROBES.values():
+        test = example(**{"edits": [], "drop": set(), "junk": b"", **probe})(test)
+    return test
+
+
+@pytest.fixture(scope="module")
+def workspace(tmp_path_factory):
+    """Features, an encode log and two ladders that the old model's layout fits."""
+    root = tmp_path_factory.mktemp("boundaries")
+    (root / "features.csv").write_bytes(csv_bytes(FEATURE_COLUMNS, [
+        feature_row(v, 0.1 * i) for i, v in enumerate("abcd")]))
+    (root / "encodes.csv").write_bytes(csv_bytes(dataset.SCHEMA, [
+        row for i, v in enumerate("abcd") for row in log_rows(v, 3.0 * i)]))
+    (root / "ladder.csv").write_bytes(csv_bytes(("rung_bps", "width", "height", "crf",
+                                                 "realized_bps", "vmaf"), LADDER_ROWS))
+    return root
+
+
+def ladder_argv(root, model):
+    return ["ladder", "--model", str(model), "--features", str(root / "features.csv"),
+            "--encode-log", str(root / "encodes.csv"), "--video", "a",
+            "--resolutions", "1280x720,640x360", "--rungs", "0.5,1,2",
+            "--reference-out", str(root / "out.ref.csv"), "--out", str(root / "out.csv")]
+
+
+# ---------------------------------------------------------------------------
+# model files
+# ---------------------------------------------------------------------------
+
+def test_model_from_earlier_versions_loads_and_predicts(tmp_path):
+    path = tmp_path / "old.model"
+    path.write_text(OLD_MODEL)
+    model = regressor.load_model(path)
+    for x, want in OLD_PREDICTIONS.items():
+        assert regressor.predict_batch(model, np.full((1, 7), x))[0] == want
+    regressor.save_model(model, tmp_path / "resaved.model")
+    assert (tmp_path / "resaved.model").read_text() == OLD_MODEL
+
+
+def test_unedited_model_bytes_are_the_old_model():
+    assert model_bytes() == OLD_MODEL.encode()
+
+
+@pytest.mark.parametrize("probe", MODEL_PROBES)
+def test_model_probe_is_corrupt_and_exits_2(workspace, tmp_path, capsys, probe):
+    path = tmp_path / "bad.model"
+    path.write_bytes(model_bytes(**MODEL_PROBES[probe]))
+    with pytest.raises(CorruptModel, match=str(path)):
+        regressor.load_model(path)
+    assert main(ladder_argv(workspace, path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@settings(max_examples=50, deadline=None)
+@given(edits=MODEL_EDITS, drop=DROPS, junk=JUNK)
+@pin_model_probes
+def test_fuzzed_model_loads_or_raises_library_error(tmp_path_factory, edits, drop, junk):
+    path = tmp_path_factory.mktemp("model") / "fuzzed.model"
+    path.write_bytes(model_bytes(edits, drop, junk))
+    try:
+        model = regressor.load_model(path)
+    except LadderforgeError:
+        return
+    regressor.predict_batch(model, np.full((2, 7), 0.5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(edits=MODEL_EDITS, drop=DROPS, junk=JUNK)
+@pin_model_probes
+def test_fuzzed_model_through_ladder_gives_an_exit_code(workspace, edits, drop, junk):
+    path = workspace / "fuzzed.model"
+    path.write_bytes(model_bytes(edits, drop, junk))
+    try:
+        regressor.load_model(path)
+        loads = True
+    except LadderforgeError:
+        loads = False
+    code = main(ladder_argv(workspace, path))
+    assert code in (EXIT_OK, EXIT_DATA)
+    assert loads or code == EXIT_DATA
+
+
+# ---------------------------------------------------------------------------
+# split manifests and config files
+# ---------------------------------------------------------------------------
+
+GOOD_SPLIT = {"format": "ladderforge-split v1", "seed": 3,
+              "train": ["a", "b"], "validation": ["c"], "test": ["d"]}
+GOOD_CONFIG = {"approach": 1, "n_trees": 2, "rung_bitrates_bps": [5e5, 1e6]}
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+def json_bytes(good, changes, junk=b""):
+    """good with keys replaced (a non-dict replaces the whole payload), then junk.
+
+    NaN and Infinity are written as the literals Python's json module accepts.
+    """
+    payload = {**good, **changes} if isinstance(changes, dict) else changes
+    return json.dumps(payload).encode("utf-8") + junk
+
+
+def changes_of(good):
+    keys = st.sampled_from([*good, "bogus"])
+    return st.one_of(st.dictionaries(keys, JSON, max_size=2), JSON)
+
+
+SPLIT_PROBES = {
+    "list": {"changes": []},
+    "not-utf8": {"changes": {}, "junk": b"\xff"},
+    "seed-text": {"changes": {"seed": "x"}},
+    "seed-float": {"changes": {"seed": 1.5}},
+    "seed-nan": {"changes": {"seed": float("nan")}},
+    "ids-unhashable": {"changes": {"train": [["a"]]}},
+    "ids-text": {"changes": {"test": "d"}},
+}
+CONFIG_PROBES = {
+    "list": {"changes": []},
+    "not-utf8": {"changes": {}, "junk": b"\xff"},
+    "rungs-empty": {"changes": {"rung_bitrates_bps": []}},
+    "rungs-descending": {"changes": {"rung_bitrates_bps": [2e6, 1e6]}},
+    "rungs-nan": {"changes": {"rung_bitrates_bps": ["nan"]}},
+    "sigma-nan": {"changes": {"sigma_n2": "nan"}},
+    "sigma-infinity": {"changes": {"sigma_n2": float("inf")}},
+    "sigma-past-float": {"changes": {"sigma_n2": 10 ** 400}},
+    "fixed-ladder-descending": {"changes": {"fixed_ladder": [
+        {"bitrate_bps": 2e6, "width": 640, "height": 360},
+        {"bitrate_bps": 1e6, "width": 640, "height": 360}]}},
+}
+
+
+def pin_json_probes(probes):
+    def pin(test):
+        for probe in probes.values():
+            test = example(**{"junk": b"", **probe})(test)
+        return test
+    return pin
+
+
+@pytest.mark.parametrize("probe", SPLIT_PROBES)
+def test_split_probe_is_schema_error_naming_the_path(tmp_path, probe):
+    path = tmp_path / "split.json"
+    path.write_bytes(json_bytes(GOOD_SPLIT, **SPLIT_PROBES[probe]))
+    with pytest.raises(SchemaError, match=str(path)):
+        dataset.load_split(path)
+
+
+@pytest.mark.parametrize("probe", CONFIG_PROBES)
+def test_config_probe_is_library_error_and_exits_2(workspace, tmp_path, capsys, probe):
+    path = tmp_path / "config.json"
+    path.write_bytes(json_bytes(GOOD_CONFIG, **CONFIG_PROBES[probe]))
+    with pytest.raises(LadderforgeError):
+        config.load_config(path)
+    ladder = str(workspace / "ladder.csv")
+    code = main(["compare", "--test", ladder, "--anchor", ladder, "--config", str(path),
+                 "--out", str(tmp_path / "report.csv")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_non_utf8_config_names_the_path(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"approach": "\xff"}')
+    with pytest.raises(SchemaError, match=f"unreadable config {path}: .*utf-8"):
+        config.load_config(path)
+
+
+def test_good_split_and_config_load(tmp_path):
+    split, conf = tmp_path / "split.json", tmp_path / "config.json"
+    split.write_bytes(json_bytes(GOOD_SPLIT, {}))
+    conf.write_bytes(json_bytes(GOOD_CONFIG, {}))
+    assert dataset.load_split(split) == dataset.SplitManifest(3, ("a", "b"), ("c",), ("d",))
+    assert config.load_config(conf).rung_bps == (5e5, 1e6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(changes=changes_of(GOOD_SPLIT), junk=JUNK)
+@pin_json_probes(SPLIT_PROBES)
+def test_fuzzed_split_loads_or_raises_library_error(tmp_path_factory, changes, junk):
+    path = tmp_path_factory.mktemp("split") / "split.json"
+    path.write_bytes(json_bytes(GOOD_SPLIT, changes, junk))
+    try:
+        dataset.load_split(path)
+    except LadderforgeError:
+        pass
+
+
+@settings(max_examples=30, deadline=None)
+@given(changes=changes_of(GOOD_SPLIT), junk=JUNK)
+@pin_json_probes(SPLIT_PROBES)
+def test_fuzzed_split_through_train_gives_an_exit_code(workspace, changes, junk):
+    path = workspace / "fuzzed-split.json"
+    path.write_bytes(json_bytes(GOOD_SPLIT, changes, junk))
+    code = main(["train", "--features", str(workspace / "features.csv"),
+                 "--encode-log", str(workspace / "encodes.csv"), "--split", str(path),
+                 "--approach", "1", "--n-trees", "2", "--out", str(workspace / "m.txt")])
+    assert code in (EXIT_OK, EXIT_DATA)
+
+
+@settings(max_examples=50, deadline=None)
+@given(changes=changes_of(GOOD_CONFIG), junk=JUNK)
+@pin_json_probes(CONFIG_PROBES)
+def test_fuzzed_config_loads_or_raises_library_error(tmp_path_factory, changes, junk):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_bytes(json_bytes(GOOD_CONFIG, changes, junk))
+    try:
+        config.load_config(path)
+    except LadderforgeError:
+        pass

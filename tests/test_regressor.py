@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,6 +114,80 @@ def test_per_tree_seeds_share_prefix():
     for vec, _ in rows[:10]:
         delta = abs(regressor.predict(grown, vec) - regressor.predict(small, vec))
         assert delta <= spread / 7 + 1e-12
+
+
+def assert_tree_follows_the_rules(tree, X, y, min_leaf):
+    """Walk the training rows down the tree and check every node against them."""
+    members = {0: np.arange(len(y))}
+    for i in range(len(tree.feature)):
+        rows = members.pop(i)
+        if tree.feature[i] >= 0:
+            assert tree.left[i] == i + 1  # pre-order
+            xs = X[rows, tree.feature[i]]
+            assert xs.min() < tree.threshold[i] < xs.max()
+            goes_left = xs <= tree.threshold[i]
+            assert min(goes_left.sum(), (~goes_left).sum()) >= min_leaf
+            members[tree.left[i]] = rows[goes_left]
+            members[tree.right[i]] = rows[~goes_left]
+        elif y[rows].min() == y[rows].max():
+            assert tree.value[i] == y[rows][0]
+        else:
+            # with one-row leaves allowed, every in-range threshold splits
+            assert min_leaf > 1 or np.all(X[rows] == X[rows][0])
+            assert tree.value[i] == pytest.approx(y[rows].mean(), rel=1e-12)
+    assert not members
+
+
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_every_node_follows_the_growth_rules(min_leaf):
+    rows = make_rows(150, seed=21, fn=lambda x: np.sin(6 * x[0]) + x[3])
+    rows += rows[:20]  # repeated rows: nodes whose features are all constant
+    model = regressor.train(
+        rows, regressor.ExtraTreesConfig(n_trees=4, min_samples_leaf=min_leaf), seed=22
+    )
+    X = np.array([vec.values for vec, _ in rows])
+    y = np.array([t for _, t in rows])
+    for tree in model.trees:
+        assert_tree_follows_the_rules(tree, X, y, min_leaf)
+
+
+def test_equal_cost_splits_take_the_lowest_feature():
+    # columns 4-6 copy columns 0-2, so a copy splits every node exactly as
+    # its original does; with all seven features drawn, the two always tie
+    rng = np.random.default_rng(23)
+    bits = rng.integers(0, 2, size=(200, 4)).astype(float)
+    X = np.column_stack([bits, bits[:, :3]])
+    y = bits @ [0.4, 0.3, 0.2, 0.1] + 0.01 * rng.random(200)
+    rows = [(FeatureVector(1, x), float(t)) for x, t in zip(X, y)]
+    model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=10, k_features=7), seed=24)
+    used = {int(f) for tree in model.trees for f in tree.feature if f >= 0}
+    assert used == {0, 1, 2, 3}
+
+
+def test_distinct_rows_are_predicted_exactly():
+    rows = make_rows(300, seed=25, fn=lambda x: x[0] * x[1] + x[2])
+    model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=5), seed=26)
+    X = np.array([vec.values for vec, _ in rows])
+    assert np.array_equal(regressor.predict_batch(model, X), [t for _, t in rows])
+
+
+def test_model_bytes_repeat_in_a_separate_process(tmp_path):
+    script = (
+        "import sys\n"
+        "from test_regressor import make_rows\n"
+        "from ladderforge import regressor\n"
+        "model = regressor.train(make_rows(120, seed=27), "
+        "regressor.ExtraTreesConfig(n_trees=6), seed=28)\n"
+        "regressor.save_model(model, sys.argv[1])\n"
+    )
+    here = tmp_path / "here.model"
+    there = tmp_path / "there.model"
+    model = regressor.train(make_rows(120, seed=27), regressor.ExtraTreesConfig(n_trees=6), seed=28)
+    regressor.save_model(model, here)
+    paths = [Path(regressor.__file__).parents[1], Path(__file__).parent]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    subprocess.run([sys.executable, "-c", script, str(there)], check=True, env=env)
+    assert here.read_bytes() == there.read_bytes()
 
 
 def test_save_load_round_trip(tmp_path):
