@@ -17,7 +17,6 @@ import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,16 +43,10 @@ from .errors import (
     ExternalToolFailure,
     LadderforgeError,
     NoOverlap,
+    RangeError,
     SchemaError,
 )
-from .gsm_vif import (
-    TENSOR_VALUE_COUNT,
-    VifFeatureTensor,
-    feature_column_names,
-    tensor_from_values,
-    tensor_to_values,
-    video_features,
-)
+from .gsm_vif import TENSOR_VALUE_COUNT, VifFeatureTensor, feature_column_names, video_features
 from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv
 from .ladder import (
     Ladder,
@@ -91,39 +84,46 @@ class _Parser(argparse.ArgumentParser):
 # feature CSV
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureEntry:
-    tensor: VifFeatureTensor
-    width: int
-    height: int
-    bit_depth: int
-    frame_count: int
-
-
 def features_csv_text(rows) -> str:
     """Rows of (video_id, header, tensor): data columns first, ids last."""
     return csv_text(feature_column_names() + list(FEATURE_ID_COLUMNS), (
-        [repr(float(v)) for v in tensor_to_values(tensor)]
+        [repr(float(v)) for v in tensor.values]
         + [video_id, header.width, header.height, header.bit_depth, tensor.frame_count]
         for video_id, header, tensor in rows
     ))
 
 
-_FEATURE_CONVERTERS = (finite_float,) * TENSOR_VALUE_COUNT + (str, int, int, int, int)
+def _checked_int(ok, rule: str):
+    """Converter for an integer column whose values must satisfy ok."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if not ok(value):
+            raise RangeError(f"{value} {rule}")
+        return value
+    return convert
 
 
-def parse_features_csv(path) -> dict[str, FeatureEntry]:
+_POSITIVE = _checked_int(lambda v: v > 0, "must be > 0")
+_FEATURE_CONVERTERS = (finite_float,) * TENSOR_VALUE_COUNT + (
+    str,                                                      # video_id
+    _POSITIVE,                                                # width
+    _POSITIVE,                                                # height
+    _checked_int(lambda v: v in (8, 10), "must be 8 or 10"),  # bit_depth
+    _checked_int(lambda v: v >= 1, "must be >= 1"),           # frame_count
+)
+
+
+def parse_features_csv(path) -> dict[str, VifFeatureTensor]:
     columns = feature_column_names() + list(FEATURE_ID_COLUMNS)
-    entries: dict[str, FeatureEntry] = {}
+    tensors: dict[str, VifFeatureTensor] = {}
     for line, fields in read_csv(path, columns, _FEATURE_CONVERTERS):
-        video_id, width, height, bit_depth, frame_count = fields[TENSOR_VALUE_COUNT:]
-        if video_id in entries:
+        video_id, frame_count = fields[TENSOR_VALUE_COUNT], fields[-1]
+        if video_id in tensors:
             raise DuplicateKey(f"{path} line {line}: repeated video_id {video_id!r}")
-        tensor = tensor_from_values(fields[:TENSOR_VALUE_COUNT], frame_count)
-        entries[video_id] = FeatureEntry(tensor, width, height, bit_depth, frame_count)
-    if not entries:
+        tensors[video_id] = VifFeatureTensor(np.array(fields[:TENSOR_VALUE_COUNT]), frame_count)
+    if not tensors:
         raise SchemaError(f"{path}: no feature rows")
-    return entries
+    return tensors
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +203,7 @@ def cmd_extract(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    entries = parse_features_csv(args.features)
+    tensors = parse_features_csv(args.features)
     records = parse_encode_log(args.encode_log)
     out = Path(args.out)
     if args.split:
@@ -220,7 +220,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if leaked:
         raise SchemaError(f"split leaks videos across parts: {sorted(leaked)}")
 
-    tensors = {vid: entry.tensor for vid, entry in entries.items()}
     train_ids = set(split.train)
     train_rows = build_training_matrix(
         [r for r in records if r.video_id in train_ids], tensors, cfg.approach
@@ -278,14 +277,14 @@ def _video_records(records, video_id: str) -> list[EncodeRecord]:
 
 def cmd_ladder(args, cfg: RunConfig) -> int:
     model = load_model(args.model)
-    entries = parse_features_csv(args.features)
-    if args.video not in entries:
+    tensors = parse_features_csv(args.features)
+    if args.video not in tensors:
         raise SchemaError(f"features file has no row for video {args.video!r}")
     records = _video_records(parse_encode_log(args.encode_log), args.video)
 
     predicted = predicted_ladder(
         model,
-        entries[args.video].tensor,
+        tensors[args.video],
         records,
         rungs=cfg.rung_bps,
         resolutions=cfg.resolutions,

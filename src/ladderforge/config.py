@@ -105,11 +105,20 @@ def validate_config(config: RunConfig) -> RunConfig:
 def _parse_fixed_ladder(raw) -> tuple[tuple[float, tuple[int, int]], ...]:
     try:
         return tuple(
-            (float(row["bitrate_bps"]), (int(row["width"]), int(row["height"])))
+            (float(row["bitrate_bps"]),
+             (_json_int(row["width"], "fixed_ladder width"),
+              _json_int(row["height"], "fixed_ladder height")))
             for row in raw
         )
     except (TypeError, KeyError, ValueError) as exc:
         raise SchemaError(f"malformed fixed_ladder entry: {exc}") from None
+
+
+def _json_int(value, key: str) -> int:
+    # bool is a subclass of int, and a JSON fraction arrives as a float
+    if type(value) is not int:
+        raise TypeError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def _config_from_dict(payload: dict, origin: str) -> RunConfig:
@@ -121,18 +130,19 @@ def _config_from_dict(payload: dict, origin: str) -> RunConfig:
         if "sigma_n2" in payload:
             kwargs["sigma_n2"] = float(payload["sigma_n2"])
         if "approach" in payload:
-            kwargs["approach"] = int(payload["approach"])
+            kwargs["approach"] = _json_int(payload["approach"], "approach")
         if "resolutions" in payload:
             kwargs["resolutions"] = tuple(
-                (int(w), int(h)) for w, h in payload["resolutions"]
+                (_json_int(w, "resolutions"), _json_int(h, "resolutions"))
+                for w, h in payload["resolutions"]
             )
         if "rung_bitrates_bps" in payload:
             kwargs["rung_bps"] = tuple(float(b) for b in payload["rung_bitrates_bps"])
         for key in ("n_trees", "min_samples_leaf", "seed", "workers", "crf_min", "crf_max"):
             if key in payload:
-                kwargs[key] = int(payload[key])
+                kwargs[key] = _json_int(payload[key], key)
         if "k_features" in payload and payload["k_features"] is not None:
-            kwargs["k_features"] = int(payload["k_features"])
+            kwargs["k_features"] = _json_int(payload["k_features"], "k_features")
         if "fixed_ladder" in payload and payload["fixed_ladder"] is not None:
             kwargs["fixed_ladder"] = _parse_fixed_ladder(payload["fixed_ladder"])
         if "encoder_template" in payload and payload["encoder_template"] is not None:

@@ -1,6 +1,8 @@
 """Feature-vector assembly for the nine predictor input layouts.
 
-An approach selects which pooled information blocks feed the regressor:
+An approach picks columns of the features CSV by position: blocks of the
+pooled frame plane vector, the motion value, and blocks of the pooled
+difference plane vector (see gsm_vif.PLANE_SPANS), in that order:
 
     1  per-scale (4)                          + metadata
     2  per-band (8)                           + metadata
@@ -24,33 +26,40 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingDiffFeatures, NonpositiveBitrate, UnknownApproach
-from .gsm_vif import VifFeatureTensor
+from .gsm_vif import (
+    FRAME_FEATURE_COUNT,
+    MOTION_INDEX,
+    PLANE_SPANS,
+    VifFeatureTensor,
+    feature_column_names,
+)
 
 _DIM_SCALE = 3840.0
 META_COLUMNS = ["log2_bitrate", "width_scaled", "height_scaled"]
 
-# which pooled block each approach uses: (frame granularity, motion, diff granularity)
-_APPROACH_PLAN = {
-    1: ("scale", False, None),
-    2: ("band", False, None),
-    3: ("eig", False, None),
-    4: ("scale", True, None),
-    5: ("band", True, None),
-    6: ("eig", True, None),
-    7: ("scale", True, "scale"),
-    8: ("band", True, "band"),
-    9: ("eig", True, "eig"),
+
+def _positions(frame: str, motion: bool, diff: str | None) -> np.ndarray:
+    plane = range(FRAME_FEATURE_COUNT)
+    picked = list(plane[PLANE_SPANS[frame]]) + ([MOTION_INDEX] if motion else [])
+    if diff:
+        picked += [FRAME_FEATURE_COUNT + i for i in plane[PLANE_SPANS[diff]]]
+    return np.array(picked)
+
+
+# features-CSV positions per approach: (frame block, motion, diff block)
+_POSITIONS = {
+    1: _positions("scale", False, None),
+    2: _positions("band", False, None),
+    3: _positions("eig", False, None),
+    4: _positions("scale", True, None),
+    5: _positions("band", True, None),
+    6: _positions("eig", True, None),
+    7: _positions("scale", True, "scale"),
+    8: _positions("band", True, "band"),
+    9: _positions("eig", True, "eig"),
 }
 
-_GRANULARITY_LEN = {"scale": 4, "band": 8, "eig": 72}
-
-APPROACH_FEATURE_LENGTHS = {
-    a: _GRANULARITY_LEN[frame]
-    + (1 if motion else 0)
-    + (_GRANULARITY_LEN[diff] if diff else 0)
-    + len(META_COLUMNS)
-    for a, (frame, motion, diff) in _APPROACH_PLAN.items()
-}
+APPROACH_FEATURE_LENGTHS = {a: len(p) + len(META_COLUMNS) for a, p in _POSITIONS.items()}
 
 
 @dataclass(frozen=True)
@@ -79,9 +88,9 @@ class FeatureVector:
             )
 
 
-def _plan(approach: int):
+def _positions_of(approach: int) -> np.ndarray:
     try:
-        return _APPROACH_PLAN[approach]
+        return _POSITIONS[approach]
     except KeyError:
         raise UnknownApproach(f"approach must be 1..9, got {approach}") from None
 
@@ -95,56 +104,24 @@ def normalize_meta(meta: EncodeMeta) -> np.ndarray:
     )
 
 
-def _block(feats, granularity: str) -> np.ndarray:
-    if granularity == "scale":
-        return feats.per_scale
-    if granularity == "band":
-        return feats.per_band.ravel()
-    return feats.per_eig.ravel()
-
-
 def assemble(
     approach: int,
     tensor: VifFeatureTensor,
     meta: EncodeMeta,
     target: float | None = None,
 ) -> FeatureVector:
-    """Concatenate the approach's feature blocks with encode metadata."""
-    frame_gran, motion, diff_gran = _plan(approach)
-    parts = [_block(tensor.frame_feats, frame_gran)]
-    if motion or diff_gran:
-        if not tensor.has_motion:
-            raise MissingDiffFeatures(
-                f"approach {approach} needs frame-difference features; "
-                f"video has {tensor.frame_count} frame(s)"
-            )
-    if motion:
-        parts.append(np.array([tensor.motion]))
-    if diff_gran:
-        parts.append(_block(tensor.diff_feats, diff_gran))
-    parts.append(normalize_meta(meta))
-    return FeatureVector(approach, np.concatenate(parts), target)
-
-
-def _block_names(prefix: str, granularity: str) -> list[str]:
-    if granularity == "scale":
-        return [f"{prefix}_s{k}" for k in range(1, 5)]
-    if granularity == "band":
-        return [f"{prefix}_s{k}_b{b}" for k in range(1, 5) for b in (1, 2)]
-    return [
-        f"{prefix}_s{k}_b{b}_e{j}"
-        for k in range(1, 5)
-        for b in (1, 2)
-        for j in range(1, 10)
-    ]
+    """The approach's features-CSV columns followed by encode metadata."""
+    positions = _positions_of(approach)
+    if positions.max() >= FRAME_FEATURE_COUNT and not tensor.has_motion:
+        raise MissingDiffFeatures(
+            f"approach {approach} needs frame-difference features; "
+            f"video has {tensor.frame_count} frame(s)"
+        )
+    values = np.concatenate([tensor.values[positions], normalize_meta(meta)])
+    return FeatureVector(approach, values, target)
 
 
 def column_names(approach: int) -> list[str]:
     """Feature column names in assembly order, metadata last."""
-    frame_gran, motion, diff_gran = _plan(approach)
-    names = _block_names("frame_info", frame_gran)
-    if motion:
-        names.append("motion_mean_abs")
-    if diff_gran:
-        names += _block_names("diff_info", diff_gran)
-    return names + list(META_COLUMNS)
+    names = feature_column_names()
+    return [names[i] for i in _positions_of(approach)] + list(META_COLUMNS)

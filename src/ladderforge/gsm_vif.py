@@ -34,38 +34,37 @@ DEFAULT_NOISE_VAR = 2.0
 _PEAK_8BIT = 255.0
 _RANK_REL_TOL = 1e-10    # pseudo-inverse rank cut vs largest eigenvalue
 
-FRAME_FEATURE_COUNT = NUM_SCALES * NUM_BANDS * BLOCK_DIM + NUM_SCALES * NUM_BANDS + NUM_SCALES
+# one plane's 84 values in features-CSV order: information per eigenchannel
+# (scale, band, channel), its totals per band (scale, band), and per scale
+# half the sum of the two bands
+_EIG_END = NUM_SCALES * NUM_BANDS * BLOCK_DIM
+_BAND_END = _EIG_END + NUM_SCALES * NUM_BANDS
+PLANE_SPANS = {
+    "eig": slice(0, _EIG_END),
+    "band": slice(_EIG_END, _BAND_END),
+    "scale": slice(_BAND_END, _BAND_END + NUM_SCALES),
+}
+FRAME_FEATURE_COUNT = PLANE_SPANS["scale"].stop
 TENSOR_VALUE_COUNT = 2 * FRAME_FEATURE_COUNT + 1
-
-
-@dataclass(frozen=True)
-class FrameVifFeatures:
-    """Per-frame information features.
-
-    per_eig has shape (scale, band, eigenchannel) = (4, 2, 9); per_band is
-    its sum over eigenchannels; per_scale is half the sum over bands.
-    """
-
-    per_eig: np.ndarray
-    per_band: np.ndarray
-    per_scale: np.ndarray
-
-    def flatten(self) -> np.ndarray:
-        """84 values in the documented order: 72 per-eig, 8 per-band, 4 per-scale."""
-        return np.concatenate(
-            [self.per_eig.ravel(), self.per_band.ravel(), self.per_scale]
-        )
+MOTION_INDEX = TENSOR_VALUE_COUNT - 1
 
 
 @dataclass(frozen=True)
 class VifFeatureTensor:
-    """Temporally pooled features for one video."""
+    """Temporally pooled features of one video.
 
-    frame_feats: FrameVifFeatures
-    diff_feats: FrameVifFeatures | None
-    motion: float
-    has_motion: bool
+    values holds the 169 data columns of the features CSV in their order:
+    the pooled frame plane vector, the pooled difference plane vector and
+    the motion value at MOTION_INDEX. A single-frame video holds zeros in
+    the difference slots and the motion slot.
+    """
+
+    values: np.ndarray
     frame_count: int
+
+    @property
+    def has_motion(self) -> bool:
+        return self.frame_count > 1
 
 
 def jacobi_eigh(matrix):
@@ -110,16 +109,6 @@ def _centered(vectors: np.ndarray) -> np.ndarray:
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise DegenerateInput(f"expected (N, {BLOCK_DIM}) vectors, got {vectors.shape}")
     return vectors - vectors.mean(axis=0)
-
-
-def fit_covariance(vectors) -> tuple[np.ndarray, np.ndarray]:
-    """Population covariance of mean-removed block vectors and its spectrum.
-
-    Returns (covariance, eigenvalues descending); eigenvalues are clamped
-    to be non-negative.
-    """
-    cov, eigvals, _ = _fit_eigen(vectors)
-    return cov, eigvals
 
 
 def _fit_eigen(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,8 +166,9 @@ def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.
     return per_eig, float(per_eig.sum())
 
 
-def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR) -> FrameVifFeatures:
-    """Information features of one luma or difference plane.
+def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR) -> np.ndarray:
+    """Information features of one luma or difference plane: the 84-value
+    plane vector laid out as PLANE_SPANS says.
 
     Scales whose subbands are too small for a single 3x3 block (possible
     for frames near the 16x16 minimum) contribute zeros, which keeps the
@@ -188,9 +178,9 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR) -> FrameVifF
         raise InvalidNoiseVariance(f"noise variance must be > 0, got {noise_var}")
     plane = np.asarray(getattr(frame, "samples", frame), dtype=np.float64)
 
-    per_eig = np.zeros((NUM_SCALES, NUM_BANDS, BLOCK_DIM))
-    per_band = np.zeros((NUM_SCALES, NUM_BANDS))
-    per_scale = np.zeros(NUM_SCALES)
+    features = np.zeros(FRAME_FEATURE_COUNT)
+    per_eig = features[PLANE_SPANS["eig"]].reshape(NUM_SCALES, NUM_BANDS, BLOCK_DIM)
+    per_band = features[PLANE_SPANS["band"]].reshape(NUM_SCALES, NUM_BANDS)
     for k, level in enumerate(build_scale_stack(plane * _PEAK_8BIT)):
         for b, subband in enumerate(subband_decompose(level)):
             rows, cols = subband.shape
@@ -198,16 +188,16 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR) -> FrameVifF
                 continue
             _, eigvals, s2 = _fit_eigen(extract_block_vectors(subband))
             per_eig[k, b], per_band[k, b] = subband_information(s2, eigvals, noise_var)
-        per_scale[k] = 0.5 * per_band[k].sum()
-    return FrameVifFeatures(per_eig, per_band, per_scale)
+    features[PLANE_SPANS["scale"]] = 0.5 * per_band.sum(axis=1)
+    return features
 
 
 def pool_video(frame_feats, diff_feats, motions) -> VifFeatureTensor:
-    """Arithmetic temporal mean of per-frame and per-difference features.
+    """Arithmetic temporal mean of per-frame and per-difference plane vectors.
 
     diff_feats and motions must hold one entry per consecutive frame pair
-    (empty for a single-frame video, where motion is reported as 0 with
-    has_motion False).
+    (empty for a single-frame video, whose difference slots and motion
+    are written as zeros).
     """
     frame_feats = list(frame_feats)
     diff_feats = list(diff_feats)
@@ -220,31 +210,18 @@ def pool_video(frame_feats, diff_feats, motions) -> VifFeatureTensor:
             f"{len(frame_feats)} frames need {expected} diffs/motions, "
             f"got {len(diff_feats)}/{len(motions)}"
         )
-
-    pooled_frame = _mean_features(frame_feats)
     if expected == 0:
-        return VifFeatureTensor(pooled_frame, None, 0.0, False, 1)
-    return VifFeatureTensor(
-        pooled_frame,
-        _mean_features(diff_feats),
-        float(np.mean(motions)),
-        True,
-        len(frame_feats),
-    )
-
-
-def _mean_features(feats: list[FrameVifFeatures]) -> FrameVifFeatures:
-    return FrameVifFeatures(
-        per_eig=np.mean([f.per_eig for f in feats], axis=0),
-        per_band=np.mean([f.per_band for f in feats], axis=0),
-        per_scale=np.mean([f.per_scale for f in feats], axis=0),
-    )
+        diff_feats, motions = [np.zeros(FRAME_FEATURE_COUNT)], [0.0]
+    values = np.concatenate([
+        np.mean(frame_feats, axis=0), np.mean(diff_feats, axis=0), [float(np.mean(motions))]
+    ])
+    return VifFeatureTensor(values, len(frame_feats))
 
 
 def video_features(frames, noise_var: float = DEFAULT_NOISE_VAR) -> VifFeatureTensor:
     """Run the whole per-video pipeline over an iterable of LumaFrames."""
-    frame_feats: list[FrameVifFeatures] = []
-    diff_feats: list[FrameVifFeatures] = []
+    frame_feats: list[np.ndarray] = []
+    diff_feats: list[np.ndarray] = []
     motions: list[float] = []
     previous: LumaFrame | None = None
     for frame in frames:
@@ -256,10 +233,6 @@ def video_features(frames, noise_var: float = DEFAULT_NOISE_VAR) -> VifFeatureTe
         previous = frame
     return pool_video(frame_feats, diff_feats, motions)
 
-
-# ---------------------------------------------------------------------------
-# flat tensor layout (CSV interchange)
-# ---------------------------------------------------------------------------
 
 def _feature_names(prefix: str) -> list[str]:
     names = [
@@ -280,40 +253,3 @@ def _feature_names(prefix: str) -> list[str]:
 def feature_column_names() -> list[str]:
     """169 data column names: frame features, diff features, motion."""
     return _feature_names("frame_info") + _feature_names("diff_info") + ["motion_mean_abs"]
-
-
-def tensor_to_values(tensor: VifFeatureTensor) -> np.ndarray:
-    """Flatten a tensor to the 169-value interchange layout.
-
-    Single-frame videos have no difference features; those slots and the
-    motion slot hold zeros and are distinguished on read by frame_count.
-    """
-    frame = tensor.frame_feats.flatten()
-    if tensor.diff_feats is None:
-        diff = np.zeros(FRAME_FEATURE_COUNT)
-    else:
-        diff = tensor.diff_feats.flatten()
-    return np.concatenate([frame, diff, [tensor.motion]])
-
-
-def _unflatten(values: np.ndarray) -> FrameVifFeatures:
-    eig_len = NUM_SCALES * NUM_BANDS * BLOCK_DIM
-    band_len = NUM_SCALES * NUM_BANDS
-    return FrameVifFeatures(
-        per_eig=values[:eig_len].reshape(NUM_SCALES, NUM_BANDS, BLOCK_DIM).copy(),
-        per_band=values[eig_len:eig_len + band_len].reshape(NUM_SCALES, NUM_BANDS).copy(),
-        per_scale=values[eig_len + band_len:].copy(),
-    )
-
-
-def tensor_from_values(values, frame_count: int) -> VifFeatureTensor:
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (TENSOR_VALUE_COUNT,):
-        raise ShapeMismatch(
-            f"expected {TENSOR_VALUE_COUNT} values, got shape {values.shape}"
-        )
-    frame = _unflatten(values[:FRAME_FEATURE_COUNT])
-    if frame_count <= 1:
-        return VifFeatureTensor(frame, None, 0.0, False, frame_count)
-    diff = _unflatten(values[FRAME_FEATURE_COUNT:2 * FRAME_FEATURE_COUNT])
-    return VifFeatureTensor(frame, diff, float(values[-1]), True, frame_count)

@@ -310,6 +310,10 @@ def parse_ladder_csv(path, provenance: str = "unknown") -> Ladder:
     rungs = []
     for line, (target, w, h, crf, realized, vmaf) in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
         try:
+            validate_rungs([rung.target_bps for rung in rungs[-1:]] + [target])
+        except InvalidRungs as exc:
+            raise InvalidRungs(f"{path} line {line}: rung_bps: {exc}") from None
+        try:
             point = RdPoint(realized, vmaf, crf, w, h)
         except NonpositiveBitrate as exc:
             raise NonpositiveBitrate(f"{path} line {line}: realized_bps: {exc}") from None

@@ -45,12 +45,6 @@ class VideoHeader:
     def bytes_per_sample(self) -> int:
         return 1 if self.bit_depth == 8 else 2
 
-    @property
-    def frame_size_bytes(self) -> int:
-        luma = self.width * self.height
-        chroma = (self.width // 2) * (self.height // 2) * 2
-        return (luma + chroma) * self.bytes_per_sample
-
 
 @dataclass(frozen=True)
 class LumaFrame:
@@ -185,14 +179,6 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> Lum
         )
     samples = raw.astype(np.float64).reshape(header.height, header.width) / peak
     return LumaFrame(header.width, header.height, samples, index)
-
-
-def read_luma_frame(stream: BinaryIO, header: VideoHeader, index: int) -> LumaFrame:
-    """Read the next frame; raises TruncatedFrame if the stream is exhausted."""
-    frame = _read_frame_record(stream, header, index)
-    if frame is None:
-        raise TruncatedFrame(f"stream ended before frame {index}")
-    return frame
 
 
 def iter_luma_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:

@@ -35,7 +35,7 @@ from .errors import (
     LayoutMismatch,
     VersionMismatch,
 )
-from .feature_assembly import APPROACH_FEATURE_LENGTHS, FeatureVector, column_names
+from .feature_assembly import APPROACH_FEATURE_LENGTHS, column_names
 from .ioutil import atomic_write_text
 
 _FORMAT_LINE = "ladderforge-extra-trees v1"
@@ -246,14 +246,6 @@ def predict_batch(model: ExtraTreesModel, X) -> np.ndarray:
         total += votes
     mean = total / len(model.trees)
     return np.clip(mean, per_tree.min(axis=0), per_tree.max(axis=0))
-
-
-def predict(model: ExtraTreesModel, vec: FeatureVector) -> float:
-    if vec.approach != model.approach:
-        raise LayoutMismatch(
-            f"model was trained for approach {model.approach}, query is {vec.approach}"
-        )
-    return float(predict_batch(model, np.asarray(vec.values)[None, :])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -73,3 +73,13 @@ def conv2d_replicate(plane, kernel):
                     acc += kernel[i, j] * padded[y + i, x + j]
             out[y, x] = acc
     return out
+
+
+def split_plane(values):
+    """An 84-value plane vector as (per_eig (4, 2, 9), per_band (4, 2), per_scale (4,)).
+
+    Written from the documented layout, not from the package's spans.
+    """
+    values = np.asarray(values)
+    assert values.shape == (84,)
+    return values[:72].reshape(4, 2, 9), values[72:80].reshape(4, 2), values[80:84]

@@ -150,9 +150,9 @@ def test_extract_single_frame_warns(tmp_path, capsys):
     assert "single frame" in capsys.readouterr().err
     sidecar = json.loads((tmp_path / "still.csv.runconfig.json").read_text())
     assert sidecar["warnings"]
-    entries = cli.parse_features_csv(out)
-    assert entries["still"].frame_count == 1
-    assert not entries["still"].tensor.has_motion
+    tensors = cli.parse_features_csv(out)
+    assert tensors["still"].frame_count == 1
+    assert not tensors["still"].has_motion
 
 
 def test_extract_missing_input_no_partial_output(tmp_path, capsys):

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from ladderforge import config as cfg
+from ladderforge.cli import EXIT_DATA, main
 from ladderforge.errors import (
     ConfigMissing,
     InvalidNoiseVariance,
@@ -138,3 +139,27 @@ def test_readme_config_example_loads(tmp_path):
     assert c.rung_bps == (250000.0, 500000.0)
     assert c.resolutions == ((3840, 2160), (1920, 1080))
     assert c.fixed_ladder == ((250000.0, (512, 288)),)
+
+
+@pytest.mark.parametrize("payload,key", [
+    ({"n_trees": 2.7}, "n_trees"), ({"approach": True}, "approach"),
+    ({"seed": -4.9}, "seed"), ({"seed": 3.0}, "seed"),
+    ({"min_samples_leaf": "2"}, "min_samples_leaf"), ({"workers": False}, "workers"),
+    ({"crf_min": 18.5}, "crf_min"), ({"crf_max": "50"}, "crf_max"),
+    ({"k_features": 1.5}, "k_features"),
+    ({"resolutions": [[1920, 1080.5]]}, "resolutions"),
+    ({"resolutions": [[True, 2]]}, "resolutions"),
+    ({"fixed_ladder": [{"bitrate_bps": 1e6, "width": 640.5, "height": 360}]},
+     "fixed_ladder width"),
+])
+def test_integer_keys_accept_only_json_integers(tmp_path, capsys, payload, key):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SchemaError, match=f"{key} must be a JSON integer"):
+        cfg.load_config(path)
+    code = main(["plot", "--ladders", "missing.csv", "--config", str(path),
+                 "--out", str(tmp_path / "hulls.svg")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"{key} must be a JSON integer" in err

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from ladderforge import bd_metrics, cli, dataset, ladder
 from ladderforge.cli import EXIT_DATA, main
-from ladderforge.errors import LadderforgeError, NonpositiveBitrate, RangeError, SchemaError
+from ladderforge.errors import (
+    InvalidRungs,
+    LadderforgeError,
+    NonpositiveBitrate,
+    RangeError,
+    SchemaError,
+)
 from ladderforge.gsm_vif import TENSOR_VALUE_COUNT, feature_column_names
 from ladderforge.ioutil import csv_text, finite_float, read_csv
 
@@ -194,6 +200,10 @@ def test_zero_rows_is_allowed(tmp_path, name):
 @pytest.mark.parametrize("column,token,error", [
     (5, "150", RangeError),
     (4, "0", NonpositiveBitrate),
+    (0, "-5", InvalidRungs),
+    (0, "0", InvalidRungs),
+    (0, "500000.0", InvalidRungs),  # equal to the rung above: not increasing
+    (0, "400000.0", InvalidRungs),
 ])
 def test_ladder_point_errors_name_path_line_and_column(tmp_path, capsys, column, token, error):
     path = tmp_path / "ladder.csv"
@@ -204,6 +214,24 @@ def test_ladder_point_errors_name_path_line_and_column(tmp_path, capsys, column,
     out = str(tmp_path / "report.csv")
     assert main(["compare", "--test", str(path), "--anchor", str(path), "--out", out]) == EXIT_DATA
     assert capsys.readouterr().err.startswith(f"error: {where}")
+
+
+@pytest.mark.parametrize("column,token", [
+    ("width", "-4"), ("width", "0"), ("height", "0"),
+    ("bit_depth", "7"), ("bit_depth", "9"), ("bit_depth", "16"),
+    ("frame_count", "0"), ("frame_count", "-3"),
+])
+def test_feature_id_errors_name_path_line_and_column(workspace, tmp_path, capsys, column, token):
+    path = tmp_path / "features.csv"
+    edit = (1, FEATURE_COLUMNS.index(column), token)
+    path.write_bytes(csv_bytes(FEATURE_COLUMNS, [feature_row("a"), feature_row("b")], [edit]))
+    where = f"{path} line 3: {column}: "
+    with pytest.raises(RangeError, match=where):
+        cli.parse_features_csv(path)
+    code = main(_argv(workspace, "features", path))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith(f"error: {where}") and "Traceback" not in err
 
 
 def test_report_result_columns_all_or_nothing(tmp_path):

@@ -11,19 +11,13 @@ from ladderforge.errors import (
     UnknownApproach,
 )
 
+from helpers import split_plane
+
 
 def make_tensor(frames=2, seed=0):
     rng = np.random.default_rng(seed)
-
-    def feats():
-        return gsm_vif.FrameVifFeatures(
-            per_eig=rng.random((4, 2, 9)),
-            per_band=rng.random((4, 2)),
-            per_scale=rng.random(4),
-        )
-
-    frame_list = [feats() for _ in range(frames)]
-    diff_list = [feats() for _ in range(frames - 1)]
+    frame_list = [rng.random(84) for _ in range(frames)]
+    diff_list = [rng.random(84) for _ in range(frames - 1)]
     motions = list(rng.random(max(frames - 1, 0)))
     return gsm_vif.pool_video(frame_list, diff_list, motions)
 
@@ -74,23 +68,28 @@ def test_metadata_occupies_final_three_slots():
 def test_approach1_is_per_scale_plus_meta():
     tensor = make_tensor()
     vec = fa.assemble(1, tensor, fa.EncodeMeta(1_000_000, 960, 540))
-    assert np.array_equal(vec.values[:4], tensor.frame_feats.per_scale)
+    _, _, per_scale = split_plane(tensor.values[:84])
+    assert np.array_equal(vec.values[:4], per_scale)
 
 
 def test_approach8_block_order():
     tensor = make_tensor()
     vec = fa.assemble(8, tensor, fa.EncodeMeta(1_000_000, 960, 540))
-    assert np.array_equal(vec.values[:8], tensor.frame_feats.per_band.ravel())
-    assert vec.values[8] == tensor.motion
-    assert np.array_equal(vec.values[9:17], tensor.diff_feats.per_band.ravel())
+    _, frame_band, _ = split_plane(tensor.values[:84])
+    _, diff_band, _ = split_plane(tensor.values[84:168])
+    assert np.array_equal(vec.values[:8], frame_band.ravel())
+    assert vec.values[8] == tensor.values[168]
+    assert np.array_equal(vec.values[9:17], diff_band.ravel())
 
 
 def test_approach9_block_order():
     tensor = make_tensor()
     vec = fa.assemble(9, tensor, fa.EncodeMeta(1_000_000, 960, 540))
-    assert np.array_equal(vec.values[:72], tensor.frame_feats.per_eig.ravel())
-    assert vec.values[72] == tensor.motion
-    assert np.array_equal(vec.values[73:145], tensor.diff_feats.per_eig.ravel())
+    frame_eig, _, _ = split_plane(tensor.values[:84])
+    diff_eig, _, _ = split_plane(tensor.values[84:168])
+    assert np.array_equal(vec.values[:72], frame_eig.ravel())
+    assert vec.values[72] == tensor.values[168]
+    assert np.array_equal(vec.values[73:145], diff_eig.ravel())
 
 
 @pytest.mark.parametrize("approach", [4, 5, 6, 7, 8, 9])
@@ -133,3 +132,17 @@ def test_feature_vector_validates_length():
 def test_assemble_sets_target_when_given():
     vec = fa.assemble(1, make_tensor(), fa.EncodeMeta(1_000_000, 960, 540), target=0.93)
     assert vec.target == 0.93
+
+
+@pytest.mark.parametrize("approach", sorted(EXPECTED_LENGTHS))
+def test_approach_is_a_pick_of_feature_columns(approach):
+    """One layout: an approach's names and values are features-CSV columns at the same positions."""
+    meta = fa.EncodeMeta(1_000_000, 960, 540)
+    # a tensor whose every value is its own column index shows the positions used
+    marker = gsm_vif.VifFeatureTensor(np.arange(169.0), 3)
+    positions = fa.assemble(approach, marker, meta).values[:-3].astype(int)
+    assert len(set(positions)) == len(positions)
+    csv_names = gsm_vif.feature_column_names()
+    assert fa.column_names(approach)[:-3] == [csv_names[i] for i in positions]
+    tensor = make_tensor(frames=3, seed=4)
+    assert np.array_equal(fa.assemble(approach, tensor, meta).values[:-3], tensor.values[positions])

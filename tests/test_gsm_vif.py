@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ladderforge import gsm_vif
+from ladderforge import cli, gsm_vif
+from ladderforge.media_io import VideoHeader
 from ladderforge.errors import (
     DegenerateInput,
     EmptyVideo,
@@ -12,7 +14,7 @@ from ladderforge.errors import (
     ShapeMismatch,
 )
 
-from helpers import conv2d_replicate
+from helpers import conv2d_replicate, split_plane
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -192,14 +194,14 @@ def test_fit_covariance_whitened_data_gives_unit_eigenvalues():
     lam, V = np.linalg.eigh(C)
     W = V @ np.diag(lam ** -0.5) @ V.T
     whitened = Z @ W + rng.normal(size=9)  # arbitrary mean offset
-    cov, eigvals = gsm_vif.fit_covariance(whitened)
+    cov, eigvals, _ = gsm_vif._fit_eigen(whitened)
     assert np.allclose(cov, np.eye(9), atol=1e-10)
     assert np.all(np.abs(eigvals - 1.0) <= 1e-10)
 
 
 def test_fit_covariance_identical_vectors():
     vectors = np.tile(np.arange(9.0), (40, 1))
-    cov, eigvals = gsm_vif.fit_covariance(vectors)
+    cov, eigvals, _ = gsm_vif._fit_eigen(vectors)
     assert np.all(cov == 0.0)
     assert np.all(eigvals == 0.0)
 
@@ -207,14 +209,14 @@ def test_fit_covariance_identical_vectors():
 def test_fit_covariance_uses_population_normalization():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(37, 9))
-    cov, _ = gsm_vif.fit_covariance(X)
+    cov, _, _ = gsm_vif._fit_eigen(X)
     Z = X - X.mean(axis=0)
     assert np.allclose(cov, Z.T @ Z / 37, atol=1e-12)
 
 
 def test_fit_covariance_empty():
     with pytest.raises(DegenerateInput):
-        gsm_vif.fit_covariance(np.zeros((0, 9)))
+        gsm_vif._fit_eigen(np.zeros((0, 9)))
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +239,7 @@ def test_multipliers_match_likelihood_grid():
     L = np.linalg.cholesky(true_cov)
     s_true = rng.uniform(0.2, 2.0, size=60)
     X = (rng.normal(size=(60, 9)) @ L.T) * np.sqrt(s_true)[:, None]
-    cov, eigvals = gsm_vif.fit_covariance(X)
+    cov, eigvals, _ = gsm_vif._fit_eigen(X)
     est = gsm_vif.estimate_multipliers(X, cov, eigvals)
     Z = X - X.mean(axis=0)
     for i in range(0, 60, 7):
@@ -247,7 +249,7 @@ def test_multipliers_match_likelihood_grid():
 
 def test_multipliers_zero_covariance():
     vectors = np.tile(np.arange(9.0), (5, 1))
-    cov, eigvals = gsm_vif.fit_covariance(vectors)
+    cov, eigvals, _ = gsm_vif._fit_eigen(vectors)
     s2 = gsm_vif.estimate_multipliers(vectors, cov, eigvals)
     assert np.all(s2 == 0.0)
 
@@ -255,7 +257,7 @@ def test_multipliers_zero_covariance():
 def test_multipliers_nonnegative():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(100, 9))
-    cov, eigvals = gsm_vif.fit_covariance(X)
+    cov, eigvals, _ = gsm_vif._fit_eigen(X)
     assert np.all(gsm_vif.estimate_multipliers(X, cov, eigvals) >= 0.0)
 
 
@@ -304,49 +306,49 @@ def test_information_monotone_in_noise():
 # ---------------------------------------------------------------------------
 
 def test_constant_frame_all_zero():
-    feats = gsm_vif.frame_vif_features(np.full((32, 32), 0.5))
-    assert np.all(feats.per_eig == 0.0)
-    assert np.all(feats.per_band == 0.0)
-    assert np.all(feats.per_scale == 0.0)
+    per_eig, per_band, per_scale = split_plane(gsm_vif.frame_vif_features(np.full((32, 32), 0.5)))
+    assert np.all(per_eig == 0.0)
+    assert np.all(per_band == 0.0)
+    assert np.all(per_scale == 0.0)
 
 
 def test_white_noise_scale1_positive():
     rng = np.random.default_rng(12)
-    feats = gsm_vif.frame_vif_features(rng.random((64, 64)))
-    assert feats.per_scale[0] > 0.0
+    _, _, per_scale = split_plane(gsm_vif.frame_vif_features(rng.random((64, 64))))
+    assert per_scale[0] > 0.0
 
 
 def test_identities_hold():
     rng = np.random.default_rng(13)
-    feats = gsm_vif.frame_vif_features(rng.random((48, 48)))
-    assert np.allclose(feats.per_band, feats.per_eig.sum(axis=2), atol=1e-9)
+    per_eig, per_band, per_scale = split_plane(gsm_vif.frame_vif_features(rng.random((48, 48))))
+    assert np.allclose(per_band, per_eig.sum(axis=2), atol=1e-9)
     assert np.allclose(
-        feats.per_scale, 0.5 * feats.per_band.sum(axis=1), atol=1e-9
+        per_scale, 0.5 * per_band.sum(axis=1), atol=1e-9
     )
 
 
 def test_16x16_frame_fills_small_scales_with_zeros():
     rng = np.random.default_rng(14)
-    feats = gsm_vif.frame_vif_features(rng.random((16, 16)))
+    per_eig, per_band, per_scale = split_plane(gsm_vif.frame_vif_features(rng.random((16, 16))))
     # scale 4 level is 2x2, its subbands 1x1: no blocks, zero contribution
-    assert np.all(feats.per_eig[3] == 0.0)
-    assert np.all(feats.per_band[3] == 0.0)
-    assert feats.per_scale[3] == 0.0
-    assert feats.per_scale[0] > 0.0
-    assert feats.per_scale[1] > 0.0
+    assert np.all(per_eig[3] == 0.0)
+    assert np.all(per_band[3] == 0.0)
+    assert per_scale[3] == 0.0
+    assert per_scale[0] > 0.0
+    assert per_scale[1] > 0.0
     # scale 3 subband is exactly 3x3: one block whose mean-removed residual
     # is zero, so the fit degenerates to zero information
-    assert feats.per_scale[2] == 0.0
+    assert per_scale[2] == 0.0
 
 
 def test_frame_features_match_straight_line_oracle():
     rng = np.random.default_rng(15)
     plane = rng.random((48, 64))
-    feats = gsm_vif.frame_vif_features(plane, noise_var=2.0)
+    got_eig, got_band, got_scale = split_plane(gsm_vif.frame_vif_features(plane, noise_var=2.0))
     per_eig, per_band, per_scale = features_oracle(plane, 2.0)
-    assert np.allclose(feats.per_eig, per_eig, atol=1e-9)
-    assert np.allclose(feats.per_band, per_band, atol=1e-9)
-    assert np.allclose(feats.per_scale, per_scale, atol=1e-9)
+    assert np.allclose(got_eig, per_eig, atol=1e-9)
+    assert np.allclose(got_band, per_band, atol=1e-9)
+    assert np.allclose(got_scale, per_scale, atol=1e-9)
 
 
 def test_rank_deficient_subbands_match_oracle():
@@ -355,33 +357,33 @@ def test_rank_deficient_subbands_match_oracle():
     rng = np.random.default_rng(22)
     plane = np.tile(rng.random(64), (48, 1))
     band1, band2 = gsm_vif.subband_decompose(plane * 255.0)
-    _, lam = gsm_vif.fit_covariance(gsm_vif.extract_block_vectors(band1))
+    _, lam, _ = gsm_vif._fit_eigen(gsm_vif.extract_block_vectors(band1))
     assert lam[0] > 0.0 and np.all(lam[3:] <= 1e-10 * lam[0])
     assert np.all(band2 == 0.0)
 
-    feats = gsm_vif.frame_vif_features(plane, noise_var=2.0)
+    got_eig, got_band, got_scale = split_plane(gsm_vif.frame_vif_features(plane, noise_var=2.0))
     per_eig, per_band, per_scale = features_oracle(plane, 2.0)
-    assert feats.per_band[0, 0] > 0.0
-    assert np.abs(feats.per_eig - per_eig).max() <= 1e-9
-    assert np.abs(feats.per_band - per_band).max() <= 1e-9
-    assert np.abs(feats.per_scale - per_scale).max() <= 1e-9
+    assert got_band[0, 0] > 0.0
+    assert np.abs(got_eig - per_eig).max() <= 1e-9
+    assert np.abs(got_band - per_band).max() <= 1e-9
+    assert np.abs(got_scale - per_scale).max() <= 1e-9
 
 
 def test_noise_variance_monotonicity_full_frame():
     rng = np.random.default_rng(16)
     plane = rng.random((48, 48))
-    lo = gsm_vif.frame_vif_features(plane, noise_var=2.0)
-    hi = gsm_vif.frame_vif_features(plane, noise_var=4.0)
-    nz = lo.per_eig > 0
-    assert np.all(hi.per_eig[nz] < lo.per_eig[nz])
+    lo, _, _ = split_plane(gsm_vif.frame_vif_features(plane, noise_var=2.0))
+    hi, _, _ = split_plane(gsm_vif.frame_vif_features(plane, noise_var=4.0))
+    nz = lo > 0
+    assert np.all(hi[nz] < lo[nz])
 
 
 def test_contrast_scaling_never_decreases_information():
     rng = np.random.default_rng(17)
     plane = rng.random((48, 48)) * 0.4
-    base = gsm_vif.frame_vif_features(plane)
-    amped = gsm_vif.frame_vif_features(plane * 1.8)
-    assert np.all(amped.per_eig >= base.per_eig - 1e-12)
+    base, _, _ = split_plane(gsm_vif.frame_vif_features(plane))
+    amped, _, _ = split_plane(gsm_vif.frame_vif_features(plane * 1.8))
+    assert np.all(amped >= base - 1e-12)
 
 
 def test_bad_noise_var_rejected():
@@ -394,11 +396,7 @@ def test_bad_noise_var_rejected():
 # ---------------------------------------------------------------------------
 
 def _const_feats(value):
-    return gsm_vif.FrameVifFeatures(
-        per_eig=np.full((4, 2, 9), value),
-        per_band=np.full((4, 2), value),
-        per_scale=np.full(4, value),
-    )
+    return np.full(84, value)
 
 
 def test_pool_arithmetic_mean():
@@ -407,18 +405,21 @@ def test_pool_arithmetic_mean():
         [_const_feats(2.0)],
         [0.5],
     )
-    assert np.all(pooled.frame_feats.per_scale == 2.0)
-    assert np.all(pooled.diff_feats.per_band == 2.0)
-    assert pooled.motion == 0.5
+    _, _, frame_scale = split_plane(pooled.values[:84])
+    _, diff_band, _ = split_plane(pooled.values[84:168])
+    assert np.all(frame_scale == 2.0)
+    assert np.all(diff_band == 2.0)
+    assert pooled.values[168] == 0.5
     assert pooled.has_motion
     assert pooled.frame_count == 2
 
 
 def test_pool_single_frame():
     pooled = gsm_vif.pool_video([_const_feats(1.5)], [], [])
-    assert np.all(pooled.frame_feats.per_eig == 1.5)
-    assert pooled.diff_feats is None
-    assert pooled.motion == 0.0
+    frame_eig, _, _ = split_plane(pooled.values[:84])
+    assert np.all(frame_eig == 1.5)
+    assert np.all(pooled.values[84:168] == 0.0)
+    assert pooled.values[168] == 0.0
     assert not pooled.has_motion
     assert pooled.frame_count == 1
 
@@ -439,13 +440,13 @@ def test_pool_mean_matches_loop():
     diffs = [_const_feats(v) for v in rng.random(4)]
     motions = list(rng.random(4))
     pooled = gsm_vif.pool_video(frames, diffs, motions)
-    expected = sum(f.per_scale[0] for f in frames) / 5
-    assert pooled.frame_feats.per_scale[0] == pytest.approx(expected, abs=1e-12)
-    assert pooled.motion == pytest.approx(sum(motions) / 4, abs=1e-12)
+    expected = sum(split_plane(f)[2][0] for f in frames) / 5
+    assert split_plane(pooled.values[:84])[2][0] == pytest.approx(expected, abs=1e-12)
+    assert pooled.values[168] == pytest.approx(sum(motions) / 4, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# tensor (de)serialization helpers
+# features-CSV layout
 # ---------------------------------------------------------------------------
 
 def test_column_names_layout():
@@ -459,26 +460,31 @@ def test_column_names_layout():
     assert names[-1] == "motion_mean_abs"
 
 
-def test_tensor_values_round_trip():
+def _round_trip(tmp_path, tensor):
+    header = VideoHeader(32, 32, Fraction(30), 8, "420")
+    path = tmp_path / "features.csv"
+    path.write_text(cli.features_csv_text([("v", header, tensor)]))
+    return cli.parse_features_csv(path)["v"]
+
+
+def test_tensor_values_round_trip(tmp_path):
     rng = np.random.default_rng(19)
     tensor = gsm_vif.pool_video(
         [_const_feats(v) for v in rng.random(3)],
         [_const_feats(v) for v in rng.random(2)],
         list(rng.random(2)),
     )
-    values = gsm_vif.tensor_to_values(tensor)
-    assert values.shape == (169,)
-    back = gsm_vif.tensor_from_values(values, frame_count=3)
-    assert np.array_equal(back.frame_feats.per_eig, tensor.frame_feats.per_eig)
-    assert np.array_equal(back.diff_feats.per_scale, tensor.diff_feats.per_scale)
-    assert back.motion == tensor.motion
+    assert tensor.values.shape == (169,)
+    back = _round_trip(tmp_path, tensor)
+    assert np.array_equal(back.values[:84], tensor.values[:84])
+    assert np.array_equal(back.values[84:168], tensor.values[84:168])
+    assert back.values[168] == tensor.values[168]
     assert back.has_motion
 
 
-def test_tensor_single_frame_round_trip():
+def test_tensor_single_frame_round_trip(tmp_path):
     tensor = gsm_vif.pool_video([_const_feats(0.7)], [], [])
-    values = gsm_vif.tensor_to_values(tensor)
-    assert np.all(values[84:] == 0.0)
-    back = gsm_vif.tensor_from_values(values, frame_count=1)
-    assert back.diff_feats is None
+    assert np.all(tensor.values[84:] == 0.0)
+    back = _round_trip(tmp_path, tensor)
+    assert np.all(back.values[84:] == 0.0)
     assert not back.has_motion

@@ -94,7 +94,7 @@ def test_grid_matches_looped_single_predictions():
             vec = feature_assembly.assemble(
                 1, tensor, feature_assembly.EncodeMeta(bps, w, h)
             )
-            assert grid[i, j] == regressor.predict(model, vec)
+            assert grid[i, j] == regressor.predict_batch(model, vec.values[None, :])[0]
 
 
 def test_grid_rejects_empty_resolutions():

@@ -101,7 +101,7 @@ def test_truncated_mid_plane():
     stream = io.BytesIO(data[:-40])  # cut inside the chroma tail
     hdr = media_io.read_header(stream)
     with pytest.raises(TruncatedFrame):
-        media_io.read_luma_frame(stream, hdr, 0)
+        list(media_io.iter_luma_frames(stream, hdr))
 
 
 def _with_frame_line(line):

@@ -26,20 +26,25 @@ def make_rows(n, seed=0, fn=None, approach=1):
     return [(FeatureVector(approach, x), float(fn(x))) for x in X]
 
 
+def predict(model, vec):
+    """The ensemble's prediction for one feature vector."""
+    return float(regressor.predict_batch(model, vec.values[None, :])[0])
+
+
 def test_constant_target_collapses_to_leaves():
     rows = [(vec, 0.42) for vec, _ in make_rows(50)]
     model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=10), seed=1)
     for tree in model.trees:
         assert len(tree.feature) == 1 and tree.feature[0] == -1
     for vec, _ in rows[:5]:
-        assert regressor.predict(model, vec) == 0.42
+        assert predict(model, vec) == 0.42
 
 
 def test_noiseless_linear_function_r2():
     train_rows = make_rows(500, seed=1)
     test_rows = make_rows(200, seed=2)
     model = regressor.train(train_rows, seed=3)
-    preds = [regressor.predict(model, vec) for vec, _ in test_rows]
+    preds = [predict(model, vec) for vec, _ in test_rows]
     truth = [t for _, t in test_rows]
     assert regressor.r2_score(truth, preds) >= 0.95
 
@@ -50,7 +55,7 @@ def test_predictions_within_training_target_range():
     model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=20), seed=5)
     query = make_rows(100, seed=6)
     for vec, _ in query:
-        p = regressor.predict(model, vec)
+        p = predict(model, vec)
         assert min(targets) <= p <= max(targets)
 
 
@@ -112,7 +117,7 @@ def test_per_tree_seeds_share_prefix():
     targets = [t for _, t in rows]
     spread = max(targets) - min(targets)
     for vec, _ in rows[:10]:
-        delta = abs(regressor.predict(grown, vec) - regressor.predict(small, vec))
+        delta = abs(predict(grown, vec) - predict(small, vec))
         assert delta <= spread / 7 + 1e-12
 
 
@@ -200,7 +205,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.columns == model.columns
     query = make_rows(30, seed=17)
     for vec, _ in query:
-        assert regressor.predict(loaded, vec) == regressor.predict(model, vec)
+        assert predict(loaded, vec) == predict(model, vec)
     # byte-stable re-save
     path2 = tmp_path / "m2.model"
     regressor.save_model(loaded, path2)
@@ -253,7 +258,7 @@ def test_inconsistent_layout():
 def test_layout_mismatch_on_predict():
     model = regressor.train(make_rows(30), regressor.ExtraTreesConfig(n_trees=2), seed=0)
     with pytest.raises(LayoutMismatch):
-        regressor.predict(model, FeatureVector(4, np.zeros(8)))
+        predict(model, FeatureVector(4, np.zeros(8)))
 
 
 def test_default_k_is_ceil_third():
