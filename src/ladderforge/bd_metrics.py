@@ -192,9 +192,7 @@ class RqCurve:
 
     @classmethod
     def from_ladder(cls, ladder) -> "RqCurve":
-        return cls.from_points(
-            (rung.point.bitrate_bps, rung.point.vmaf) for rung in ladder.rungs
-        )
+        return cls.from_points((rung.realized_bps, rung.vmaf) for rung in ladder.rungs)
 
     def quality_span(self) -> tuple[float, float]:
         return self.qualities[0], self.qualities[-1]

@@ -25,25 +25,29 @@ from . import __version__
 from .bd_metrics import ReportRow, RqCurve, aggregate, compare_curves, parse_report_csv, report_csv_text
 from .config import RunConfig, apply_overrides, config_json_dict, load_config
 from .dataset import (
+    BITRATE,
+    DIMENSION,
     SCHEMA,
+    VIDEO_ID,
+    VMAF,
     EncodeRecord,
     build_training_matrix,
+    checked,
     encode_log_row,
     encode_log_text,
     load_split,
     make_split,
     parse_encode_log,
     save_split,
-    validate_record,
 )
 from .errors import (
     ConfigMissing,
+    DegenerateCurve,
     DuplicateKey,
     EmptyInput,
     ExternalToolFailure,
     LadderforgeError,
     NoOverlap,
-    RangeError,
     SchemaError,
 )
 from .gsm_vif import TENSOR_VALUE_COUNT, VifFeatureTensor, feature_column_names, video_features
@@ -93,23 +97,12 @@ def features_csv_text(rows) -> str:
     ))
 
 
-def _checked_int(ok, rule: str):
-    """Converter for an integer column whose values must satisfy ok."""
-    def convert(text: str) -> int:
-        value = int(text)
-        if not ok(value):
-            raise RangeError(f"{value} {rule}")
-        return value
-    return convert
-
-
-_POSITIVE = _checked_int(lambda v: v > 0, "must be > 0")
 _FEATURE_CONVERTERS = (finite_float,) * TENSOR_VALUE_COUNT + (
-    str,                                                      # video_id
-    _POSITIVE,                                                # width
-    _POSITIVE,                                                # height
-    _checked_int(lambda v: v in (8, 10), "must be 8 or 10"),  # bit_depth
-    _checked_int(lambda v: v >= 1, "must be >= 1"),           # frame_count
+    VIDEO_ID,
+    DIMENSION,                                                # width
+    DIMENSION,                                                # height
+    checked(int, lambda v: v in (8, 10), "must be 8 or 10"),  # bit_depth
+    checked(int, lambda v: v >= 1, "must be >= 1"),           # frame_count
 )
 
 
@@ -215,11 +208,6 @@ def cmd_train(args, cfg: RunConfig) -> int:
     for record in records:
         if record.video_id not in known:
             raise SchemaError(f"video {record.video_id!r} is not in any split part")
-    held_out = set(split.validation) | set(split.test)
-    leaked = set(split.train) & held_out
-    if leaked:
-        raise SchemaError(f"split leaks videos across parts: {sorted(leaked)}")
-
     train_ids = set(split.train)
     train_rows = build_training_matrix(
         [r for r in records if r.video_id in train_ids], tensors, cfg.approach
@@ -314,12 +302,13 @@ def cmd_ladder(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _compare_one(video_id: str, pair: str, test_path, anchor_path) -> ReportRow:
-    test = RqCurve.from_ladder(parse_ladder_csv(test_path))
-    anchor = RqCurve.from_ladder(parse_ladder_csv(anchor_path))
+    """A report row; curves that cannot be compared give a warning row instead."""
+    test, anchor = parse_ladder_csv(test_path), parse_ladder_csv(anchor_path)
     try:
-        return ReportRow(video_id, pair, compare_curves(test, anchor))
-    except NoOverlap as exc:
+        result = compare_curves(RqCurve.from_ladder(test), RqCurve.from_ladder(anchor))
+    except (NoOverlap, DegenerateCurve) as exc:
         return ReportRow(video_id, pair, None, str(exc))
+    return ReportRow(video_id, pair, result)
 
 
 def _parse_batch_listing(path) -> list[tuple[str, Path, Path]]:
@@ -397,7 +386,7 @@ def cmd_plot(args, cfg: RunConfig) -> int:
         for label, path in zip(labels, args.ladders):
             lad = parse_ladder_csv(path)
             curves.append(
-                (label, [(r.point.bitrate_bps, r.point.vmaf) for r in lad.rungs])
+                (label, [(r.realized_bps, r.vmaf) for r in lad.rungs])
             )
         atomic_write_text(out, hull_svg_text(curves, args.title))
         atomic_write_text(_csv_twin(out), hull_csv_text(curves))
@@ -467,11 +456,10 @@ def _run_cell(template: str, input_path: Path, video_id: str, w: int, h: int,
             f"{cell}: stdout did not report bitrate_bps= and vmaf=", proc.stdout[-2000:]
         )
     try:
-        record = EncodeRecord(video_id, w, h, crf, float(bit_m.group(1)), float(vmaf_m.group(1)))
-        validate_record(record, "encoder output")
+        bitrate, vmaf = BITRATE(bit_m.group(1)), VMAF(vmaf_m.group(1))
     except (ValueError, LadderforgeError) as exc:
-        raise ExternalToolFailure(f"{cell}: {exc}", proc.stdout[-2000:]) from None
-    return record
+        raise ExternalToolFailure(f"{cell}: encoder output: {exc}", proc.stdout[-2000:]) from None
+    return EncodeRecord(video_id, w, h, crf, bitrate, vmaf)
 
 
 def cmd_encode_sweep(args, cfg: RunConfig) -> int:

@@ -43,12 +43,8 @@ _KNOWN_KEYS = {
 
 def default_fixed_ladder() -> tuple[tuple[float, tuple[int, int]], ...]:
     """The shipped rung -> resolution table (see data/fixed_ladder.json)."""
-    text = resources.files("ladderforge").joinpath("data/fixed_ladder.json").read_text()
-    payload = json.loads(text)
-    return tuple(
-        (float(row["bitrate_bps"]), (int(row["width"]), int(row["height"])))
-        for row in payload["rungs"]
-    )
+    resource = resources.files("ladderforge").joinpath("data/fixed_ladder.json")
+    return _parse_fixed_ladder(json.loads(resource.read_text())["rungs"], str(resource))
 
 
 @dataclass(frozen=True)
@@ -102,7 +98,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     return config
 
 
-def _parse_fixed_ladder(raw) -> tuple[tuple[float, tuple[int, int]], ...]:
+def _parse_fixed_ladder(raw, origin: str) -> tuple[tuple[float, tuple[int, int]], ...]:
     try:
         return tuple(
             (float(row["bitrate_bps"]),
@@ -111,7 +107,7 @@ def _parse_fixed_ladder(raw) -> tuple[tuple[float, tuple[int, int]], ...]:
             for row in raw
         )
     except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaError(f"malformed fixed_ladder entry: {exc}") from None
+        raise SchemaError(f"{origin}: malformed fixed_ladder entry: {exc}") from None
 
 
 def _json_int(value, key: str) -> int:
@@ -144,7 +140,7 @@ def _config_from_dict(payload: dict, origin: str) -> RunConfig:
         if "k_features" in payload and payload["k_features"] is not None:
             kwargs["k_features"] = _json_int(payload["k_features"], "k_features")
         if "fixed_ladder" in payload and payload["fixed_ladder"] is not None:
-            kwargs["fixed_ladder"] = _parse_fixed_ladder(payload["fixed_ladder"])
+            kwargs["fixed_ladder"] = _parse_fixed_ladder(payload["fixed_ladder"], origin)
         if "encoder_template" in payload and payload["encoder_template"] is not None:
             kwargs["encoder_template"] = str(payload["encoder_template"])
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)

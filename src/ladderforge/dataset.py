@@ -8,7 +8,6 @@ score. Splits are by video so no title leaks across train/validation/test.
 from __future__ import annotations
 
 import json
-import math
 import random
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ from . import feature_assembly
 from .errors import (
     DuplicateKey,
     MissingTensor,
+    NonpositiveBitrate,
     RangeError,
     SchemaError,
     TooFewVideos,
@@ -30,12 +30,36 @@ from .ioutil import (
     read_json,
 )
 
-SCHEMA = ("video_id", "width", "height", "crf", "bitrate_bps", "vmaf")
-_CONVERTERS = (str, int, int, int, finite_float, finite_float)
 CRF_MIN, CRF_MAX = 18, 50
-VMAF_MIN, VMAF_MAX = 0.0, 100.0
 SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
 _SPLIT_FORMAT = "ladderforge-split v1"
+
+
+def checked(convert, ok, rule: str, error=RangeError):
+    """A read_csv converter: convert the field, then raise error unless ok(value).
+
+    A plain ValueError makes read_csv report a SchemaError; a RangeError
+    subclass is re-raised as its own class.
+    """
+    def convert_checked(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise error(f"{value!r} {rule}")
+        return value
+    return convert_checked
+
+
+# One converter per column rule, shared by every file holding that column:
+# the encode log and sweep journal, the features CSV, the ladder CSV and the
+# encoder's stdout report.
+VIDEO_ID = checked(str, bool, "must not be empty", ValueError)
+DIMENSION = checked(int, lambda v: v > 0, "must be > 0")
+CRF = checked(int, lambda v: CRF_MIN <= v <= CRF_MAX, f"outside [{CRF_MIN}, {CRF_MAX}]")
+BITRATE = checked(finite_float, lambda v: v > 0, "must be > 0", NonpositiveBitrate)
+VMAF = checked(finite_float, lambda v: 0.0 <= v <= 100.0, "outside [0, 100]")
+
+SCHEMA = ("video_id", "width", "height", "crf", "bitrate_bps", "vmaf")
+_CONVERTERS = (VIDEO_ID, DIMENSION, DIMENSION, CRF, BITRATE, VMAF)
 
 
 @dataclass(frozen=True)
@@ -56,41 +80,12 @@ class SplitManifest:
     test: tuple[str, ...]
 
 
-def validate_record(record: EncodeRecord, where: str, resolutions=None) -> None:
-    """Range rules every encode-log row and every encoder result must meet.
-
-    where names the row in messages, for example "log.csv line 2".
-    """
-    if not record.video_id:
-        raise SchemaError(f"{where}: empty video_id")
-    if not (CRF_MIN <= record.crf <= CRF_MAX):
-        raise RangeError(f"{where}: crf {record.crf} outside [{CRF_MIN}, {CRF_MAX}]")
-    if not (math.isfinite(record.bitrate_bps) and record.bitrate_bps > 0):
-        raise RangeError(f"{where}: bitrate {record.bitrate_bps} must be finite and > 0")
-    if not (VMAF_MIN <= record.vmaf <= VMAF_MAX):
-        raise RangeError(f"{where}: vmaf {record.vmaf} outside [0, 100]")
-    if record.width <= 0 or record.height <= 0:
-        raise RangeError(f"{where}: non-positive dimensions")
-    if resolutions is not None and (record.width, record.height) not in resolutions:
-        raise RangeError(
-            f"{where}: {record.width}x{record.height} not in the configured "
-            f"resolution set"
-        )
-
-
-def parse_encode_log(path, resolutions=None) -> list[EncodeRecord]:
-    """Read and validate an encode log.
-
-    resolutions, when given, is the allowed set of (width, height) pairs;
-    without it any positive geometry is accepted.
-    """
-    if resolutions is not None:
-        resolutions = {tuple(r) for r in resolutions}
+def parse_encode_log(path) -> list[EncodeRecord]:
+    """Read an encode log: every field meets its column's rule, no cell repeats."""
     records: list[EncodeRecord] = []
     seen: set[tuple] = set()
     for line, fields in read_csv(path, SCHEMA, _CONVERTERS):
         record = EncodeRecord(*fields)
-        validate_record(record, f"{path} line {line}", resolutions)
         key = (record.video_id, record.width, record.height, record.crf)
         if key in seen:
             raise DuplicateKey(f"{path} line {line}: repeated cell {key}")

@@ -56,10 +56,6 @@ class UnknownApproach(LadderforgeError):
     """Approach index outside 1..9."""
 
 
-class NonpositiveBitrate(LadderforgeError):
-    """Bitrate metadata must be > 0 to take its log."""
-
-
 # --- dataset ---
 
 class SchemaError(LadderforgeError):
@@ -68,6 +64,10 @@ class SchemaError(LadderforgeError):
 
 class RangeError(LadderforgeError):
     """Field value outside its documented range."""
+
+
+class NonpositiveBitrate(RangeError):
+    """Bitrate must be > 0 to take its log."""
 
 
 class DuplicateKey(LadderforgeError):

@@ -59,8 +59,8 @@ def read_csv(path, columns, converters) -> Iterator[tuple[int, list]]:
     its value. Every error names the path and line: SchemaError for an
     unreadable file, bytes that are not UTF-8, malformed CSV, a wrong
     header or field count, or a field its converter rejects with
-    ValueError; RangeError for a field a converter rejects with RangeError,
-    such as a float that is not finite.
+    ValueError; a field a converter rejects with a RangeError, such as a
+    float that is not finite, raises that error's own class again.
     """
     try:
         data = Path(path).read_bytes()
@@ -95,7 +95,7 @@ def read_csv(path, columns, converters) -> Iterator[tuple[int, list]]:
             except ValueError as exc:
                 raise SchemaError(f"{path} line {line}: {column}: {exc}") from None
             except RangeError as exc:
-                raise RangeError(f"{path} line {line}: {column}: {exc}") from None
+                raise type(exc)(f"{path} line {line}: {column}: {exc}") from None
             yield line, values
     except csv.Error as exc:
         raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None

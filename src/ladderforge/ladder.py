@@ -14,13 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EncodeRecord
+from .dataset import BITRATE, CRF, DIMENSION, VMAF, EncodeRecord
 from .errors import (
     ConfigMissing,
     InvalidRungs,
     NoPointsForResolution,
-    NonpositiveBitrate,
-    RangeError,
     SchemaError,
 )
 from .feature_assembly import EncodeMeta, assemble
@@ -60,32 +58,19 @@ DEFAULT_RESOLUTIONS = (
 )
 
 LADDER_COLUMNS = ("rung_bps", "width", "height", "crf", "realized_bps", "vmaf")
-_CONVERTERS = (finite_float, int, int, int, finite_float, finite_float)
-
-
-@dataclass(frozen=True)
-class RdPoint:
-    """One realized encode: measured bitrate and quality at (w, h, crf)."""
-
-    bitrate_bps: float
-    vmaf: float
-    crf: int
-    width: int
-    height: int
-
-    def __post_init__(self):
-        if self.bitrate_bps <= 0:
-            raise NonpositiveBitrate(f"bitrate must be > 0 bps, got {self.bitrate_bps}")
-        if not 0.0 <= self.vmaf <= 100.0:
-            raise RangeError(f"vmaf must be in [0, 100], got {self.vmaf}")
+_CONVERTERS = (finite_float, DIMENSION, DIMENSION, CRF, BITRATE, VMAF)
 
 
 @dataclass(frozen=True)
 class LadderRung:
-    target_bps: float
+    """One row of a ladder CSV: a rung target and the logged encode realizing it."""
+
+    rung_bps: float
     width: int
     height: int
-    point: RdPoint
+    crf: int
+    realized_bps: float
+    vmaf: float
 
 
 @dataclass(frozen=True)
@@ -144,7 +129,7 @@ def predict_quality_grid(
 
 
 def select_ladder(grid, resolutions, rungs) -> list[tuple[int, int]]:
-    """Per rung, the resolution with the highest predicted quality.
+    """Per rung, the resolution with the highest quality in grid.
 
     Exact ties go to the smaller resolution (fewer pixels).
     """
@@ -197,16 +182,6 @@ def closest_point(records, target_bps: float) -> EncodeRecord:
     )
 
 
-def _as_point(record: EncodeRecord) -> RdPoint:
-    return RdPoint(
-        bitrate_bps=record.bitrate_bps,
-        vmaf=record.vmaf,
-        crf=record.crf,
-        width=record.width,
-        height=record.height,
-    )
-
-
 def realize_ladder(choices, rungs, log, provenance: str = "predicted") -> Ladder:
     """Snap each rung's chosen resolution to its closest logged point."""
     rungs = validate_rungs(rungs)
@@ -222,39 +197,24 @@ def realize_ladder(choices, rungs, log, provenance: str = "predicted") -> Ladder
                 f"encode log has no points at {w}x{h} for rung {target:g} bps"
             )
         record = closest_point(records, target)
-        realized.append(LadderRung(target, w, h, _as_point(record)))
+        realized.append(LadderRung(target, w, h, record.crf, record.bitrate_bps, record.vmaf))
     return Ladder(tuple(realized), provenance)
-
-
-def reference_choices(log, rungs) -> list[tuple[int, int]]:
-    """Per rung, the logged resolution whose closest point measures best.
-
-    Ties go to the smaller resolution. No monotonic correction here.
-    """
-    rungs = validate_rungs(rungs)
-    groups = _group_by_resolution(log)
-    if not groups:
-        raise NoPointsForResolution("encode log is empty")
-    ordered = sorted(groups, key=pixel_count)
-    choices = []
-    for target in rungs:
-        best_res = None
-        best_vmaf = -math.inf
-        for res in ordered:
-            vmaf = closest_point(groups[res], target).vmaf
-            if vmaf > best_vmaf:
-                best_res, best_vmaf = res, vmaf
-        choices.append(best_res)
-    return choices
 
 
 def reference_ladder(log, rungs=DEFAULT_RUNG_BPS, correct: bool = True) -> Ladder:
     """Best measured resolution per rung from an exhaustive encode log.
 
-    Applies the same monotonic correction as predicted ladders unless
-    disabled, then realizes the corrected choices.
+    select_ladder picks from the vmaf of each logged resolution's closest
+    point per rung, resolutions in ascending pixel order. The same
+    monotonic correction as predicted ladders follows unless disabled.
     """
-    choices = reference_choices(log, rungs)
+    rungs = validate_rungs(rungs)
+    groups = _group_by_resolution(log)
+    if not groups:
+        raise NoPointsForResolution("encode log is empty")
+    resolutions = sorted(groups, key=pixel_count)
+    grid = [[closest_point(groups[res], target).vmaf for target in rungs] for res in resolutions]
+    choices = select_ladder(grid, resolutions, rungs)
     if correct:
         choices = monotonic_correct(choices)
     return realize_ladder(choices, rungs, log, provenance="reference")
@@ -295,12 +255,12 @@ def predicted_ladder(
 def ladder_csv_text(ladder: Ladder) -> str:
     return csv_text(LADDER_COLUMNS, (
         [
-            repr(float(rung.target_bps)),
+            repr(float(rung.rung_bps)),
             rung.width,
             rung.height,
-            rung.point.crf,
-            repr(float(rung.point.bitrate_bps)),
-            repr(float(rung.point.vmaf)),
+            rung.crf,
+            repr(float(rung.realized_bps)),
+            repr(float(rung.vmaf)),
         ]
         for rung in ladder.rungs
     ))
@@ -308,18 +268,13 @@ def ladder_csv_text(ladder: Ladder) -> str:
 
 def parse_ladder_csv(path, provenance: str = "unknown") -> Ladder:
     rungs = []
-    for line, (target, w, h, crf, realized, vmaf) in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
+    for line, fields in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
+        rung = LadderRung(*fields)
         try:
-            validate_rungs([rung.target_bps for rung in rungs[-1:]] + [target])
+            validate_rungs([r.rung_bps for r in rungs[-1:]] + [rung.rung_bps])
         except InvalidRungs as exc:
             raise InvalidRungs(f"{path} line {line}: rung_bps: {exc}") from None
-        try:
-            point = RdPoint(realized, vmaf, crf, w, h)
-        except NonpositiveBitrate as exc:
-            raise NonpositiveBitrate(f"{path} line {line}: realized_bps: {exc}") from None
-        except RangeError as exc:
-            raise RangeError(f"{path} line {line}: vmaf: {exc}") from None
-        rungs.append(LadderRung(target, w, h, point))
+        rungs.append(rung)
     if not rungs:
         raise SchemaError(f"{path}: ladder has no rungs")
     return Ladder(tuple(rungs), provenance)
@@ -333,9 +288,9 @@ def ladder_summary_text(ladder: Ladder) -> str:
     ]
     for rung in ladder.rungs:
         lines.append(
-            f"  {rung.target_bps / 1e6:g} Mbps -> {rung.width}x{rung.height}"
-            f" crf {rung.point.crf},"
-            f" realized {rung.point.bitrate_bps / 1e6:.3f} Mbps,"
-            f" vmaf {rung.point.vmaf:.2f}"
+            f"  {rung.rung_bps / 1e6:g} Mbps -> {rung.width}x{rung.height}"
+            f" crf {rung.crf},"
+            f" realized {rung.realized_bps / 1e6:.3f} Mbps,"
+            f" vmaf {rung.vmaf:.2f}"
         )
     return "\n".join(lines) + "\n"

@@ -272,7 +272,7 @@ def test_ladder_monotone_output(tmp_path, pipeline):
     lad = ladder.parse_ladder_csv(out)
     assert len(lad.rungs) == 4
     assert lad.is_monotone()
-    assert [r.target_bps for r in lad.rungs] == list(RUNG_BPS)
+    assert [r.rung_bps for r in lad.rungs] == list(RUNG_BPS)
     summary = Path(str(out) + ".summary.txt").read_text()
     assert "monotone: yes" in summary
 
@@ -416,6 +416,28 @@ def test_compare_disjoint_is_warning_row(tmp_path, capsys):
     assert rows[1][2] == ""
     summary = json.loads(Path(str(out) + ".aggregate.json").read_text())
     assert summary["n_skipped"] == 1
+
+
+def test_compare_batch_degenerate_pair_is_warning_row(tmp_path, ladders, capsys):
+    _, paths = ladders
+    flat = tmp_path / "flat.csv"  # every rung realized by one encode: one point after pruning
+    flat.write_text("rung_bps,width,height,crf,realized_bps,vmaf\n"
+                    "500000.0,640,360,24,480000.0,61.0\n"
+                    "1000000.0,640,360,24,480000.0,61.0\n")
+    listing = tmp_path / "batch.csv"
+    listing.write_text(
+        "video_id,test,anchor\n"
+        f"v2,{paths['v2']['pred']},{paths['v2']['ref']}\n"
+        f"v3,{flat},{paths['v3']['ref']}\n"
+    )
+    out = tmp_path / "report.csv"
+    assert main(["compare", "--batch", str(listing), "--out", str(out)]) == EXIT_OK
+    assert "v3: curve needs >= 2 points" in capsys.readouterr().err
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
+    assert [r[0] for r in rows] == ["v2", "v3"]
+    assert rows[0][2] != "" and rows[1][2] == ""
+    summary = json.loads(Path(str(out) + ".aggregate.json").read_text())
+    assert (summary["n_compared"], summary["n_skipped"]) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

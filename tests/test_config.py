@@ -163,3 +163,18 @@ def test_integer_keys_accept_only_json_integers(tmp_path, capsys, payload, key):
     assert code == EXIT_DATA
     assert err.startswith("error: ") and "Traceback" not in err
     assert f"{key} must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("entry", [
+    {"bitrate_bps": 1e6, "width": 640.5, "height": 360},
+    {"bitrate_bps": 1e6, "width": 640},
+    [1e6, 640, 360],
+])
+def test_fixed_ladder_errors_name_the_config_path(tmp_path, capsys, entry):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"fixed_ladder": [entry]}))
+    code = main(["plot", "--ladders", "missing.csv", "--config", str(path),
+                 "--out", str(tmp_path / "hulls.svg")])
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith(f"error: {path}: malformed fixed_ladder entry") and "Traceback" not in err

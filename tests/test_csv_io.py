@@ -204,6 +204,11 @@ def test_zero_rows_is_allowed(tmp_path, name):
     (0, "0", InvalidRungs),
     (0, "500000.0", InvalidRungs),  # equal to the rung above: not increasing
     (0, "400000.0", InvalidRungs),
+    (1, "0", RangeError),
+    (1, "-640", RangeError),
+    (2, "0", RangeError),
+    (3, "17", RangeError),
+    (3, "51", RangeError),
 ])
 def test_ladder_point_errors_name_path_line_and_column(tmp_path, capsys, column, token, error):
     path = tmp_path / "ladder.csv"
@@ -232,6 +237,38 @@ def test_feature_id_errors_name_path_line_and_column(workspace, tmp_path, capsys
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert err.startswith(f"error: {where}") and "Traceback" not in err
+
+
+def test_feature_empty_video_id_names_path_line_and_column(workspace, tmp_path, capsys):
+    path = tmp_path / "features.csv"
+    edit = (1, FEATURE_COLUMNS.index("video_id"), "")
+    path.write_bytes(csv_bytes(FEATURE_COLUMNS, [feature_row("a"), feature_row("b")], [edit]))
+    where = f"{path} line 3: video_id: "
+    with pytest.raises(SchemaError, match=where):
+        cli.parse_features_csv(path)
+    code = main(_argv(workspace, "features", path))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert err.startswith(f"error: {where}") and "Traceback" not in err
+
+
+def test_shared_columns_share_one_converter():
+    """A column held by more than one file type is checked by one rule object."""
+    rules = {"video_id": dataset.VIDEO_ID, "width": dataset.DIMENSION,
+             "height": dataset.DIMENSION, "crf": dataset.CRF, "vmaf": dataset.VMAF,
+             "bitrate_bps": dataset.BITRATE, "realized_bps": dataset.BITRATE}
+    readers = {"encode-log": (dataset.SCHEMA, dataset._CONVERTERS),
+               "features": (FEATURE_COLUMNS, cli._FEATURE_CONVERTERS),
+               "ladder": (ladder.LADDER_COLUMNS, ladder._CONVERTERS)}
+    holders = {column: [] for column in rules}
+    for name, (columns, converters) in readers.items():
+        assert len(columns) == len(converters), name
+        for column, convert in zip(columns, converters):
+            if column in rules:
+                assert convert is rules[column], (name, column)
+                holders[column].append(name)
+    assert all(len(names) >= 2 for column, names in holders.items()
+               if column not in ("bitrate_bps", "realized_bps")), holders
 
 
 def test_report_result_columns_all_or_nothing(tmp_path):

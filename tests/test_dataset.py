@@ -112,14 +112,10 @@ def test_duplicate_key(tmp_path):
         dataset.parse_encode_log(_write(tmp_path, text))
 
 
-def test_resolution_set_enforced_when_given(tmp_path):
+def test_any_positive_resolution_accepted(tmp_path):
     text = ("video_id,width,height,crf,bitrate_bps,vmaf\n"
             "a,644,362,20,1000,50\n")
-    path = _write(tmp_path, text)
-    # permissive without a configured set
-    assert len(dataset.parse_encode_log(path)) == 1
-    with pytest.raises(RangeError):
-        dataset.parse_encode_log(path, resolutions=RESOLUTIONS)
+    assert len(dataset.parse_encode_log(_write(tmp_path, text))) == 1
 
 
 def test_split_sizes_ten_videos():

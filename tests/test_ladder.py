@@ -228,9 +228,9 @@ def test_realized_ladder_fields():
     ]
     out = ladder.realize_ladder([R720, R1080], rungs, log)
     assert out.provenance == "predicted"
-    assert [r.target_bps for r in out.rungs] == rungs
-    assert out.rungs[0].point.bitrate_bps == 0.9e6
-    assert out.rungs[1].point.vmaf == 71.0
+    assert [r.rung_bps for r in out.rungs] == rungs
+    assert out.rungs[0].realized_bps == 0.9e6
+    assert out.rungs[1].vmaf == 71.0
     assert out.is_monotone()
 
 
@@ -317,13 +317,12 @@ def test_reference_dominates_any_choice_per_rung_before_correction():
     log = sweep_log(
         resolutions, rungs, lambda res, bps: float(rng.uniform(30, 90))
     )
-    ref_choices = ladder.reference_choices(log, rungs)
-    ref = ladder.realize_ladder(ref_choices, rungs, log, "reference")
+    ref = ladder.reference_ladder(log, rungs, correct=False)
     for _ in range(10):
         picks = [resolutions[i] for i in rng.integers(0, 3, size=len(rungs))]
         other = ladder.realize_ladder(picks, rungs, log)
         for a, b in zip(ref.rungs, other.rungs):
-            assert a.point.vmaf >= b.point.vmaf
+            assert a.vmaf >= b.vmaf
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +334,8 @@ def test_fixed_ladder_exact_match_row():
     log = [rec(*R1080, 27, 6_000_000, 88.0), rec(*R1080, 30, 3_000_000, 80.0)]
     out = ladder.fixed_ladder(table, log)
     assert out.provenance == "fixed"
-    assert out.rungs[0].point.bitrate_bps == 6_000_000
-    assert out.rungs[0].point.vmaf == 88.0
+    assert out.rungs[0].realized_bps == 6_000_000
+    assert out.rungs[0].vmaf == 88.0
 
 
 def test_fixed_ladder_empty_config():
@@ -367,7 +366,7 @@ def test_predicted_ladder_is_monotone_and_realized():
     raw = ladder.predicted_ladder(
         model, tensor, log, rungs, resolutions, correct=False
     )
-    assert [r.target_bps for r in raw.rungs] == [r.target_bps for r in out.rungs]
+    assert [r.rung_bps for r in raw.rungs] == [r.rung_bps for r in out.rungs]
 
 
 # ---------------------------------------------------------------------------

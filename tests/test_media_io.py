@@ -1,10 +1,15 @@
+import contextlib
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderforge import media_io
+from ladderforge.cli import EXIT_DATA, EXIT_OK, main
 from ladderforge.errors import (
+    LadderforgeError,
     MalformedHeader,
     ShapeMismatch,
     TruncatedFrame,
@@ -220,3 +225,88 @@ def test_mean_abs_invariant_under_bit_depth():
         return media_io.mean_abs_luma_diff(media_io.frame_diff(frames[1], frames[0]))
 
     assert abs(motion(8) - motion(10)) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# fuzzed streams: open_y4m and extract either read them or reject them
+# ---------------------------------------------------------------------------
+
+HEADER_TOKENS = st.sampled_from([
+    "W16", "W32", "W17", "W8", "W0", "W-16", "Wx", "W", "W1_6", "H16", "H18", "H0", "Hx",
+    "F30:1", "F30", "F0:1", "F1:0", "F-1:1", "Fx:y", "Ip", "It", "Im", "C420", "C420p10",
+    "C420jpeg", "C444", "C420p12", "A1:1", "A0:0", "XYSCSS=420", "", "\u00e9", "\x00",
+])
+FRAME_MARKERS = st.sampled_from([
+    b"FRAME", b"FRAME Ixyz", b"FRAME ", b"FRAM", b"FRAMES", b"frame", b"", b"FRAME\r",
+])
+
+
+MUTATIONS = ("token", "magic", "marker", "range", "cut", "junk")
+
+
+@st.composite
+def y4m_streams(draw):
+    """A valid 4:2:0 stream of one to three small frames, then up to two
+    mutations: a header token, the magic, a frame marker, 10-bit samples
+    above 1023, truncation, or trailing junk."""
+    mutations = draw(st.lists(st.sampled_from(MUTATIONS), max_size=2))
+    width, height = draw(st.sampled_from([(16, 16), (32, 16)]))
+    bit_depth = 10 if "range" in mutations else draw(st.sampled_from([8, 10]))
+    tokens = [f"W{width}", f"H{height}", "F30:1", "Ip", "A1:1",
+              "C420" if bit_depth == 8 else "C420p10"]
+    if "token" in mutations:
+        index, token = draw(st.integers(0, 7)), draw(HEADER_TOKENS)
+        tokens[index:index + 1] = [token]
+    magic = "YUV4MPEG2"
+    if "magic" in mutations:
+        magic = draw(st.sampled_from(["YUV4MPEG", "YUV4MPEG2X", "yuv4mpeg2", ""]))
+    data = " ".join([magic, *tokens]).encode() + b"\n"
+
+    n_frames = draw(st.integers(1, 3))
+    markers = [b"FRAME"] * n_frames
+    if "marker" in mutations:
+        markers[draw(st.integers(0, n_frames - 1))] = draw(FRAME_MARKERS)
+    peak = draw(st.sampled_from([1024, 65535])) if "range" in mutations else (1 << bit_depth) - 1
+    dtype = np.uint8 if bit_depth == 8 else np.dtype("<u2")
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    for marker in markers:
+        samples = rng.integers(0, peak + 1, size=width * height * 3 // 2)
+        data += marker + b"\n" + samples.astype(dtype).tobytes()
+    if "cut" in mutations:
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    if "junk" in mutations:
+        data += draw(st.binary(min_size=1, max_size=4))
+    return data
+
+
+@pytest.fixture(scope="module")
+def y4m_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("y4m")
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=y4m_streams())
+def test_fuzzed_stream_reads_or_raises_library_error(y4m_dir, data):
+    path = y4m_dir / "clip.y4m"
+    path.write_bytes(data)
+    try:
+        header, frames = media_io.open_y4m(path)
+        for frame in frames:
+            assert frame.samples.shape == (header.height, header.width)
+            assert 0.0 <= frame.samples.min() and frame.samples.max() <= 1.0
+    except LadderforgeError:
+        pass
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=y4m_streams())
+def test_fuzzed_stream_to_extract_gives_exit_0_or_2(y4m_dir, data):
+    path = y4m_dir / "clip.y4m"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["extract", str(path), "--out", str(y4m_dir / "features.csv")])
+    assert code in (EXIT_OK, EXIT_DATA)
+    if code == EXIT_DATA:
+        assert err.getvalue().startswith("error: ")
+    assert "Traceback" not in err.getvalue()
