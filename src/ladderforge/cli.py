@@ -10,12 +10,12 @@ the run can be reproduced.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import shlex
 import subprocess
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -60,10 +60,11 @@ from .ladder import (
     parse_ladder_csv,
     predicted_ladder,
     reference_ladder,
+    validate_rungs,
 )
 from .media_io import open_y4m
 from .plots import histogram_csv_text, histogram_svg_text, hull_csv_text, hull_svg_text, freedman_diaconis_bins
-from .regressor import ExtraTreesConfig, load_model, predict_batch, r2_score, save_model, spearman_rho, train
+from .regressor import load_model, predict_batch, r2_score, save_model, spearman_rho, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -72,7 +73,6 @@ EXIT_TOOL = 3
 
 FEATURE_ID_COLUMNS = ("video_id", "width", "height", "bit_depth", "frame_count")
 BATCH_COLUMNS = ("video_id", "test", "anchor")
-TEMPLATE_PLACEHOLDERS = ("input", "width", "height", "crf", "output")
 
 
 class UsageError(Exception):
@@ -130,42 +130,27 @@ def _write_sidecar(out_path, command: str, cfg: RunConfig, extra: dict | None = 
     atomic_write_text(Path(str(out_path) + ".runconfig.json"), json.dumps(payload, indent=2) + "\n")
 
 
-def _parse_resolutions_flag(text: str) -> tuple[tuple[int, int], ...]:
+def _resolutions_flag(text: str) -> tuple[tuple[int, int], ...]:
     out = []
     for token in text.split(","):
         m = re.fullmatch(r"\s*(\d+)x(\d+)\s*", token)
         if not m:
-            raise UsageError(f"bad resolution {token!r}, expected WIDTHxHEIGHT")
+            raise argparse.ArgumentTypeError(f"bad resolution {token!r}, expected WIDTHxHEIGHT")
         out.append((int(m.group(1)), int(m.group(2))))
     return tuple(out)
 
 
-def _parse_rungs_flag(text: str) -> tuple[float, ...]:
+def _rungs_flag(text: str) -> tuple[float, ...]:
     try:
-        rungs = tuple(float(token) * 1e6 for token in text.split(","))
-    except ValueError:
-        raise UsageError(f"bad rung list {text!r}, expected comma-separated Mbps") from None
-    return rungs
+        return validate_rungs(float(token) * 1e6 for token in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad rung list {text!r} in Mbps: {exc}") from None
 
 
 def _resolve_config(args) -> RunConfig:
-    cfg = load_config(getattr(args, "config", None))
-    overrides = {}
-    for field in ("sigma_n2", "approach", "seed", "n_trees", "min_samples_leaf",
-                  "k_features", "workers", "crf_min", "crf_max"):
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "resolutions", None):
-        overrides["resolutions"] = _parse_resolutions_flag(args.resolutions)
-    if getattr(args, "rungs", None):
-        overrides["rung_bps"] = _parse_rungs_flag(args.rungs)
-    if getattr(args, "template", None):
-        overrides["encoder_template"] = args.template
-    try:
-        return apply_overrides(cfg, **overrides)
-    except ValueError as exc:  # rung ordering problems are flag misuse
-        raise UsageError(str(exc)) from None
+    """The config file overlaid with every flag whose dest is a RunConfig field."""
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    return apply_overrides(load_config(args.config), **flags)
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +197,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
     train_rows = build_training_matrix(
         [r for r in records if r.video_id in train_ids], tensors, cfg.approach
     )
-    model = train(
-        train_rows,
-        ExtraTreesConfig(
-            n_trees=cfg.n_trees,
-            min_samples_leaf=cfg.min_samples_leaf,
-            k_features=cfg.k_features,
-        ),
-        seed=cfg.seed,
-    )
+    model = train(train_rows, n_trees=cfg.n_trees, min_samples_leaf=cfg.min_samples_leaf,
+                  k_features=cfg.k_features, seed=cfg.seed)
     save_model(model, out)
 
     metrics = {
@@ -274,7 +252,7 @@ def cmd_ladder(args, cfg: RunConfig) -> int:
         model,
         tensors[args.video],
         records,
-        rungs=cfg.rung_bps,
+        rungs=cfg.rung_bitrates_bps,
         resolutions=cfg.resolutions,
         correct=not args.no_correction,
     )
@@ -288,7 +266,7 @@ def cmd_ladder(args, cfg: RunConfig) -> int:
         atomic_write_text(Path(args.fixed_out), ladder_csv_text(fixed))
         summary += ladder_summary_text(fixed)
     if args.reference_out:
-        reference = reference_ladder(records, cfg.rung_bps, correct=not args.no_correction)
+        reference = reference_ladder(records, cfg.rung_bitrates_bps, correct=not args.no_correction)
         atomic_write_text(Path(args.reference_out), ladder_csv_text(reference))
         summary += ladder_summary_text(reference)
     atomic_write_text(summary_path, summary)
@@ -402,16 +380,6 @@ _BITRATE_RE = re.compile(r"bitrate_bps=([0-9.eE+\-]+)")
 _VMAF_RE = re.compile(r"vmaf=([0-9.eE+\-]+)")
 
 
-def _check_template(template: str) -> None:
-    for name in TEMPLATE_PLACEHOLDERS:
-        if "{" + name + "}" not in template:
-            raise ConfigMissing(f"encoder template missing {{{name}}} placeholder")
-    try:
-        template.format(input="i", width=2, height=2, crf=18, output="o")
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ConfigMissing(f"encoder template is not formattable: {exc}") from None
-
-
 def _journal_path(out: Path) -> Path:
     return Path(str(out) + ".journal.csv")
 
@@ -464,9 +432,8 @@ def _run_cell(template: str, input_path: Path, video_id: str, w: int, h: int,
 
 def cmd_encode_sweep(args, cfg: RunConfig) -> int:
     template = cfg.encoder_template
-    if not template:
+    if template is None:
         raise ConfigMissing("no encoder template configured (--template or config file)")
-    _check_template(template)
     input_path = Path(args.input)
     if not input_path.exists():
         raise SchemaError(f"input not found: {input_path}")
@@ -484,26 +451,24 @@ def cmd_encode_sweep(args, cfg: RunConfig) -> int:
     ]
     pending = [cell for cell in grid if cell not in done]
 
-    journal_lock = threading.Lock()
-    failures: list[str] = []
-
-    def handle(cell):
-        w, h, crf = cell
+    def attempt(cell):
         try:
-            record = _run_cell(template, input_path, video_id, w, h, crf, work_dir)
+            return _run_cell(template, input_path, video_id, *cell, work_dir)
         except ExternalToolFailure as exc:
-            with journal_lock:
-                failures.append(f"{exc}\nstderr: {exc.stderr}".rstrip())
-            return
-        with journal_lock:
+            return exc
+
+    # cells run in parallel but are journaled here, in grid order, so the
+    # journal is the same for any worker count
+    failures: list[str] = []
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        for cell, outcome in zip(pending, pool.map(attempt, pending)):
+            if isinstance(outcome, ExternalToolFailure):
+                failures.append(f"{outcome}\nstderr: {outcome.stderr}".rstrip())
+                continue
             columns = () if journal.exists() else SCHEMA
             with open(journal, "a", encoding="utf-8") as fh:
-                fh.write(csv_text(columns, [encode_log_row(record)]))
-            done[cell] = record
-
-    if pending:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            list(pool.map(handle, pending))
+                fh.write(csv_text(columns, [encode_log_row(outcome)]))
+            done[cell] = outcome
 
     records = sorted(
         done.values(), key=lambda r: (-(r.width * r.height), r.width, r.crf)
@@ -561,8 +526,10 @@ def build_parser() -> _Parser:
     p.add_argument("--video", required=True, help="video id (feature row) to ladder")
     p.add_argument("--encode-log", required=True)
     p.add_argument("--out", required=True, help="predicted ladder CSV")
-    p.add_argument("--rungs", help="comma-separated rung targets in Mbps")
-    p.add_argument("--resolutions", help="comma-separated WxH candidates")
+    p.add_argument("--rungs", type=_rungs_flag, dest="rung_bitrates_bps", metavar="RUNGS",
+                   help="comma-separated rung targets in Mbps")
+    p.add_argument("--resolutions", type=_resolutions_flag,
+                   help="comma-separated WxH candidates")
     p.add_argument("--no-correction", action="store_true",
                    help="emit the raw argmax ladder without monotonic correction")
     p.add_argument("--fixed-out", help="also realize the configured fixed ladder")
@@ -596,11 +563,11 @@ def build_parser() -> _Parser:
                        help="drive an external encoder over the resolution x CRF grid")
     p.add_argument("--input", required=True, help="source Y4M")
     p.add_argument("--out", required=True, help="encode log CSV")
-    p.add_argument("--template",
+    p.add_argument("--template", dest="encoder_template", metavar="TEMPLATE",
                    help="shell command with {input} {width} {height} {crf} {output}")
     p.add_argument("--work-dir", dest="work_dir", help="directory for encoded outputs")
     p.add_argument("--workers", type=int)
-    p.add_argument("--resolutions", help="comma-separated WxH grid")
+    p.add_argument("--resolutions", type=_resolutions_flag, help="comma-separated WxH grid")
     p.add_argument("--crf-min", type=int, dest="crf_min")
     p.add_argument("--crf-max", type=int, dest="crf_max")
     p.set_defaults(func=cmd_encode_sweep)

@@ -2,8 +2,11 @@
 
 Precedence is defaults, then the JSON config file (given explicitly or
 via the LADDERFORGE_CONFIG environment variable), then command-line
-flags. Every command writes the fully resolved configuration beside its
-outputs so a run can be reproduced from the sidecar alone.
+flags. Each setting has one name: the RunConfig field, its JSON key, the
+dest of the flag that sets it and its key in the sidecar. Every command
+writes the fully resolved configuration beside its outputs, and that
+object is itself a valid config file, so a run can be reproduced from
+the sidecar alone.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -23,28 +26,14 @@ from .ioutil import read_json
 from .ladder import DEFAULT_RESOLUTIONS, DEFAULT_RUNG_BPS, validate_rungs
 
 ENV_CONFIG = "LADDERFORGE_CONFIG"
-
-_KNOWN_KEYS = {
-    "sigma_n2",
-    "approach",
-    "resolutions",
-    "rung_bitrates_bps",
-    "n_trees",
-    "min_samples_leaf",
-    "k_features",
-    "seed",
-    "fixed_ladder",
-    "encoder_template",
-    "workers",
-    "crf_min",
-    "crf_max",
-}
+TEMPLATE_PLACEHOLDERS = ("input", "width", "height", "crf", "output")
 
 
 def default_fixed_ladder() -> tuple[tuple[float, tuple[int, int]], ...]:
     """The shipped rung -> resolution table (see data/fixed_ladder.json)."""
     resource = resources.files("ladderforge").joinpath("data/fixed_ladder.json")
-    return _parse_fixed_ladder(json.loads(resource.read_text())["rungs"], str(resource))
+    rows = json.loads(resource.read_text())["rungs"]
+    return _config_from_dict({"fixed_ladder": rows}, str(resource)).fixed_ladder
 
 
 @dataclass(frozen=True)
@@ -52,7 +41,7 @@ class RunConfig:
     sigma_n2: float = DEFAULT_NOISE_VAR
     approach: int = 8
     resolutions: tuple[tuple[int, int], ...] = DEFAULT_RESOLUTIONS
-    rung_bps: tuple[float, ...] = tuple(float(b) for b in DEFAULT_RUNG_BPS)
+    rung_bitrates_bps: tuple[float, ...] = tuple(float(b) for b in DEFAULT_RUNG_BPS)
     n_trees: int = 100
     min_samples_leaf: int = 1
     k_features: int | None = None
@@ -79,7 +68,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     for w, h in config.resolutions:
         if w <= 0 or h <= 0 or w % 2 or h % 2:
             raise SchemaError(f"resolutions need positive even dims, got {w}x{h}")
-    validate_rungs(config.rung_bps)
+    validate_rungs(config.rung_bitrates_bps)
     if config.n_trees < 1:
         raise SchemaError(f"n_trees must be >= 1, got {config.n_trees}")
     if config.min_samples_leaf < 1:
@@ -95,21 +84,19 @@ def validate_config(config: RunConfig) -> RunConfig:
         )
     if config.fixed_ladder is not None:
         validate_rungs([bps for bps, _ in config.fixed_ladder])
+    if config.encoder_template is not None:
+        for name in TEMPLATE_PLACEHOLDERS:
+            if "{" + name + "}" not in config.encoder_template:
+                raise ConfigMissing(f"encoder template missing {{{name}}} placeholder")
+        try:
+            config.encoder_template.format(input="i", width=2, height=2, crf=18, output="o")
+        except (KeyError, IndexError, ValueError) as exc:
+            raise ConfigMissing(f"encoder template is not formattable: {exc}") from None
     return config
 
 
-def _parse_fixed_ladder(raw, origin: str) -> tuple[tuple[float, tuple[int, int]], ...]:
-    try:
-        return tuple(
-            (float(row["bitrate_bps"]),
-             (_json_int(row["width"], "fixed_ladder width"),
-              _json_int(row["height"], "fixed_ladder height")))
-            for row in raw
-        )
-    except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaError(f"{origin}: malformed fixed_ladder entry: {exc}") from None
-
-
+# JSON converters: (value, key) -> field value; a TypeError or ValueError
+# is a malformed value and names the key
 def _json_int(value, key: str) -> int:
     # bool is a subclass of int, and a JSON fraction arrives as a float
     if type(value) is not int:
@@ -117,35 +104,60 @@ def _json_int(value, key: str) -> int:
     return value
 
 
+def _json_number(value, key: str) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"{key} must be a JSON number, got {json.dumps(value)}")
+    return float(value)  # OverflowError past the float range
+
+
+def _json_str(value, key: str) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{key} must be a JSON string or null, got {json.dumps(value)}")
+    return value
+
+
+def _optional(convert):
+    return lambda value, key: None if value is None else convert(value, key)
+
+
+def _fixed_ladder(rows, key: str) -> tuple[tuple[float, tuple[int, int]], ...]:
+    try:
+        return tuple(
+            (_json_number(row["bitrate_bps"], f"{key} bitrate_bps"),
+             (_json_int(row["width"], f"{key} width"), _json_int(row["height"], f"{key} height")))
+            for row in rows
+        )
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise TypeError(f"malformed {key} entry: {exc}") from None
+
+
+_FROM_JSON = {
+    "sigma_n2": _json_number,
+    "approach": _json_int,
+    "resolutions": lambda pairs, key: tuple(
+        (_json_int(w, key), _json_int(h, key)) for w, h in pairs),
+    "rung_bitrates_bps": lambda rungs, key: tuple(_json_number(b, key) for b in rungs),
+    "n_trees": _json_int,
+    "min_samples_leaf": _json_int,
+    "k_features": _optional(_json_int),
+    "seed": _json_int,
+    "fixed_ladder": _optional(_fixed_ladder),
+    "encoder_template": _optional(_json_str),
+    "workers": _json_int,
+    "crf_min": _json_int,
+    "crf_max": _json_int,
+}
+
+
 def _config_from_dict(payload: dict, origin: str) -> RunConfig:
-    unknown = set(payload) - _KNOWN_KEYS
+    unknown = set(payload) - set(_FROM_JSON)
     if unknown:
         raise SchemaError(f"{origin}: unknown config keys {sorted(unknown)}")
-    kwargs = {}
     try:
-        if "sigma_n2" in payload:
-            kwargs["sigma_n2"] = float(payload["sigma_n2"])
-        if "approach" in payload:
-            kwargs["approach"] = _json_int(payload["approach"], "approach")
-        if "resolutions" in payload:
-            kwargs["resolutions"] = tuple(
-                (_json_int(w, "resolutions"), _json_int(h, "resolutions"))
-                for w, h in payload["resolutions"]
-            )
-        if "rung_bitrates_bps" in payload:
-            kwargs["rung_bps"] = tuple(float(b) for b in payload["rung_bitrates_bps"])
-        for key in ("n_trees", "min_samples_leaf", "seed", "workers", "crf_min", "crf_max"):
-            if key in payload:
-                kwargs[key] = _json_int(payload[key], key)
-        if "k_features" in payload and payload["k_features"] is not None:
-            kwargs["k_features"] = _json_int(payload["k_features"], "k_features")
-        if "fixed_ladder" in payload and payload["fixed_ladder"] is not None:
-            kwargs["fixed_ladder"] = _parse_fixed_ladder(payload["fixed_ladder"], origin)
-        if "encoder_template" in payload and payload["encoder_template"] is not None:
-            kwargs["encoder_template"] = str(payload["encoder_template"])
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: float(10**400)
+        fields = {key: _FROM_JSON[key](value, key) for key, value in payload.items()}
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{origin}: {exc}") from None
-    return validate_config(RunConfig(**kwargs))
+    return validate_config(RunConfig(**fields))
 
 
 def load_config(path=None, env=None) -> RunConfig:
@@ -171,23 +183,10 @@ def apply_overrides(config: RunConfig, **overrides) -> RunConfig:
 
 
 def config_json_dict(config: RunConfig) -> dict:
-    return {
-        "sigma_n2": config.sigma_n2,
-        "approach": config.approach,
-        "resolutions": [list(r) for r in config.resolutions],
-        "rung_bitrates_bps": list(config.rung_bps),
-        "n_trees": config.n_trees,
-        "min_samples_leaf": config.min_samples_leaf,
-        "k_features": config.k_features,
-        "seed": config.seed,
-        "fixed_ladder": None
-        if config.fixed_ladder is None
-        else [
-            {"bitrate_bps": bps, "width": w, "height": h}
-            for bps, (w, h) in config.fixed_ladder
-        ],
-        "encoder_template": config.encoder_template,
-        "workers": config.workers,
-        "crf_min": config.crf_min,
-        "crf_max": config.crf_max,
-    }
+    """The config as a JSON object: field names are the keys, in field order."""
+    payload = asdict(config)
+    if config.fixed_ladder is not None:
+        payload["fixed_ladder"] = [
+            {"bitrate_bps": bps, "width": w, "height": h} for bps, (w, h) in config.fixed_ladder
+        ]
+    return payload

@@ -8,8 +8,8 @@ reduction wins with ties broken toward the lowest feature index, then the
 lowest threshold. Tree t derives its RNG from seed + t, so ensembles with
 a shared seed share their first trees and scheduling cannot change the
 result. Training rows are put into a canonical lexicographic order first,
-which makes the model a pure function of the row *set*, the config and the
-seed; identical inputs give byte-identical model files.
+which makes the model a pure function of the row *set*, the tree settings
+and the seed; identical inputs give byte-identical model files.
 
 Trees grow level by level. At each depth the RNG is drawn twice, in the
 left-to-right order of the level's open nodes: first one uniform key per
@@ -42,13 +42,6 @@ _FORMAT_LINE = "ladderforge-extra-trees v1"
 
 
 @dataclass(frozen=True)
-class ExtraTreesConfig:
-    n_trees: int = 100
-    min_samples_leaf: int = 1
-    k_features: int | None = None  # None: ceil(d / 3)
-
-
-@dataclass(frozen=True)
 class Tree:
     """Flat pre-order node arrays; feature == -1 marks a leaf."""
 
@@ -70,9 +63,9 @@ class ExtraTreesModel:
     trees: tuple[Tree, ...] = field(repr=False)
 
 
-def train(rows, config: ExtraTreesConfig | None = None, seed: int = 0) -> ExtraTreesModel:
-    """Fit an ensemble on (FeatureVector, target) rows."""
-    config = config or ExtraTreesConfig()
+def train(rows, *, n_trees: int = 100, min_samples_leaf: int = 1,
+          k_features: int | None = None, seed: int = 0) -> ExtraTreesModel:
+    """Fit an ensemble on (FeatureVector, target) rows; k_features None is ceil(d / 3)."""
     rows = list(rows)
     if not rows:
         raise EmptyTrainingSet("no training rows")
@@ -92,17 +85,17 @@ def train(rows, config: ExtraTreesConfig | None = None, seed: int = 0) -> ExtraT
     order = np.lexsort(keys)
     X, y = X[order], y[order]
 
-    k = config.k_features if config.k_features is not None else math.ceil(width / 3)
+    k = k_features if k_features is not None else math.ceil(width / 3)
     k = max(1, min(k, width))
     trees = tuple(
-        _grow_tree(X, y, k, config.min_samples_leaf, np.random.default_rng(seed + t))
-        for t in range(config.n_trees)
+        _grow_tree(X, y, k, min_samples_leaf, np.random.default_rng(seed + t))
+        for t in range(n_trees)
     )
     return ExtraTreesModel(
         approach=approach,
         columns=tuple(column_names(approach)),
-        n_trees=config.n_trees,
-        min_samples_leaf=config.min_samples_leaf,
+        n_trees=n_trees,
+        min_samples_leaf=min_samples_leaf,
         k_features=k,
         seed=seed,
         trees=trees,

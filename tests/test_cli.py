@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ladderforge import cli, dataset, ladder
+from ladderforge import cli, config, dataset, ladder
 from ladderforge.cli import EXIT_DATA, EXIT_OK, EXIT_TOOL, EXIT_USAGE, main
 
 from helpers import random_plane, write_y4m
@@ -331,6 +331,24 @@ def test_ladder_missing_resolution_sweep(tmp_path, pipeline, capsys):
     assert not out.exists()
 
 
+def test_ladder_sidecar_config_reproduces_the_run(tmp_path, pipeline):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({
+        "sigma_n2": 3.5, "rung_bitrates_bps": [1e6, 3e6], "k_features": 2,
+        "fixed_ladder": [{"bitrate_bps": 1e6, "width": 960, "height": 540}],
+        "encoder_template": "enc {input} {width} {height} {crf} {output}",
+    }))
+    out = tmp_path / "ladder.csv"
+    assert main(ladder_args(pipeline, out, extra=["--config", str(conf)])) == EXIT_OK
+    sidecar = json.loads(Path(str(out) + ".runconfig.json").read_text())
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(sidecar["config"]))
+    used = config.apply_overrides(config.load_config(conf), rung_bitrates_bps=RUNG_BPS,
+                                  resolutions=RESOLUTIONS)
+    assert used != config.load_config(conf)
+    assert config.load_config(replay) == used
+
+
 def test_ladder_unknown_video(tmp_path, pipeline, capsys):
     out = tmp_path / "l.csv"
     assert main(ladder_args(pipeline, out, video="nope")) == EXIT_DATA
@@ -552,7 +570,7 @@ with open(out, "w") as fh:
 with open({counter!r}, "a") as fh:
     fh.write(f"{{w}}x{{h}}:{{crf}}\\n")
 crf_i = int(crf); w_i = int(w)
-{fail_clause}
+{clause}
 bitrate = 1000.0 * w_i * 2.0 ** ((30 - crf_i) / 6.0)
 vmaf = max(0.0, min(100.0, 90.0 - 2.0 * (crf_i - 18) + w_i / 500.0))
 print(f"bitrate_bps={{bitrate}}")
@@ -560,18 +578,25 @@ print(f"vmaf={{vmaf}}")
 """
 
 
-def write_fake_encoder(tmp_path, fail_crf=None):
+def write_fake_encoder(tmp_path, fail_crf=None, slow=False):
+    """A template running a fake encoder, and the file it logs each call to.
+
+    fail_crf makes that crf's cells crash; slow makes a cell take longer the
+    lower its crf, so cells finish out of grid order.
+    """
     counter = tmp_path / "calls.txt"
     counter.write_text("")
-    fail_clause = ""
+    clause = ""
     if fail_crf is not None:
-        fail_clause = (
+        clause = (
             f"if crf_i == {fail_crf}:\n"
             f"    print('simulated encoder crash', file=sys.stderr)\n"
             f"    sys.exit(1)"
         )
+    if slow:
+        clause = "import time; time.sleep(0.15 * (21 - crf_i))"
     script = tmp_path / "fake_encoder.py"
-    script.write_text(FAKE_ENCODER.format(counter=str(counter), fail_clause=fail_clause))
+    script.write_text(FAKE_ENCODER.format(counter=str(counter), clause=clause))
     template = (
         f"python3 {script} {{input}} {{width}} {{height}} {{crf}} {{output}}"
     )
@@ -709,6 +734,51 @@ def test_sweep_failures_recorded_and_resumable(tmp_path, pipeline, capsys):
     assert main(sweep_args(pipeline, tmp_path, out, template_ok)) == EXIT_OK
     assert len(dataset.parse_encode_log(out)) == 6
     assert not Path(str(out) + ".failures.txt").exists()
+
+
+def test_sweep_journal_is_in_grid_order_for_any_finish_order(tmp_path, pipeline):
+    template, _ = write_fake_encoder(tmp_path, slow=True)
+    journals = []
+    for name in ("a", "b"):
+        out = tmp_path / f"{name}.csv"
+        argv = sweep_args(pipeline, tmp_path, out, template)
+        argv[argv.index("--workers") + 1] = "3"
+        assert main(argv) == EXIT_OK
+        journals.append(Path(str(out) + ".journal.csv"))
+    grid = [(w, h, crf) for w, h in ((64, 36), (32, 18)) for crf in (18, 19, 20)]
+    assert [(r.width, r.height, r.crf) for r in dataset.parse_encode_log(journals[0])] == grid
+    assert journals[0].read_bytes() == journals[1].read_bytes()
+
+
+TEMPLATE_DEFECTS = {  # a good template -> a bad one, and the error it gives
+    "missing-crf": (lambda t: t.replace("{crf}", "18"), "missing {crf} placeholder"),
+    "positional": (lambda t: t + " {0}", "encoder template is not formattable"),
+    "unclosed": (lambda t: t + " {bad", "encoder template is not formattable"),
+    "absent": (lambda t: None, "no encoder template configured"),
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("defect", TEMPLATE_DEFECTS)
+def test_sweep_template_rule_runs_nothing(tmp_path, pipeline, capsys, source, defect):
+    good, counter = write_fake_encoder(tmp_path)
+    edit, message = TEMPLATE_DEFECTS[defect]
+    template = edit(good)
+    out = tmp_path / "log.csv"
+    argv = sweep_args(pipeline, tmp_path, out, good)
+    at = argv.index("--template")
+    del argv[at:at + 2]
+    if source == "flag" and template is not None:
+        argv += ["--template", template]
+    if source == "config":
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"encoder_template": template}))
+        argv += ["--config", str(conf)]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert counter.read_text() == ""
+    assert not Path(str(out) + ".journal.csv").exists()
 
 
 def test_sweep_template_validated_before_running(tmp_path, pipeline, capsys):

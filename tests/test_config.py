@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ def test_defaults():
     assert c.sigma_n2 == 2.0
     assert c.approach == 8
     assert len(c.resolutions) == 8
-    assert len(c.rung_bps) == 12
+    assert len(c.rung_bitrates_bps) == 12
     assert c.crf_min == 18 and c.crf_max == 50
 
 
@@ -97,7 +98,7 @@ def test_config_round_trip_through_json(tmp_path):
     base = cfg.apply_overrides(
         cfg.RunConfig(),
         approach=5,
-        rung_bps=(1e6, 2e6),
+        rung_bitrates_bps=(1e6, 2e6),
         resolutions=((1280, 720), (1920, 1080)),
         fixed_ladder=((1e6, (1280, 720)), (2e6, (1920, 1080))),
         encoder_template="encode {input} {width} {height} {crf} {output}",
@@ -135,34 +136,49 @@ def test_readme_config_example_loads(tmp_path):
     start = section.index("```json\n") + len("```json\n")
     path = tmp_path / "readme.json"
     path.write_text(section[start:section.index("```", start)])
+    assert list(json.loads(path.read_text())) == [f.name for f in fields(cfg.RunConfig)]
     c = cfg.load_config(path)
-    assert c.rung_bps == (250000.0, 500000.0)
+    assert c.rung_bitrates_bps == (250000.0, 500000.0)
     assert c.resolutions == ((3840, 2160), (1920, 1080))
     assert c.fixed_ladder == ((250000.0, (512, 288)),)
 
 
-@pytest.mark.parametrize("payload,key", [
-    ({"n_trees": 2.7}, "n_trees"), ({"approach": True}, "approach"),
-    ({"seed": -4.9}, "seed"), ({"seed": 3.0}, "seed"),
-    ({"min_samples_leaf": "2"}, "min_samples_leaf"), ({"workers": False}, "workers"),
-    ({"crf_min": 18.5}, "crf_min"), ({"crf_max": "50"}, "crf_max"),
-    ({"k_features": 1.5}, "k_features"),
-    ({"resolutions": [[1920, 1080.5]]}, "resolutions"),
-    ({"resolutions": [[True, 2]]}, "resolutions"),
+INTEGER, NUMBER = "must be a JSON integer", "must be a JSON number"
+
+
+# a case's id is the key its message names
+@pytest.mark.parametrize("payload,message", [
+    ({"n_trees": 2.7}, f"n_trees {INTEGER}"), ({"approach": True}, f"approach {INTEGER}"),
+    ({"seed": -4.9}, f"seed {INTEGER}"), ({"seed": 3.0}, f"seed {INTEGER}"),
+    ({"min_samples_leaf": "2"}, f"min_samples_leaf {INTEGER}"),
+    ({"workers": False}, f"workers {INTEGER}"),
+    ({"crf_min": 18.5}, f"crf_min {INTEGER}"), ({"crf_max": "50"}, f"crf_max {INTEGER}"),
+    ({"k_features": 1.5}, f"k_features {INTEGER}"),
+    ({"resolutions": [[1920, 1080.5]]}, f"resolutions {INTEGER}"),
+    ({"resolutions": [[True, 2]]}, f"resolutions {INTEGER}"),
     ({"fixed_ladder": [{"bitrate_bps": 1e6, "width": 640.5, "height": 360}]},
-     "fixed_ladder width"),
-])
-def test_integer_keys_accept_only_json_integers(tmp_path, capsys, payload, key):
+     f"fixed_ladder width {INTEGER}"),
+    ({"sigma_n2": "2.5"}, f"sigma_n2 {NUMBER}"),
+    ({"sigma_n2": True}, f"sigma_n2 {NUMBER}"),
+    ({"rung_bitrates_bps": [250000, "500000"]}, f"rung_bitrates_bps {NUMBER}"),
+    ({"rung_bitrates_bps": [False, 500000]}, f"rung_bitrates_bps {NUMBER}"),
+    ({"fixed_ladder": [{"bitrate_bps": "1e6", "width": 640, "height": 360}]},
+     f"fixed_ladder bitrate_bps {NUMBER}"),
+    ({"fixed_ladder": [{"bitrate_bps": True, "width": 640, "height": 360}]},
+     f"fixed_ladder bitrate_bps {NUMBER}"),
+    ({"encoder_template": 5}, "encoder_template must be a JSON string or null"),
+], ids=lambda value: value.split(" must be")[0] if isinstance(value, str) else None)
+def test_integer_keys_accept_only_json_integers(tmp_path, capsys, payload, message):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps(payload))
-    with pytest.raises(SchemaError, match=f"{key} must be a JSON integer"):
+    with pytest.raises(SchemaError, match=message):
         cfg.load_config(path)
     code = main(["plot", "--ladders", "missing.csv", "--config", str(path),
                  "--out", str(tmp_path / "hulls.svg")])
     err = capsys.readouterr().err
     assert code == EXIT_DATA
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert f"{key} must be a JSON integer" in err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+    assert message in err
 
 
 @pytest.mark.parametrize("entry", [

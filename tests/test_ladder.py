@@ -41,7 +41,7 @@ def train_toy_model(targets_fn=None, n_trees=10, seed=3):
         x = rng.random(7)
         target = 0.5 if targets_fn is None else targets_fn(x)
         rows.append((feature_assembly.FeatureVector(1, x), float(target)))
-    return regressor.train(rows, regressor.ExtraTreesConfig(n_trees=n_trees), seed=seed)
+    return regressor.train(rows, n_trees=n_trees, seed=seed)
 
 
 # ---------------------------------------------------------------------------

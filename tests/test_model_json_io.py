@@ -284,7 +284,7 @@ def test_good_split_and_config_load(tmp_path):
     split.write_bytes(json_bytes(GOOD_SPLIT, {}))
     conf.write_bytes(json_bytes(GOOD_CONFIG, {}))
     assert dataset.load_split(split) == dataset.SplitManifest(3, ("a", "b"), ("c",), ("d",))
-    assert config.load_config(conf).rung_bps == (5e5, 1e6)
+    assert config.load_config(conf).rung_bitrates_bps == (5e5, 1e6)
 
 
 @settings(max_examples=50, deadline=None)

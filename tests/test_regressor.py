@@ -33,7 +33,7 @@ def predict(model, vec):
 
 def test_constant_target_collapses_to_leaves():
     rows = [(vec, 0.42) for vec, _ in make_rows(50)]
-    model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=10), seed=1)
+    model = regressor.train(rows, n_trees=10, seed=1)
     for tree in model.trees:
         assert len(tree.feature) == 1 and tree.feature[0] == -1
     for vec, _ in rows[:5]:
@@ -52,7 +52,7 @@ def test_noiseless_linear_function_r2():
 def test_predictions_within_training_target_range():
     rows = make_rows(200, seed=4, fn=lambda x: np.sin(8 * x[0]) + 0.2 * x[2])
     targets = [t for _, t in rows]
-    model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=20), seed=5)
+    model = regressor.train(rows, n_trees=20, seed=5)
     query = make_rows(100, seed=6)
     for vec, _ in query:
         p = predict(model, vec)
@@ -62,7 +62,7 @@ def test_predictions_within_training_target_range():
 def test_min_samples_leaf_honoured():
     rows = make_rows(120, seed=7)
     model = regressor.train(
-        rows, regressor.ExtraTreesConfig(n_trees=5, min_samples_leaf=5), seed=8
+        rows, n_trees=5, min_samples_leaf=5, seed=8
     )
     X = np.array([vec.values for vec, _ in rows])
     for tree in model.trees:
@@ -78,10 +78,9 @@ def test_min_samples_leaf_honoured():
 
 def test_training_is_deterministic(tmp_path):
     rows = make_rows(80, seed=9)
-    cfg = regressor.ExtraTreesConfig(n_trees=12)
     a, b = tmp_path / "a.model", tmp_path / "b.model"
-    regressor.save_model(regressor.train(rows, cfg, seed=10), a)
-    regressor.save_model(regressor.train(rows, cfg, seed=10), b)
+    regressor.save_model(regressor.train(rows, n_trees=12, seed=10), a)
+    regressor.save_model(regressor.train(rows, n_trees=12, seed=10), b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -89,26 +88,24 @@ def test_row_order_does_not_matter(tmp_path):
     rows = make_rows(80, seed=11)
     shuffled = list(rows)
     np.random.default_rng(0).shuffle(shuffled)
-    cfg = regressor.ExtraTreesConfig(n_trees=8)
     a, b = tmp_path / "a.model", tmp_path / "b.model"
-    regressor.save_model(regressor.train(rows, cfg, seed=12), a)
-    regressor.save_model(regressor.train(shuffled, cfg, seed=12), b)
+    regressor.save_model(regressor.train(rows, n_trees=8, seed=12), a)
+    regressor.save_model(regressor.train(shuffled, n_trees=8, seed=12), b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_seed_changes_model(tmp_path):
     rows = make_rows(80, seed=13)
-    cfg = regressor.ExtraTreesConfig(n_trees=4)
     a, b = tmp_path / "a.model", tmp_path / "b.model"
-    regressor.save_model(regressor.train(rows, cfg, seed=1), a)
-    regressor.save_model(regressor.train(rows, cfg, seed=2), b)
+    regressor.save_model(regressor.train(rows, n_trees=4, seed=1), a)
+    regressor.save_model(regressor.train(rows, n_trees=4, seed=2), b)
     assert a.read_bytes() != b.read_bytes()
 
 
 def test_per_tree_seeds_share_prefix():
     rows = make_rows(60, seed=14)
-    small = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=6), seed=20)
-    grown = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=7), seed=20)
+    small = regressor.train(rows, n_trees=6, seed=20)
+    grown = regressor.train(rows, n_trees=7, seed=20)
     for ta, tb in zip(small.trees, grown.trees):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.threshold, tb.threshold)
@@ -148,7 +145,7 @@ def test_every_node_follows_the_growth_rules(min_leaf):
     rows = make_rows(150, seed=21, fn=lambda x: np.sin(6 * x[0]) + x[3])
     rows += rows[:20]  # repeated rows: nodes whose features are all constant
     model = regressor.train(
-        rows, regressor.ExtraTreesConfig(n_trees=4, min_samples_leaf=min_leaf), seed=22
+        rows, n_trees=4, min_samples_leaf=min_leaf, seed=22
     )
     X = np.array([vec.values for vec, _ in rows])
     y = np.array([t for _, t in rows])
@@ -164,14 +161,14 @@ def test_equal_cost_splits_take_the_lowest_feature():
     X = np.column_stack([bits, bits[:, :3]])
     y = bits @ [0.4, 0.3, 0.2, 0.1] + 0.01 * rng.random(200)
     rows = [(FeatureVector(1, x), float(t)) for x, t in zip(X, y)]
-    model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=10, k_features=7), seed=24)
+    model = regressor.train(rows, n_trees=10, k_features=7, seed=24)
     used = {int(f) for tree in model.trees for f in tree.feature if f >= 0}
     assert used == {0, 1, 2, 3}
 
 
 def test_distinct_rows_are_predicted_exactly():
     rows = make_rows(300, seed=25, fn=lambda x: x[0] * x[1] + x[2])
-    model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=5), seed=26)
+    model = regressor.train(rows, n_trees=5, seed=26)
     X = np.array([vec.values for vec, _ in rows])
     assert np.array_equal(regressor.predict_batch(model, X), [t for _, t in rows])
 
@@ -182,12 +179,12 @@ def test_model_bytes_repeat_in_a_separate_process(tmp_path):
         "from test_regressor import make_rows\n"
         "from ladderforge import regressor\n"
         "model = regressor.train(make_rows(120, seed=27), "
-        "regressor.ExtraTreesConfig(n_trees=6), seed=28)\n"
+        "n_trees=6, seed=28)\n"
         "regressor.save_model(model, sys.argv[1])\n"
     )
     here = tmp_path / "here.model"
     there = tmp_path / "there.model"
-    model = regressor.train(make_rows(120, seed=27), regressor.ExtraTreesConfig(n_trees=6), seed=28)
+    model = regressor.train(make_rows(120, seed=27), n_trees=6, seed=28)
     regressor.save_model(model, here)
     paths = [Path(regressor.__file__).parents[1], Path(__file__).parent]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
@@ -197,7 +194,7 @@ def test_model_bytes_repeat_in_a_separate_process(tmp_path):
 
 def test_save_load_round_trip(tmp_path):
     rows = make_rows(100, seed=15)
-    model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=10), seed=16)
+    model = regressor.train(rows, n_trees=10, seed=16)
     path = tmp_path / "m.model"
     regressor.save_model(model, path)
     loaded = regressor.load_model(path)
@@ -213,7 +210,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_version_mismatch(tmp_path):
-    model = regressor.train(make_rows(30), regressor.ExtraTreesConfig(n_trees=2), seed=0)
+    model = regressor.train(make_rows(30), n_trees=2, seed=0)
     path = tmp_path / "m.model"
     regressor.save_model(model, path)
     text = path.read_text().replace("extra-trees v1", "extra-trees v9", 1)
@@ -223,7 +220,7 @@ def test_version_mismatch(tmp_path):
 
 
 def test_corrupt_model_checksum(tmp_path):
-    model = regressor.train(make_rows(30), regressor.ExtraTreesConfig(n_trees=2), seed=0)
+    model = regressor.train(make_rows(30), n_trees=2, seed=0)
     path = tmp_path / "m.model"
     regressor.save_model(model, path)
     data = path.read_bytes()
@@ -234,7 +231,7 @@ def test_corrupt_model_checksum(tmp_path):
 
 
 def test_truncated_model(tmp_path):
-    model = regressor.train(make_rows(30), regressor.ExtraTreesConfig(n_trees=2), seed=0)
+    model = regressor.train(make_rows(30), n_trees=2, seed=0)
     path = tmp_path / "m.model"
     regressor.save_model(model, path)
     path.write_bytes(path.read_bytes()[:-60])
@@ -256,14 +253,14 @@ def test_inconsistent_layout():
 
 
 def test_layout_mismatch_on_predict():
-    model = regressor.train(make_rows(30), regressor.ExtraTreesConfig(n_trees=2), seed=0)
+    model = regressor.train(make_rows(30), n_trees=2, seed=0)
     with pytest.raises(LayoutMismatch):
         predict(model, FeatureVector(4, np.zeros(8)))
 
 
 def test_default_k_is_ceil_third():
     rows = make_rows(40, seed=19)
-    model = regressor.train(rows, regressor.ExtraTreesConfig(n_trees=2), seed=0)
+    model = regressor.train(rows, n_trees=2, seed=0)
     assert model.k_features == 3  # ceil(7 / 3)
 
 
