@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateCurve,
-    EmptyInput,
-    NonMonotonicAbscissa,
-    NoOverlap,
-    OutOfRange,
-    SchemaError,
-)
+from .errors import DegenerateCurve, SchemaError
 from .ioutil import (
     csv_text,
     finite_float,
@@ -52,7 +45,7 @@ def _check_abscissa(xs: np.ndarray) -> None:
     if xs.size < 2:
         raise DegenerateCurve(f"need at least 2 points, got {xs.size}")
     if not np.all(np.diff(xs) > 0):
-        raise NonMonotonicAbscissa("abscissa must be strictly increasing")
+        raise SchemaError("abscissa must be strictly increasing")
 
 
 def pchip_slopes(xs, ys) -> np.ndarray:
@@ -91,7 +84,7 @@ def pchip_interpolate(xs, ys, x_query):
     scalar = np.isscalar(x_query) or np.asarray(x_query).ndim == 0
     x = np.atleast_1d(np.asarray(x_query, dtype=np.float64))
     if np.any(x < xs[0]) or np.any(x > xs[-1]):
-        raise OutOfRange(
+        raise SchemaError(
             f"query outside [{xs[0]}, {xs[-1]}]: {x[(x < xs[0]) | (x > xs[-1])][0]}"
         )
     i = _locate(xs, x)
@@ -127,7 +120,7 @@ def pchip_integrate(xs, ys, lo: float, hi: float) -> float:
     if hi < lo:
         raise ValueError(f"integration bounds reversed: [{lo}, {hi}]")
     if lo < xs[0] or hi > xs[-1]:
-        raise OutOfRange(f"integration bounds [{lo}, {hi}] outside [{xs[0]}, {xs[-1]}]")
+        raise SchemaError(f"integration bounds [{lo}, {hi}] outside [{xs[0]}, {xs[-1]}]")
     if lo == hi:
         return 0.0
     i_lo = int(_locate(xs, np.array([lo]))[0])
@@ -214,7 +207,7 @@ def _overlap(a: tuple[float, float], b: tuple[float, float], axis: str) -> tuple
     lo = max(a[0], b[0])
     hi = min(a[1], b[1])
     if hi <= lo:
-        raise NoOverlap(f"curves share no {axis} interval: [{lo}, {hi}]")
+        raise DegenerateCurve(f"curves share no {axis} interval: [{lo}, {hi}]")
     return lo, hi
 
 
@@ -303,7 +296,7 @@ def aggregate(results) -> AggregateStats:
     """Arithmetic mean and population standard deviation per metric."""
     results = list(results)
     if not results:
-        raise EmptyInput("no BD results to aggregate")
+        raise SchemaError("no BD results to aggregate")
     rate_mean, rate_std = _mean_std([r.bd_rate_percent for r in results])
     qual_mean, qual_std = _mean_std([r.bd_quality for r in results])
     return AggregateStats(rate_mean, rate_std, qual_mean, qual_std)

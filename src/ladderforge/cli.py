@@ -40,16 +40,7 @@ from .dataset import (
     parse_encode_log,
     save_split,
 )
-from .errors import (
-    ConfigMissing,
-    DegenerateCurve,
-    DuplicateKey,
-    EmptyInput,
-    ExternalToolFailure,
-    LadderforgeError,
-    NoOverlap,
-    SchemaError,
-)
+from .errors import DegenerateCurve, ExternalToolFailure, LadderforgeError, SchemaError
 from .gsm_vif import TENSOR_VALUE_COUNT, VifFeatureTensor, feature_column_names, video_features
 from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv
 from .ladder import (
@@ -112,7 +103,7 @@ def parse_features_csv(path) -> dict[str, VifFeatureTensor]:
     for line, fields in read_csv(path, columns, _FEATURE_CONVERTERS):
         video_id, frame_count = fields[TENSOR_VALUE_COUNT], fields[-1]
         if video_id in tensors:
-            raise DuplicateKey(f"{path} line {line}: repeated video_id {video_id!r}")
+            raise SchemaError(f"{path} line {line}: repeated video_id {video_id!r}")
         tensors[video_id] = VifFeatureTensor(np.array(fields[:TENSOR_VALUE_COUNT]), frame_count)
     if not tensors:
         raise SchemaError(f"{path}: no feature rows")
@@ -143,7 +134,7 @@ def _resolutions_flag(text: str) -> tuple[tuple[int, int], ...]:
 def _rungs_flag(text: str) -> tuple[float, ...]:
     try:
         return validate_rungs(float(token) * 1e6 for token in text.split(","))
-    except ValueError as exc:
+    except (ValueError, SchemaError) as exc:
         raise argparse.ArgumentTypeError(f"bad rung list {text!r} in Mbps: {exc}") from None
 
 
@@ -158,10 +149,14 @@ def _resolve_config(args) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_extract(args, cfg: RunConfig) -> int:
+    by_id: dict[str, Path] = {}
+    for path in map(Path, args.inputs):
+        if path.stem in by_id:
+            raise SchemaError(f"{by_id[path.stem]} and {path} share the video id {path.stem!r}")
+        by_id[path.stem] = path
     rows = []
     warnings = []
-    for path in args.inputs:
-        path = Path(path)
+    for path in by_id.values():
         header, frames = open_y4m(path)
         tensor = video_features(frames, cfg.sigma_n2)
         if not tensor.has_motion:
@@ -284,7 +279,7 @@ def _compare_one(video_id: str, pair: str, test_path, anchor_path) -> ReportRow:
     test, anchor = parse_ladder_csv(test_path), parse_ladder_csv(anchor_path)
     try:
         result = compare_curves(RqCurve.from_ladder(test), RqCurve.from_ladder(anchor))
-    except (NoOverlap, DegenerateCurve) as exc:
+    except DegenerateCurve as exc:
         return ReportRow(video_id, pair, None, str(exc))
     return ReportRow(video_id, pair, result)
 
@@ -347,7 +342,7 @@ def cmd_plot(args, cfg: RunConfig) -> int:
     if args.report:
         rows = [row for row in parse_report_csv(args.report) if row.result is not None]
         if not rows:
-            raise EmptyInput(f"{args.report}: no comparable rows to plot")
+            raise SchemaError(f"{args.report}: no comparable rows to plot")
         if args.metric == "bd_rate":
             values = [row.result.bd_rate_percent for row in rows]
             xlabel, title = "BD-rate (percent)", "BD-rate distribution"
@@ -425,7 +420,7 @@ def _run_cell(template: str, input_path: Path, video_id: str, w: int, h: int,
         )
     try:
         bitrate, vmaf = BITRATE(bit_m.group(1)), VMAF(vmaf_m.group(1))
-    except (ValueError, LadderforgeError) as exc:
+    except (ValueError, SchemaError) as exc:
         raise ExternalToolFailure(f"{cell}: encoder output: {exc}", proc.stdout[-2000:]) from None
     return EncodeRecord(video_id, w, h, crf, bitrate, vmaf)
 
@@ -433,7 +428,7 @@ def _run_cell(template: str, input_path: Path, video_id: str, w: int, h: int,
 def cmd_encode_sweep(args, cfg: RunConfig) -> int:
     template = cfg.encoder_template
     if template is None:
-        raise ConfigMissing("no encoder template configured (--template or config file)")
+        raise SchemaError("no encoder template configured (--template or config file)")
     input_path = Path(args.input)
     if not input_path.exists():
         raise SchemaError(f"input not found: {input_path}")

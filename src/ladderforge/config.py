@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 
 from .dataset import CRF_MAX, CRF_MIN
-from .errors import ConfigMissing, InvalidNoiseVariance, SchemaError, UnknownApproach
+from .errors import SchemaError
 from .feature_assembly import APPROACH_FEATURE_LENGTHS
 from .gsm_vif import DEFAULT_NOISE_VAR
 from .ioutil import read_json
@@ -60,12 +60,13 @@ class RunConfig:
 
 def validate_config(config: RunConfig) -> RunConfig:
     if not 0 < config.sigma_n2 < math.inf:
-        raise InvalidNoiseVariance(f"sigma_n2 must be finite and > 0, got {config.sigma_n2}")
+        raise SchemaError(f"sigma_n2 must be finite and > 0, got {config.sigma_n2}")
     if config.approach not in APPROACH_FEATURE_LENGTHS:
-        raise UnknownApproach(f"approach must be 1..9, got {config.approach}")
+        raise SchemaError(f"approach must be 1..9, got {config.approach}")
     if not config.resolutions:
         raise SchemaError("resolution list is empty")
-    for w, h in config.resolutions:
+    fixed_resolutions = [res for _, res in config.fixed_ladder or ()]
+    for w, h in [*config.resolutions, *fixed_resolutions]:
         if w <= 0 or h <= 0 or w % 2 or h % 2:
             raise SchemaError(f"resolutions need positive even dims, got {w}x{h}")
     validate_rungs(config.rung_bitrates_bps)
@@ -87,11 +88,11 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.encoder_template is not None:
         for name in TEMPLATE_PLACEHOLDERS:
             if "{" + name + "}" not in config.encoder_template:
-                raise ConfigMissing(f"encoder template missing {{{name}}} placeholder")
+                raise SchemaError(f"encoder template missing {{{name}}} placeholder")
         try:
             config.encoder_template.format(input="i", width=2, height=2, crf=18, output="o")
         except (KeyError, IndexError, ValueError) as exc:
-            raise ConfigMissing(f"encoder template is not formattable: {exc}") from None
+            raise SchemaError(f"encoder template is not formattable: {exc}") from None
     return config
 
 
@@ -155,9 +156,9 @@ def _config_from_dict(payload: dict, origin: str) -> RunConfig:
         raise SchemaError(f"{origin}: unknown config keys {sorted(unknown)}")
     try:
         fields = {key: _FROM_JSON[key](value, key) for key, value in payload.items()}
-    except (TypeError, ValueError, OverflowError) as exc:
+        return validate_config(RunConfig(**fields))
+    except (TypeError, ValueError, OverflowError, SchemaError) as exc:
         raise SchemaError(f"{origin}: {exc}") from None
-    return validate_config(RunConfig(**fields))
 
 
 def load_config(path=None, env=None) -> RunConfig:
@@ -169,7 +170,7 @@ def load_config(path=None, env=None) -> RunConfig:
         return RunConfig()
     path = Path(path)
     if not path.exists():
-        raise ConfigMissing(f"config file not found: {path}")
+        raise SchemaError(f"config file not found: {path}")
     payload = read_json(path, "config")
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: config must be a JSON object")

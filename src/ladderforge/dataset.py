@@ -12,14 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import feature_assembly
-from .errors import (
-    DuplicateKey,
-    MissingTensor,
-    NonpositiveBitrate,
-    RangeError,
-    SchemaError,
-    TooFewVideos,
-)
+from .errors import SchemaError
 from .gsm_vif import VifFeatureTensor
 from .ioutil import (
     atomic_write_bytes,
@@ -35,16 +28,12 @@ SPLIT_FRACTIONS = (0.7, 0.1, 0.2)
 _SPLIT_FORMAT = "ladderforge-split v1"
 
 
-def checked(convert, ok, rule: str, error=RangeError):
-    """A read_csv converter: convert the field, then raise error unless ok(value).
-
-    A plain ValueError makes read_csv report a SchemaError; a RangeError
-    subclass is re-raised as its own class.
-    """
+def checked(convert, ok, rule: str):
+    """A read_csv converter: convert the field, then raise unless ok(value)."""
     def convert_checked(text: str):
         value = convert(text)
         if not ok(value):
-            raise error(f"{value!r} {rule}")
+            raise SchemaError(f"{value!r} {rule}")
         return value
     return convert_checked
 
@@ -52,10 +41,10 @@ def checked(convert, ok, rule: str, error=RangeError):
 # One converter per column rule, shared by every file holding that column:
 # the encode log and sweep journal, the features CSV, the ladder CSV and the
 # encoder's stdout report.
-VIDEO_ID = checked(str, bool, "must not be empty", ValueError)
+VIDEO_ID = checked(str, bool, "must not be empty")
 DIMENSION = checked(int, lambda v: v > 0, "must be > 0")
 CRF = checked(int, lambda v: CRF_MIN <= v <= CRF_MAX, f"outside [{CRF_MIN}, {CRF_MAX}]")
-BITRATE = checked(finite_float, lambda v: v > 0, "must be > 0", NonpositiveBitrate)
+BITRATE = checked(finite_float, lambda v: v > 0, "must be > 0")
 VMAF = checked(finite_float, lambda v: 0.0 <= v <= 100.0, "outside [0, 100]")
 
 SCHEMA = ("video_id", "width", "height", "crf", "bitrate_bps", "vmaf")
@@ -88,7 +77,7 @@ def parse_encode_log(path) -> list[EncodeRecord]:
         record = EncodeRecord(*fields)
         key = (record.video_id, record.width, record.height, record.crf)
         if key in seen:
-            raise DuplicateKey(f"{path} line {line}: repeated cell {key}")
+            raise SchemaError(f"{path} line {line}: repeated cell {key}")
         seen.add(key)
         records.append(record)
     return records
@@ -115,7 +104,7 @@ def make_split(video_ids, seed: int, fractions=SPLIT_FRACTIONS) -> SplitManifest
     """
     ids = sorted(set(video_ids))
     if len(ids) < 3:
-        raise TooFewVideos(f"need at least 3 distinct videos, got {len(ids)}")
+        raise SchemaError(f"need at least 3 distinct videos, got {len(ids)}")
     random.Random(seed).shuffle(ids)
     n = len(ids)
     n_val = int(fractions[1] * n)
@@ -174,8 +163,8 @@ def build_training_matrix(
     for record in records:
         tensor = tensors.get(record.video_id)
         if tensor is None:
-            raise MissingTensor(f"no feature tensor for video {record.video_id!r}")
+            raise SchemaError(f"no feature tensor for video {record.video_id!r}")
         meta = feature_assembly.EncodeMeta(record.bitrate_bps, record.width, record.height)
-        vec = feature_assembly.assemble(approach, tensor, meta, target=record.vmaf / 100.0)
+        vec = feature_assembly.assemble(approach, tensor, meta)
         rows.append((vec, record.vmaf / 100.0))
     return rows

@@ -21,11 +21,11 @@ height/3840.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MissingDiffFeatures, NonpositiveBitrate, UnknownApproach
+from .errors import SchemaError
 from .gsm_vif import (
     FRAME_FEATURE_COUNT,
     MOTION_INDEX,
@@ -75,11 +75,10 @@ class EncodeMeta:
 class FeatureVector:
     approach: int
     values: np.ndarray
-    target: float | None = field(default=None)
 
     def __post_init__(self):
         if self.approach not in APPROACH_FEATURE_LENGTHS:
-            raise UnknownApproach(f"approach must be 1..9, got {self.approach}")
+            raise SchemaError(f"approach must be 1..9, got {self.approach}")
         expected = APPROACH_FEATURE_LENGTHS[self.approach]
         if np.asarray(self.values).shape != (expected,):
             raise ValueError(
@@ -92,33 +91,28 @@ def _positions_of(approach: int) -> np.ndarray:
     try:
         return _POSITIONS[approach]
     except KeyError:
-        raise UnknownApproach(f"approach must be 1..9, got {approach}") from None
+        raise SchemaError(f"approach must be 1..9, got {approach}") from None
 
 
 def normalize_meta(meta: EncodeMeta) -> np.ndarray:
     """(log2 bitrate, scaled width, scaled height)."""
     if meta.bitrate_bps <= 0:
-        raise NonpositiveBitrate(f"bitrate must be > 0 bps, got {meta.bitrate_bps}")
+        raise SchemaError(f"bitrate must be > 0 bps, got {meta.bitrate_bps}")
     return np.array(
         [math.log2(meta.bitrate_bps), meta.width / _DIM_SCALE, meta.height / _DIM_SCALE]
     )
 
 
-def assemble(
-    approach: int,
-    tensor: VifFeatureTensor,
-    meta: EncodeMeta,
-    target: float | None = None,
-) -> FeatureVector:
+def assemble(approach: int, tensor: VifFeatureTensor, meta: EncodeMeta) -> FeatureVector:
     """The approach's features-CSV columns followed by encode metadata."""
     positions = _positions_of(approach)
     if positions.max() >= FRAME_FEATURE_COUNT and not tensor.has_motion:
-        raise MissingDiffFeatures(
+        raise SchemaError(
             f"approach {approach} needs frame-difference features; "
             f"video has {tensor.frame_count} frame(s)"
         )
     values = np.concatenate([tensor.values[positions], normalize_meta(meta)])
-    return FeatureVector(approach, values, target)
+    return FeatureVector(approach, values)
 
 
 def column_names(approach: int) -> list[str]:

@@ -17,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateInput,
-    EmptyVideo,
-    FrameTooSmall,
-    InvalidNoiseVariance,
-    ShapeMismatch,
-)
+from .errors import SchemaError
 from .media_io import LumaFrame, frame_diff, mean_abs_luma_diff
 from .pyramid import NUM_SCALES, build_scale_stack, subband_decompose
 
@@ -77,10 +71,10 @@ def jacobi_eigh(matrix):
     """
     a = np.array(matrix, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DegenerateInput(f"expected a square matrix, got shape {a.shape}")
+        raise SchemaError(f"expected a square matrix, got shape {a.shape}")
     scale = np.abs(a).max()
     if scale > 0 and np.abs(a - a.T).max() > 1e-8 * scale:
-        raise DegenerateInput("matrix is not symmetric")
+        raise SchemaError("matrix is not symmetric")
     eigvals, eigvecs = np.linalg.eigh((a + a.T) / 2.0)
     return eigvals[::-1], eigvecs[:, ::-1]
 
@@ -92,11 +86,11 @@ def extract_block_vectors(subband) -> np.ndarray:
     """
     coeffs = np.asarray(subband, dtype=np.float64)
     if coeffs.ndim != 2:
-        raise DegenerateInput(f"expected a 2-D subband, got shape {coeffs.shape}")
+        raise SchemaError(f"expected a 2-D subband, got shape {coeffs.shape}")
     rows, cols = coeffs.shape
     by, bx = rows // BLOCK_SIZE, cols // BLOCK_SIZE
     if by == 0 or bx == 0:
-        raise FrameTooSmall(
+        raise SchemaError(
             f"{cols}x{rows} subband cannot host a {BLOCK_SIZE}x{BLOCK_SIZE} block"
         )
     tiles = coeffs[: by * BLOCK_SIZE, : bx * BLOCK_SIZE]
@@ -107,7 +101,7 @@ def extract_block_vectors(subband) -> np.ndarray:
 def _centered(vectors: np.ndarray) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise DegenerateInput(f"expected (N, {BLOCK_DIM}) vectors, got {vectors.shape}")
+        raise SchemaError(f"expected (N, {BLOCK_DIM}) vectors, got {vectors.shape}")
     return vectors - vectors.mean(axis=0)
 
 
@@ -157,11 +151,11 @@ def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.
     or blocks were scheduled upstream.
     """
     if noise_var <= 0.0:
-        raise InvalidNoiseVariance(f"noise variance must be > 0, got {noise_var}")
+        raise SchemaError(f"noise variance must be > 0, got {noise_var}")
     s2 = np.asarray(multipliers, dtype=np.float64)
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if s2.size == 0:
-        raise DegenerateInput("no multipliers")
+        raise SchemaError("no multipliers")
     per_eig = np.log2(1.0 + np.outer(s2, lam) / noise_var).mean(axis=0)
     return per_eig, float(per_eig.sum())
 
@@ -175,7 +169,7 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR) -> np.ndarra
     feature layout fixed and the per-band/per-scale identities intact.
     """
     if noise_var <= 0.0:
-        raise InvalidNoiseVariance(f"noise variance must be > 0, got {noise_var}")
+        raise SchemaError(f"noise variance must be > 0, got {noise_var}")
     plane = np.asarray(getattr(frame, "samples", frame), dtype=np.float64)
 
     features = np.zeros(FRAME_FEATURE_COUNT)
@@ -203,10 +197,10 @@ def pool_video(frame_feats, diff_feats, motions) -> VifFeatureTensor:
     diff_feats = list(diff_feats)
     motions = list(motions)
     if not frame_feats:
-        raise EmptyVideo("no frames to pool")
+        raise SchemaError("no frames to pool")
     expected = len(frame_feats) - 1
     if len(diff_feats) != expected or len(motions) != expected:
-        raise ShapeMismatch(
+        raise SchemaError(
             f"{len(frame_feats)} frames need {expected} diffs/motions, "
             f"got {len(diff_feats)}/{len(motions)}"
         )

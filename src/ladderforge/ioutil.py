@@ -17,7 +17,7 @@ import tempfile
 from collections.abc import Iterator
 from pathlib import Path
 
-from .errors import RangeError, SchemaError
+from .errors import SchemaError
 
 
 def atomic_write_bytes(path, data: bytes) -> None:
@@ -47,7 +47,7 @@ def finite_float(text: str) -> float:
     """Converter for every float column: nan and inf are out of range."""
     value = float(text)
     if not math.isfinite(value):
-        raise RangeError(f"{text!r} is not a finite number")
+        raise SchemaError(f"{text!r} is not a finite number")
     return value
 
 
@@ -56,11 +56,10 @@ def read_csv(path, columns, converters) -> Iterator[tuple[int, list]]:
 
     The first non-blank line must equal columns, every later non-blank line
     must hold one field per column, and converters[i] turns field i into
-    its value. Every error names the path and line: SchemaError for an
+    its value. Every failure is a SchemaError naming the path and line: an
     unreadable file, bytes that are not UTF-8, malformed CSV, a wrong
-    header or field count, or a field its converter rejects with
-    ValueError; a field a converter rejects with a RangeError, such as a
-    float that is not finite, raises that error's own class again.
+    header or field count, or a field its converter rejects with a
+    ValueError or SchemaError.
     """
     try:
         data = Path(path).read_bytes()
@@ -92,10 +91,8 @@ def read_csv(path, columns, converters) -> Iterator[tuple[int, list]]:
             try:
                 for column, convert, field in zip(columns, converters, fields):
                     values.append(convert(field))
-            except ValueError as exc:
+            except (ValueError, SchemaError) as exc:
                 raise SchemaError(f"{path} line {line}: {column}: {exc}") from None
-            except RangeError as exc:
-                raise type(exc)(f"{path} line {line}: {column}: {exc}") from None
             yield line, values
     except csv.Error as exc:
         raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
@@ -114,7 +111,7 @@ def read_json(path, what: str):
             parse_float=finite_float,
             parse_constant=finite_float,
         )
-    except (OSError, ValueError, RecursionError, RangeError) as exc:
+    except (OSError, ValueError, RecursionError, SchemaError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and a NUL in the path
         raise SchemaError(f"unreadable {what} {path}: {exc}") from None
 

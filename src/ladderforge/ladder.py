@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import BITRATE, CRF, DIMENSION, VMAF, EncodeRecord
-from .errors import (
-    ConfigMissing,
-    InvalidRungs,
-    NoPointsForResolution,
-    SchemaError,
-)
+from .errors import SchemaError
 from .feature_assembly import EncodeMeta, assemble
 from .gsm_vif import VifFeatureTensor
 from .ioutil import (
@@ -93,13 +88,13 @@ def pixel_count(resolution: tuple[int, int]) -> int:
 def validate_rungs(rungs) -> tuple[float, ...]:
     rungs = tuple(float(b) for b in rungs)
     if not rungs:
-        raise InvalidRungs("rung list is empty")
+        raise SchemaError("rung list is empty")
     for b in rungs:
         if not (math.isfinite(b) and b > 0):
-            raise InvalidRungs(f"rung bitrates must be finite and > 0, got {b}")
+            raise SchemaError(f"rung bitrates must be finite and > 0, got {b}")
     for a, b in zip(rungs, rungs[1:]):
         if b <= a:
-            raise InvalidRungs(f"rung bitrates must be strictly increasing, got {a} then {b}")
+            raise SchemaError(f"rung bitrates must be strictly increasing, got {a} then {b}")
     return rungs
 
 
@@ -193,7 +188,7 @@ def realize_ladder(choices, rungs, log, provenance: str = "predicted") -> Ladder
     for target, (w, h) in zip(rungs, choices):
         records = groups.get((w, h))
         if not records:
-            raise NoPointsForResolution(
+            raise SchemaError(
                 f"encode log has no points at {w}x{h} for rung {target:g} bps"
             )
         record = closest_point(records, target)
@@ -211,7 +206,7 @@ def reference_ladder(log, rungs=DEFAULT_RUNG_BPS, correct: bool = True) -> Ladde
     rungs = validate_rungs(rungs)
     groups = _group_by_resolution(log)
     if not groups:
-        raise NoPointsForResolution("encode log is empty")
+        raise SchemaError("encode log is empty")
     resolutions = sorted(groups, key=pixel_count)
     grid = [[closest_point(groups[res], target).vmaf for target in rungs] for res in resolutions]
     choices = select_ladder(grid, resolutions, rungs)
@@ -226,7 +221,7 @@ def fixed_ladder(table, log) -> Ladder:
     ``table`` is an ascending sequence of (target_bps, (width, height)).
     """
     if not table:
-        raise ConfigMissing("fixed-ladder table is missing or empty")
+        raise SchemaError("fixed-ladder table is missing or empty")
     rungs = [bps for bps, _ in table]
     choices = [tuple(res) for _, res in table]
     return realize_ladder(choices, rungs, log, provenance="fixed")
@@ -272,8 +267,8 @@ def parse_ladder_csv(path, provenance: str = "unknown") -> Ladder:
         rung = LadderRung(*fields)
         try:
             validate_rungs([r.rung_bps for r in rungs[-1:]] + [rung.rung_bps])
-        except InvalidRungs as exc:
-            raise InvalidRungs(f"{path} line {line}: rung_bps: {exc}") from None
+        except SchemaError as exc:
+            raise SchemaError(f"{path} line {line}: rung_bps: {exc}") from None
         rungs.append(rung)
     if not rungs:
         raise SchemaError(f"{path}: ladder has no rungs")

@@ -13,12 +13,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .errors import (
-    MalformedHeader,
-    ShapeMismatch,
-    TruncatedFrame,
-    UnsupportedFormat,
-)
+from .errors import SchemaError
 
 _MAGIC = b"YUV4MPEG2"
 # Y4M colourspace tags we can decode, mapped to sample bit depth.
@@ -63,16 +58,16 @@ class LumaFrame:
 def parse_y4m_header(data: bytes) -> VideoHeader:
     """Parse the stream header line from a byte prefix.
 
-    Raises MalformedHeader for structural problems and UnsupportedFormat for
-    valid Y4M we refuse (interlaced, chroma other than 8/10-bit 4:2:0,
-    frames smaller than MIN_DIMENSION or with odd dimensions).
+    Raises SchemaError for structural problems and for valid Y4M we
+    refuse (interlaced, chroma other than 8/10-bit 4:2:0, frames smaller
+    than MIN_DIMENSION or with odd dimensions).
     """
     newline = data.find(b"\n", 0, _MAX_HEADER_BYTES)
     if newline < 0:
-        raise MalformedHeader("header line is not newline-terminated")
+        raise SchemaError("header line is not newline-terminated")
     line = data[:newline]
     if not line.startswith(_MAGIC) or (len(line) > len(_MAGIC) and line[len(_MAGIC):len(_MAGIC) + 1] != b" "):
-        raise MalformedHeader("missing YUV4MPEG2 magic")
+        raise SchemaError("missing YUV4MPEG2 magic")
 
     width = height = None
     rate = None
@@ -89,23 +84,23 @@ def parse_y4m_header(data: bytes) -> VideoHeader:
             rate = _parse_rate(value)
         elif key == b"I":
             if value != "p":
-                raise UnsupportedFormat(f"interlaced stream (I{value}) not supported")
+                raise SchemaError(f"interlaced stream (I{value}) not supported")
         elif key == b"C":
             if value not in _CHROMA_DEPTH:
-                raise UnsupportedFormat(f"colourspace C{value} not supported")
+                raise SchemaError(f"colourspace C{value} not supported")
             chroma = value
         # A (aspect) and X (extensions) are irrelevant here and ignored.
 
     if width is None or height is None:
-        raise MalformedHeader("header must carry W and H")
+        raise SchemaError("header must carry W and H")
     if rate is None:
-        raise MalformedHeader("header must carry a frame rate (F)")
+        raise SchemaError("header must carry a frame rate (F)")
     if width < MIN_DIMENSION or height < MIN_DIMENSION:
-        raise UnsupportedFormat(
+        raise SchemaError(
             f"{width}x{height} below the {MIN_DIMENSION}x{MIN_DIMENSION} minimum"
         )
     if width % 2 or height % 2:
-        raise UnsupportedFormat("4:2:0 chroma requires even dimensions")
+        raise SchemaError("4:2:0 chroma requires even dimensions")
     return VideoHeader(width, height, rate, _CHROMA_DEPTH[chroma], chroma)
 
 
@@ -113,22 +108,22 @@ def _parse_int(text: str, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise MalformedHeader(f"non-integer {what}: {text!r}") from None
+        raise SchemaError(f"non-integer {what}: {text!r}") from None
     if value <= 0:
-        raise MalformedHeader(f"non-positive {what}: {value}")
+        raise SchemaError(f"non-positive {what}: {value}")
     return value
 
 
 def _parse_rate(text: str) -> Fraction:
     num, sep, den = text.partition(":")
     if not sep:
-        raise MalformedHeader(f"frame rate must be num:den, got {text!r}")
+        raise SchemaError(f"frame rate must be num:den, got {text!r}")
     try:
         rate = Fraction(int(num), int(den))
     except (ValueError, ZeroDivisionError):
-        raise MalformedHeader(f"bad frame rate {text!r}") from None
+        raise SchemaError(f"bad frame rate {text!r}") from None
     if rate <= 0:
-        raise MalformedHeader(f"non-positive frame rate {text!r}")
+        raise SchemaError(f"non-positive frame rate {text!r}")
     return rate
 
 
@@ -136,7 +131,7 @@ def read_header(stream: BinaryIO) -> VideoHeader:
     """Consume and parse the header line, leaving the stream at frame 0."""
     line = _read_line(stream)
     if line is None:
-        raise MalformedHeader("empty stream")
+        raise SchemaError("empty stream")
     return parse_y4m_header(line + b"\n")
 
 
@@ -148,8 +143,8 @@ def _read_line(stream: BinaryIO) -> bytes | None:
     if line.endswith(b"\n"):
         return line[:-1]
     if len(line) > _MAX_HEADER_BYTES:
-        raise MalformedHeader("record line exceeds sane length")
-    raise MalformedHeader("stream ended inside a record line")
+        raise SchemaError("record line exceeds sane length")
+    raise SchemaError("stream ended inside a record line")
 
 
 def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> LumaFrame | None:
@@ -158,23 +153,23 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> Lum
     if marker is None:
         return None
     if marker != b"FRAME" and not marker.startswith(b"FRAME "):
-        raise MalformedHeader(f"expected FRAME record, got {marker[:24]!r}")
+        raise SchemaError(f"expected FRAME record, got {marker[:24]!r}")
 
     bps = header.bytes_per_sample
     luma_bytes = header.width * header.height * bps
     chroma_bytes = (header.width // 2) * (header.height // 2) * bps * 2
     buf = stream.read(luma_bytes)
     if len(buf) < luma_bytes:
-        raise TruncatedFrame(f"frame {index}: luma plane truncated")
+        raise SchemaError(f"frame {index}: luma plane truncated")
     skipped = stream.read(chroma_bytes)
     if len(skipped) < chroma_bytes:
-        raise TruncatedFrame(f"frame {index}: chroma planes truncated")
+        raise SchemaError(f"frame {index}: chroma planes truncated")
 
     dtype = np.uint8 if bps == 1 else np.dtype("<u2")
     peak = float((1 << header.bit_depth) - 1)
     raw = np.frombuffer(buf, dtype=dtype)
     if bps == 2 and raw.max() > peak:
-        raise UnsupportedFormat(
+        raise SchemaError(
             f"frame {index}: luma sample {raw.max()} exceeds {header.bit_depth}-bit range"
         )
     samples = raw.astype(np.float64).reshape(header.height, header.width) / peak
@@ -213,7 +208,7 @@ def _owned_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
 def frame_diff(current: LumaFrame, previous: LumaFrame) -> LumaFrame:
     """Signed luma difference current - previous."""
     if (current.width, current.height) != (previous.width, previous.height):
-        raise ShapeMismatch(
+        raise SchemaError(
             f"frame {current.index} is {current.width}x{current.height}, "
             f"frame {previous.index} is {previous.width}x{previous.height}"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput, RangeError
+from .errors import SchemaError
 from .ioutil import (
     csv_text,
 )
@@ -49,13 +49,13 @@ def freedman_diaconis_bins(values) -> list[Bin]:
     """
     values = sorted(float(v) for v in values)
     if not values:
-        raise EmptyInput("no values to bin")
+        raise SchemaError("no values to bin")
     n = len(values)
     lo, hi = values[0], values[-1]
     if lo == hi:
         return [Bin(lo - 0.5, lo + 0.5, n)]
     if not math.isfinite(hi - lo):
-        raise RangeError(f"values from {lo!r} to {hi!r} span more than a float holds")
+        raise SchemaError(f"values from {lo!r} to {hi!r} span more than a float holds")
 
     def percentile(q: float) -> float:
         pos = q * (n - 1)
@@ -184,7 +184,7 @@ def hull_svg_text(curves, title: str) -> str:
     """Overlaid rate-quality polylines, log2 rate axis, one color per curve."""
     curves = [(label, list(points)) for label, points in curves]
     if not curves or all(not pts for _, pts in curves):
-        raise EmptyInput("no curves to plot")
+        raise SchemaError("no curves to plot")
     log_rates = [math.log2(b) for _, pts in curves for b, _ in pts]
     quals = [q for _, pts in curves for _, q in pts]
     sx = _Scale(min(log_rates), max(log_rates), _MARGIN_L, _CANVAS_W - _MARGIN_R)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FrameTooSmall
+from .errors import SchemaError
 
 NUM_SCALES = 4
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -21,7 +21,7 @@ def _as_plane(frame) -> np.ndarray:
     samples = getattr(frame, "samples", frame)
     plane = np.asarray(samples, dtype=np.float64)
     if plane.ndim != 2:
-        raise FrameTooSmall(f"expected a 2-D plane, got shape {plane.shape}")
+        raise SchemaError(f"expected a 2-D plane, got shape {plane.shape}")
     return plane
 
 
@@ -57,7 +57,7 @@ def build_scale_stack(frame) -> tuple[np.ndarray, ...]:
     plane = _as_plane(frame)
     h, w = plane.shape
     if h < 16 or w < 16:
-        raise FrameTooSmall(f"{w}x{h} plane; need at least 16x16")
+        raise SchemaError(f"{w}x{h} plane; need at least 16x16")
     levels = [plane]
     for _ in range(NUM_SCALES - 1):
         blurred = _blur_axis(_blur_axis(levels[-1], 0), 1)
@@ -74,7 +74,7 @@ def subband_decompose(level) -> tuple[np.ndarray, np.ndarray]:
     plane = _as_plane(level)
     h, w = plane.shape
     if h < 2 or w < 2:
-        raise FrameTooSmall(f"{w}x{h} level cannot host 2x2 filters")
+        raise SchemaError(f"{w}x{h} level cannot host 2x2 filters")
     # band 1: difference along x, average along y
     band1 = (plane[:-1, 1:] - plane[:-1, :-1] + plane[1:, 1:] - plane[1:, :-1]) / 4.0
     # band 2: difference along y, average along x

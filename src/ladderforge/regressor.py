@@ -28,13 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorruptModel,
-    EmptyTrainingSet,
-    InconsistentLayout,
-    LayoutMismatch,
-    VersionMismatch,
-)
+from .errors import SchemaError
 from .feature_assembly import APPROACH_FEATURE_LENGTHS, column_names
 from .ioutil import atomic_write_text
 
@@ -68,12 +62,12 @@ def train(rows, *, n_trees: int = 100, min_samples_leaf: int = 1,
     """Fit an ensemble on (FeatureVector, target) rows; k_features None is ceil(d / 3)."""
     rows = list(rows)
     if not rows:
-        raise EmptyTrainingSet("no training rows")
+        raise SchemaError("no training rows")
     approach = rows[0][0].approach
     width = len(rows[0][0].values)
     for vec, _ in rows:
         if vec.approach != approach or len(vec.values) != width:
-            raise InconsistentLayout(
+            raise SchemaError(
                 f"mixed layouts: approach {vec.approach}/{approach}, "
                 f"width {len(vec.values)}/{width}"
             )
@@ -227,7 +221,7 @@ def predict_batch(model: ExtraTreesModel, X) -> np.ndarray:
     """Ensemble predictions for an (n, d) array in the model's layout."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(model.columns):
-        raise LayoutMismatch(
+        raise SchemaError(
             f"expected (n, {len(model.columns)}) query, got shape {X.shape}"
         )
     per_tree = np.stack([_tree_predict(tree, X) for tree in model.trees])
@@ -288,14 +282,14 @@ def load_model(path) -> ExtraTreesModel:
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CorruptModel(f"{path}: not UTF-8 ({exc.reason})") from None
+        raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from None
     head, sep, body = text.partition("\n---\n")
     del text  # the body is the bulk of a model file; keep one copy of it
     if not sep:
-        raise CorruptModel(f"{path}: missing header/body separator")
+        raise SchemaError(f"{path}: missing header/body separator")
     header_lines = head.split("\n")
     if header_lines[0] != _FORMAT_LINE:
-        raise VersionMismatch(
+        raise SchemaError(
             f"{path}: expected {_FORMAT_LINE!r}, found {header_lines[0]!r}"
         )
     fields = _parse_header(header_lines[1:])
@@ -308,21 +302,21 @@ def load_model(path) -> ExtraTreesModel:
         seed = int(fields["seed"])
         checksum = fields["checksum"]
     except (KeyError, ValueError) as exc:
-        raise CorruptModel(f"{path}: bad header ({exc})") from None
+        raise SchemaError(f"{path}: bad header ({exc})") from None
     if hashlib.sha256(body.encode()).hexdigest() != checksum:
-        raise CorruptModel(f"{path}: body checksum mismatch")
+        raise SchemaError(f"{path}: body checksum mismatch")
     if approach not in APPROACH_FEATURE_LENGTHS or len(columns) != APPROACH_FEATURE_LENGTHS[approach]:
-        raise CorruptModel(f"{path}: layout does not match approach {approach}")
+        raise SchemaError(f"{path}: layout does not match approach {approach}")
 
     trees = _parse_trees(body, path)
     if len(trees) != n_trees:
-        raise CorruptModel(f"{path}: expected {n_trees} trees, found {len(trees)}")
+        raise SchemaError(f"{path}: expected {n_trees} trees, found {len(trees)}")
     for t, tree in enumerate(trees):
         used = tree.feature[tree.left >= 0]
         if used.size and not (0 <= used.min() and used.max() < len(columns)):
-            raise CorruptModel(f"{path}: tree {t}: split feature outside [0, {len(columns)})")
+            raise SchemaError(f"{path}: tree {t}: split feature outside [0, {len(columns)})")
         if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
-            raise CorruptModel(f"{path}: tree {t}: threshold or leaf value not finite")
+            raise SchemaError(f"{path}: tree {t}: threshold or leaf value not finite")
     return ExtraTreesModel(
         approach, columns, n_trees, min_samples_leaf, k_features, seed, tuple(trees)
     )
@@ -356,11 +350,11 @@ def _parse_trees(body: str, path) -> list[Tree]:
         if not feature:
             return
         if pending:
-            raise CorruptModel(f"{path}: tree truncated mid-branch")
+            raise SchemaError(f"{path}: tree truncated mid-branch")
         try:
             features = np.asarray(feature, dtype=np.int32)
         except OverflowError:
-            raise CorruptModel(f"{path}: split feature out of range") from None
+            raise SchemaError(f"{path}: split feature out of range") from None
         trees.append(
             Tree(
                 features,
@@ -389,7 +383,7 @@ def _parse_trees(body: str, path) -> list[Tree]:
                 right[parent] = node
                 pending.pop()
         elif node != 0:
-            raise CorruptModel(f"{path}: dangling node outside any branch")
+            raise SchemaError(f"{path}: dangling node outside any branch")
         try:
             if parts[0] == "l" and len(parts) == 2:
                 feature.append(-1); threshold.append(0.0)
@@ -402,7 +396,7 @@ def _parse_trees(body: str, path) -> list[Tree]:
             else:
                 raise ValueError(f"bad node line {line!r}")
         except ValueError as exc:
-            raise CorruptModel(f"{path}: {exc}") from None
+            raise SchemaError(f"{path}: {exc}") from None
     flush()
     return trees
 

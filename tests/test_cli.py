@@ -162,6 +162,20 @@ def test_extract_missing_input_no_partial_output(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_extract_rejects_repeated_video_ids_before_reading(tmp_path, capsys, monkeypatch):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first = make_clip(tmp_path / "a", "x", seed=1)
+    second = make_clip(tmp_path / "b", "x", seed=2)
+    opened = []
+    monkeypatch.setattr(cli, "open_y4m", lambda path: opened.append(path))
+    out = tmp_path / "features.csv"
+    assert main(["extract", str(first), str(second), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {first} and {second} share the video id 'x'\n"
+    assert opened == []
+    assert list(tmp_path.glob("features.csv*")) == []
+
+
 def test_extract_sigma_flag_changes_features(tmp_path, pipeline):
     clip = str(pipeline["clips"][0])
     out_a = tmp_path / "s2.csv"
@@ -798,3 +812,26 @@ def test_sweep_requires_template(tmp_path, pipeline, capsys):
     ])
     assert code == EXIT_DATA
     assert "template" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flag,default_suffix", [
+    ("train", "--metrics", ".metrics.json"),
+    ("ladder", "--summary", ".summary.txt"),
+    ("compare", "--aggregate-out", ".aggregate.json"),
+    ("encode-sweep", "--work-dir", ".work"),
+])
+def test_output_path_flag_replaces_the_default_path(tmp_path, pipeline, ladders, command, flag,
+                                                    default_suffix):
+    out, given = tmp_path / "out.csv", tmp_path / "given"
+    pred = str(ladders[1]["v3"]["pred"])
+    argv = {
+        "train": lambda: ["train", "--features", str(pipeline["features"]),
+                          "--encode-log", str(pipeline["log"]), "--split", str(pipeline["split"]),
+                          "--approach", "1", "--n-trees", "2", "--out", str(out)],
+        "ladder": lambda: ladder_args(pipeline, out),
+        "compare": lambda: ["compare", "--test", pred, "--anchor", pred, "--out", str(out)],
+        "encode-sweep": lambda: sweep_args(pipeline, tmp_path, out, write_fake_encoder(tmp_path)[0]),
+    }[command]()
+    assert main([*argv, flag, str(given)]) == EXIT_OK
+    assert given.exists()
+    assert not Path(str(out) + default_suffix).exists()

@@ -6,12 +6,7 @@ import pytest
 
 from ladderforge import config as cfg
 from ladderforge.cli import EXIT_DATA, main
-from ladderforge.errors import (
-    ConfigMissing,
-    InvalidNoiseVariance,
-    SchemaError,
-    UnknownApproach,
-)
+from ladderforge.errors import SchemaError
 
 
 def test_defaults():
@@ -60,7 +55,7 @@ def test_explicit_path_beats_env(tmp_path):
 
 
 def test_missing_config_file(tmp_path):
-    with pytest.raises(ConfigMissing):
+    with pytest.raises(SchemaError, match="config file not found"):
         cfg.load_config(tmp_path / "absent.json")
 
 
@@ -82,9 +77,9 @@ def test_overrides_validate():
     base = cfg.RunConfig()
     c = cfg.apply_overrides(base, approach=3, seed=None)
     assert c.approach == 3 and c.seed == base.seed
-    with pytest.raises(UnknownApproach):
+    with pytest.raises(SchemaError, match="approach must be 1..9"):
         cfg.apply_overrides(base, approach=10)
-    with pytest.raises(InvalidNoiseVariance):
+    with pytest.raises(SchemaError, match="sigma_n2 must be finite and > 0"):
         cfg.apply_overrides(base, sigma_n2=0.0)
     with pytest.raises(SchemaError):
         cfg.apply_overrides(base, crf_min=40, crf_max=20)
@@ -126,7 +121,7 @@ def test_fixed_ladder_must_ascend(tmp_path):
             }
         )
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="strictly increasing"):
         cfg.load_config(path)
 
 
@@ -194,3 +189,19 @@ def test_fixed_ladder_errors_name_the_config_path(tmp_path, capsys, entry):
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert err.startswith(f"error: {path}: malformed fixed_ladder entry") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"crf_min": 40, "crf_max": 20}, "crf range must satisfy 18 <= min <= max <= 50, got [40, 20]"),
+    ({"approach": 12}, "approach must be 1..9, got 12"),
+    ({"encoder_template": "x {input}"}, "encoder template missing {width} placeholder"),
+    ({"fixed_ladder": [{"bitrate_bps": 1e6, "width": 0, "height": 361}]},
+     "resolutions need positive even dims, got 0x361"),
+], ids=["crf_range", "approach", "encoder_template", "fixed_ladder_dims"])
+def test_config_rule_errors_name_the_config_path(tmp_path, capsys, payload, message):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(payload))
+    code = main(["plot", "--ladders", "missing.csv", "--config", str(path),
+                 "--out", str(tmp_path / "hulls.svg")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

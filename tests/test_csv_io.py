@@ -6,6 +6,7 @@ bytes that are not UTF-8, a field over the csv module's 128 KiB limit,
 and nan or inf in a float column included.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,7 @@ from hypothesis import strategies as st
 
 from ladderforge import bd_metrics, cli, dataset, ladder
 from ladderforge.cli import EXIT_DATA, main
-from ladderforge.errors import (
-    InvalidRungs,
-    LadderforgeError,
-    NonpositiveBitrate,
-    RangeError,
-    SchemaError,
-)
+from ladderforge.errors import LadderforgeError, SchemaError
 from ladderforge.gsm_vif import TENSOR_VALUE_COUNT, feature_column_names
 from ladderforge.ioutil import csv_text, finite_float, read_csv
 
@@ -176,7 +171,7 @@ def test_non_finite_float_rejected_in_every_float_column(tmp_path, name, token):
     for column in float_columns:
         path.write_bytes(csv_bytes(columns, rows, [(1, column, token)]))
         expected = f"line 3: {columns[column]}: '{token}' is not a finite number"
-        with pytest.raises(RangeError, match=expected):
+        with pytest.raises(SchemaError, match=expected):
             parse(path)
 
 
@@ -197,24 +192,26 @@ def test_zero_rows_is_allowed(tmp_path, name):
     assert parse(path) == []
 
 
-@pytest.mark.parametrize("column,token,error", [
-    (5, "150", RangeError),
-    (4, "0", NonpositiveBitrate),
-    (0, "-5", InvalidRungs),
-    (0, "0", InvalidRungs),
-    (0, "500000.0", InvalidRungs),  # equal to the rung above: not increasing
-    (0, "400000.0", InvalidRungs),
-    (1, "0", RangeError),
-    (1, "-640", RangeError),
-    (2, "0", RangeError),
-    (3, "17", RangeError),
-    (3, "51", RangeError),
+# a case's id ends with the rule it breaks: a rung rule, a range or a positive bitrate
+@pytest.mark.parametrize("column,token,message", [
+    pytest.param(5, "150", "150.0 outside [0, 100]", id="5-150-RangeError"),
+    pytest.param(4, "0", "0.0 must be > 0", id="4-0-NonpositiveBitrate"),
+    pytest.param(0, "-5", "must be finite and > 0, got -5.0", id="0--5-InvalidRungs"),
+    pytest.param(0, "0", "must be finite and > 0, got 0.0", id="0-0-InvalidRungs"),
+    # equal to the rung above: not increasing
+    pytest.param(0, "500000.0", "strictly increasing", id="0-500000.0-InvalidRungs"),
+    pytest.param(0, "400000.0", "strictly increasing", id="0-400000.0-InvalidRungs"),
+    pytest.param(1, "0", "0 must be > 0", id="1-0-RangeError"),
+    pytest.param(1, "-640", "-640 must be > 0", id="1--640-RangeError"),
+    pytest.param(2, "0", "0 must be > 0", id="2-0-RangeError"),
+    pytest.param(3, "17", "17 outside [18, 50]", id="3-17-RangeError"),
+    pytest.param(3, "51", "51 outside [18, 50]", id="3-51-RangeError"),
 ])
-def test_ladder_point_errors_name_path_line_and_column(tmp_path, capsys, column, token, error):
+def test_ladder_point_errors_name_path_line_and_column(tmp_path, capsys, column, token, message):
     path = tmp_path / "ladder.csv"
     path.write_bytes(csv_bytes(ladder.LADDER_COLUMNS, LADDER_ROWS, [(1, column, token)]))
     where = f"{path} line 3: {ladder.LADDER_COLUMNS[column]}: "
-    with pytest.raises(error, match=where):
+    with pytest.raises(SchemaError, match=where + ".*" + re.escape(message)):
         ladder.parse_ladder_csv(path)
     out = str(tmp_path / "report.csv")
     assert main(["compare", "--test", str(path), "--anchor", str(path), "--out", out]) == EXIT_DATA
@@ -231,7 +228,7 @@ def test_feature_id_errors_name_path_line_and_column(workspace, tmp_path, capsys
     edit = (1, FEATURE_COLUMNS.index(column), token)
     path.write_bytes(csv_bytes(FEATURE_COLUMNS, [feature_row("a"), feature_row("b")], [edit]))
     where = f"{path} line 3: {column}: "
-    with pytest.raises(RangeError, match=where):
+    with pytest.raises(SchemaError, match=where + ".* must be "):
         cli.parse_features_csv(path)
     code = main(_argv(workspace, "features", path))
     err = capsys.readouterr().err

@@ -8,13 +8,7 @@ from hypothesis import strategies as st
 
 from ladderforge import media_io
 from ladderforge.cli import EXIT_DATA, EXIT_OK, main
-from ladderforge.errors import (
-    LadderforgeError,
-    MalformedHeader,
-    ShapeMismatch,
-    TruncatedFrame,
-    UnsupportedFormat,
-)
+from ladderforge.errors import LadderforgeError, SchemaError
 
 from helpers import random_plane, y4m_bytes
 
@@ -37,28 +31,34 @@ def test_parse_header_default_chroma_is_8bit_420():
     assert hdr.bit_depth == 8
 
 
-@pytest.mark.parametrize("line", [
-    b"YUV4MPEG2 H2160 F60:1\n",          # missing width
-    b"YUV4MPEG2 W3840 F60:1\n",          # missing height
-    b"YUV4MPEG2 W3840 H2160\n",          # missing frame rate
-    b"MPEG W16 H16 F24:1\n",             # wrong magic
-    b"YUV4MPEG2 W16 H16 F24:1 C420",     # unterminated header line
-])
+MALFORMED_HEADERS = {
+    b"YUV4MPEG2 H2160 F60:1\n": "must carry W and H",           # missing width
+    b"YUV4MPEG2 W3840 F60:1\n": "must carry W and H",           # missing height
+    b"YUV4MPEG2 W3840 H2160\n": "must carry a frame rate",      # missing frame rate
+    b"MPEG W16 H16 F24:1\n": "missing YUV4MPEG2 magic",         # wrong magic
+    b"YUV4MPEG2 W16 H16 F24:1 C420": "not newline-terminated",  # unterminated header line
+}
+
+
+@pytest.mark.parametrize("line", list(MALFORMED_HEADERS))
 def test_malformed_headers(line):
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(SchemaError, match=MALFORMED_HEADERS[line]):
         media_io.parse_y4m_header(line)
 
 
-@pytest.mark.parametrize("line", [
-    b"YUV4MPEG2 W16 H16 F24:1 C420p12\n",   # 12-bit
-    b"YUV4MPEG2 W16 H16 F24:1 C444\n",      # 4:4:4
-    b"YUV4MPEG2 W16 H16 F24:1 C422\n",      # 4:2:2
-    b"YUV4MPEG2 W16 H16 F24:1 It C420\n",   # interlaced
-    b"YUV4MPEG2 W8 H16 F24:1 C420\n",       # below minimum width
-    b"YUV4MPEG2 W17 H16 F24:1 C420\n",      # odd width with 4:2:0 chroma
-])
+UNSUPPORTED_FORMATS = {
+    b"YUV4MPEG2 W16 H16 F24:1 C420p12\n": "colourspace C420p12",  # 12-bit
+    b"YUV4MPEG2 W16 H16 F24:1 C444\n": "colourspace C444",        # 4:4:4
+    b"YUV4MPEG2 W16 H16 F24:1 C422\n": "colourspace C422",        # 4:2:2
+    b"YUV4MPEG2 W16 H16 F24:1 It C420\n": "interlaced",           # interlaced
+    b"YUV4MPEG2 W8 H16 F24:1 C420\n": "below the 16x16 minimum",  # below minimum width
+    b"YUV4MPEG2 W17 H16 F24:1 C420\n": "requires even",           # odd width with 4:2:0 chroma
+}
+
+
+@pytest.mark.parametrize("line", list(UNSUPPORTED_FORMATS))
 def test_unsupported_formats(line):
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(SchemaError, match=UNSUPPORTED_FORMATS[line]):
         media_io.parse_y4m_header(line)
 
 
@@ -88,7 +88,7 @@ def test_10bit_full_scale_normalizes_to_one():
 def test_10bit_sample_above_1023_rejected():
     plane = np.full((16, 16), 512)
     plane[3, 5] = 1024
-    with pytest.raises(UnsupportedFormat, match="1024"):
+    with pytest.raises(SchemaError, match="luma sample 1024 exceeds 10-bit range"):
         _frames_from_bytes(y4m_bytes([plane], bit_depth=10))
 
 
@@ -105,7 +105,7 @@ def test_truncated_mid_plane():
     data = y4m_bytes([plane])
     stream = io.BytesIO(data[:-40])  # cut inside the chroma tail
     hdr = media_io.read_header(stream)
-    with pytest.raises(TruncatedFrame):
+    with pytest.raises(SchemaError, match="chroma planes truncated"):
         list(media_io.iter_luma_frames(stream, hdr))
 
 
@@ -124,14 +124,14 @@ def test_record_line_at_length_limit_is_read():
 def test_record_line_over_length_limit():
     stream = _with_frame_line(b"FRAME " + b"X" * (4097 - 6) + b"\n")
     hdr = media_io.read_header(stream)
-    with pytest.raises(MalformedHeader, match="exceeds"):
+    with pytest.raises(SchemaError, match="record line exceeds"):
         list(media_io.iter_luma_frames(stream, hdr))
 
 
 def test_stream_ends_inside_record_line():
     stream = io.BytesIO(y4m_bytes([np.full((16, 16), 7)]) + b"FRA")
     hdr = media_io.read_header(stream)
-    with pytest.raises(MalformedHeader, match="ended inside"):
+    with pytest.raises(SchemaError, match="ended inside a record line"):
         list(media_io.iter_luma_frames(stream, hdr))
 
 
@@ -169,7 +169,7 @@ def test_frame_diff_constant_planes():
 def test_frame_diff_shape_mismatch():
     a = media_io.LumaFrame(16, 16, np.zeros((16, 16)), 0)
     b = media_io.LumaFrame(16, 32, np.zeros((16, 32)), 1)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(SchemaError, match="frame 0 is 16x16, frame 1 is 16x32"):
         media_io.frame_diff(a, b)
 
 

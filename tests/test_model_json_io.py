@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ladderforge import config, dataset, regressor
 from ladderforge.cli import EXIT_DATA, EXIT_OK, main
-from ladderforge.errors import CorruptModel, LadderforgeError, SchemaError
+from ladderforge.errors import LadderforgeError, SchemaError
 from test_csv_io import FEATURE_COLUMNS, LADDER_ROWS, csv_bytes, feature_row, log_rows
 
 # An approach-1 model as the depth-first grower of earlier versions wrote
@@ -152,7 +152,7 @@ def test_unedited_model_bytes_are_the_old_model():
 def test_model_probe_is_corrupt_and_exits_2(workspace, tmp_path, capsys, probe):
     path = tmp_path / "bad.model"
     path.write_bytes(model_bytes(**MODEL_PROBES[probe]))
-    with pytest.raises(CorruptModel, match=str(path)):
+    with pytest.raises(SchemaError, match=str(path)):
         regressor.load_model(path)
     assert main(ladder_argv(workspace, path)) == EXIT_DATA
     err = capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ladderforge import plots
-from ladderforge.errors import EmptyInput
+from ladderforge.errors import SchemaError
 
 
 def fd_bin_count_oracle(values):
@@ -52,9 +52,9 @@ def test_zero_iqr_fallback():
 
 
 def test_empty_values_rejected():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(SchemaError, match="no values"):
         plots.freedman_diaconis_bins([])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(SchemaError, match="no curves"):
         plots.hull_svg_text([], "t")
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ladderforge import pyramid
-from ladderforge.errors import FrameTooSmall
+from ladderforge.errors import SchemaError
 
 from helpers import conv2d_replicate
 
@@ -77,7 +77,7 @@ def test_first_level_is_the_input():
 
 
 def test_too_small_plane_rejected():
-    with pytest.raises(FrameTooSmall):
+    with pytest.raises(SchemaError, match="64x8 plane; need at least 16x16"):
         pyramid.build_scale_stack(np.zeros((8, 64)))
 
 
@@ -125,7 +125,7 @@ def test_white_noise_subband_variance():
 
 
 def test_subband_needs_two_samples_per_axis():
-    with pytest.raises(FrameTooSmall):
+    with pytest.raises(SchemaError, match="9x1 level cannot host 2x2 filters"):
         pyramid.subband_decompose(np.zeros((1, 9)))
 
 

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from ladderforge import regressor
-from ladderforge.errors import (
-    CorruptModel,
-    EmptyTrainingSet,
-    InconsistentLayout,
-    LayoutMismatch,
-    VersionMismatch,
-)
+from ladderforge.errors import SchemaError
 from ladderforge.feature_assembly import FeatureVector
 
 
@@ -215,7 +209,7 @@ def test_version_mismatch(tmp_path):
     regressor.save_model(model, path)
     text = path.read_text().replace("extra-trees v1", "extra-trees v9", 1)
     path.write_text(text)
-    with pytest.raises(VersionMismatch):
+    with pytest.raises(SchemaError, match="found 'ladderforge-extra-trees v9'"):
         regressor.load_model(path)
 
 
@@ -226,7 +220,7 @@ def test_corrupt_model_checksum(tmp_path):
     data = path.read_bytes()
     tampered = data.replace(b"l ", b"l 9", 1)
     path.write_bytes(tampered)
-    with pytest.raises(CorruptModel):
+    with pytest.raises(SchemaError, match="body checksum mismatch"):
         regressor.load_model(path)
 
 
@@ -235,12 +229,12 @@ def test_truncated_model(tmp_path):
     path = tmp_path / "m.model"
     regressor.save_model(model, path)
     path.write_bytes(path.read_bytes()[:-60])
-    with pytest.raises(CorruptModel):
+    with pytest.raises(SchemaError, match="body checksum mismatch"):
         regressor.load_model(path)
 
 
 def test_empty_training_set():
-    with pytest.raises(EmptyTrainingSet):
+    with pytest.raises(SchemaError, match="no training rows"):
         regressor.train([], seed=0)
 
 
@@ -248,13 +242,13 @@ def test_inconsistent_layout():
     rows = make_rows(10, seed=18)
     rng = np.random.default_rng(0)
     other = (FeatureVector(4, rng.random(8)), 0.5)
-    with pytest.raises(InconsistentLayout):
+    with pytest.raises(SchemaError, match="mixed layouts"):
         regressor.train(rows + [other], seed=0)
 
 
 def test_layout_mismatch_on_predict():
     model = regressor.train(make_rows(30), n_trees=2, seed=0)
-    with pytest.raises(LayoutMismatch):
+    with pytest.raises(SchemaError, match=r"expected \(n, 7\) query, got shape \(1, 8\)"):
         predict(model, FeatureVector(4, np.zeros(8)))
 
 
