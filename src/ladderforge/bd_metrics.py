@@ -10,7 +10,7 @@ so results are exact for the interpolant rather than grid-approximated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,18 +23,6 @@ from .ioutil import (
 
 # overlap shorter than this fraction of either curve's span is flagged
 _NARROW_OVERLAP = 0.10
-
-REPORT_COLUMNS = (
-    "video_id",
-    "pair",
-    "bd_rate_percent",
-    "bd_vmaf",
-    "quality_lo",
-    "quality_hi",
-    "log2_rate_lo",
-    "log2_rate_hi",
-    "warnings",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +183,26 @@ class RqCurve:
 
 
 @dataclass(frozen=True)
-class BdResult:
-    bd_rate_percent: float
-    bd_quality: float
-    quality_overlap: tuple[float, float]
-    rate_overlap: tuple[float, float]
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+class ReportRow:
+    """One line of a report CSV: both deltas and the intervals they cover.
+
+    The result fields are all None in a warning row, whose warnings say
+    why the curves could not be compared; otherwise warnings joins any
+    narrow-overlap notes with "; ".
+    """
+
+    video_id: str
+    pair: str
+    bd_rate_percent: float | None = None
+    bd_vmaf: float | None = None
+    quality_lo: float | None = None
+    quality_hi: float | None = None
+    log2_rate_lo: float | None = None
+    log2_rate_hi: float | None = None
+    warnings: str = ""
+
+
+REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _overlap(a: tuple[float, float], b: tuple[float, float], axis: str) -> tuple[float, float]:
@@ -248,43 +250,20 @@ def _narrow_overlap_warnings(test, anchor, overlap, axis) -> list[str]:
     return warnings
 
 
-def compare_curves(test: RqCurve, anchor: RqCurve) -> BdResult:
-    """Both deltas plus the intervals they were computed over."""
+def compare_curves(test: RqCurve, anchor: RqCurve, video_id: str = "", pair: str = "") -> ReportRow:
+    """The report row of both deltas plus the intervals they were computed over."""
     q_overlap = _overlap(test.quality_span(), anchor.quality_span(), "quality")
     r_overlap = _overlap(test.rate_span(), anchor.rate_span(), "rate")
     warnings = _narrow_overlap_warnings(
         test.quality_span(), anchor.quality_span(), q_overlap, "quality"
     ) + _narrow_overlap_warnings(test.rate_span(), anchor.rate_span(), r_overlap, "rate")
-    return BdResult(
-        bd_rate_percent=bd_rate(test, anchor),
-        bd_quality=bd_quality(test, anchor),
-        quality_overlap=q_overlap,
-        rate_overlap=r_overlap,
-        warnings=tuple(warnings),
-    )
+    return ReportRow(video_id, pair, bd_rate(test, anchor), bd_quality(test, anchor),
+                     *q_overlap, *r_overlap, "; ".join(warnings))
 
 
 # ---------------------------------------------------------------------------
 # corpus aggregation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AggregateStats:
-    bd_rate_mean: float
-    bd_rate_std: float
-    bd_quality_mean: float
-    bd_quality_std: float
-
-    def formatted(self) -> dict[str, str]:
-        return {
-            "bd_rate": format_mean_std(self.bd_rate_mean, self.bd_rate_std),
-            "bd_quality": format_mean_std(self.bd_quality_mean, self.bd_quality_std),
-        }
-
-
-def format_mean_std(mean: float, std: float) -> str:
-    return f"{mean:g}/{std:g}"
-
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
     mean = sum(values) / len(values)
@@ -292,50 +271,35 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
-def aggregate(results) -> AggregateStats:
-    """Arithmetic mean and population standard deviation per metric."""
-    results = list(results)
-    if not results:
+def aggregate(rows) -> dict:
+    """Arithmetic mean and population standard deviation per metric.
+
+    The result is the statistics part of the aggregate JSON: the four
+    numbers, then each metric as "{mean:g}/{std:g}" under table_format.
+    """
+    rows = list(rows)
+    if not rows:
         raise SchemaError("no BD results to aggregate")
-    rate_mean, rate_std = _mean_std([r.bd_rate_percent for r in results])
-    qual_mean, qual_std = _mean_std([r.bd_quality for r in results])
-    return AggregateStats(rate_mean, rate_std, qual_mean, qual_std)
+    rate_mean, rate_std = _mean_std([r.bd_rate_percent for r in rows])
+    vmaf_mean, vmaf_std = _mean_std([r.bd_vmaf for r in rows])
+    return {
+        "bd_rate_mean": rate_mean,
+        "bd_rate_std": rate_std,
+        "bd_quality_mean": vmaf_mean,
+        "bd_quality_std": vmaf_std,
+        "table_format": {
+            "bd_rate": f"{rate_mean:g}/{rate_std:g}",
+            "bd_quality": f"{vmaf_mean:g}/{vmaf_std:g}",
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
 # report CSV
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReportRow:
-    video_id: str
-    pair: str
-    result: BdResult | None = None
-    note: str = ""  # set when comparison failed (for example no overlap)
-
-
-def _report_fields(row: ReportRow) -> list:
-    if row.result is None:
-        return [row.video_id, row.pair, "", "", "", "", "", "", row.note]
-    r = row.result
-    warnings = list(r.warnings)
-    if row.note:
-        warnings.append(row.note)
-    return [
-        row.video_id,
-        row.pair,
-        repr(float(r.bd_rate_percent)),
-        repr(float(r.bd_quality)),
-        repr(float(r.quality_overlap[0])),
-        repr(float(r.quality_overlap[1])),
-        repr(float(r.rate_overlap[0])),
-        repr(float(r.rate_overlap[1])),
-        "; ".join(warnings),
-    ]
-
-
 def report_csv_text(rows) -> str:
-    return csv_text(REPORT_COLUMNS, map(_report_fields, rows))
+    return csv_text(REPORT_COLUMNS, rows)
 
 
 def _optional_float(text: str) -> float | None:
@@ -347,15 +311,9 @@ _CONVERTERS = (str, str) + (_optional_float,) * 6 + (str,)
 
 
 def parse_report_csv(path) -> list[ReportRow]:
-    parsed = []
-    for line, (video_id, pair, *numbers, warnings) in read_csv(path, REPORT_COLUMNS, _CONVERTERS):
-        if numbers[0] is None:
-            parsed.append(ReportRow(video_id, pair, None, warnings))
-            continue
-        if None in numbers:
+    rows = []
+    for line, values in read_csv(path, REPORT_COLUMNS, _CONVERTERS):
+        if len({v is None for v in values[2:8]}) > 1:
             raise SchemaError(f"{path} line {line}: result columns must be all empty or all set")
-        rate, quality, q_lo, q_hi, r_lo, r_hi = numbers
-        result = BdResult(rate, quality, (q_lo, q_hi), (r_lo, r_hi),
-                          tuple(w for w in warnings.split("; ") if w))
-        parsed.append(ReportRow(video_id, pair, result))
-    return parsed
+        rows.append(ReportRow(*values))
+    return rows

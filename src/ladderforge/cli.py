@@ -33,7 +33,6 @@ from .dataset import (
     EncodeRecord,
     build_training_matrix,
     checked,
-    encode_log_row,
     encode_log_text,
     load_split,
     make_split,
@@ -44,7 +43,6 @@ from .errors import DegenerateCurve, ExternalToolFailure, LadderforgeError, Sche
 from .gsm_vif import TENSOR_VALUE_COUNT, VifFeatureTensor, feature_column_names, video_features
 from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv
 from .ladder import (
-    Ladder,
     fixed_ladder,
     ladder_csv_text,
     ladder_summary_text,
@@ -82,8 +80,7 @@ class _Parser(argparse.ArgumentParser):
 def features_csv_text(rows) -> str:
     """Rows of (video_id, header, tensor): data columns first, ids last."""
     return csv_text(feature_column_names() + list(FEATURE_ID_COLUMNS), (
-        [repr(float(v)) for v in tensor.values]
-        + [video_id, header.width, header.height, header.bit_depth, tensor.frame_count]
+        [*tensor.values, video_id, header.width, header.height, header.bit_depth, tensor.frame_count]
         for video_id, header, tensor in rows
     ))
 
@@ -157,8 +154,11 @@ def cmd_extract(args, cfg: RunConfig) -> int:
     rows = []
     warnings = []
     for path in by_id.values():
-        header, frames = open_y4m(path)
-        tensor = video_features(frames, cfg.sigma_n2)
+        try:
+            header, frames = open_y4m(path)
+            tensor = video_features(frames, cfg.sigma_n2)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
         if not tensor.has_motion:
             note = f"{path.name}: single frame, difference features written as zeros"
             warnings.append(note)
@@ -182,16 +182,22 @@ def cmd_train(args, cfg: RunConfig) -> int:
     if args.split:
         split = load_split(args.split)
     else:
-        split = make_split(sorted({r.video_id for r in records}), cfg.seed)
+        try:
+            split = make_split(sorted({r.video_id for r in records}), cfg.seed)
+        except SchemaError as exc:
+            raise SchemaError(f"{args.encode_log}: {exc}") from None
         save_split(split, Path(str(out) + ".split.json"))
     known = set(split.train) | set(split.validation) | set(split.test)
     for record in records:
         if record.video_id not in known:
-            raise SchemaError(f"video {record.video_id!r} is not in any split part")
-    train_ids = set(split.train)
-    train_rows = build_training_matrix(
-        [r for r in records if r.video_id in train_ids], tensors, cfg.approach
-    )
+            raise SchemaError(f"{args.split}: video {record.video_id!r} is not in any split part")
+    try:
+        train_rows, val_rows = [
+            build_training_matrix([r for r in records if r.video_id in ids], tensors, cfg.approach)
+            for ids in (set(split.train), set(split.validation))
+        ]
+    except SchemaError as exc:
+        raise SchemaError(f"{args.features}: {exc}") from None
     model = train(train_rows, n_trees=cfg.n_trees, min_samples_leaf=cfg.min_samples_leaf,
                   k_features=cfg.k_features, seed=cfg.seed)
     save_model(model, out)
@@ -203,10 +209,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         "r2": None,
         "spearman": None,
     }
-    validation_ids = set(split.validation)
-    val_records = [r for r in records if r.video_id in validation_ids]
-    if val_records:
-        val_rows = build_training_matrix(val_records, tensors, cfg.approach)
+    if val_rows:
         X = np.array([vec.values for vec, _ in val_rows])
         y = np.array([target for _, target in val_rows])
         preds = predict_batch(model, X)
@@ -229,19 +232,14 @@ def cmd_train(args, cfg: RunConfig) -> int:
 # ladder
 # ---------------------------------------------------------------------------
 
-def _video_records(records, video_id: str) -> list[EncodeRecord]:
-    rows = [r for r in records if r.video_id == video_id]
-    if not rows:
-        raise SchemaError(f"encode log has no rows for video {video_id!r}")
-    return rows
-
-
 def cmd_ladder(args, cfg: RunConfig) -> int:
     model = load_model(args.model)
     tensors = parse_features_csv(args.features)
     if args.video not in tensors:
-        raise SchemaError(f"features file has no row for video {args.video!r}")
-    records = _video_records(parse_encode_log(args.encode_log), args.video)
+        raise SchemaError(f"{args.features}: no row for video {args.video!r}")
+    records = [r for r in parse_encode_log(args.encode_log) if r.video_id == args.video]
+    if not records:
+        raise SchemaError(f"{args.encode_log}: no rows for video {args.video!r}")
 
     predicted = predicted_ladder(
         model,
@@ -278,10 +276,9 @@ def _compare_one(video_id: str, pair: str, test_path, anchor_path) -> ReportRow:
     """A report row; curves that cannot be compared give a warning row instead."""
     test, anchor = parse_ladder_csv(test_path), parse_ladder_csv(anchor_path)
     try:
-        result = compare_curves(RqCurve.from_ladder(test), RqCurve.from_ladder(anchor))
+        return compare_curves(RqCurve.from_ladder(test), RqCurve.from_ladder(anchor), video_id, pair)
     except DegenerateCurve as exc:
-        return ReportRow(video_id, pair, None, str(exc))
-    return ReportRow(video_id, pair, result)
+        return ReportRow(video_id, pair, warnings=str(exc))
 
 
 def _parse_batch_listing(path) -> list[tuple[str, Path, Path]]:
@@ -298,6 +295,8 @@ def _parse_batch_listing(path) -> list[tuple[str, Path, Path]]:
 def cmd_compare(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     if args.batch:
+        if args.test or args.anchor:
+            raise UsageError("compare takes --batch or --test and --anchor, not both")
         listing = _parse_batch_listing(args.batch)
         rows = [
             _compare_one(video_id, args.pair, test, anchor)
@@ -309,20 +308,13 @@ def cmd_compare(args, cfg: RunConfig) -> int:
         rows = [_compare_one(args.video, args.pair, args.test, args.anchor)]
     atomic_write_text(out, report_csv_text(rows))
 
-    results = [row.result for row in rows if row.result is not None]
-    skipped = [row for row in rows if row.result is None]
+    results = [row for row in rows if row.bd_rate_percent is not None]
+    skipped = [row for row in rows if row.bd_rate_percent is None]
     for row in skipped:
-        print(f"warning: {row.video_id}: {row.note}", file=sys.stderr)
+        print(f"warning: {row.video_id}: {row.warnings}", file=sys.stderr)
     summary: dict = {"pair": args.pair, "n_compared": len(results), "n_skipped": len(skipped)}
     if results:
-        stats = aggregate(results)
-        summary.update(
-            bd_rate_mean=stats.bd_rate_mean,
-            bd_rate_std=stats.bd_rate_std,
-            bd_quality_mean=stats.bd_quality_mean,
-            bd_quality_std=stats.bd_quality_std,
-            table_format=stats.formatted(),
-        )
+        summary.update(aggregate(results))
     aggregate_path = Path(args.aggregate_out) if args.aggregate_out else Path(str(out) + ".aggregate.json")
     atomic_write_text(aggregate_path, json.dumps(summary, indent=2) + "\n")
     _write_sidecar(out, "compare", cfg, {"pair": args.pair})
@@ -340,14 +332,14 @@ def _csv_twin(out: Path) -> Path:
 def cmd_plot(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     if args.report:
-        rows = [row for row in parse_report_csv(args.report) if row.result is not None]
+        rows = [row for row in parse_report_csv(args.report) if row.bd_rate_percent is not None]
         if not rows:
             raise SchemaError(f"{args.report}: no comparable rows to plot")
         if args.metric == "bd_rate":
-            values = [row.result.bd_rate_percent for row in rows]
+            values = [row.bd_rate_percent for row in rows]
             xlabel, title = "BD-rate (percent)", "BD-rate distribution"
         else:
-            values = [row.result.bd_quality for row in rows]
+            values = [row.bd_vmaf for row in rows]
             xlabel, title = "BD-quality (points)", "BD-quality distribution"
         atomic_write_text(out, histogram_svg_text(values, title, xlabel))
         atomic_write_text(_csv_twin(out), histogram_csv_text(freedman_diaconis_bins(values)))
@@ -462,7 +454,7 @@ def cmd_encode_sweep(args, cfg: RunConfig) -> int:
                 continue
             columns = () if journal.exists() else SCHEMA
             with open(journal, "a", encoding="utf-8") as fh:
-                fh.write(csv_text(columns, [encode_log_row(outcome)]))
+                fh.write(csv_text(columns, [outcome]))
             done[cell] = outcome
 
     records = sorted(

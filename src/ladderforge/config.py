@@ -58,6 +58,12 @@ class RunConfig:
         return default_fixed_ladder()
 
 
+def _check_dims(resolutions) -> None:
+    for w, h in resolutions:
+        if w <= 0 or h <= 0 or w % 2 or h % 2:
+            raise SchemaError(f"resolutions need positive even dims, got {w}x{h}")
+
+
 def validate_config(config: RunConfig) -> RunConfig:
     if not 0 < config.sigma_n2 < math.inf:
         raise SchemaError(f"sigma_n2 must be finite and > 0, got {config.sigma_n2}")
@@ -65,10 +71,7 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise SchemaError(f"approach must be 1..9, got {config.approach}")
     if not config.resolutions:
         raise SchemaError("resolution list is empty")
-    fixed_resolutions = [res for _, res in config.fixed_ladder or ()]
-    for w, h in [*config.resolutions, *fixed_resolutions]:
-        if w <= 0 or h <= 0 or w % 2 or h % 2:
-            raise SchemaError(f"resolutions need positive even dims, got {w}x{h}")
+    _check_dims(config.resolutions)
     validate_rungs(config.rung_bitrates_bps)
     if config.n_trees < 1:
         raise SchemaError(f"n_trees must be >= 1, got {config.n_trees}")
@@ -84,7 +87,11 @@ def validate_config(config: RunConfig) -> RunConfig:
             f"got [{config.crf_min}, {config.crf_max}]"
         )
     if config.fixed_ladder is not None:
-        validate_rungs([bps for bps, _ in config.fixed_ladder])
+        try:
+            validate_rungs([bps for bps, _ in config.fixed_ladder])
+            _check_dims([res for _, res in config.fixed_ladder])
+        except SchemaError as exc:
+            raise SchemaError(f"fixed_ladder: {exc}") from None
     if config.encoder_template is not None:
         for name in TEMPLATE_PLACEHOLDERS:
             if "{" + name + "}" not in config.encoder_template:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import feature_assembly
 from .errors import SchemaError
@@ -47,18 +47,21 @@ CRF = checked(int, lambda v: CRF_MIN <= v <= CRF_MAX, f"outside [{CRF_MIN}, {CRF
 BITRATE = checked(finite_float, lambda v: v > 0, "must be > 0")
 VMAF = checked(finite_float, lambda v: 0.0 <= v <= 100.0, "outside [0, 100]")
 
-SCHEMA = ("video_id", "width", "height", "crf", "bitrate_bps", "vmaf")
-_CONVERTERS = (VIDEO_ID, DIMENSION, DIMENSION, CRF, BITRATE, VMAF)
-
 
 @dataclass(frozen=True)
 class EncodeRecord:
+    """One row of an encode log or sweep journal."""
+
     video_id: str
     width: int
     height: int
     crf: int
     bitrate_bps: float
     vmaf: float
+
+
+SCHEMA = tuple(f.name for f in fields(EncodeRecord))
+_CONVERTERS = (VIDEO_ID, DIMENSION, DIMENSION, CRF, BITRATE, VMAF)
 
 
 @dataclass(frozen=True)
@@ -83,12 +86,8 @@ def parse_encode_log(path) -> list[EncodeRecord]:
     return records
 
 
-def encode_log_row(r: EncodeRecord) -> list:
-    return [r.video_id, r.width, r.height, r.crf, repr(float(r.bitrate_bps)), repr(float(r.vmaf))]
-
-
 def encode_log_text(records) -> str:
-    return csv_text(SCHEMA, map(encode_log_row, records))
+    return csv_text(SCHEMA, records)
 
 
 def write_encode_log(records, path) -> None:
@@ -134,7 +133,7 @@ def load_split(path) -> SplitManifest:
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: split manifest must be a JSON object")
     if payload.get("format") != _SPLIT_FORMAT:
-        raise SchemaError(f"unknown split manifest format {payload.get('format')!r}")
+        raise SchemaError(f"{path}: unknown split manifest format {payload.get('format')!r}")
     seed = payload.get("seed")
     ids = [payload.get(key) for key in ("train", "validation", "test")]
     if type(seed) is not int or not all(
@@ -147,7 +146,7 @@ def load_split(path) -> SplitManifest:
     split = SplitManifest(seed, *map(tuple, ids))
     parts = [set(split.train), set(split.validation), set(split.test)]
     if sum(len(p) for p in parts) != len(parts[0] | parts[1] | parts[2]):
-        raise SchemaError("split manifest parts overlap")
+        raise SchemaError(f"{path}: split manifest parts overlap")
     return split
 
 

@@ -2,8 +2,8 @@
 
 Every CSV the package reads goes through read_csv and every CSV it
 writes through csv_text, so all file types share one set of rules: UTF-8,
-"\\n" line ends, an exact header, blank lines ignored, and finite floats.
-Every JSON file it reads goes through read_json.
+"\\n" line ends, an exact header, blank lines ignored, finite floats, and
+one rule for writing a cell. Every JSON file it reads goes through read_json.
 """
 
 from __future__ import annotations
@@ -15,7 +15,11 @@ import math
 import os
 import tempfile
 from collections.abc import Iterator
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 from .errors import SchemaError
 
@@ -116,11 +120,26 @@ def read_json(path, what: str):
         raise SchemaError(f"unreadable {what} {path}: {exc}") from None
 
 
+def _cell(value):
+    return repr(float(value)) if isinstance(value, (float, np.floating)) else value
+
+
 def csv_text(columns, rows) -> str:
-    """CSV text with "\\n" line ends: a header of columns, if any, then rows."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """CSV text with "\\n" line ends: a header of columns, if any, then rows.
+
+    A row is a sequence of cells or a dataclass whose fields are its cells.
+    The one cell rule: a float, numpy floats included, is written as its
+    shortest round-trip repr, None as an empty field, and the rest as csv
+    writes it.
+    """
+    lines: list[str] = []
+    # with "\r\n" as its terminator csv quotes a field holding either
+    # character, so a lone "\r" reads back; each line then ends in "\n" alone
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     if columns:
         writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+    for row in rows:
+        if is_dataclass(row):
+            row = [getattr(row, f.name) for f in fields(row)]
+        writer.writerow(map(_cell, row))
+    return "".join(line[:-2] + "\n" for line in lines)

@@ -10,7 +10,7 @@ by snapping each rung to the closest logged point in log2 bitrate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,10 +52,6 @@ DEFAULT_RESOLUTIONS = (
     (512, 288),
 )
 
-LADDER_COLUMNS = ("rung_bps", "width", "height", "crf", "realized_bps", "vmaf")
-_CONVERTERS = (finite_float, DIMENSION, DIMENSION, CRF, BITRATE, VMAF)
-
-
 @dataclass(frozen=True)
 class LadderRung:
     """One row of a ladder CSV: a rung target and the logged encode realizing it."""
@@ -66,6 +62,10 @@ class LadderRung:
     crf: int
     realized_bps: float
     vmaf: float
+
+
+LADDER_COLUMNS = tuple(f.name for f in fields(LadderRung))
+_CONVERTERS = (finite_float, DIMENSION, DIMENSION, CRF, BITRATE, VMAF)
 
 
 @dataclass(frozen=True)
@@ -248,23 +248,14 @@ def predicted_ladder(
 # ---------------------------------------------------------------------------
 
 def ladder_csv_text(ladder: Ladder) -> str:
-    return csv_text(LADDER_COLUMNS, (
-        [
-            repr(float(rung.rung_bps)),
-            rung.width,
-            rung.height,
-            rung.crf,
-            repr(float(rung.realized_bps)),
-            repr(float(rung.vmaf)),
-        ]
-        for rung in ladder.rungs
-    ))
+    return csv_text(LADDER_COLUMNS, ladder.rungs)
 
 
-def parse_ladder_csv(path, provenance: str = "unknown") -> Ladder:
+def parse_ladder_csv(path) -> Ladder:
+    """A ladder CSV's rungs; the file does not record provenance."""
     rungs = []
-    for line, fields in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
-        rung = LadderRung(*fields)
+    for line, values in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
+        rung = LadderRung(*values)
         try:
             validate_rungs([r.rung_bps for r in rungs[-1:]] + [rung.rung_bps])
         except SchemaError as exc:
@@ -272,7 +263,7 @@ def parse_ladder_csv(path, provenance: str = "unknown") -> Ladder:
         rungs.append(rung)
     if not rungs:
         raise SchemaError(f"{path}: ladder has no rungs")
-    return Ladder(tuple(rungs), provenance)
+    return Ladder(tuple(rungs), "unknown")
 
 
 def ladder_summary_text(ladder: Ladder) -> str:

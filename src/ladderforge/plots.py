@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SchemaError
-from .ioutil import (
-    csv_text,
-)
+from .ioutil import csv_text
 
 _CANVAS_W = 640
 _CANVAS_H = 420
@@ -79,7 +77,7 @@ def freedman_diaconis_bins(values) -> list[Bin]:
 
 
 def histogram_csv_text(bins: list[Bin]) -> str:
-    return csv_text(HISTOGRAM_COLUMNS, ([repr(b.lo), repr(b.hi), b.count] for b in bins))
+    return csv_text(HISTOGRAM_COLUMNS, bins)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +172,7 @@ def histogram_svg_text(values, title: str, xlabel: str) -> str:
 
 def hull_csv_text(curves) -> str:
     return csv_text(HULL_COLUMNS, (
-        [label, repr(float(bitrate)), repr(float(quality))]
-        for label, points in curves
-        for bitrate, quality in points
+        (label, bitrate, quality) for label, points in curves for bitrate, quality in points
     ))
 
 

@@ -286,18 +286,20 @@ def test_compare_curves_bundles_both_metrics():
     bitrates = np.exp2(np.cumsum(rng.uniform(0.3, 0.8, size=8)) + 19.0)
     anchor = curve_from_bitrates(bitrates, quals)
     test = curve_from_bitrates(bitrates * 1.5, quals + 2.0)
-    result = bd_metrics.compare_curves(test, anchor)
-    assert result.bd_rate_percent == bd_metrics.bd_rate(test, anchor)
-    assert result.bd_quality == bd_metrics.bd_quality(test, anchor)
-    assert result.quality_overlap[0] < result.quality_overlap[1]
-    assert result.warnings == ()
+    row = bd_metrics.compare_curves(test, anchor, "v", "test-vs-anchor")
+    assert (row.video_id, row.pair) == ("v", "test-vs-anchor")
+    assert row.bd_rate_percent == bd_metrics.bd_rate(test, anchor)
+    assert row.bd_vmaf == bd_metrics.bd_quality(test, anchor)
+    assert row.quality_lo < row.quality_hi
+    assert row.log2_rate_lo < row.log2_rate_hi
+    assert row.warnings == ""
 
 
 def test_narrow_overlap_flagged():
     test = curve_from_bitrates([1e6, 2e6, 4e6, 8e6], [20.0, 45.0, 70.0, 88.0])
     anchor = curve_from_bitrates([6e6, 8e6], [85.0, 95.0])
-    result = bd_metrics.compare_curves(test, anchor)
-    assert any("test" in w and "quality" in w for w in result.warnings)
+    row = bd_metrics.compare_curves(test, anchor)
+    assert any("test" in w and "quality" in w for w in row.warnings.split("; "))
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +307,20 @@ def test_narrow_overlap_flagged():
 # ---------------------------------------------------------------------------
 
 def result(rate, quality):
-    return bd_metrics.BdResult(rate, quality, (0.0, 1.0), (0.0, 1.0))
+    return bd_metrics.ReportRow("v", "p", rate, quality, 0.0, 1.0, 0.0, 1.0)
 
 
 def test_single_result_aggregate():
     stats = bd_metrics.aggregate([result(-12.5, 2.0)])
-    assert stats.bd_rate_mean == -12.5 and stats.bd_rate_std == 0.0
-    assert stats.bd_quality_mean == 2.0 and stats.bd_quality_std == 0.0
+    assert stats["bd_rate_mean"] == -12.5 and stats["bd_rate_std"] == 0.0
+    assert stats["bd_quality_mean"] == 2.0 and stats["bd_quality_std"] == 0.0
 
 
 def test_two_point_aggregate_population_std():
     stats = bd_metrics.aggregate([result(-10.0, 1.0), result(-20.0, 3.0)])
-    assert stats.bd_rate_mean == -15.0 and stats.bd_rate_std == 5.0
-    assert stats.formatted()["bd_rate"] == "-15/5"
-    assert stats.bd_quality_mean == 2.0 and stats.bd_quality_std == 1.0
+    assert stats["bd_rate_mean"] == -15.0 and stats["bd_rate_std"] == 5.0
+    assert stats["table_format"] == {"bd_rate": "-15/5", "bd_quality": "2/1"}
+    assert stats["bd_quality_mean"] == 2.0 and stats["bd_quality_std"] == 1.0
 
 
 def test_aggregate_matches_independent_recomputation():
@@ -326,11 +328,11 @@ def test_aggregate_matches_independent_recomputation():
     values = [result(float(r), float(q)) for r, q in rng.normal(0, 10, size=(40, 2))]
     stats = bd_metrics.aggregate(values)
     rates = np.array([v.bd_rate_percent for v in values])
-    quals = np.array([v.bd_quality for v in values])
-    assert stats.bd_rate_mean == pytest.approx(rates.mean(), abs=1e-12)
-    assert stats.bd_rate_std == pytest.approx(rates.std(), abs=1e-12)
-    assert stats.bd_quality_mean == pytest.approx(quals.mean(), abs=1e-12)
-    assert stats.bd_quality_std == pytest.approx(quals.std(), abs=1e-12)
+    quals = np.array([v.bd_vmaf for v in values])
+    assert stats["bd_rate_mean"] == pytest.approx(rates.mean(), abs=1e-12)
+    assert stats["bd_rate_std"] == pytest.approx(rates.std(), abs=1e-12)
+    assert stats["bd_quality_mean"] == pytest.approx(quals.mean(), abs=1e-12)
+    assert stats["bd_quality_std"] == pytest.approx(quals.std(), abs=1e-12)
 
 
 def test_empty_aggregate_rejected():
@@ -340,15 +342,13 @@ def test_empty_aggregate_rejected():
 
 def test_report_csv_round_trip(tmp_path):
     rows = [
-        bd_metrics.ReportRow("vid-a", "predicted-vs-fixed", result(-12.0, 3.0)),
-        bd_metrics.ReportRow("vid-b", "predicted-vs-fixed", None, "curves share no quality interval"),
+        bd_metrics.ReportRow("vid-a", "predicted-vs-fixed", -12.0, 3.0, 40.0, 60.0, 19.0, 21.0,
+                             "rate overlap covers 5.0% of the test curve"),
+        bd_metrics.ReportRow("vid-b", "predicted-vs-fixed", warnings="curves share no quality interval"),
     ]
     path = tmp_path / "report.csv"
     path.write_text(bd_metrics.report_csv_text(rows))
-    back = bd_metrics.parse_report_csv(path)
-    assert back[0].result == rows[0].result
-    assert back[1].result is None
-    assert "no quality interval" in back[1].note
+    assert bd_metrics.parse_report_csv(path) == rows
 
 
 def test_report_rejects_unknown_header(tmp_path):

@@ -176,6 +176,24 @@ def test_extract_rejects_repeated_video_ids_before_reading(tmp_path, capsys, mon
     assert list(tmp_path.glob("features.csv*")) == []
 
 
+@pytest.mark.parametrize("defect,message", [
+    ("truncated", "frame 0: luma plane truncated"),  # raised while frames are read
+    ("c444", "colourspace C444 not supported"),     # raised by the header
+], ids=["truncated", "c444"])
+def test_extract_y4m_errors_name_the_file(tmp_path, capsys, defect, message):
+    good = make_clip(tmp_path, "a", seed=1)
+    bad = make_clip(tmp_path, "b", seed=2)
+    data = bad.read_bytes()
+    if defect == "truncated":
+        bad.write_bytes(data[:data.index(b"FRAME\n") + 6 + 100])
+    else:
+        bad.write_bytes(data.replace(b" C420", b" C444", 1))
+    out = tmp_path / "features.csv"
+    assert main(["extract", str(good), str(bad), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
+
+
 def test_extract_sigma_flag_changes_features(tmp_path, pipeline):
     clip = str(pipeline["clips"][0])
     out_a = tmp_path / "s2.csv"
@@ -235,7 +253,7 @@ def test_train_rejects_overlapping_split(tmp_path, pipeline, capsys):
         "--approach", "1", "--out", str(tmp_path / "m.txt"),
     ])
     assert code == EXIT_DATA
-    assert "overlap" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {bad_split}: split manifest parts overlap\n"
 
 
 def test_train_rejects_unassigned_video(tmp_path, pipeline, capsys):
@@ -250,7 +268,40 @@ def test_train_rejects_unassigned_video(tmp_path, pipeline, capsys):
         "--out", str(tmp_path / "m.txt"),
     ])
     assert code == EXIT_DATA
-    assert "v9" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {pipeline['split']}: video 'v9' is not in any split part\n"
+
+
+def test_split_and_cross_file_errors_name_their_files(tmp_path, pipeline, capsys):
+    """Each error of train and ladder that concerns one file names that file."""
+    def run(argv):
+        assert main([str(a) for a in argv]) == EXIT_DATA
+        return capsys.readouterr().err
+
+    train = ["train", "--approach", "1", "--n-trees", "2", "--out", tmp_path / "m.txt"]
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**json.loads(pipeline["split"].read_text()), "format": "other"}))
+    err = run(train + ["--features", pipeline["features"], "--encode-log", pipeline["log"],
+                       "--split", other])
+    assert err == f"error: {other}: unknown split manifest format 'other'\n"
+
+    no_v0 = tmp_path / "features_no_v0.csv"
+    lines = pipeline["features"].read_text().splitlines(keepends=True)
+    no_v0.write_text("".join(line for line in lines if ",v0," not in line))
+    err = run(train + ["--features", no_v0, "--encode-log", pipeline["log"],
+                       "--split", pipeline["split"]])
+    assert err == f"error: {no_v0}: no feature tensor for video 'v0'\n"
+
+    records = dataset.parse_encode_log(pipeline["log"])
+    two_videos = tmp_path / "two_videos.csv"
+    dataset.write_encode_log([r for r in records if r.video_id in ("v0", "v1")], two_videos)
+    err = run(train + ["--features", pipeline["features"], "--encode-log", two_videos])
+    assert err == f"error: {two_videos}: need at least 3 distinct videos, got 2\n"
+
+    no_v3 = tmp_path / "log_no_v3.csv"
+    dataset.write_encode_log([r for r in records if r.video_id != "v3"], no_v3)
+    argv = ladder_args(pipeline, tmp_path / "l.csv")
+    argv[argv.index("--encode-log") + 1] = str(no_v3)
+    assert run(argv) == f"error: {no_v3}: no rows for video 'v3'\n"
 
 
 def test_train_without_split_writes_manifest(tmp_path, pipeline):
@@ -366,7 +417,7 @@ def test_ladder_sidecar_config_reproduces_the_run(tmp_path, pipeline):
 def test_ladder_unknown_video(tmp_path, pipeline, capsys):
     out = tmp_path / "l.csv"
     assert main(ladder_args(pipeline, out, video="nope")) == EXIT_DATA
-    assert "nope" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {pipeline['features']}: no row for video 'nope'\n"
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +477,20 @@ def test_compare_batch_aggregates(tmp_path, ladders):
     assert summary["table_format"]["bd_rate"] == f"{mean:g}/{std:g}"
     qmean = sum(quals) / 2
     assert summary["bd_quality_mean"] == pytest.approx(qmean, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair_flags", [["--test"], ["--anchor"], ["--test", "--anchor"]])
+def test_compare_batch_with_test_or_anchor_is_usage_error(tmp_path, ladders, capsys, pair_flags):
+    _, paths = ladders
+    listing = tmp_path / "batch.csv"
+    listing.write_text(f"video_id,test,anchor\nv2,{paths['v2']['pred']},{paths['v2']['ref']}\n")
+    out = tmp_path / "report.csv"
+    argv = ["compare", "--batch", str(listing), "--out", str(out)]
+    for flag in pair_flags:
+        argv += [flag, str(paths["v3"]["pred"])]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
 
 
 def test_compare_disjoint_is_warning_row(tmp_path, capsys):

@@ -196,8 +196,9 @@ def test_fixed_ladder_errors_name_the_config_path(tmp_path, capsys, entry):
     ({"approach": 12}, "approach must be 1..9, got 12"),
     ({"encoder_template": "x {input}"}, "encoder template missing {width} placeholder"),
     ({"fixed_ladder": [{"bitrate_bps": 1e6, "width": 0, "height": 361}]},
-     "resolutions need positive even dims, got 0x361"),
-], ids=["crf_range", "approach", "encoder_template", "fixed_ladder_dims"])
+     "fixed_ladder: resolutions need positive even dims, got 0x361"),
+    ({"fixed_ladder": []}, "fixed_ladder: rung list is empty"),
+], ids=["crf_range", "approach", "encoder_template", "fixed_ladder_dims", "fixed_ladder_empty"])
 def test_config_rule_errors_name_the_config_path(tmp_path, capsys, payload, message):
     path = tmp_path / "conf.json"
     path.write_text(json.dumps(payload))

@@ -9,6 +9,7 @@ and nan or inf in a float column included.
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -122,6 +123,23 @@ def test_round_trip_with_blank_lines(tmp_path):
 
 def test_csv_text_without_header():
     assert csv_text((), [["a", 1]]) == "a,1\n"
+
+
+def test_csv_text_cell_rule():
+    """Floats, numpy floats included, are written by repr; None is an empty field."""
+    row = [np.float32(0.1), np.float64(1e-320), 2.5, None, 3, "x,y"]
+    assert csv_text((), [row]) == '0.10000000149011612,1e-320,2.5,,3,"x,y"\n'
+    assert csv_text((), [ladder.LadderRung(1e6, 640, 360, 24, np.float64(9.5e5), 61.0)]) == (
+        "1000000.0,640,360,24,950000.0,61.0\n")
+
+
+def test_csv_text_quotes_a_carriage_return(tmp_path):
+    """csv quotes only the terminator's characters, so a lone "\\r" needs the quotes too."""
+    text = csv_text(("name",), [["a\rb"], ["c"]])
+    assert text == 'name\n"a\rb"\nc\n'
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert list(read_csv(path, ("name",), (str,))) == [(2, ["a\rb"]), (3, ["c"])]
 
 
 @pytest.mark.parametrize("data,match", [
@@ -287,6 +305,58 @@ def test_fuzzed_file_parses_or_raises_library_error(fuzz_dir, name, edits, drop,
         parse(path)
     except LadderforgeError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# round trips: every row type the package writes reads back equal
+# ---------------------------------------------------------------------------
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+DIMENSIONS = st.integers(1, 1 << 16)
+CRFS = st.integers(dataset.CRF_MIN, dataset.CRF_MAX)
+VMAFS = st.floats(0.0, 100.0).map(np.float64)
+
+ENCODE_RECORDS = st.lists(
+    st.builds(dataset.EncodeRecord, st.text(min_size=1), DIMENSIONS, DIMENSIONS, CRFS,
+              POSITIVE.map(np.float64), VMAFS),
+    max_size=6, unique_by=lambda r: (r.video_id, r.width, r.height, r.crf),
+)
+LADDER_RUNGS = st.lists(POSITIVE, min_size=1, max_size=6, unique=True).flatmap(
+    lambda targets: st.tuples(*[
+        st.builds(ladder.LadderRung, st.just(np.float64(target)), DIMENSIONS, DIMENSIONS, CRFS,
+                  POSITIVE.map(np.float64), VMAFS)
+        for target in sorted(targets)
+    ])
+)
+REPORT_ROW_LISTS = st.lists(st.builds(
+    lambda video_id, pair, result, warnings: bd_metrics.ReportRow(video_id, pair, *result, warnings),
+    st.text(), st.text(), st.one_of(st.just((None,) * 6), st.tuples(*[FLOATS] * 6)), st.text(),
+), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=ENCODE_RECORDS)
+def test_encode_log_round_trip(fuzz_dir, records):
+    path = fuzz_dir / "round-trip-encodes.csv"
+    dataset.write_encode_log(records, path)
+    assert dataset.parse_encode_log(path) == records
+
+
+@settings(max_examples=60, deadline=None)
+@given(rungs=LADDER_RUNGS)
+def test_ladder_round_trip(fuzz_dir, rungs):
+    path = fuzz_dir / "round-trip-ladder.csv"
+    path.write_text(ladder.ladder_csv_text(ladder.Ladder(rungs, "predicted")), encoding="utf-8")
+    assert ladder.parse_ladder_csv(path).rungs == rungs
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=REPORT_ROW_LISTS)
+def test_report_round_trip(fuzz_dir, rows):
+    path = fuzz_dir / "round-trip-report.csv"
+    path.write_text(bd_metrics.report_csv_text(rows), encoding="utf-8")
+    assert bd_metrics.parse_report_csv(path) == rows
 
 
 # ---------------------------------------------------------------------------

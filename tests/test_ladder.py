@@ -375,8 +375,7 @@ def test_ladder_csv_round_trip(tmp_path):
     out = ladder.realize_ladder([R720, R1080], rungs, log)
     path = tmp_path / "ladder.csv"
     path.write_text(ladder.ladder_csv_text(out))
-    back = ladder.parse_ladder_csv(path, provenance="predicted")
-    assert back == out
+    assert ladder.parse_ladder_csv(path).rungs == out.rungs
 
 
 def test_ladder_csv_header():
