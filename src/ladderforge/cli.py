@@ -297,6 +297,8 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     if args.batch:
         if args.test or args.anchor:
             raise UsageError("compare takes --batch or --test and --anchor, not both")
+        if args.video is not None:
+            raise UsageError("--video does not apply to compare --batch")
         listing = _parse_batch_listing(args.batch)
         rows = [
             _compare_one(video_id, args.pair, test, anchor)
@@ -305,7 +307,8 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     else:
         if not (args.test and args.anchor):
             raise UsageError("compare needs --test and --anchor (or --batch)")
-        rows = [_compare_one(args.video, args.pair, args.test, args.anchor)]
+        video_id = "video" if args.video is None else args.video
+        rows = [_compare_one(video_id, args.pair, args.test, args.anchor)]
     atomic_write_text(out, report_csv_text(rows))
 
     results = [row for row in rows if row.bd_rate_percent is not None]
@@ -332,10 +335,13 @@ def _csv_twin(out: Path) -> Path:
 def cmd_plot(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     if args.report:
+        for flag, value in (("--labels", args.labels), ("--title", args.title)):
+            if value is not None:
+                raise UsageError(f"{flag} does not apply to plot --report")
         rows = [row for row in parse_report_csv(args.report) if row.bd_rate_percent is not None]
         if not rows:
             raise SchemaError(f"{args.report}: no comparable rows to plot")
-        if args.metric == "bd_rate":
+        if args.metric in (None, "bd_rate"):
             values = [row.bd_rate_percent for row in rows]
             xlabel, title = "BD-rate (percent)", "BD-rate distribution"
         else:
@@ -344,6 +350,8 @@ def cmd_plot(args, cfg: RunConfig) -> int:
         atomic_write_text(out, histogram_svg_text(values, title, xlabel))
         atomic_write_text(_csv_twin(out), histogram_csv_text(freedman_diaconis_bins(values)))
     else:
+        if args.metric is not None:
+            raise UsageError("--metric does not apply to plot --ladders")
         labels = args.labels.split(",") if args.labels else [Path(p).stem for p in args.ladders]
         if len(labels) != len(args.ladders):
             raise UsageError(f"{len(args.ladders)} ladders but {len(labels)} labels")
@@ -353,7 +361,8 @@ def cmd_plot(args, cfg: RunConfig) -> int:
             curves.append(
                 (label, [(r.realized_bps, r.vmaf) for r in lad.rungs])
             )
-        atomic_write_text(out, hull_svg_text(curves, args.title))
+        title = "rate-quality hulls" if args.title is None else args.title
+        atomic_write_text(out, hull_svg_text(curves, title))
         atomic_write_text(_csv_twin(out), hull_csv_text(curves))
     _write_sidecar(out, "plot", cfg)
     return EXIT_OK
@@ -528,7 +537,7 @@ def build_parser() -> _Parser:
                        help="BD metrics between two realized ladders")
     p.add_argument("--test", help="test ladder CSV")
     p.add_argument("--anchor", help="anchor ladder CSV")
-    p.add_argument("--video", default="video", help="video id for the report row")
+    p.add_argument("--video", help="video id for the report row (default video)")
     p.add_argument("--batch", help="CSV listing video_id,test,anchor for corpus mode")
     p.add_argument("--pair", default="test-vs-anchor", help="comparison label")
     p.add_argument("--out", required=True, help="BD report CSV")
@@ -540,9 +549,10 @@ def build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--report", help="BD report CSV to histogram")
     group.add_argument("--ladders", nargs="+", help="ladder CSVs to overlay")
-    p.add_argument("--metric", choices=("bd_rate", "bd_vmaf"), default="bd_rate")
+    p.add_argument("--metric", choices=("bd_rate", "bd_vmaf"),
+                   help="report metric to histogram (default bd_rate)")
     p.add_argument("--labels", help="comma-separated curve labels")
-    p.add_argument("--title", default="rate-quality hulls")
+    p.add_argument("--title", help="hull plot title (default rate-quality hulls)")
     p.add_argument("--out", required=True, help="SVG path (CSV twin written beside it)")
     p.set_defaults(func=cmd_plot)
 

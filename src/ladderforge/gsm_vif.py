@@ -6,9 +6,16 @@ scale mixture: block_i ~ s_i * U with U zero-mean Gaussian. The features
 are the average per-eigenchannel information log2(1 + s_i^2 lambda_j /
 sigma_n^2), summed per band and averaged across the two bands per scale.
 
-Feature extraction runs in 8-bit-equivalent luma units (the normalized
-[0, 1] plane is scaled by 255) so the default noise floor of 2.0 matches
-the classic pixel-domain convention and is independent of source bit depth.
+The information is measured in 8-bit-equivalent luma units, so the
+default noise floor of 2.0 matches the classic pixel-domain convention
+and is independent of source bit depth. The pyramid, the subbands and the
+fit run on a frame's integer samples as read, where every linear stage is
+exact (see pyramid). Only the eigenvalues carry the unit: the multipliers
+do not depend on the scale of the samples, and the covariance of samples
+on a peak-code scale is the 8-bit covariance divided by (255 / peak)^2,
+so the information uses lambda * (255 / peak)^2. A difference plane's
+subbands are its two frames' subbands subtracted, so a video builds one
+pyramid per frame.
 """
 
 from __future__ import annotations
@@ -82,7 +89,8 @@ def jacobi_eigh(matrix):
 def extract_block_vectors(subband) -> np.ndarray:
     """Non-overlapping 3x3 tiles flattened row-major into (N, 9).
 
-    Rows and columns that do not fill a whole tile are dropped.
+    Rows and columns that do not fill a whole tile are dropped. The result
+    is always a fresh array, never a view of the subband.
     """
     coeffs = np.asarray(subband, dtype=np.float64)
     if coeffs.ndim != 2:
@@ -95,22 +103,28 @@ def extract_block_vectors(subband) -> np.ndarray:
         )
     tiles = coeffs[: by * BLOCK_SIZE, : bx * BLOCK_SIZE]
     tiles = tiles.reshape(by, BLOCK_SIZE, bx, BLOCK_SIZE)
-    return tiles.transpose(0, 2, 1, 3).reshape(by * bx, BLOCK_DIM)
+    return tiles.transpose(0, 2, 1, 3).copy().reshape(by * bx, BLOCK_DIM)
 
 
-def _centered(vectors: np.ndarray) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=np.float64)
+def _centered(vectors, overwrite: bool = False) -> np.ndarray:
+    """vectors minus their mean; in place when overwrite is set and
+    vectors is already a float64 array."""
+    as_array = np.asarray if overwrite else np.array
+    vectors = as_array(vectors, dtype=np.float64)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise SchemaError(f"expected (N, {BLOCK_DIM}) vectors, got {vectors.shape}")
-    return vectors - vectors.mean(axis=0)
+    vectors -= vectors.mean(axis=0)
+    return vectors
 
 
-def _fit_eigen(vectors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_eigen(vectors, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One subband's whole fit: centre once, decompose once, whiten once.
 
     Returns (covariance, clamped eigenvalues descending, multipliers).
+    overwrite lets the fit centre vectors in place, for a block copy
+    that nothing else reads.
     """
-    centered = _centered(vectors)
+    centered = _centered(vectors, overwrite)
     cov = centered.T @ centered / centered.shape[0]
     cov = (cov + cov.T) / 2.0
     eigvals, eigvecs = jacobi_eigh(cov)
@@ -156,13 +170,28 @@ def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if s2.size == 0:
         raise SchemaError("no multipliers")
-    per_eig = np.log2(1.0 + np.outer(s2, lam) / noise_var).mean(axis=0)
+    info = np.outer(s2, lam)
+    info /= noise_var
+    info += 1.0
+    per_eig = np.log2(info, out=info).mean(axis=0)
     return per_eig, float(per_eig.sum())
 
 
-def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR) -> np.ndarray:
+def plane_subbands(plane) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Both subbands of each pyramid level of a 2-D plane, on the plane's
+    own scale; each level is dropped once it is split."""
+    levels = list(build_scale_stack(plane))
+    return [subband_decompose(levels.pop(0)) for _ in range(NUM_SCALES)]
+
+
+def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, subbands=None) -> np.ndarray:
     """Information features of one luma or difference plane: the 84-value
     plane vector laid out as PLANE_SPANS says.
+
+    frame is a LumaFrame or a bare 2-D plane normalized to [0, 1]. subbands,
+    when given, stand for plane_subbands of the frame's raw samples: one
+    iterable per scale of its two subbands, which may be generated one at
+    a time so that only the subband being fitted exists.
 
     Scales whose subbands are too small for a single 3x3 block (possible
     for frames near the 16x16 minimum) contribute zeros, which keeps the
@@ -170,18 +199,32 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR) -> np.ndarra
     """
     if noise_var <= 0.0:
         raise SchemaError(f"noise variance must be > 0, got {noise_var}")
-    plane = np.asarray(getattr(frame, "samples", frame), dtype=np.float64)
+    if isinstance(frame, LumaFrame):
+        plane, peak = frame.raw, frame.peak
+    else:
+        plane, peak = frame, 1.0
+    if subbands is None:
+        subbands = plane_subbands(plane)
+    eig_scale = (_PEAK_8BIT / peak) ** 2
 
     features = np.zeros(FRAME_FEATURE_COUNT)
     per_eig = features[PLANE_SPANS["eig"]].reshape(NUM_SCALES, NUM_BANDS, BLOCK_DIM)
     per_band = features[PLANE_SPANS["band"]].reshape(NUM_SCALES, NUM_BANDS)
-    for k, level in enumerate(build_scale_stack(plane * _PEAK_8BIT)):
-        for b, subband in enumerate(subband_decompose(level)):
+    for k, pair in enumerate(subbands):
+        # a generated difference subband is dropped once its blocks exist
+        # (next() rather than enumerate(), whose cached result tuple would
+        # keep it), and the blocks before the next subband is formed
+        pair = iter(pair)
+        for b in range(NUM_BANDS):
+            subband = next(pair)
             rows, cols = subband.shape
             if rows < BLOCK_SIZE or cols < BLOCK_SIZE:
                 continue
-            _, eigvals, s2 = _fit_eigen(extract_block_vectors(subband))
-            per_eig[k, b], per_band[k, b] = subband_information(s2, eigvals, noise_var)
+            blocks = extract_block_vectors(subband)
+            del subband
+            _, eigvals, s2 = _fit_eigen(blocks, overwrite=True)
+            del blocks
+            per_eig[k, b], per_band[k, b] = subband_information(s2, eigvals * eig_scale, noise_var)
     features[PLANE_SPANS["scale"]] = 0.5 * per_band.sum(axis=1)
     return features
 
@@ -213,18 +256,29 @@ def pool_video(frame_feats, diff_feats, motions) -> VifFeatureTensor:
 
 
 def video_features(frames, noise_var: float = DEFAULT_NOISE_VAR) -> VifFeatureTensor:
-    """Run the whole per-video pipeline over an iterable of LumaFrames."""
+    """Run the whole per-video pipeline over an iterable of LumaFrames.
+
+    Each frame's subbands are kept until the next frame. The difference
+    plane's subbands are the two frames' subbands subtracted, each formed
+    just before its fit, so a difference plane never gets a pyramid.
+    """
     frame_feats: list[np.ndarray] = []
     diff_feats: list[np.ndarray] = []
     motions: list[float] = []
     previous: LumaFrame | None = None
+    previous_subbands = None
     for frame in frames:
-        frame_feats.append(frame_vif_features(frame, noise_var))
+        subbands = plane_subbands(frame.raw)
+        frame_feats.append(frame_vif_features(frame, noise_var, subbands))
         if previous is not None:
             diff = frame_diff(frame, previous)
-            diff_feats.append(frame_vif_features(diff, noise_var))
             motions.append(mean_abs_luma_diff(diff))
-        previous = frame
+            diff_subbands = (
+                (band - previous_band for band, previous_band in zip(pair, previous_pair))
+                for pair, previous_pair in zip(subbands, previous_subbands)
+            )
+            diff_feats.append(frame_vif_features(diff, noise_var, diff_subbands))
+        previous, previous_subbands = frame, subbands
     return pool_video(frame_feats, diff_feats, motions)
 
 

@@ -1,8 +1,11 @@
 """Y4M (YUV4MPEG2) ingest and frame-difference primitives.
 
-Only progressive planar 4:2:0 at 8 or 10 bits is accepted. Luma is
-normalized to [0, 1] at ingest (divide by 2^depth - 1) so everything
-downstream is bit-depth agnostic; chroma planes are skipped, never decoded.
+Only progressive planar 4:2:0 at 8 or 10 bits is accepted. A frame keeps
+its luma samples as read (uint8, or uint16 for 10 bits) together with the
+peak code 2^depth - 1, so the linear stages downstream run exactly on
+integers; `LumaFrame.samples` is the plane normalized to [0, 1], and the
+motion feature is rescaled to 8-bit units, so neither depends on the bit
+depth. Chroma planes are skipped, never decoded.
 """
 
 from __future__ import annotations
@@ -43,16 +46,26 @@ class VideoHeader:
 
 @dataclass(frozen=True)
 class LumaFrame:
-    """Normalized luma plane; samples is float64 with shape (height, width).
+    """One luma plane: raw holds its samples with shape (height, width)
+    on a scale where peak is full white.
 
-    A difference of consecutive planes (frame_diff) is also a LumaFrame,
-    with samples in [-1, 1].
+    A frame read from Y4M holds the integer codes it read and the peak
+    code 2^depth - 1. A difference of consecutive frames (frame_diff) is
+    also a LumaFrame, with signed integer raw samples and the frames' peak.
+    Any real plane may stand in for raw; the default peak of 1.0 takes it
+    as already normalized.
     """
 
     width: int
     height: int
-    samples: np.ndarray
+    raw: np.ndarray
     index: int
+    peak: float = 1.0
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The plane as float64 normalized to [0, 1] ([-1, 1] for a difference)."""
+        return self.raw / self.peak
 
 
 def parse_y4m_header(data: bytes) -> VideoHeader:
@@ -172,8 +185,8 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> Lum
         raise SchemaError(
             f"frame {index}: luma sample {raw.max()} exceeds {header.bit_depth}-bit range"
         )
-    samples = raw.astype(np.float64).reshape(header.height, header.width) / peak
-    return LumaFrame(header.width, header.height, samples, index)
+    plane = raw.reshape(header.height, header.width)
+    return LumaFrame(header.width, header.height, plane, index, peak)
 
 
 def iter_luma_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
@@ -206,24 +219,35 @@ def _owned_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
 
 
 def frame_diff(current: LumaFrame, previous: LumaFrame) -> LumaFrame:
-    """Signed luma difference current - previous."""
+    """Signed luma difference current - previous, on the frames' scale.
+
+    Integer samples subtract exactly into the smallest signed type that
+    holds them (int16 for 8 bits); real ones stay real.
+    """
     if (current.width, current.height) != (previous.width, previous.height):
         raise SchemaError(
             f"frame {current.index} is {current.width}x{current.height}, "
             f"frame {previous.index} is {previous.width}x{previous.height}"
         )
+    if current.peak != previous.peak:
+        raise SchemaError(
+            f"frame {current.index} peaks at {current.peak}, "
+            f"frame {previous.index} at {previous.peak}"
+        )
     return LumaFrame(
         current.width,
         current.height,
-        current.samples - previous.samples,
+        np.subtract(current.raw, previous.raw,
+                    dtype=np.result_type(current.raw, previous.raw, np.int16)),
         current.index,
+        current.peak,
     )
 
 
 def mean_abs_luma_diff(diff: LumaFrame) -> float:
     """Mean absolute difference, rescaled to 8-bit-equivalent units.
 
-    The x255 rescale keeps the motion feature's magnitude in line with the
-    conventional 8-bit definition regardless of source bit depth.
+    The 255/peak rescale keeps the motion feature's magnitude in line with
+    the conventional 8-bit definition regardless of source bit depth.
     """
-    return float(np.mean(np.abs(diff.samples)) * 255.0)
+    return float(np.mean(np.abs(diff.raw)) * (255.0 / diff.peak))

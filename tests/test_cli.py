@@ -493,6 +493,26 @@ def test_compare_batch_with_test_or_anchor_is_usage_error(tmp_path, ladders, cap
     assert not out.exists()
 
 
+def test_compare_batch_with_video_is_usage_error(tmp_path, ladders, capsys):
+    _, paths = ladders
+    listing = tmp_path / "batch.csv"
+    listing.write_text(f"video_id,test,anchor\nv2,{paths['v2']['pred']},{paths['v2']['ref']}\n")
+    out = tmp_path / "report.csv"
+    argv = ["compare", "--batch", str(listing), "--video", "zz", "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--video" in err
+    assert not out.exists()
+
+
+def test_compare_pair_without_video_names_its_row_video(tmp_path, ladders):
+    _, paths = ladders
+    out = tmp_path / "report.csv"
+    assert main(["compare", "--test", str(paths["v3"]["pred"]), "--anchor", str(paths["v3"]["ref"]),
+                 "--out", str(out)]) == EXIT_OK
+    assert list(csv.reader(out.read_text().splitlines()))[1][0] == "video"
+
+
 def test_compare_disjoint_is_warning_row(tmp_path, capsys):
     low = [dataset.EncodeRecord("v", 1280, 720, 18 + i, (1 + i) * 1e5, 5.0 + i)
            for i in range(4)]
@@ -635,6 +655,26 @@ def test_plot_label_count_mismatch(tmp_path, ladders):
         "--labels", "a,b", "--out", str(tmp_path / "x.svg"),
     ])
     assert code == EXIT_USAGE
+
+
+def test_plot_ladders_with_metric_is_usage_error(tmp_path, ladders, capsys):
+    _, paths = ladders
+    out = tmp_path / "hulls.svg"
+    code = main(["plot", "--ladders", str(paths["v3"]["pred"]), "--metric", "bd_vmaf",
+                 "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "--metric" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--labels", "a,b"), ("--title", "T")])
+def test_plot_report_with_hull_flags_is_usage_error(tmp_path, report, capsys, flag, value):
+    out = tmp_path / "hist.svg"
+    assert main(["plot", "--report", str(report), flag, value, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and flag in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

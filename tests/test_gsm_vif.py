@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ladderforge import cli, gsm_vif
-from ladderforge.media_io import VideoHeader
+from ladderforge.media_io import LumaFrame, VideoHeader
 from ladderforge.errors import SchemaError
 
 from helpers import conv2d_replicate, split_plane
@@ -217,6 +217,19 @@ def test_fit_covariance_empty():
 # multiplier estimation
 # ---------------------------------------------------------------------------
 
+def test_fit_eigen_leaves_the_callers_vectors_unchanged():
+    X = np.random.default_rng(7).normal(size=(60, 9)) + 3.0
+    before = X.copy()
+    gsm_vif._fit_eigen(X)
+    assert np.array_equal(X, before)
+
+
+def test_block_vectors_never_share_the_subbands_memory():
+    # a 3x3 subband is one whole tile, the case a reshape could return as a view
+    for subband in (np.arange(9.0).reshape(3, 3), np.zeros((7, 10))):
+        assert not np.shares_memory(gsm_vif.extract_block_vectors(subband), subband)
+
+
 def test_multiplier_identity_covariance_unit_block():
     # centered residual (3, 0, ..., 0) under identity covariance: s2 = 9/9 = 1
     base = np.zeros((2, 9))
@@ -239,6 +252,15 @@ def test_multipliers_match_likelihood_grid():
     for i in range(0, 60, 7):
         ref = grid_search_multiplier(Z[i], cov)
         assert est[i] == pytest.approx(ref, abs=1e-6)
+
+
+def test_estimate_multipliers_leaves_the_callers_vectors_unchanged():
+    X = np.random.default_rng(10).normal(size=(60, 9)) + 3.0
+    before = X.copy()
+    cov, eigvals, _ = gsm_vif._fit_eigen(X)
+    gsm_vif.estimate_multipliers(X, cov, eigvals)
+    gsm_vif.estimate_multipliers(X, cov)
+    assert np.array_equal(X, before)
 
 
 def test_multipliers_zero_covariance():
@@ -383,6 +405,29 @@ def test_contrast_scaling_never_decreases_information():
 def test_bad_noise_var_rejected():
     with pytest.raises(SchemaError, match="noise variance must be > 0, got -1.0"):
         gsm_vif.frame_vif_features(np.zeros((16, 16)), noise_var=-1.0)
+
+
+@pytest.mark.parametrize("bit_depth, shape", [(8, (360, 640)), (10, (360, 640)),
+                                              (10, (37, 53)), (8, (16, 16))])
+def test_video_features_match_the_per_plane_route(bit_depth, shape):
+    # the per-plane route: each normalized frame and each normalized
+    # difference plane gets its own pyramid, as extraction first did
+    rng = np.random.default_rng(bit_depth + shape[0])
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    peak = float((1 << bit_depth) - 1)
+    height, width = shape
+    frames = [LumaFrame(width, height, rng.integers(0, peak + 1, shape).astype(dtype), i, peak)
+              for i in range(3)]
+    planes = [f.raw / peak for f in frames]
+    diffs = [cur - prev for prev, cur in zip(planes, planes[1:])]
+    expected = np.concatenate([
+        np.mean([gsm_vif.frame_vif_features(p) for p in planes], axis=0),
+        np.mean([gsm_vif.frame_vif_features(d) for d in diffs], axis=0),
+        [np.mean([np.mean(np.abs(d)) * 255.0 for d in diffs])],
+    ])
+    got = gsm_vif.video_features(frames).values
+    assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
+    assert np.abs(got[gsm_vif.MOTION_INDEX] - expected[-1]) <= 1e-9 * expected[-1]
 
 
 # ---------------------------------------------------------------------------

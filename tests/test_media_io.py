@@ -159,6 +159,27 @@ def test_round_trip_quantization_10bit():
     assert np.array_equal(requant, plane.astype(np.uint16))
 
 
+@pytest.mark.parametrize("bit_depth, dtype, diff_dtype", [(8, np.uint8, np.int16),
+                                                          (10, np.uint16, np.int32)])
+def test_frames_keep_the_codes_they_read(bit_depth, dtype, diff_dtype):
+    rng = np.random.default_rng(13)
+    planes = [random_plane(rng, 16, 32, bit_depth=bit_depth) for _ in range(2)]
+    _, frames = _frames_from_bytes(y4m_bytes(planes, bit_depth=bit_depth))
+    for frame, plane in zip(frames, planes):
+        assert frame.raw.dtype == dtype and frame.peak == (1 << bit_depth) - 1
+        assert np.array_equal(frame.raw, plane)
+    diff = media_io.frame_diff(frames[1], frames[0])
+    assert diff.raw.dtype == diff_dtype and diff.peak == frames[0].peak
+    assert np.array_equal(diff.raw, planes[1].astype(int) - planes[0])
+
+
+def test_frame_diff_peak_mismatch():
+    a = media_io.LumaFrame(16, 16, np.zeros((16, 16), np.uint8), 0, 255.0)
+    b = media_io.LumaFrame(16, 16, np.zeros((16, 16), np.uint16), 1, 1023.0)
+    with pytest.raises(SchemaError, match="frame 1 peaks at 1023.0, frame 0 at 255.0"):
+        media_io.frame_diff(b, a)
+
+
 def test_frame_diff_constant_planes():
     a = media_io.LumaFrame(16, 16, np.full((16, 16), 30 / 255), 0)
     b = media_io.LumaFrame(16, 16, np.full((16, 16), 50 / 255), 1)

@@ -17,6 +17,22 @@ def decimate_oracle(plane):
     return plane[0:2 * (h // 2):2, 0:2 * (w // 2):2]
 
 
+def full_blur_then_decimate(plane):
+    """One pyramid step as first written: blur every sample along axis 0,
+    then along axis 1, with edge replication, then keep every other row
+    and column."""
+    taps = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+
+    def blur_axis(plane, axis):
+        padded = np.pad(plane, [(2, 2) if ax == axis else (0, 0) for ax in range(2)], mode="edge")
+        view = padded.swapaxes(0, axis)
+        out = (taps[0] * view[:-4] + taps[1] * view[1:-3] + taps[2] * view[2:-2]
+               + taps[3] * view[3:-1] + taps[4] * view[4:])
+        return out.swapaxes(0, axis)
+
+    return decimate_oracle(blur_axis(blur_axis(plane, 0), 1))
+
+
 def subband_oracle(plane):
     """Loop-based 2x2 analysis filters on valid support."""
     h, w = plane.shape
@@ -144,3 +160,33 @@ def test_subband_linearity(seed, alpha, beta):
     q1, q2 = pyramid.subband_decompose(q)
     assert np.allclose(lhs1, alpha * p1 + beta * q1, atol=1e-12)
     assert np.allclose(lhs2, alpha * p2 + beta * q2, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(1080, 1920), (360, 640), (16, 16), (17, 23), (41, 53)])
+@pytest.mark.parametrize("integer", [False, True])
+def test_decimating_blur_equals_full_blur_then_decimate(shape, integer):
+    # 1080 rows reduce to 540, 270 and 135, so one level is odd
+    rng = np.random.default_rng(shape[0] * shape[1])
+    plane = rng.integers(0, 1024, shape).astype(np.float64) if integer else rng.random(shape)
+    stack = pyramid.build_scale_stack(plane)
+    expected = plane
+    for level in stack[1:]:
+        expected = full_blur_then_decimate(expected)
+        assert level.shape == expected.shape
+        assert np.array_equal(level, expected)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+@pytest.mark.parametrize("shape", [(360, 640), (37, 53)])
+def test_subbands_of_an_integer_difference_are_exact_differences(bit_depth, shape):
+    rng = np.random.default_rng(bit_depth * 1000 + shape[0])
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    current = rng.integers(0, 1 << bit_depth, shape).astype(dtype)
+    previous = rng.integers(0, 1 << bit_depth, shape).astype(dtype)
+    diff = current.astype(np.int32) - previous
+    stacks = [pyramid.build_scale_stack(p) for p in (diff, current, previous)]
+    for level_diff, level_cur, level_prev in zip(*stacks):
+        assert np.array_equal(level_diff, level_cur - level_prev)
+        bands = [pyramid.subband_decompose(lv) for lv in (level_diff, level_cur, level_prev)]
+        for band_diff, band_cur, band_prev in zip(*bands):
+            assert np.array_equal(band_diff, band_cur - band_prev)
