@@ -90,7 +90,9 @@ def extract_block_vectors(subband) -> np.ndarray:
     """Non-overlapping 3x3 tiles flattened row-major into (N, 9).
 
     Rows and columns that do not fill a whole tile are dropped. The result
-    is always a fresh array, never a view of the subband.
+    is the transpose of a fresh channel-major (9, N) array, whose row c
+    holds tile position c of every block in one contiguous run; it never
+    shares memory with the subband.
     """
     coeffs = np.asarray(subband, dtype=np.float64)
     if coeffs.ndim != 2:
@@ -101,20 +103,26 @@ def extract_block_vectors(subband) -> np.ndarray:
         raise SchemaError(
             f"{cols}x{rows} subband cannot host a {BLOCK_SIZE}x{BLOCK_SIZE} block"
         )
-    tiles = coeffs[: by * BLOCK_SIZE, : bx * BLOCK_SIZE]
-    tiles = tiles.reshape(by, BLOCK_SIZE, bx, BLOCK_SIZE)
-    return tiles.transpose(0, 2, 1, 3).copy().reshape(by * bx, BLOCK_DIM)
+    channels = np.empty((BLOCK_DIM, by, bx))
+    for c in range(BLOCK_DIM):
+        dy, dx = divmod(c, BLOCK_SIZE)
+        channels[c] = coeffs[dy : by * BLOCK_SIZE : BLOCK_SIZE, dx : bx * BLOCK_SIZE : BLOCK_SIZE]
+    return channels.reshape(BLOCK_DIM, by * bx).T
 
 
-def _centered(vectors, overwrite: bool = False) -> np.ndarray:
-    """vectors minus their mean; in place when overwrite is set and
-    vectors is already a float64 array."""
-    as_array = np.asarray if overwrite else np.array
-    vectors = as_array(vectors, dtype=np.float64)
+def _centered_channels(vectors, overwrite: bool = False) -> np.ndarray:
+    """(N, 9) vectors as channel-major (9, N) rows, each minus its mean.
+
+    With overwrite set, the rows are vectors.T itself, centred in place,
+    when that is already a C-contiguous float64 array (as the result of
+    extract_block_vectors is); otherwise they are a copy.
+    """
+    vectors = np.asarray(vectors)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
         raise SchemaError(f"expected (N, {BLOCK_DIM}) vectors, got {vectors.shape}")
-    vectors -= vectors.mean(axis=0)
-    return vectors
+    channels = vectors.T.astype(np.float64, order="C", copy=not overwrite)
+    channels -= channels.mean(axis=1, keepdims=True)
+    return channels
 
 
 def _fit_eigen(vectors, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -124,45 +132,46 @@ def _fit_eigen(vectors, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray
     overwrite lets the fit centre vectors in place, for a block copy
     that nothing else reads.
     """
-    centered = _centered(vectors, overwrite)
-    cov = centered.T @ centered / centered.shape[0]
+    channels = _centered_channels(vectors, overwrite)
+    cov = channels @ channels.T / channels.shape[1]
     cov = (cov + cov.T) / 2.0
     eigvals, eigvecs = jacobi_eigh(cov)
     eigvals = np.maximum(eigvals, 0.0)
-    return cov, eigvals, _whitened_energy(centered, eigvals, eigvecs)
+    return cov, eigvals, _whitened_energy(channels, eigvals, eigvecs)
 
 
-def _whitened_energy(centered, eigenvalues, eigenvectors) -> np.ndarray:
-    """s_i^2 = |z_i V_k / sqrt(lambda_k)|^2 / block_dim over the kept channels k."""
+def _whitened_energy(channels, eigenvalues, eigenvectors) -> np.ndarray:
+    """s_i^2 = |V_k^T z_i / sqrt(lambda_k)|^2 / block_dim over the kept
+    eigenchannels k, with z_i column i of the centred (9, N) channel rows."""
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     lam_max = eigenvalues.max(initial=0.0)
     keep = eigenvalues > _RANK_REL_TOL * lam_max
     if lam_max <= 0.0 or not keep.any():
-        return np.zeros(centered.shape[0])
-    whitened = centered @ (eigenvectors[:, keep] / np.sqrt(eigenvalues[keep]))
-    return np.maximum(np.einsum("ij,ij->i", whitened, whitened) / centered.shape[1], 0.0)
+        return np.zeros(channels.shape[1])
+    whitened = (eigenvectors[:, keep] / np.sqrt(eigenvalues[keep])).T @ channels
+    return np.einsum("ki,ki->i", whitened, whitened) / channels.shape[0]
 
 
 def estimate_multipliers(vectors, covariance, eigenvalues=None, eigenvectors=None) -> np.ndarray:
     """Per-block scale multipliers s_i^2 maximizing the Gaussian likelihood.
 
-    s_i^2 = max(0, z_i^T C+ z_i / block_dim) with z_i the mean-removed
+    s_i^2 = z_i^T C+ z_i / block_dim with z_i the mean-removed
     block and C+ the pseudo-inverse of the fitted covariance, computed in
     its eigenbasis with eigenvalues below 1e-10 * max treated as zero.
     """
-    centered = _centered(vectors)
+    channels = _centered_channels(vectors)
     if eigenvectors is None:
         eigenvalues, eigenvectors = jacobi_eigh(covariance)
         eigenvalues = np.maximum(eigenvalues, 0.0)
-    return _whitened_energy(centered, eigenvalues, eigenvectors)
+    return _whitened_energy(channels, eigenvalues, eigenvectors)
 
 
 def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.ndarray, float]:
     """Average per-eigenchannel information and its band total.
 
-    per_eig[j] = mean_i log2(1 + s_i^2 * lambda_j / noise_var). The mean is
-    numpy's pairwise reduction, so the result does not depend on how frames
-    or blocks were scheduled upstream.
+    per_eig[j] = mean_i log2(1 + s_i^2 * lambda_j / noise_var). Each
+    channel's terms form one contiguous row, along which numpy's mean sums
+    pairwise, so its rounding error grows with log N, not with N.
     """
     if noise_var <= 0.0:
         raise SchemaError(f"noise variance must be > 0, got {noise_var}")
@@ -170,10 +179,9 @@ def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if s2.size == 0:
         raise SchemaError("no multipliers")
-    info = np.outer(s2, lam)
-    info /= noise_var
+    info = np.outer(lam / noise_var, s2)
     info += 1.0
-    per_eig = np.log2(info, out=info).mean(axis=0)
+    per_eig = np.log2(info, out=info).mean(axis=1)
     return per_eig, float(per_eig.sum())
 
 

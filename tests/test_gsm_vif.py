@@ -220,8 +220,27 @@ def test_fit_covariance_empty():
 def test_fit_eigen_leaves_the_callers_vectors_unchanged():
     X = np.random.default_rng(7).normal(size=(60, 9)) + 3.0
     before = X.copy()
-    gsm_vif._fit_eigen(X)
-    assert np.array_equal(X, before)
+    # C order, and F order, whose transpose is the fit's own channel-major layout
+    for vectors in (X, np.asfortranarray(X)):
+        gsm_vif._fit_eigen(vectors)
+        assert np.array_equal(vectors, before)
+
+
+def test_fit_and_multipliers_agree_across_input_layouts():
+    # extract_block_vectors returns F-ordered (N, 9); other callers pass C order
+    f_order = gsm_vif.extract_block_vectors(np.random.default_rng(19).normal(size=(30, 45)))
+    c_order = np.ascontiguousarray(f_order)
+    assert f_order.flags.f_contiguous and not f_order.flags.c_contiguous
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    cov, eigvals, s2 = gsm_vif._fit_eigen(c_order)
+    for fit in (gsm_vif._fit_eigen(f_order),
+                gsm_vif._fit_eigen(f_order.copy(order="F"), overwrite=True)):
+        assert all(close(got, want) for got, want in zip(fit, (cov, eigvals, s2)))
+    for vectors in (c_order, f_order):
+        assert close(gsm_vif.estimate_multipliers(vectors, cov), s2)
 
 
 def test_block_vectors_never_share_the_subbands_memory():
@@ -258,9 +277,10 @@ def test_estimate_multipliers_leaves_the_callers_vectors_unchanged():
     X = np.random.default_rng(10).normal(size=(60, 9)) + 3.0
     before = X.copy()
     cov, eigvals, _ = gsm_vif._fit_eigen(X)
-    gsm_vif.estimate_multipliers(X, cov, eigvals)
-    gsm_vif.estimate_multipliers(X, cov)
-    assert np.array_equal(X, before)
+    for vectors in (X, np.asfortranarray(X)):
+        gsm_vif.estimate_multipliers(vectors, cov, eigvals)
+        gsm_vif.estimate_multipliers(vectors, cov)
+        assert np.array_equal(vectors, before)
 
 
 def test_multipliers_zero_covariance():
@@ -301,6 +321,18 @@ def test_information_against_double_loop():
             acc += math.log2(1 + s2[i] * lam[j] / noise)
         assert per_eig[j] == pytest.approx(acc / 200, abs=1e-9)
     assert total == pytest.approx(per_eig.sum(), abs=1e-12)
+
+
+def test_information_mean_is_pairwise_along_each_channel():
+    # 2e6 equal blocks: a sequential sum drifts by about n * eps / 2, a
+    # pairwise one by about log2(n) * eps
+    n = 2_000_000
+    lam = np.linspace(0.5, 40.0, 9)
+    single, _ = gsm_vif.subband_information(np.array([0.7]), lam, 2.0)
+    per_eig, _ = gsm_vif.subband_information(np.full(n, 0.7), lam, 2.0)
+    for j in range(9):
+        exact = math.fsum([single[j]] * n) / n
+        assert abs(per_eig[j] - exact) <= 1e-15 * exact
 
 
 def test_information_rejects_bad_noise():
