@@ -192,31 +192,29 @@ def cmd_train(args, cfg: RunConfig) -> int:
         if record.video_id not in known:
             raise SchemaError(f"{args.split}: video {record.video_id!r} is not in any split part")
     try:
-        train_rows, val_rows = [
+        (X, y), (X_val, y_val) = [
             build_training_matrix([r for r in records if r.video_id in ids], tensors, cfg.approach)
             for ids in (set(split.train), set(split.validation))
         ]
     except SchemaError as exc:
         raise SchemaError(f"{args.features}: {exc}") from None
-    model = train(train_rows, n_trees=cfg.n_trees, min_samples_leaf=cfg.min_samples_leaf,
+    model = train(X, y, cfg.approach, n_trees=cfg.n_trees, min_samples_leaf=cfg.min_samples_leaf,
                   k_features=cfg.k_features, seed=cfg.seed)
     save_model(model, out)
 
     metrics = {
         "approach": cfg.approach,
-        "n_train": len(train_rows),
+        "n_train": len(y),
         "n_validation": 0,
         "r2": None,
         "spearman": None,
     }
-    if val_rows:
-        X = np.array([vec.values for vec, _ in val_rows])
-        y = np.array([target for _, target in val_rows])
-        preds = predict_batch(model, X)
+    if len(y_val):
+        preds = predict_batch(model, X_val)
         metrics.update(
-            n_validation=len(val_rows),
-            r2=r2_score(y, preds),
-            spearman=spearman_rho(y, preds),
+            n_validation=len(y_val),
+            r2=r2_score(y_val, preds),
+            spearman=spearman_rho(y_val, preds),
         )
     metrics_path = Path(args.metrics) if args.metrics else Path(str(out) + ".metrics.json")
     atomic_write_text(metrics_path, json.dumps(metrics, indent=2) + "\n")

@@ -11,6 +11,8 @@ import json
 import random
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from . import feature_assembly
 from .errors import SchemaError
 from .gsm_vif import VifFeatureTensor
@@ -152,18 +154,20 @@ def load_split(path) -> SplitManifest:
 
 def build_training_matrix(
     records, tensors: dict[str, VifFeatureTensor], approach: int
-) -> list[tuple[feature_assembly.FeatureVector, float]]:
-    """Assemble (feature vector, target) rows in record order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (X, y) of the records in record order, X in the approach's layout.
 
-    The target is the quality score scaled to [0, 1]. Training always uses
-    the measured bitrate of the encode, not a nominal target rate.
+    y is the quality score scaled to [0, 1]. Training always uses the
+    measured bitrate of the encode, not a nominal target rate.
     """
-    rows = []
-    for record in records:
-        tensor = tensors.get(record.video_id)
-        if tensor is None:
-            raise SchemaError(f"no feature tensor for video {record.video_id!r}")
-        meta = feature_assembly.EncodeMeta(record.bitrate_bps, record.width, record.height)
-        vec = feature_assembly.assemble(approach, tensor, meta)
-        rows.append((vec, record.vmaf / 100.0))
-    return rows
+    missing = next((r.video_id for r in records if r.video_id not in tensors), None)
+    if missing is not None:
+        raise SchemaError(f"no feature tensor for video {missing!r}")
+    X = feature_assembly.assemble(
+        approach,
+        [tensors[r.video_id] for r in records],
+        [r.bitrate_bps for r in records],
+        [r.width for r in records],
+        [r.height for r in records],
+    )
+    return X, np.array([r.vmaf / 100.0 for r in records])

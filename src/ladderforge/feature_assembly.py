@@ -1,4 +1,4 @@
-"""Feature-vector assembly for the nine predictor input layouts.
+"""Design matrices for the nine predictor input layouts.
 
 An approach picks columns of the features CSV by position: blocks of the
 pooled frame plane vector, the motion value, and blocks of the pooled
@@ -14,14 +14,14 @@ difference plane vector (see gsm_vif.PLANE_SPANS), in that order:
     8  per-band + motion + diff per-band      + metadata
     9  per-eigenchannel + motion + diff per-eigenchannel + metadata
 
-Metadata is always the final three slots: log2(bitrate_bps), width/3840,
-height/3840.
+Metadata is always the final three columns: log2(bitrate_bps), width/3840,
+height/3840. assemble builds the whole (encodes x columns) matrix the
+regressor trains on or predicts from in one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .gsm_vif import (
     FRAME_FEATURE_COUNT,
     MOTION_INDEX,
     PLANE_SPANS,
-    VifFeatureTensor,
+    TENSOR_VALUE_COUNT,
     feature_column_names,
 )
 
@@ -62,31 +62,6 @@ _POSITIONS = {
 APPROACH_FEATURE_LENGTHS = {a: len(p) + len(META_COLUMNS) for a, p in _POSITIONS.items()}
 
 
-@dataclass(frozen=True)
-class EncodeMeta:
-    """Hypothetical encode described by bitrate and output resolution."""
-
-    bitrate_bps: float
-    width: int
-    height: int
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    approach: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.approach not in APPROACH_FEATURE_LENGTHS:
-            raise SchemaError(f"approach must be 1..9, got {self.approach}")
-        expected = APPROACH_FEATURE_LENGTHS[self.approach]
-        if np.asarray(self.values).shape != (expected,):
-            raise ValueError(
-                f"approach {self.approach} expects {expected} values, "
-                f"got shape {np.asarray(self.values).shape}"
-            )
-
-
 def _positions_of(approach: int) -> np.ndarray:
     try:
         return _POSITIONS[approach]
@@ -94,25 +69,32 @@ def _positions_of(approach: int) -> np.ndarray:
         raise SchemaError(f"approach must be 1..9, got {approach}") from None
 
 
-def normalize_meta(meta: EncodeMeta) -> np.ndarray:
-    """(log2 bitrate, scaled width, scaled height)."""
-    if meta.bitrate_bps <= 0:
-        raise SchemaError(f"bitrate must be > 0 bps, got {meta.bitrate_bps}")
-    return np.array(
-        [math.log2(meta.bitrate_bps), meta.width / _DIM_SCALE, meta.height / _DIM_SCALE]
-    )
+def assemble(approach: int, tensors, bitrates, widths, heights) -> np.ndarray:
+    """The (n, d) design matrix of n encodes in the approach's layout.
 
-
-def assemble(approach: int, tensor: VifFeatureTensor, meta: EncodeMeta) -> FeatureVector:
-    """The approach's features-CSV columns followed by encode metadata."""
+    Row i holds the approach's features-CSV columns of tensors[i], then
+    log2(bitrates[i]), widths[i] / 3840 and heights[i] / 3840; n may be 0.
+    The log2 is math.log2 per value: np.log2 differs from it in the last
+    bit for some integer rates, and the model bytes would follow.
+    """
     positions = _positions_of(approach)
-    if positions.max() >= FRAME_FEATURE_COUNT and not tensor.has_motion:
-        raise SchemaError(
-            f"approach {approach} needs frame-difference features; "
-            f"video has {tensor.frame_count} frame(s)"
-        )
-    values = np.concatenate([tensor.values[positions], normalize_meta(meta)])
-    return FeatureVector(approach, values)
+    if positions.max() >= FRAME_FEATURE_COUNT:
+        still = next((t for t in tensors if not t.has_motion), None)
+        if still is not None:
+            raise SchemaError(
+                f"approach {approach} needs frame-difference features; "
+                f"video has {still.frame_count} frame(s)"
+            )
+    bad = next((bps for bps in bitrates if bps <= 0), None)
+    if bad is not None:
+        raise SchemaError(f"bitrate must be > 0 bps, got {bad}")
+    values = np.reshape([t.values for t in tensors], (len(tensors), TENSOR_VALUE_COUNT))
+    return np.column_stack([
+        values[:, positions],
+        [math.log2(bps) for bps in bitrates],
+        np.asarray(widths) / _DIM_SCALE,
+        np.asarray(heights) / _DIM_SCALE,
+    ])
 
 
 def column_names(approach: int) -> list[str]:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import BITRATE, CRF, DIMENSION, VMAF, EncodeRecord
 from .errors import SchemaError
-from .feature_assembly import EncodeMeta, assemble
+from .feature_assembly import assemble
 from .gsm_vif import VifFeatureTensor
 from .ioutil import (
     csv_text,
@@ -114,13 +114,9 @@ def predict_quality_grid(
     if not resolutions:
         raise ValueError("resolution list is empty")
     rungs = validate_rungs(rungs)
-    vectors = [
-        assemble(model.approach, vif, EncodeMeta(bps, w, h)).values
-        for (w, h) in resolutions
-        for bps in rungs
-    ]
-    flat = predict_batch(model, np.stack(vectors))
-    return flat.reshape(len(resolutions), len(rungs))
+    widths, heights = np.repeat(resolutions, len(rungs), axis=0).T
+    X = assemble(model.approach, [vif] * widths.size, rungs * len(resolutions), widths, heights)
+    return predict_batch(model, X).reshape(len(resolutions), len(rungs))
 
 
 def select_ladder(grid, resolutions, rungs) -> list[tuple[int, int]]:

@@ -57,22 +57,24 @@ class ExtraTreesModel:
     trees: tuple[Tree, ...] = field(repr=False)
 
 
-def train(rows, *, n_trees: int = 100, min_samples_leaf: int = 1,
+def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
           k_features: int | None = None, seed: int = 0) -> ExtraTreesModel:
-    """Fit an ensemble on (FeatureVector, target) rows; k_features None is ceil(d / 3)."""
-    rows = list(rows)
-    if not rows:
+    """Fit an ensemble on an approach's (n, d) design matrix X and targets y.
+
+    X holds one row per encode in column_names(approach) order, as
+    feature_assembly.assemble builds it; k_features None is ceil(d / 3).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if not y.size:
         raise SchemaError("no training rows")
-    approach = rows[0][0].approach
-    width = len(rows[0][0].values)
-    for vec, _ in rows:
-        if vec.approach != approach or len(vec.values) != width:
-            raise SchemaError(
-                f"mixed layouts: approach {vec.approach}/{approach}, "
-                f"width {len(vec.values)}/{width}"
-            )
-    X = np.array([vec.values for vec, _ in rows], dtype=np.float64)
-    y = np.array([target for _, target in rows], dtype=np.float64)
+    columns = tuple(column_names(approach))
+    width = len(columns)
+    if y.ndim != 1 or X.shape != (y.size, width):
+        raise SchemaError(
+            f"approach {approach} takes an (n, {width}) X and an (n,) y, "
+            f"got {X.shape} and {y.shape}"
+        )
 
     # canonical row order: sort lexicographically by features then target
     keys = [y] + [X[:, j] for j in reversed(range(width))]
@@ -87,7 +89,7 @@ def train(rows, *, n_trees: int = 100, min_samples_leaf: int = 1,
     )
     return ExtraTreesModel(
         approach=approach,
-        columns=tuple(column_names(approach)),
+        columns=columns,
         n_trees=n_trees,
         min_samples_leaf=min_samples_leaf,
         k_features=k,
@@ -305,8 +307,10 @@ def load_model(path) -> ExtraTreesModel:
         raise SchemaError(f"{path}: bad header ({exc})") from None
     if hashlib.sha256(body.encode()).hexdigest() != checksum:
         raise SchemaError(f"{path}: body checksum mismatch")
-    if approach not in APPROACH_FEATURE_LENGTHS or len(columns) != APPROACH_FEATURE_LENGTHS[approach]:
+    if approach not in APPROACH_FEATURE_LENGTHS or columns != tuple(column_names(approach)):
         raise SchemaError(f"{path}: layout does not match approach {approach}")
+    if n_trees < 1:
+        raise SchemaError(f"{path}: n_trees must be >= 1, got {n_trees}")
 
     trees = _parse_trees(body, path)
     if len(trees) != n_trees:

@@ -119,9 +119,8 @@ def test_every_approach_vector_length():
     rng = np.random.default_rng(41)
     frames = [LumaFrame(32, 32, rng.random((32, 32)), i) for i in range(2)]
     tensor = gsm_vif.video_features(frames)
-    meta = feature_assembly.EncodeMeta(2e6, 1920, 1080)
     lengths = [
-        len(feature_assembly.assemble(a, tensor, meta).values) for a in range(1, 10)
+        feature_assembly.assemble(a, [tensor], [2e6], [1920], [1080]).shape[1] for a in range(1, 10)
     ]
     assert lengths == [7, 11, 75, 8, 12, 76, 12, 20, 148]
     assert lengths == [feature_assembly.APPROACH_FEATURE_LENGTHS[a] for a in range(1, 10)]
@@ -372,8 +371,6 @@ def test_regressor_recovers_noiseless_function():
 
     X_train = rng.random((4000, 7))
     X_test = rng.random((400, 7))
-    rows = [(feature_assembly.FeatureVector(1, x), float(y))
-            for x, y in zip(X_train, f(X_train))]
-    model = regressor.train(rows, seed=0)
+    model = regressor.train(X_train, f(X_train), 1, seed=0)
     preds = regressor.predict_batch(model, X_test)
     assert regressor.r2_score(f(X_test), preds) >= 0.95

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ladderforge import dataset, feature_assembly as fa
+from ladderforge import dataset, feature_assembly as fa, gsm_vif
 from ladderforge.errors import SchemaError
 
 from test_feature_assembly import make_tensor
@@ -190,13 +192,20 @@ def test_manifest_overlap_rejected(tmp_path):
 def test_build_training_matrix_targets_and_order():
     records = sample_records(("a", "b"), crfs=[20, 30])
     tensors = {"a": make_tensor(seed=1), "b": make_tensor(seed=2)}
-    rows = dataset.build_training_matrix(records, tensors, approach=8)
-    assert len(rows) == len(records)
-    for row, record in zip(rows, records):
-        vec, target = row
+    X, y = dataset.build_training_matrix(records, tensors, approach=8)
+    names = gsm_vif.feature_column_names()
+    positions = [names.index(c) for c in fa.column_names(8)[:-3]]
+    assert X.shape == (len(records), 20) and y.shape == (len(records),)
+    for row, target, record in zip(X, y, records):
         assert target == record.vmaf / 100.0
-        assert vec.approach == 8
-        assert vec.values[-3] == np.log2(record.bitrate_bps)
+        assert row[-3] == math.log2(record.bitrate_bps)
+        assert row[-2] == record.width / 3840 and row[-1] == record.height / 3840
+        assert np.array_equal(row[:-3], tensors[record.video_id].values[positions])
+
+
+def test_build_training_matrix_of_no_records():
+    X, y = dataset.build_training_matrix([], {}, approach=9)
+    assert X.shape == (0, 148) and y.shape == (0,)
 
 
 def test_build_training_matrix_missing_tensor():

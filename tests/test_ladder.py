@@ -32,12 +32,9 @@ def sweep_log(resolutions, rungs, vmaf_fn, vid="v"):
 
 def train_toy_model(targets_fn=None, n_trees=10, seed=3):
     rng = np.random.default_rng(0)
-    rows = []
-    for _ in range(60):
-        x = rng.random(7)
-        target = 0.5 if targets_fn is None else targets_fn(x)
-        rows.append((feature_assembly.FeatureVector(1, x), float(target)))
-    return regressor.train(rows, n_trees=n_trees, seed=seed)
+    X = np.array([rng.random(7) for _ in range(60)])
+    y = [0.5 if targets_fn is None else float(targets_fn(x)) for x in X]
+    return regressor.train(X, y, 1, n_trees=n_trees, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +84,8 @@ def test_grid_matches_looped_single_predictions():
     grid = ladder.predict_quality_grid(model, tensor, resolutions, rungs)
     for i, (w, h) in enumerate(resolutions):
         for j, bps in enumerate(rungs):
-            vec = feature_assembly.assemble(
-                1, tensor, feature_assembly.EncodeMeta(bps, w, h)
-            )
-            assert grid[i, j] == regressor.predict_batch(model, vec.values[None, :])[0]
+            X = feature_assembly.assemble(1, [tensor], [bps], [w], [h])
+            assert grid[i, j] == regressor.predict_batch(model, X)[0]
 
 
 def test_grid_rejects_empty_resolutions():

@@ -159,6 +159,33 @@ def test_model_probe_is_corrupt_and_exits_2(workspace, tmp_path, capsys, probe):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_zero_tree_model_exits_2(workspace, tmp_path, capsys):
+    # a header and an empty body that agree with each other and the checksum
+    path = tmp_path / "empty.model"
+    empty = model_bytes(drop=range(len(BODY.splitlines())))
+    path.write_bytes(empty.replace(b"\nn_trees 2\n", b"\nn_trees 0\n"))
+    assert path.read_bytes().endswith(b"\nn_trees 0\nmin_samples_leaf 1\nk_features 3\nseed 5\n"
+                                      + b"checksum " + hashlib.sha256(b"").hexdigest().encode()
+                                      + b"\n---\n")
+    with pytest.raises(SchemaError, match="n_trees must be >= 1, got 0"):
+        regressor.load_model(path)
+    assert main(ladder_argv(workspace, path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_columns_of_another_approach_exit_2(workspace, tmp_path, capsys):
+    # approaches 5 and 7 both have 12 columns; the checksum covers the body only
+    rng = np.random.default_rng(1)
+    path = tmp_path / "swapped.model"
+    regressor.save_model(regressor.train(rng.random((20, 12)), rng.random(20), 7, n_trees=2), path)
+    path.write_text(path.read_text().replace("approach 7\n", "approach 5\n", 1))
+    with pytest.raises(SchemaError, match="layout does not match approach 5"):
+        regressor.load_model(path)
+    assert main(ladder_argv(workspace, path)) == EXIT_DATA
+    assert "layout does not match approach 5" in capsys.readouterr().err
+
+
 @settings(max_examples=50, deadline=None)
 @given(edits=MODEL_EDITS, drop=DROPS, junk=JUNK)
 @pin_model_probes

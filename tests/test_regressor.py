@@ -8,57 +8,53 @@ import pytest
 
 from ladderforge import regressor
 from ladderforge.errors import SchemaError
-from ladderforge.feature_assembly import FeatureVector
 
 
-def make_rows(n, seed=0, fn=None, approach=1):
-    """Rows over the 7-input layout of approach 1."""
+def make_rows(n, seed=0, fn=None):
+    """(X, y) over the 7-column layout of approach 1."""
     rng = np.random.default_rng(seed)
     X = rng.random((n, 7))
     if fn is None:
         fn = lambda x: 0.3 * x[0] + 0.1 * x[1]
-    return [(FeatureVector(approach, x), float(fn(x))) for x in X]
+    return X, np.array([float(fn(x)) for x in X])
 
 
-def predict(model, vec):
-    """The ensemble's prediction for one feature vector."""
-    return float(regressor.predict_batch(model, vec.values[None, :])[0])
+def predict(model, x):
+    """The ensemble's prediction for one feature row."""
+    return float(regressor.predict_batch(model, x[None, :])[0])
 
 
 def test_constant_target_collapses_to_leaves():
-    rows = [(vec, 0.42) for vec, _ in make_rows(50)]
-    model = regressor.train(rows, n_trees=10, seed=1)
+    X, _ = make_rows(50)
+    model = regressor.train(X, np.full(50, 0.42), 1, n_trees=10, seed=1)
     for tree in model.trees:
         assert len(tree.feature) == 1 and tree.feature[0] == -1
-    for vec, _ in rows[:5]:
-        assert predict(model, vec) == 0.42
+    for x in X[:5]:
+        assert predict(model, x) == 0.42
 
 
 def test_noiseless_linear_function_r2():
-    train_rows = make_rows(500, seed=1)
-    test_rows = make_rows(200, seed=2)
-    model = regressor.train(train_rows, seed=3)
-    preds = [predict(model, vec) for vec, _ in test_rows]
-    truth = [t for _, t in test_rows]
+    X, y = make_rows(500, seed=1)
+    X_test, truth = make_rows(200, seed=2)
+    model = regressor.train(X, y, 1, seed=3)
+    preds = [predict(model, x) for x in X_test]
     assert regressor.r2_score(truth, preds) >= 0.95
 
 
 def test_predictions_within_training_target_range():
-    rows = make_rows(200, seed=4, fn=lambda x: np.sin(8 * x[0]) + 0.2 * x[2])
-    targets = [t for _, t in rows]
-    model = regressor.train(rows, n_trees=20, seed=5)
-    query = make_rows(100, seed=6)
-    for vec, _ in query:
-        p = predict(model, vec)
+    X, targets = make_rows(200, seed=4, fn=lambda x: np.sin(8 * x[0]) + 0.2 * x[2])
+    model = regressor.train(X, targets, 1, n_trees=20, seed=5)
+    query, _ = make_rows(100, seed=6)
+    for x in query:
+        p = predict(model, x)
         assert min(targets) <= p <= max(targets)
 
 
 def test_min_samples_leaf_honoured():
-    rows = make_rows(120, seed=7)
+    X, y = make_rows(120, seed=7)
     model = regressor.train(
-        rows, n_trees=5, min_samples_leaf=5, seed=8
+        X, y, 1, n_trees=5, min_samples_leaf=5, seed=8
     )
-    X = np.array([vec.values for vec, _ in rows])
     for tree in model.trees:
         counts = np.zeros(len(tree.feature), dtype=int)
         for x in X:
@@ -71,44 +67,42 @@ def test_min_samples_leaf_honoured():
 
 
 def test_training_is_deterministic(tmp_path):
-    rows = make_rows(80, seed=9)
+    X, y = make_rows(80, seed=9)
     a, b = tmp_path / "a.model", tmp_path / "b.model"
-    regressor.save_model(regressor.train(rows, n_trees=12, seed=10), a)
-    regressor.save_model(regressor.train(rows, n_trees=12, seed=10), b)
+    regressor.save_model(regressor.train(X, y, 1, n_trees=12, seed=10), a)
+    regressor.save_model(regressor.train(X, y, 1, n_trees=12, seed=10), b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_row_order_does_not_matter(tmp_path):
-    rows = make_rows(80, seed=11)
-    shuffled = list(rows)
-    np.random.default_rng(0).shuffle(shuffled)
+    X, y = make_rows(80, seed=11)
+    shuffled = np.random.default_rng(0).permutation(len(y))
     a, b = tmp_path / "a.model", tmp_path / "b.model"
-    regressor.save_model(regressor.train(rows, n_trees=8, seed=12), a)
-    regressor.save_model(regressor.train(shuffled, n_trees=8, seed=12), b)
+    regressor.save_model(regressor.train(X, y, 1, n_trees=8, seed=12), a)
+    regressor.save_model(regressor.train(X[shuffled], y[shuffled], 1, n_trees=8, seed=12), b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_seed_changes_model(tmp_path):
-    rows = make_rows(80, seed=13)
+    X, y = make_rows(80, seed=13)
     a, b = tmp_path / "a.model", tmp_path / "b.model"
-    regressor.save_model(regressor.train(rows, n_trees=4, seed=1), a)
-    regressor.save_model(regressor.train(rows, n_trees=4, seed=2), b)
+    regressor.save_model(regressor.train(X, y, 1, n_trees=4, seed=1), a)
+    regressor.save_model(regressor.train(X, y, 1, n_trees=4, seed=2), b)
     assert a.read_bytes() != b.read_bytes()
 
 
 def test_per_tree_seeds_share_prefix():
-    rows = make_rows(60, seed=14)
-    small = regressor.train(rows, n_trees=6, seed=20)
-    grown = regressor.train(rows, n_trees=7, seed=20)
+    X, targets = make_rows(60, seed=14)
+    small = regressor.train(X, targets, 1, n_trees=6, seed=20)
+    grown = regressor.train(X, targets, 1, n_trees=7, seed=20)
     for ta, tb in zip(small.trees, grown.trees):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.threshold, tb.threshold)
         assert np.array_equal(ta.value, tb.value)
     # ensemble mean moves by at most (max - min) / n_trees when a tree joins
-    targets = [t for _, t in rows]
     spread = max(targets) - min(targets)
-    for vec, _ in rows[:10]:
-        delta = abs(predict(grown, vec) - predict(small, vec))
+    for x in X[:10]:
+        delta = abs(predict(grown, x) - predict(small, x))
         assert delta <= spread / 7 + 1e-12
 
 
@@ -136,13 +130,12 @@ def assert_tree_follows_the_rules(tree, X, y, min_leaf):
 
 @pytest.mark.parametrize("min_leaf", [1, 3])
 def test_every_node_follows_the_growth_rules(min_leaf):
-    rows = make_rows(150, seed=21, fn=lambda x: np.sin(6 * x[0]) + x[3])
-    rows += rows[:20]  # repeated rows: nodes whose features are all constant
+    X, y = make_rows(150, seed=21, fn=lambda x: np.sin(6 * x[0]) + x[3])
+    # repeated rows: nodes whose features are all constant
+    X, y = np.concatenate([X, X[:20]]), np.concatenate([y, y[:20]])
     model = regressor.train(
-        rows, n_trees=4, min_samples_leaf=min_leaf, seed=22
+        X, y, 1, n_trees=4, min_samples_leaf=min_leaf, seed=22
     )
-    X = np.array([vec.values for vec, _ in rows])
-    y = np.array([t for _, t in rows])
     for tree in model.trees:
         assert_tree_follows_the_rules(tree, X, y, min_leaf)
 
@@ -154,17 +147,15 @@ def test_equal_cost_splits_take_the_lowest_feature():
     bits = rng.integers(0, 2, size=(200, 4)).astype(float)
     X = np.column_stack([bits, bits[:, :3]])
     y = bits @ [0.4, 0.3, 0.2, 0.1] + 0.01 * rng.random(200)
-    rows = [(FeatureVector(1, x), float(t)) for x, t in zip(X, y)]
-    model = regressor.train(rows, n_trees=10, k_features=7, seed=24)
+    model = regressor.train(X, y, 1, n_trees=10, k_features=7, seed=24)
     used = {int(f) for tree in model.trees for f in tree.feature if f >= 0}
     assert used == {0, 1, 2, 3}
 
 
 def test_distinct_rows_are_predicted_exactly():
-    rows = make_rows(300, seed=25, fn=lambda x: x[0] * x[1] + x[2])
-    model = regressor.train(rows, n_trees=5, seed=26)
-    X = np.array([vec.values for vec, _ in rows])
-    assert np.array_equal(regressor.predict_batch(model, X), [t for _, t in rows])
+    X, y = make_rows(300, seed=25, fn=lambda x: x[0] * x[1] + x[2])
+    model = regressor.train(X, y, 1, n_trees=5, seed=26)
+    assert np.array_equal(regressor.predict_batch(model, X), y)
 
 
 def test_model_bytes_repeat_in_a_separate_process(tmp_path):
@@ -172,13 +163,13 @@ def test_model_bytes_repeat_in_a_separate_process(tmp_path):
         "import sys\n"
         "from test_regressor import make_rows\n"
         "from ladderforge import regressor\n"
-        "model = regressor.train(make_rows(120, seed=27), "
+        "model = regressor.train(*make_rows(120, seed=27), 1, "
         "n_trees=6, seed=28)\n"
         "regressor.save_model(model, sys.argv[1])\n"
     )
     here = tmp_path / "here.model"
     there = tmp_path / "there.model"
-    model = regressor.train(make_rows(120, seed=27), n_trees=6, seed=28)
+    model = regressor.train(*make_rows(120, seed=27), 1, n_trees=6, seed=28)
     regressor.save_model(model, here)
     paths = [Path(regressor.__file__).parents[1], Path(__file__).parent]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
@@ -187,16 +178,15 @@ def test_model_bytes_repeat_in_a_separate_process(tmp_path):
 
 
 def test_save_load_round_trip(tmp_path):
-    rows = make_rows(100, seed=15)
-    model = regressor.train(rows, n_trees=10, seed=16)
+    model = regressor.train(*make_rows(100, seed=15), 1, n_trees=10, seed=16)
     path = tmp_path / "m.model"
     regressor.save_model(model, path)
     loaded = regressor.load_model(path)
     assert loaded.approach == model.approach
     assert loaded.columns == model.columns
-    query = make_rows(30, seed=17)
-    for vec, _ in query:
-        assert predict(loaded, vec) == predict(model, vec)
+    query, _ = make_rows(30, seed=17)
+    for x in query:
+        assert predict(loaded, x) == predict(model, x)
     # byte-stable re-save
     path2 = tmp_path / "m2.model"
     regressor.save_model(loaded, path2)
@@ -204,7 +194,7 @@ def test_save_load_round_trip(tmp_path):
 
 
 def test_version_mismatch(tmp_path):
-    model = regressor.train(make_rows(30), n_trees=2, seed=0)
+    model = regressor.train(*make_rows(30), 1, n_trees=2, seed=0)
     path = tmp_path / "m.model"
     regressor.save_model(model, path)
     text = path.read_text().replace("extra-trees v1", "extra-trees v9", 1)
@@ -214,7 +204,7 @@ def test_version_mismatch(tmp_path):
 
 
 def test_corrupt_model_checksum(tmp_path):
-    model = regressor.train(make_rows(30), n_trees=2, seed=0)
+    model = regressor.train(*make_rows(30), 1, n_trees=2, seed=0)
     path = tmp_path / "m.model"
     regressor.save_model(model, path)
     data = path.read_bytes()
@@ -225,7 +215,7 @@ def test_corrupt_model_checksum(tmp_path):
 
 
 def test_truncated_model(tmp_path):
-    model = regressor.train(make_rows(30), n_trees=2, seed=0)
+    model = regressor.train(*make_rows(30), 1, n_trees=2, seed=0)
     path = tmp_path / "m.model"
     regressor.save_model(model, path)
     path.write_bytes(path.read_bytes()[:-60])
@@ -235,26 +225,27 @@ def test_truncated_model(tmp_path):
 
 def test_empty_training_set():
     with pytest.raises(SchemaError, match="no training rows"):
-        regressor.train([], seed=0)
+        regressor.train(np.empty((0, 7)), np.empty(0), 1, seed=0)
 
 
 def test_inconsistent_layout():
-    rows = make_rows(10, seed=18)
-    rng = np.random.default_rng(0)
-    other = (FeatureVector(4, rng.random(8)), 0.5)
-    with pytest.raises(SchemaError, match="mixed layouts"):
-        regressor.train(rows + [other], seed=0)
+    X, y = make_rows(10, seed=18)
+    # an approach-4 width, a target short, a column matrix for the targets
+    for bad_X, bad_y in [(np.hstack([X, X[:, :1]]), y), (X, y[:-1]), (X, y[:, None])]:
+        with pytest.raises(SchemaError, match=r"approach 1 takes an \(n, 7\) X and an \(n,\) y"):
+            regressor.train(bad_X, bad_y, 1, seed=0)
+    with pytest.raises(SchemaError, match="approach must be 1..9, got 11"):
+        regressor.train(X, y, 11, seed=0)
 
 
 def test_layout_mismatch_on_predict():
-    model = regressor.train(make_rows(30), n_trees=2, seed=0)
+    model = regressor.train(*make_rows(30), 1, n_trees=2, seed=0)
     with pytest.raises(SchemaError, match=r"expected \(n, 7\) query, got shape \(1, 8\)"):
-        predict(model, FeatureVector(4, np.zeros(8)))
+        predict(model, np.zeros(8))
 
 
 def test_default_k_is_ceil_third():
-    rows = make_rows(40, seed=19)
-    model = regressor.train(rows, n_trees=2, seed=0)
+    model = regressor.train(*make_rows(40, seed=19), 1, n_trees=2, seed=0)
     assert model.k_features == 3  # ceil(7 / 3)
 
 
