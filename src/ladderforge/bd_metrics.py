@@ -1,10 +1,14 @@
 """Bjontegaard deltas between rate-quality curves.
 
-BD-rate integrates log2 bitrate as a function of quality over the
-curves' shared quality interval; BD-quality integrates quality over the
-shared log2-rate interval. Both use a monotone piecewise-cubic Hermite
-interpolant (Fritsch-Carlson limited slopes) integrated in closed form,
-so results are exact for the interpolant rather than grid-approximated.
+BD-rate is the mean gap between the curves' log2 bitrate as a function of
+quality over their shared quality interval; BD-quality is the mean gap
+between their quality as a function of log2 rate over the shared log2-rate
+interval. Both integrate a monotone piecewise-cubic Hermite interpolant in
+closed form, so results are exact for the interpolant rather than
+grid-approximated. Its knot slopes are the secant mean capped at three
+times the smaller secant (the Fritsch-Carlson limit), zeroed at extrema,
+with one-sided secants at the ends; this is not the Fritsch-Butland rule
+of MATLAB's or scipy's pchip, so deltas can differ from those tools'.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ _NARROW_OVERLAP = 0.10
 def _check_abscissa(xs: np.ndarray) -> None:
     if xs.size < 2:
         raise DegenerateCurve(f"need at least 2 points, got {xs.size}")
-    if not np.all(np.diff(xs) > 0):
+    if not (xs[1:] > xs[:-1]).all():
         raise SchemaError("abscissa must be strictly increasing")
 
 
@@ -46,22 +50,12 @@ def pchip_slopes(xs, ys) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     _check_abscissa(xs)
-    d = np.diff(ys) / np.diff(xs)
-    m = np.empty(len(xs))
-    m[0], m[-1] = d[0], d[-1]
-    for i in range(1, len(xs) - 1):
-        if d[i - 1] * d[i] <= 0:
-            m[i] = 0.0
-        else:
-            avg = 0.5 * (d[i - 1] + d[i])
-            cap = 3.0 * min(abs(d[i - 1]), abs(d[i]))
-            m[i] = math.copysign(min(abs(avg), cap), avg)
-    return m
-
-
-def _locate(xs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(xs, x, side="right") - 1
-    return np.clip(idx, 0, len(xs) - 2)
+    d = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
+    left, right = d[:-1], d[1:]
+    avg = 0.5 * (left + right)
+    cap = 3.0 * np.minimum(np.abs(left), np.abs(right))
+    inner = np.where(left * right <= 0, 0.0, np.copysign(np.minimum(np.abs(avg), cap), avg))
+    return np.concatenate((d[:1], inner, d[-1:]))
 
 
 def pchip_interpolate(xs, ys, x_query):
@@ -75,7 +69,7 @@ def pchip_interpolate(xs, ys, x_query):
         raise SchemaError(
             f"query outside [{xs[0]}, {xs[-1]}]: {x[(x < xs[0]) | (x > xs[-1])][0]}"
         )
-    i = _locate(xs, x)
+    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
     h = xs[i + 1] - xs[i]
     t = (x - xs[i]) / h
     t2 = t * t
@@ -88,7 +82,7 @@ def pchip_interpolate(xs, ys, x_query):
     return float(out[0]) if scalar else out
 
 
-def _hermite_antiderivatives(t: float) -> tuple[float, float, float, float]:
+def _hermite_antiderivatives(t):
     t2 = t * t
     t3 = t2 * t
     t4 = t3 * t
@@ -101,7 +95,11 @@ def _hermite_antiderivatives(t: float) -> tuple[float, float, float, float]:
 
 
 def pchip_integrate(xs, ys, lo: float, hi: float) -> float:
-    """Exact integral of the interpolant over [lo, hi] inside the knots."""
+    """Exact integral of the interpolant over [lo, hi] inside the knots.
+
+    Every interval's t range is clipped to [0, 1], so intervals outside
+    [lo, hi] add exactly 0; the parts are summed in knot order.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     m = pchip_slopes(xs, ys)
@@ -109,26 +107,19 @@ def pchip_integrate(xs, ys, lo: float, hi: float) -> float:
         raise ValueError(f"integration bounds reversed: [{lo}, {hi}]")
     if lo < xs[0] or hi > xs[-1]:
         raise SchemaError(f"integration bounds [{lo}, {hi}] outside [{xs[0]}, {xs[-1]}]")
-    if lo == hi:
+    if lo == hi:  # the parts below can sum to -0.0 when ys are negative
         return 0.0
-    i_lo = int(_locate(xs, np.array([lo]))[0])
-    i_hi = int(_locate(xs, np.array([hi]))[0])
-    total = 0.0
-    for i in range(i_lo, i_hi + 1):
-        h = xs[i + 1] - xs[i]
-        ta = max((lo - xs[i]) / h, 0.0)
-        tb = min((hi - xs[i]) / h, 1.0)
-        if tb <= ta:
-            continue
-        a00, a10, a01, a11 = _hermite_antiderivatives(ta)
-        b00, b10, b01, b11 = _hermite_antiderivatives(tb)
-        total += h * (
-            ys[i] * (b00 - a00)
-            + h * m[i] * (b10 - a10)
-            + ys[i + 1] * (b01 - a01)
-            + h * m[i + 1] * (b11 - a11)
-        )
-    return total
+    h = xs[1:] - xs[:-1]
+    a00, a10, a01, a11 = _hermite_antiderivatives(((lo - xs[:-1]) / h).clip(0.0, 1.0))
+    b00, b10, b01, b11 = _hermite_antiderivatives(((hi - xs[:-1]) / h).clip(0.0, 1.0))
+    parts = h * (
+        ys[:-1] * (b00 - a00)
+        + h * m[:-1] * (b10 - a10)
+        + ys[1:] * (b01 - a01)
+        + h * m[1:] * (b11 - a11)
+    )
+    # cumsum adds in order; np.sum adds 8 or more terms pairwise
+    return float(parts.cumsum()[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +163,9 @@ class RqCurve:
         return cls(tuple(kept_r), tuple(kept_q))
 
     @classmethod
-    def from_ladder(cls, ladder) -> "RqCurve":
-        return cls.from_points((rung.realized_bps, rung.vmaf) for rung in ladder.rungs)
-
-    def quality_span(self) -> tuple[float, float]:
-        return self.qualities[0], self.qualities[-1]
-
-    def rate_span(self) -> tuple[float, float]:
-        return self.log_rates[0], self.log_rates[-1]
+    def from_ladder(cls, rungs) -> "RqCurve":
+        """The curve of a ladder's realized (bitrate, vmaf) points."""
+        return cls.from_points((rung.realized_bps, rung.vmaf) for rung in rungs)
 
 
 @dataclass(frozen=True)
@@ -205,12 +191,20 @@ class ReportRow:
 REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
-def _overlap(a: tuple[float, float], b: tuple[float, float], axis: str) -> tuple[float, float]:
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
+def _overlap(test_xs, anchor_xs, axis: str) -> tuple[float, float]:
+    """The interval both ascending knot sequences cover."""
+    lo = max(test_xs[0], anchor_xs[0])
+    hi = min(test_xs[-1], anchor_xs[-1])
     if hi <= lo:
         raise DegenerateCurve(f"curves share no {axis} interval: [{lo}, {hi}]")
     return lo, hi
+
+
+def _mean_gap(test_xs, test_ys, anchor_xs, anchor_ys, axis: str) -> float:
+    """Mean of test minus anchor interpolant over their shared x interval."""
+    lo, hi = _overlap(test_xs, anchor_xs, axis)
+    return (pchip_integrate(test_xs, test_ys, lo, hi)
+            - pchip_integrate(anchor_xs, anchor_ys, lo, hi)) / (hi - lo)
 
 
 def bd_rate(test: RqCurve, anchor: RqCurve) -> float:
@@ -219,30 +213,20 @@ def bd_rate(test: RqCurve, anchor: RqCurve) -> float:
     Negative values mean the test curve needs less bitrate than the
     anchor for the same quality.
     """
-    lo, hi = _overlap(test.quality_span(), anchor.quality_span(), "quality")
-    span = hi - lo
-    mean_diff = (
-        pchip_integrate(test.qualities, test.log_rates, lo, hi)
-        - pchip_integrate(anchor.qualities, anchor.log_rates, lo, hi)
-    ) / span
-    return (2.0 ** mean_diff - 1.0) * 100.0
+    gap = _mean_gap(test.qualities, test.log_rates, anchor.qualities, anchor.log_rates, "quality")
+    return (2.0 ** gap - 1.0) * 100.0
 
 
 def bd_quality(test: RqCurve, anchor: RqCurve) -> float:
     """Average quality difference at equal rate, in quality points."""
-    lo, hi = _overlap(test.rate_span(), anchor.rate_span(), "rate")
-    span = hi - lo
-    return (
-        pchip_integrate(test.log_rates, test.qualities, lo, hi)
-        - pchip_integrate(anchor.log_rates, anchor.qualities, lo, hi)
-    ) / span
+    return _mean_gap(test.log_rates, test.qualities, anchor.log_rates, anchor.qualities, "rate")
 
 
-def _narrow_overlap_warnings(test, anchor, overlap, axis) -> list[str]:
+def _narrow_overlap_warnings(test_xs, anchor_xs, overlap, axis) -> list[str]:
     width = overlap[1] - overlap[0]
     warnings = []
-    for name, curve in (("test", test), ("anchor", anchor)):
-        span = curve[1] - curve[0]
+    for name, xs in (("test", test_xs), ("anchor", anchor_xs)):
+        span = xs[-1] - xs[0]
         if span > 0 and width < _NARROW_OVERLAP * span:
             warnings.append(
                 f"{axis} overlap covers {width / span:.1%} of the {name} curve"
@@ -252,11 +236,10 @@ def _narrow_overlap_warnings(test, anchor, overlap, axis) -> list[str]:
 
 def compare_curves(test: RqCurve, anchor: RqCurve, video_id: str = "", pair: str = "") -> ReportRow:
     """The report row of both deltas plus the intervals they were computed over."""
-    q_overlap = _overlap(test.quality_span(), anchor.quality_span(), "quality")
-    r_overlap = _overlap(test.rate_span(), anchor.rate_span(), "rate")
-    warnings = _narrow_overlap_warnings(
-        test.quality_span(), anchor.quality_span(), q_overlap, "quality"
-    ) + _narrow_overlap_warnings(test.rate_span(), anchor.rate_span(), r_overlap, "rate")
+    q_overlap = _overlap(test.qualities, anchor.qualities, "quality")
+    r_overlap = _overlap(test.log_rates, anchor.log_rates, "rate")
+    warnings = (_narrow_overlap_warnings(test.qualities, anchor.qualities, q_overlap, "quality")
+                + _narrow_overlap_warnings(test.log_rates, anchor.log_rates, r_overlap, "rate"))
     return ReportRow(video_id, pair, bd_rate(test, anchor), bd_quality(test, anchor),
                      *q_overlap, *r_overlap, "; ".join(warnings))
 

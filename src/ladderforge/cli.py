@@ -250,16 +250,16 @@ def cmd_ladder(args, cfg: RunConfig) -> int:
     out = Path(args.out)
     atomic_write_text(out, ladder_csv_text(predicted))
     summary_path = Path(args.summary) if args.summary else Path(str(out) + ".summary.txt")
-    summary = ladder_summary_text(predicted)
+    summary = ladder_summary_text("predicted", predicted)
 
     if args.fixed_out:
         fixed = fixed_ladder(cfg.fixed_ladder_table(), records)
         atomic_write_text(Path(args.fixed_out), ladder_csv_text(fixed))
-        summary += ladder_summary_text(fixed)
+        summary += ladder_summary_text("fixed", fixed)
     if args.reference_out:
         reference = reference_ladder(records, cfg.rung_bitrates_bps, correct=not args.no_correction)
         atomic_write_text(Path(args.reference_out), ladder_csv_text(reference))
-        summary += ladder_summary_text(reference)
+        summary += ladder_summary_text("reference", reference)
     atomic_write_text(summary_path, summary)
     _write_sidecar(out, "ladder", cfg, {"video": args.video,
                                         "correction": not args.no_correction})
@@ -353,12 +353,10 @@ def cmd_plot(args, cfg: RunConfig) -> int:
         labels = args.labels.split(",") if args.labels else [Path(p).stem for p in args.ladders]
         if len(labels) != len(args.ladders):
             raise UsageError(f"{len(args.ladders)} ladders but {len(labels)} labels")
-        curves = []
-        for label, path in zip(labels, args.ladders):
-            lad = parse_ladder_csv(path)
-            curves.append(
-                (label, [(r.realized_bps, r.vmaf) for r in lad.rungs])
-            )
+        curves = [
+            (label, [(r.realized_bps, r.vmaf) for r in parse_ladder_csv(path)])
+            for label, path in zip(labels, args.ladders)
+        ]
         title = "rate-quality hulls" if args.title is None else args.title
         atomic_write_text(out, hull_svg_text(curves, title))
         atomic_write_text(_csv_twin(out), hull_csv_text(curves))

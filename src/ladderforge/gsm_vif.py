@@ -152,7 +152,7 @@ def _whitened_energy(channels, eigenvalues, eigenvectors) -> np.ndarray:
     return np.einsum("ki,ki->i", whitened, whitened) / channels.shape[0]
 
 
-def estimate_multipliers(vectors, covariance, eigenvalues=None, eigenvectors=None) -> np.ndarray:
+def estimate_multipliers(vectors, covariance) -> np.ndarray:
     """Per-block scale multipliers s_i^2 maximizing the Gaussian likelihood.
 
     s_i^2 = z_i^T C+ z_i / block_dim with z_i the mean-removed
@@ -160,10 +160,8 @@ def estimate_multipliers(vectors, covariance, eigenvalues=None, eigenvectors=Non
     its eigenbasis with eigenvalues below 1e-10 * max treated as zero.
     """
     channels = _centered_channels(vectors)
-    if eigenvectors is None:
-        eigenvalues, eigenvectors = jacobi_eigh(covariance)
-        eigenvalues = np.maximum(eigenvalues, 0.0)
-    return _whitened_energy(channels, eigenvalues, eigenvectors)
+    eigenvalues, eigenvectors = jacobi_eigh(covariance)
+    return _whitened_energy(channels, np.maximum(eigenvalues, 0.0), eigenvectors)
 
 
 def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.ndarray, float]:

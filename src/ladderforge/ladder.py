@@ -4,7 +4,9 @@ Three ladder families over the same rung grid: predicted (model argmax
 per rung plus monotonic correction), fixed (a configured rung to
 resolution table), and reference (per-rung best measured quality from an
 exhaustive encode log). Every ladder is realized against an encode log
-by snapping each rung to the closest logged point in log2 bitrate.
+by snapping each rung to the closest logged point in log2 bitrate, which
+may lie above or below the rung's target. A ladder is its tuple of
+LadderRung rows in rung order.
 """
 
 from __future__ import annotations
@@ -66,19 +68,6 @@ class LadderRung:
 
 LADDER_COLUMNS = tuple(f.name for f in fields(LadderRung))
 _CONVERTERS = (finite_float, DIMENSION, DIMENSION, CRF, BITRATE, VMAF)
-
-
-@dataclass(frozen=True)
-class Ladder:
-    rungs: tuple[LadderRung, ...]
-    provenance: str  # "predicted" | "fixed" | "reference"
-
-    def resolutions(self) -> list[tuple[int, int]]:
-        return [(r.width, r.height) for r in self.rungs]
-
-    def is_monotone(self) -> bool:
-        pix = [r.width * r.height for r in self.rungs]
-        return all(a <= b for a, b in zip(pix, pix[1:]))
 
 
 def pixel_count(resolution: tuple[int, int]) -> int:
@@ -173,7 +162,7 @@ def closest_point(records, target_bps: float) -> EncodeRecord:
     )
 
 
-def realize_ladder(choices, rungs, log, provenance: str = "predicted") -> Ladder:
+def realize_ladder(choices, rungs, log) -> tuple[LadderRung, ...]:
     """Snap each rung's chosen resolution to its closest logged point."""
     rungs = validate_rungs(rungs)
     choices = [tuple(c) for c in choices]
@@ -189,10 +178,10 @@ def realize_ladder(choices, rungs, log, provenance: str = "predicted") -> Ladder
             )
         record = closest_point(records, target)
         realized.append(LadderRung(target, w, h, record.crf, record.bitrate_bps, record.vmaf))
-    return Ladder(tuple(realized), provenance)
+    return tuple(realized)
 
 
-def reference_ladder(log, rungs=DEFAULT_RUNG_BPS, correct: bool = True) -> Ladder:
+def reference_ladder(log, rungs=DEFAULT_RUNG_BPS, correct: bool = True) -> tuple[LadderRung, ...]:
     """Best measured resolution per rung from an exhaustive encode log.
 
     select_ladder picks from the vmaf of each logged resolution's closest
@@ -208,10 +197,10 @@ def reference_ladder(log, rungs=DEFAULT_RUNG_BPS, correct: bool = True) -> Ladde
     choices = select_ladder(grid, resolutions, rungs)
     if correct:
         choices = monotonic_correct(choices)
-    return realize_ladder(choices, rungs, log, provenance="reference")
+    return realize_ladder(choices, rungs, log)
 
 
-def fixed_ladder(table, log) -> Ladder:
+def fixed_ladder(table, log) -> tuple[LadderRung, ...]:
     """Realize a configured rung -> resolution table against the log.
 
     ``table`` is an ascending sequence of (target_bps, (width, height)).
@@ -220,7 +209,7 @@ def fixed_ladder(table, log) -> Ladder:
         raise SchemaError("fixed-ladder table is missing or empty")
     rungs = [bps for bps, _ in table]
     choices = [tuple(res) for _, res in table]
-    return realize_ladder(choices, rungs, log, provenance="fixed")
+    return realize_ladder(choices, rungs, log)
 
 
 def predicted_ladder(
@@ -230,24 +219,24 @@ def predicted_ladder(
     rungs=DEFAULT_RUNG_BPS,
     resolutions=DEFAULT_RESOLUTIONS,
     correct: bool = True,
-) -> Ladder:
+) -> tuple[LadderRung, ...]:
     """Model-driven ladder: argmax selection, correction, realization."""
     grid = predict_quality_grid(model, vif, resolutions, rungs)
     choices = select_ladder(grid, resolutions, rungs)
     if correct:
         choices = monotonic_correct(choices)
-    return realize_ladder(choices, rungs, log, provenance="predicted")
+    return realize_ladder(choices, rungs, log)
 
 
 # ---------------------------------------------------------------------------
 # ladder CSV and summary text
 # ---------------------------------------------------------------------------
 
-def ladder_csv_text(ladder: Ladder) -> str:
-    return csv_text(LADDER_COLUMNS, ladder.rungs)
+def ladder_csv_text(rungs) -> str:
+    return csv_text(LADDER_COLUMNS, rungs)
 
 
-def parse_ladder_csv(path) -> Ladder:
+def parse_ladder_csv(path) -> tuple[LadderRung, ...]:
     """A ladder CSV's rungs; the file does not record provenance."""
     rungs = []
     for line, values in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
@@ -259,16 +248,19 @@ def parse_ladder_csv(path) -> Ladder:
         rungs.append(rung)
     if not rungs:
         raise SchemaError(f"{path}: ladder has no rungs")
-    return Ladder(tuple(rungs), "unknown")
+    return tuple(rungs)
 
 
-def ladder_summary_text(ladder: Ladder) -> str:
+def ladder_summary_text(provenance: str, rungs) -> str:
+    """The summary block of one ladder; monotone means pixel counts never fall."""
+    pixels = [rung.width * rung.height for rung in rungs]
+    monotone = all(a <= b for a, b in zip(pixels, pixels[1:]))
     lines = [
-        f"provenance: {ladder.provenance}",
-        f"rungs: {len(ladder.rungs)}",
-        f"monotone: {'yes' if ladder.is_monotone() else 'no'}",
+        f"provenance: {provenance}",
+        f"rungs: {len(rungs)}",
+        f"monotone: {'yes' if monotone else 'no'}",
     ]
-    for rung in ladder.rungs:
+    for rung in rungs:
         lines.append(
             f"  {rung.rung_bps / 1e6:g} Mbps -> {rung.width}x{rung.height}"
             f" crf {rung.crf},"

@@ -64,6 +64,8 @@ def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
     X holds one row per encode in column_names(approach) order, as
     feature_assembly.assemble builds it; k_features None is ceil(d / 3).
     """
+    if n_trees < 1:
+        raise SchemaError(f"n_trees must be >= 1, got {n_trees}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not y.size:

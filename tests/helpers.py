@@ -83,3 +83,14 @@ def split_plane(values):
     values = np.asarray(values)
     assert values.shape == (84,)
     return values[:72].reshape(4, 2, 9), values[72:80].reshape(4, 2), values[80:84]
+
+
+def rung_resolutions(rungs):
+    """Each ladder rung's (width, height), in rung order."""
+    return [(r.width, r.height) for r in rungs]
+
+
+def is_monotone(rungs):
+    """True when pixel counts never fall from one rung to the next."""
+    pixels = [w * h for w, h in rung_resolutions(rungs)]
+    return all(a <= b for a, b in zip(pixels, pixels[1:]))

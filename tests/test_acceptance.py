@@ -193,7 +193,8 @@ def test_ladder_invariants_on_random_grids():
         resolutions = list(ladder.DEFAULT_RESOLUTIONS)
         log, vmaf_grid, planted = make_crossover_log(rng, resolutions, rungs)
         built = ladder.reference_ladder(log, rungs)
-        assert built.resolutions() == exhaustive_monotone_best(vmaf_grid, resolutions)
+        built_resolutions = [(r.width, r.height) for r in built]
+        assert built_resolutions == exhaustive_monotone_best(vmaf_grid, resolutions)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +299,7 @@ def test_end_to_end_desk_scale(tmp_path):
         reference = ladder.reference_ladder(per_clip[name], E2E_RUNG_BPS)
         ref_curve = bd_metrics.RqCurve.from_ladder(reference)
         misconfigured = ladder.realize_ladder(
-            inverted_fixed_choices(), E2E_RUNG_BPS, per_clip[name], provenance="fixed"
+            inverted_fixed_choices(), E2E_RUNG_BPS, per_clip[name]
         )
         bad_curve = bd_metrics.RqCurve.from_ladder(misconfigured)
         for approach in (1, 8):

@@ -105,19 +105,24 @@ def test_linear_integral_closed_form():
 
 def test_integral_matches_dense_trapezoid_oracle():
     rng = np.random.default_rng(17)
-    for _ in range(5):
+    for k in range(8):
         xs = np.cumsum(rng.uniform(0.3, 1.2, size=9))
-        ys = np.cumsum(rng.uniform(0.5, 4.0, size=9))
-        lo = xs[0] + 0.3 * (xs[-1] - xs[0])
-        hi = xs[0] + 0.9 * (xs[-1] - xs[0])
-        exact = bd_metrics.pchip_integrate(xs, ys, lo, hi)
-        approx = trapezoid_integral(xs, ys, lo, hi)
-        assert exact == pytest.approx(approx, abs=1e-6)
+        # monotone, then wiggly values with local extrema
+        ys = np.cumsum(rng.uniform(0.5, 4.0, size=9)) if k < 5 else rng.normal(0.0, 5.0, size=9)
+        span = xs[-1] - xs[0]
+        # inside the knots, knot to knot, and within a single interval
+        for lo, hi in ((xs[0] + 0.3 * span, xs[0] + 0.9 * span), (xs[2], xs[6]),
+                       (xs[4] + 0.1 * (xs[5] - xs[4]), xs[4] + 0.8 * (xs[5] - xs[4]))):
+            exact = bd_metrics.pchip_integrate(xs, ys, lo, hi)
+            approx = trapezoid_integral(xs, ys, lo, hi)
+            assert exact == pytest.approx(approx, abs=1e-6)
 
 
 def test_integral_degenerate_and_bad_bounds():
     xs, ys = [0.0, 1.0, 2.0], [0.0, 1.0, 4.0]
     assert bd_metrics.pchip_integrate(xs, ys, 1.3, 1.3) == 0.0
+    # an empty interval is +0.0, not the -0.0 that falling negative values sum to
+    assert math.copysign(1.0, bd_metrics.pchip_integrate([0.0, 1.0], [-1.0, -2.0], 0.5, 0.5)) == 1.0
     with pytest.raises(ValueError):
         bd_metrics.pchip_integrate(xs, ys, 1.5, 0.5)
     with pytest.raises(SchemaError, match="integration bounds"):

@@ -9,7 +9,7 @@ import pytest
 from ladderforge import cli, config, dataset, ladder
 from ladderforge.cli import EXIT_DATA, EXIT_OK, EXIT_TOOL, EXIT_USAGE, main
 
-from helpers import random_plane, write_y4m
+from helpers import is_monotone, random_plane, rung_resolutions, write_y4m
 
 RESOLUTIONS = ((1920, 1080), (1280, 720), (960, 540))
 RUNGS_MBPS = "0.5,1,2,4"
@@ -335,9 +335,9 @@ def test_ladder_monotone_output(tmp_path, pipeline):
     out = tmp_path / "ladder.csv"
     assert main(ladder_args(pipeline, out)) == EXIT_OK
     lad = ladder.parse_ladder_csv(out)
-    assert len(lad.rungs) == 4
-    assert lad.is_monotone()
-    assert [r.rung_bps for r in lad.rungs] == list(RUNG_BPS)
+    assert len(lad) == 4
+    assert is_monotone(lad)
+    assert [r.rung_bps for r in lad] == list(RUNG_BPS)
     summary = Path(str(out) + ".summary.txt").read_text()
     assert "monotone: yes" in summary
 
@@ -370,11 +370,13 @@ def test_ladder_fixed_and_reference_outputs(tmp_path, pipeline):
     ))
     assert code == EXIT_OK
     fixed = ladder.parse_ladder_csv(fixed_out)
-    assert fixed.resolutions() == [(960, 540), (1280, 720), (1920, 1080), (1920, 1080)]
+    assert rung_resolutions(fixed) == [(960, 540), (1280, 720), (1920, 1080), (1920, 1080)]
     ref = ladder.parse_ladder_csv(ref_out)
-    assert ref.is_monotone()
+    assert is_monotone(ref)
     summary = Path(str(out) + ".summary.txt").read_text()
     assert summary.count("provenance:") == 3
+    provenances = [line for line in summary.splitlines() if line.startswith("provenance:")]
+    assert provenances == ["provenance: predicted", "provenance: fixed", "provenance: reference"]
 
 
 def test_ladder_missing_resolution_sweep(tmp_path, pipeline, capsys):

@@ -254,7 +254,7 @@ def test_multiplier_identity_covariance_unit_block():
     base = np.zeros((2, 9))
     base[0, 0] = 3.0
     base[1, 0] = -3.0  # mean 0, so residuals are exactly +-3 on axis 0
-    s2 = gsm_vif.estimate_multipliers(base, np.eye(9), np.ones(9), np.eye(9))
+    s2 = gsm_vif.estimate_multipliers(base, np.eye(9))
     assert s2[0] == pytest.approx(1.0, abs=1e-12)
     assert s2[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -265,8 +265,8 @@ def test_multipliers_match_likelihood_grid():
     L = np.linalg.cholesky(true_cov)
     s_true = rng.uniform(0.2, 2.0, size=60)
     X = (rng.normal(size=(60, 9)) @ L.T) * np.sqrt(s_true)[:, None]
-    cov, eigvals, _ = gsm_vif._fit_eigen(X)
-    est = gsm_vif.estimate_multipliers(X, cov, eigvals)
+    cov, _, _ = gsm_vif._fit_eigen(X)
+    est = gsm_vif.estimate_multipliers(X, cov)
     Z = X - X.mean(axis=0)
     for i in range(0, 60, 7):
         ref = grid_search_multiplier(Z[i], cov)
@@ -276,25 +276,24 @@ def test_multipliers_match_likelihood_grid():
 def test_estimate_multipliers_leaves_the_callers_vectors_unchanged():
     X = np.random.default_rng(10).normal(size=(60, 9)) + 3.0
     before = X.copy()
-    cov, eigvals, _ = gsm_vif._fit_eigen(X)
+    cov, _, _ = gsm_vif._fit_eigen(X)
     for vectors in (X, np.asfortranarray(X)):
-        gsm_vif.estimate_multipliers(vectors, cov, eigvals)
         gsm_vif.estimate_multipliers(vectors, cov)
         assert np.array_equal(vectors, before)
 
 
 def test_multipliers_zero_covariance():
     vectors = np.tile(np.arange(9.0), (5, 1))
-    cov, eigvals, _ = gsm_vif._fit_eigen(vectors)
-    s2 = gsm_vif.estimate_multipliers(vectors, cov, eigvals)
+    cov, _, _ = gsm_vif._fit_eigen(vectors)
+    s2 = gsm_vif.estimate_multipliers(vectors, cov)
     assert np.all(s2 == 0.0)
 
 
 def test_multipliers_nonnegative():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(100, 9))
-    cov, eigvals, _ = gsm_vif._fit_eigen(X)
-    assert np.all(gsm_vif.estimate_multipliers(X, cov, eigvals) >= 0.0)
+    cov, _, _ = gsm_vif._fit_eigen(X)
+    assert np.all(gsm_vif.estimate_multipliers(X, cov) >= 0.0)
 
 
 # ---------------------------------------------------------------------------

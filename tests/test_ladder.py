@@ -7,6 +7,7 @@ import pytest
 from ladderforge import dataset, feature_assembly, ladder, regressor
 from ladderforge.errors import SchemaError
 
+from helpers import is_monotone, rung_resolutions
 from test_feature_assembly import make_tensor
 
 R2160 = (3840, 2160)
@@ -218,11 +219,10 @@ def test_realized_ladder_fields():
         rec(*R1080, 29, 2.05e6, 71.0),
     ]
     out = ladder.realize_ladder([R720, R1080], rungs, log)
-    assert out.provenance == "predicted"
-    assert [r.rung_bps for r in out.rungs] == rungs
-    assert out.rungs[0].realized_bps == 0.9e6
-    assert out.rungs[1].vmaf == 71.0
-    assert out.is_monotone()
+    assert [r.rung_bps for r in out] == rungs
+    assert out[0].realized_bps == 0.9e6
+    assert out[1].vmaf == 71.0
+    assert is_monotone(out)
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +238,21 @@ def test_reference_single_dominant_resolution():
 
     log = sweep_log(resolutions, rungs, vmaf_fn)
     out = ladder.reference_ladder(log, rungs)
-    assert out.resolutions() == [R720] * 12
-    assert out.provenance == "reference"
+    assert rung_resolutions(out) == [R720] * 12
 
 
 def test_reference_single_resolution_log():
     rungs = [1e6, 2e6, 4e6]
     log = sweep_log([R540], rungs, lambda res, bps: 60.0)
     out = ladder.reference_ladder(log, rungs)
-    assert out.resolutions() == [R540] * 3
+    assert rung_resolutions(out) == [R540] * 3
 
 
 def test_reference_tie_prefers_smaller_resolution():
     rungs = [1e6]
     log = sweep_log([R540, R432], rungs, lambda res, bps: 55.0)
     out = ladder.reference_ladder(log, rungs)
-    assert out.resolutions() == [R432]
+    assert rung_resolutions(out) == [R432]
 
 
 def exhaustive_monotone_best(vmaf_grid, resolutions):
@@ -298,7 +297,7 @@ def test_reference_matches_exhaustive_oracle_on_crossover_logs():
         log, vmaf_grid, planted = make_crossover_log(rng, resolutions, rungs)
         out = ladder.reference_ladder(log, rungs)
         oracle = exhaustive_monotone_best(vmaf_grid, resolutions)
-        assert out.resolutions() == oracle == planted
+        assert rung_resolutions(out) == oracle == planted
 
 
 def test_reference_dominates_any_choice_per_rung_before_correction():
@@ -312,7 +311,7 @@ def test_reference_dominates_any_choice_per_rung_before_correction():
     for _ in range(10):
         picks = [resolutions[i] for i in rng.integers(0, 3, size=len(rungs))]
         other = ladder.realize_ladder(picks, rungs, log)
-        for a, b in zip(ref.rungs, other.rungs):
+        for a, b in zip(ref, other):
             assert a.vmaf >= b.vmaf
 
 
@@ -324,9 +323,8 @@ def test_fixed_ladder_exact_match_row():
     table = [(6_000_000, R1080)]
     log = [rec(*R1080, 27, 6_000_000, 88.0), rec(*R1080, 30, 3_000_000, 80.0)]
     out = ladder.fixed_ladder(table, log)
-    assert out.provenance == "fixed"
-    assert out.rungs[0].realized_bps == 6_000_000
-    assert out.rungs[0].vmaf == 88.0
+    assert out[0].realized_bps == 6_000_000
+    assert out[0].vmaf == 88.0
 
 
 def test_fixed_ladder_empty_config():
@@ -352,12 +350,12 @@ def test_predicted_ladder_is_monotone_and_realized():
     resolutions = [R1080, R720, R540]
     log = sweep_log(resolutions, rungs, lambda res, bps: 50.0)
     out = ladder.predicted_ladder(model, tensor, log, rungs, resolutions)
-    assert out.is_monotone()
-    assert len(out.rungs) == 4
+    assert is_monotone(out)
+    assert len(out) == 4
     raw = ladder.predicted_ladder(
         model, tensor, log, rungs, resolutions, correct=False
     )
-    assert [r.rung_bps for r in raw.rungs] == [r.rung_bps for r in out.rungs]
+    assert [r.rung_bps for r in raw] == [r.rung_bps for r in out]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +368,7 @@ def test_ladder_csv_round_trip(tmp_path):
     out = ladder.realize_ladder([R720, R1080], rungs, log)
     path = tmp_path / "ladder.csv"
     path.write_text(ladder.ladder_csv_text(out))
-    assert ladder.parse_ladder_csv(path).rungs == out.rungs
+    assert ladder.parse_ladder_csv(path) == out
 
 
 def test_ladder_csv_header():
@@ -396,8 +394,8 @@ def test_parse_ladder_rejects_empty(tmp_path):
 def test_summary_text_mentions_monotonicity():
     log = [rec(*R720, 32, 1e6, 55.0), rec(*R540, 34, 0.5e6, 40.0)]
     mono = ladder.realize_ladder([R540, R720], [0.5e6, 1e6], log)
-    text = ladder.ladder_summary_text(mono)
+    text = ladder.ladder_summary_text("predicted", mono)
     assert "monotone: yes" in text
     assert "provenance: predicted" in text
     broken = ladder.realize_ladder([R720, R540], [0.5e6, 1e6], log)
-    assert "monotone: no" in ladder.ladder_summary_text(broken)
+    assert "monotone: no" in ladder.ladder_summary_text("fixed", broken)

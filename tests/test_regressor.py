@@ -228,6 +228,14 @@ def test_empty_training_set():
         regressor.train(np.empty((0, 7)), np.empty(0), 1, seed=0)
 
 
+def test_train_rejects_fewer_than_one_tree():
+    # the rule and message load_model and validate_config apply to the same field
+    X, y = make_rows(5)
+    for n_trees in (0, -1):
+        with pytest.raises(SchemaError, match=f"^n_trees must be >= 1, got {n_trees}$"):
+            regressor.train(X, y, 1, n_trees=n_trees, seed=0)
+
+
 def test_inconsistent_layout():
     X, y = make_rows(10, seed=18)
     # an approach-4 width, a target short, a column matrix for the targets
