@@ -79,6 +79,8 @@ def validate_config(config: RunConfig) -> RunConfig:
         raise SchemaError(f"min_samples_leaf must be >= 1, got {config.min_samples_leaf}")
     if config.k_features is not None and config.k_features < 1:
         raise SchemaError(f"k_features must be >= 1, got {config.k_features}")
+    if config.seed < 0:
+        raise SchemaError(f"seed must be >= 0, got {config.seed}")
     if config.workers < 1:
         raise SchemaError(f"workers must be >= 1, got {config.workers}")
     if not CRF_MIN <= config.crf_min <= config.crf_max <= CRF_MAX:

@@ -10,8 +10,11 @@ depth. Chroma planes are skipped, never decoded.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from stat import S_ISREG
 from typing import BinaryIO, Iterator
 
 import numpy as np
@@ -160,8 +163,13 @@ def _read_line(stream: BinaryIO) -> bytes | None:
     raise SchemaError("stream ended inside a record line")
 
 
-def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> LumaFrame | None:
-    """Read one frame; None when the stream ends cleanly at a frame boundary."""
+def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int,
+                       limit: float = math.inf) -> LumaFrame | None:
+    """Read one frame; None when the stream ends cleanly at a frame boundary.
+
+    No read asks for more than limit bytes, so a file's size caps what a
+    header with huge dimensions can make it allocate.
+    """
     marker = _read_line(stream)
     if marker is None:
         return None
@@ -171,10 +179,10 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> Lum
     bps = header.bytes_per_sample
     luma_bytes = header.width * header.height * bps
     chroma_bytes = (header.width // 2) * (header.height // 2) * bps * 2
-    buf = stream.read(luma_bytes)
+    buf = stream.read(min(luma_bytes, limit))
     if len(buf) < luma_bytes:
         raise SchemaError(f"frame {index}: luma plane truncated")
-    skipped = stream.read(chroma_bytes)
+    skipped = stream.read(min(chroma_bytes, limit))
     if len(skipped) < chroma_bytes:
         raise SchemaError(f"frame {index}: chroma planes truncated")
 
@@ -189,11 +197,12 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> Lum
     return LumaFrame(header.width, header.height, plane, index, peak)
 
 
-def iter_luma_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
+def iter_luma_frames(stream: BinaryIO, header: VideoHeader,
+                     limit: float = math.inf) -> Iterator[LumaFrame]:
     """Yield frames until the stream ends at a clean frame boundary."""
     index = 0
     while True:
-        frame = _read_frame_record(stream, header, index)
+        frame = _read_frame_record(stream, header, index, limit)
         if frame is None:
             return
         yield frame
@@ -205,15 +214,18 @@ def open_y4m(path) -> tuple[VideoHeader, Iterator[LumaFrame]]:
     stream = open(path, "rb")
     try:
         header = read_header(stream)
+        stat = os.fstat(stream.fileno())
     except Exception:
         stream.close()
         raise
-    return header, _owned_frames(stream, header)
+    # no frame read asks for more bytes than a regular file holds
+    limit = stat.st_size if S_ISREG(stat.st_mode) else math.inf
+    return header, _owned_frames(stream, header, limit)
 
 
-def _owned_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
+def _owned_frames(stream: BinaryIO, header: VideoHeader, limit: float) -> Iterator[LumaFrame]:
     try:
-        yield from iter_luma_frames(stream, header)
+        yield from iter_luma_frames(stream, header, limit)
     finally:
         stream.close()
 

@@ -177,7 +177,8 @@ def hull_csv_text(curves) -> str:
 
 
 def hull_svg_text(curves, title: str) -> str:
-    """Overlaid rate-quality polylines, log2 rate axis, one color per curve."""
+    """Overlaid rate-quality polylines, log2 rate axis; each later cycle
+    through the palette dashes its curves, with longer dashes each time."""
     curves = [(label, list(points)) for label, points in curves]
     if not curves or all(not pts for _, pts in curves):
         raise SchemaError("no curves to plot")
@@ -189,10 +190,12 @@ def hull_svg_text(curves, title: str) -> str:
     parts = _svg_open(title)
     for k, (label, points) in enumerate(curves):
         color = _PALETTE[k % len(_PALETTE)]
+        cycle = k // len(_PALETTE)
+        dash = f' stroke-dasharray="{4 * cycle} 3"' if cycle else ""
         coords = sorted((math.log2(b), q) for b, q in points)
         joined = " ".join(f"{sx(r):.2f},{sy(q):.2f}" for r, q in coords)
         parts.append(
-            f'<polyline points="{joined}" fill="none" stroke="{color}" stroke-width="1.5"/>'
+            f'<polyline points="{joined}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
         )
         for r, q in coords:
             parts.append(
@@ -201,7 +204,7 @@ def hull_svg_text(curves, title: str) -> str:
         ly = _MARGIN_T + 14 + 16 * k
         parts.append(
             f'<line x1="{_MARGIN_L + 8}" y1="{ly - 4}" x2="{_MARGIN_L + 28}" '
-            f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>'
+            f'y2="{ly - 4}" stroke="{color}" stroke-width="2"{dash}/>'
         )
         parts.append(
             f'<text x="{_MARGIN_L + 34}" y="{ly}" font-family="sans-serif" '

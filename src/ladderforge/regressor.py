@@ -17,6 +17,10 @@ left-to-right order of the level's open nodes: first one uniform key per
 smallest keys among those it does not hold constant; then one uniform
 threshold per (node, candidate), candidates in ascending feature order.
 Nodes are renumbered into pre-order before a tree is returned.
+
+A tree is its pre-order node list: a split's left child is the next node,
+and ``_right_children`` is the one rule that finds its right child, for
+grown trees and for loaded ones alike.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +42,11 @@ _FORMAT_LINE = "ladderforge-extra-trees v1"
 
 @dataclass(frozen=True)
 class Tree:
-    """Flat pre-order node arrays; feature == -1 marks a leaf."""
+    """Flat pre-order node arrays; feature == -1 marks a leaf, a split's
+    left child is the next node and ``right`` holds its right child."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
 
@@ -50,7 +55,6 @@ class Tree:
 class ExtraTreesModel:
     approach: int
     columns: tuple[str, ...]
-    n_trees: int
     min_samples_leaf: int
     k_features: int
     seed: int
@@ -92,7 +96,6 @@ def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
     return ExtraTreesModel(
         approach=approach,
         columns=columns,
-        n_trees=n_trees,
         min_samples_leaf=min_samples_leaf,
         k_features=k,
         seed=seed,
@@ -201,12 +204,28 @@ def _preorder(levels) -> Tree:
     feature[pre] = np.concatenate([f for f, _, _, _ in levels])
     threshold[pre] = np.concatenate([t for _, t, _, _ in levels])
     value[pre] = np.concatenate([v for _, _, v, _ in levels])
-    inner = np.concatenate(parents)
-    left = np.full(total, -1, dtype=np.int32)
-    right = np.full(total, -1, dtype=np.int32)
-    left[pre[inner]] = pre[first[inner]]
-    right[pre[inner]] = pre[first[inner] + 1]
-    return Tree(feature, threshold, left, right, value)
+    return Tree(feature, threshold, _right_children(feature), value)
+
+
+def _right_children(feature: np.ndarray) -> np.ndarray:
+    """Right child of each pre-order node (-1 at a leaf, where feature < 0).
+
+    Every node fills one open child slot and every split opens two, so a
+    split's left child is the next node and its right child is the next
+    node that finds as many slots open as the split did. Raises ValueError
+    when the nodes are not one whole tree.
+    """
+    split = feature >= 0
+    after = np.cumsum(2 * split - 1) + 1  # open slots once node i is placed
+    if not after[:-1].all():
+        raise ValueError("dangling node outside any branch")
+    if after[-1]:
+        raise ValueError("tree truncated mid-branch")
+    before = after - 2 * split + 1  # open slots node i finds
+    order = np.argsort(before, kind="stable")
+    following = np.full(feature.size, -1, dtype=np.int32)
+    following[order[:-1]] = order[1:]
+    return np.where(split, following, np.int32(-1))
 
 
 def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
@@ -215,7 +234,7 @@ def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
     while active.size:
         cur = idx[active]
         go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
-        nxt = np.where(go_left, tree.left[cur], tree.right[cur])
+        nxt = np.where(go_left, cur + 1, tree.right[cur])
         idx[active] = nxt
         active = active[tree.feature[nxt] >= 0]
     return tree.value[idx]
@@ -263,7 +282,7 @@ def save_model(model: ExtraTreesModel, path) -> None:
             _FORMAT_LINE,
             f"approach {model.approach}",
             "columns " + ",".join(model.columns),
-            f"n_trees {model.n_trees}",
+            f"n_trees {len(model.trees)}",
             f"min_samples_leaf {model.min_samples_leaf}",
             f"k_features {model.k_features}",
             f"seed {model.seed}",
@@ -314,18 +333,10 @@ def load_model(path) -> ExtraTreesModel:
     if n_trees < 1:
         raise SchemaError(f"{path}: n_trees must be >= 1, got {n_trees}")
 
-    trees = _parse_trees(body, path)
+    trees = _parse_trees(body, path, len(columns))
     if len(trees) != n_trees:
         raise SchemaError(f"{path}: expected {n_trees} trees, found {len(trees)}")
-    for t, tree in enumerate(trees):
-        used = tree.feature[tree.left >= 0]
-        if used.size and not (0 <= used.min() and used.max() < len(columns)):
-            raise SchemaError(f"{path}: tree {t}: split feature outside [0, {len(columns)})")
-        if not (np.isfinite(tree.threshold).all() and np.isfinite(tree.value).all()):
-            raise SchemaError(f"{path}: tree {t}: threshold or leaf value not finite")
-    return ExtraTreesModel(
-        approach, columns, n_trees, min_samples_leaf, k_features, seed, tuple(trees)
-    )
+    return ExtraTreesModel(approach, columns, min_samples_leaf, k_features, seed, tuple(trees))
 
 
 def _lines(text: str, block: int = 1 << 16):
@@ -342,68 +353,36 @@ def _lines(text: str, block: int = 1 << 16):
         start = end
 
 
-def _parse_trees(body: str, path) -> list[Tree]:
+def _parse_trees(body: str, path, width: int) -> list[Tree]:
+    """The trees of a model body: each run of node lines between ``tree``
+    lines, with split features in [0, width) and finite numbers."""
     trees: list[Tree] = []
     feature: list[int] = []
     threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
     value: list[float] = []
-    # stack of (node, next slot is left?) for pre-order reconstruction
-    pending: list[list] = []
-
-    def flush():
-        if not feature:
-            return
-        if pending:
-            raise SchemaError(f"{path}: tree truncated mid-branch")
-        try:
-            features = np.asarray(feature, dtype=np.int32)
-        except OverflowError:
-            raise SchemaError(f"{path}: split feature out of range") from None
-        trees.append(
-            Tree(
-                features,
-                np.asarray(threshold, dtype=np.float64),
-                np.asarray(left, dtype=np.int32),
-                np.asarray(right, dtype=np.int32),
-                np.asarray(value, dtype=np.float64),
-            )
-        )
-        feature.clear(); threshold.clear(); left.clear(); right.clear(); value.clear()
-
-    for line in _lines(body):
+    for line in chain(_lines(body), ["tree"]):
         parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "tree":
-            flush()
-            continue
-        node = len(feature)
-        if pending:
-            parent, want_left = pending[-1]
-            if want_left:
-                left[parent] = node
-                pending[-1][1] = False
-            else:
-                right[parent] = node
-                pending.pop()
-        elif node != 0:
-            raise SchemaError(f"{path}: dangling node outside any branch")
         try:
+            if not parts:
+                continue
             if parts[0] == "l" and len(parts) == 2:
-                feature.append(-1); threshold.append(0.0)
-                left.append(-1); right.append(-1)
-                value.append(float(parts[1]))
+                feature.append(-1); threshold.append(0.0); value.append(float(parts[1]))
             elif parts[0] == "s" and len(parts) == 3:
-                feature.append(int(parts[1])); threshold.append(float(parts[2]))
-                left.append(-1); right.append(-1); value.append(0.0)
-                pending.append([node, True])
-            else:
+                f = int(parts[1])
+                if not 0 <= f < width:
+                    raise ValueError(f"split feature outside [0, {width})")
+                feature.append(f); threshold.append(float(parts[2])); value.append(0.0)
+            elif parts[0] != "tree":
                 raise ValueError(f"bad node line {line!r}")
+            elif feature:
+                thresholds, values = np.array(threshold), np.array(value)
+                if not (np.isfinite(thresholds).all() and np.isfinite(values).all()):
+                    raise ValueError("threshold or leaf value not finite")
+                features = np.array(feature, dtype=np.int32)
+                trees.append(Tree(features, thresholds, _right_children(features), values))
+                feature, threshold, value = [], [], []
         except ValueError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
-    flush()
+            raise SchemaError(f"{path}: tree {len(trees)}: {exc}") from None
     return trees
 
 
@@ -422,16 +401,9 @@ def r2_score(y_true, y_pred) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def spearman_rho(a, b) -> float:

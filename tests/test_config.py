@@ -206,3 +206,15 @@ def test_config_rule_errors_name_the_config_path(tmp_path, capsys, payload, mess
                  "--out", str(tmp_path / "hulls.svg")])
     assert code == EXIT_DATA
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"seed": -1}))
+    train = ["train", "--features", str(tmp_path / "features.csv"),
+             "--encode-log", str(tmp_path / "encodes.csv"), "--out", str(tmp_path / "m.model")]
+    assert main(train + ["--seed", "-1"]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert main(train + ["--config", str(path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {path}: seed must be >= 0, got -1\n"
+    assert cfg.apply_overrides(cfg.RunConfig(), seed=0).seed == 0

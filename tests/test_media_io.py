@@ -135,6 +135,19 @@ def test_stream_ends_inside_record_line():
         list(media_io.iter_luma_frames(stream, hdr))
 
 
+def test_header_larger_than_the_file_exits_2(tmp_path):
+    # a frame of these dimensions would need 1.5e16 bytes; reading it would
+    # ask the allocator for all of them
+    path = tmp_path / "huge.y4m"
+    path.write_bytes(b"YUV4MPEG2 W100000000 H100000000 F25:1\nFRAME\n" + b"abc")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["extract", str(path), "--out", str(tmp_path / "features.csv")])
+    assert code == EXIT_DATA
+    assert err.getvalue() == f"error: {path}: frame 0: luma plane truncated\n"
+    assert not (tmp_path / "features.csv").exists()
+
+
 def test_frame_indices_and_count():
     rng = np.random.default_rng(3)
     planes = [random_plane(rng, 16, 32) for _ in range(5)]

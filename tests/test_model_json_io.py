@@ -8,6 +8,7 @@ checksum. ``main`` answers every bad file with exit code 2 and an
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -157,6 +158,24 @@ def test_model_probe_is_corrupt_and_exits_2(workspace, tmp_path, capsys, probe):
     assert main(ladder_argv(workspace, path)) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape, message", [
+    ({"drop": [11]}, "tree 0: tree truncated mid-branch"),  # tree 0's last leaf
+    ({"drop": [23]}, "tree 1: tree truncated mid-branch"),
+    ({"edits": [(10, 0, "s"), (10, 1, "2 0.5")]}, "tree 0: tree truncated mid-branch"),
+    ({"junk": b"l 0.5\n"}, "tree 1: dangling node outside any branch"),
+    ({"drop": [12]}, "tree 0: dangling node outside any branch"),  # tree 1 joins tree 0
+], ids=["last-leaf-dropped", "last-tree-short", "leaf-made-split", "extra-leaf",
+        "trees-joined"])
+def test_nodes_that_are_not_whole_trees_exit_2(workspace, tmp_path, capsys, shape, message):
+    path = tmp_path / "shape.model"
+    path.write_bytes(model_bytes(**shape))
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: {message}$"):
+        regressor.load_model(path)
+    assert main(ladder_argv(workspace, path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 def test_zero_tree_model_exits_2(workspace, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,20 @@ def test_hull_svg_one_polyline_per_curve():
     for label in ("predicted", "fixed", "reference"):
         assert label in svg
     assert "Mbps" in svg
+
+
+def test_hull_curves_past_the_palette_are_dashed():
+    curves = [(f"ladder{k}", [(1e6, 40.0 + k), (2e6, 50.0 + k)]) for k in range(8)]
+    svg = plots.hull_svg_text(curves, "hulls")
+    styles = r'stroke="(#[0-9a-f]{6})" stroke-width="[0-9.]+"( stroke-dasharray="[0-9 ]+")?/>'
+    polylines = re.findall("<polyline .*?" + styles, svg)
+    swatches = re.findall("<line .*?" + styles, svg)  # the axes are black, not #rrggbb
+    assert len(polylines) == len(swatches) == 8
+    assert polylines == swatches
+    assert len(set(polylines)) == 8
+    assert [dash for _, dash in polylines] == [""] * 6 + [' stroke-dasharray="4 3"'] * 2
+    # six curves or fewer draw solid lines only, as before dashes existed
+    assert "stroke-dasharray" not in plots.hull_svg_text(curves[:6], "hulls")
 
 
 def test_hull_csv_twin():

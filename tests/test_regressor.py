@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ladderforge import regressor
 from ladderforge.errors import SchemaError
@@ -60,7 +62,7 @@ def test_min_samples_leaf_honoured():
         for x in X:
             i = 0
             while tree.feature[i] >= 0:
-                i = tree.left[i] if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+                i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
             counts[i] += 1
         leaf_mask = tree.feature == -1
         assert np.all(counts[leaf_mask] >= 5)
@@ -112,12 +114,11 @@ def assert_tree_follows_the_rules(tree, X, y, min_leaf):
     for i in range(len(tree.feature)):
         rows = members.pop(i)
         if tree.feature[i] >= 0:
-            assert tree.left[i] == i + 1  # pre-order
             xs = X[rows, tree.feature[i]]
             assert xs.min() < tree.threshold[i] < xs.max()
             goes_left = xs <= tree.threshold[i]
             assert min(goes_left.sum(), (~goes_left).sum()) >= min_leaf
-            members[tree.left[i]] = rows[goes_left]
+            members[i + 1] = rows[goes_left]  # pre-order
             members[tree.right[i]] = rows[~goes_left]
         elif y[rows].min() == y[rows].max():
             assert tree.value[i] == y[rows][0]
@@ -138,6 +139,67 @@ def test_every_node_follows_the_growth_rules(min_leaf):
     )
     for tree in model.trees:
         assert_tree_follows_the_rules(tree, X, y, min_leaf)
+
+
+def pending_stack_children(feature):
+    """Left and right children by a stack walk over the pre-order nodes.
+
+    The oracle for regressor._right_children: each split waits on the
+    stack for its left child, then for its right child.
+    """
+    left = np.full(len(feature), -1)
+    right = np.full(len(feature), -1)
+    pending = []  # [split, next slot is left?]
+    for node, f in enumerate(feature):
+        if pending:
+            parent, want_left = pending[-1]
+            if want_left:
+                left[parent] = node
+                pending[-1][1] = False
+            else:
+                right[parent] = node
+                pending.pop()
+        elif node:
+            raise ValueError("dangling node outside any branch")
+        if f >= 0:
+            pending.append([node, True])
+    if pending:
+        raise ValueError("tree truncated mid-branch")
+    return left, right
+
+
+def random_preorder_tree(rng, n_splits):
+    """Features of a random whole tree: a leaf that becomes a split with two
+    leaf children is, in pre-order, one node replaced by three."""
+    feature = [-1]
+    for _ in range(n_splits):
+        i = rng.choice(np.flatnonzero(np.array(feature) < 0))
+        feature[i:i + 1] = [int(rng.integers(0, 20)), -1, -1]
+    return np.array(feature, dtype=np.int32)
+
+
+def test_right_children_match_the_stack_walk_on_whole_trees():
+    rng = np.random.default_rng(30)
+    for n_splits in [0, 1, 2, 3, 5, 8, 13, 40, 200] * 5:
+        feature = random_preorder_tree(rng, n_splits)
+        left, right = pending_stack_children(feature)
+        got = regressor._right_children(feature)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, right)
+        assert np.array_equal(left[feature >= 0], np.flatnonzero(feature >= 0) + 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.booleans(), min_size=1, max_size=30))
+def test_right_children_reject_what_the_stack_walk_rejects(splits):
+    feature = np.where(splits, 3, -1).astype(np.int32)
+    try:
+        _, want = pending_stack_children(feature)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            regressor._right_children(feature)
+    else:
+        assert np.array_equal(regressor._right_children(feature), want)
 
 
 def test_equal_cost_splits_take_the_lowest_feature():
@@ -265,3 +327,7 @@ def test_r2_and_spearman_helpers():
     assert regressor.spearman_rho([1, 2, 3, 4], [40, 30, 20, 10]) == pytest.approx(-1.0)
     # monotone but nonlinear is still a perfect rank correlation
     assert regressor.spearman_rho([1, 2, 3, 4], [1, 8, 27, 64]) == pytest.approx(1.0)
+    # tied values share the mean of the ranks they span
+    assert regressor._average_ranks(np.array([1.0, 2.0, 2.0, 3.0])).tolist() == [1, 2.5, 2.5, 4]
+    assert regressor._average_ranks(np.array([3.0, 2.0, 1.0, 2.0])).tolist() == [4, 2.5, 1, 2.5]
+    assert regressor._average_ranks(np.array([5.0, 5.0, 5.0])).tolist() == [2, 2, 2]
