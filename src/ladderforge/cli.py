@@ -345,8 +345,9 @@ def cmd_plot(args, cfg: RunConfig) -> int:
         else:
             values = [row.bd_vmaf for row in rows]
             xlabel, title = "BD-quality (points)", "BD-quality distribution"
-        atomic_write_text(out, histogram_svg_text(values, title, xlabel))
-        atomic_write_text(_csv_twin(out), histogram_csv_text(freedman_diaconis_bins(values)))
+        bins = freedman_diaconis_bins(values)
+        atomic_write_text(out, histogram_svg_text(bins, title, xlabel))
+        atomic_write_text(_csv_twin(out), histogram_csv_text(bins))
     else:
         if args.metric is not None:
             raise UsageError("--metric does not apply to plot --ladders")
@@ -587,9 +588,5 @@ def main(argv=None) -> int:
         return EXIT_DATA
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

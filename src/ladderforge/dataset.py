@@ -96,20 +96,20 @@ def write_encode_log(records, path) -> None:
     atomic_write_text(path, encode_log_text(records))
 
 
-def make_split(video_ids, seed: int, fractions=SPLIT_FRACTIONS) -> SplitManifest:
+def make_split(video_ids, seed: int) -> SplitManifest:
     """Partition distinct video ids into train/validation/test.
 
-    Part sizes are floor(fraction * n) with the remainder assigned to
-    train. The shuffle is seeded over the sorted id list, so the result
-    depends only on the id set and the seed.
+    Part sizes are floor(fraction * n) for the SPLIT_FRACTIONS, with the
+    remainder assigned to train. The shuffle is seeded over the sorted id
+    list, so the result depends only on the id set and the seed.
     """
     ids = sorted(set(video_ids))
     if len(ids) < 3:
         raise SchemaError(f"need at least 3 distinct videos, got {len(ids)}")
     random.Random(seed).shuffle(ids)
     n = len(ids)
-    n_val = int(fractions[1] * n)
-    n_test = int(fractions[2] * n)
+    n_val = int(SPLIT_FRACTIONS[1] * n)
+    n_test = int(SPLIT_FRACTIONS[2] * n)
     n_train = n - n_val - n_test  # floor(train) plus any remainder
     train = ids[:n_train]
     validation = ids[n_train:n_train + n_val]

@@ -6,15 +6,16 @@ peak code 2^depth - 1, so the linear stages downstream run exactly on
 integers; `LumaFrame.samples` is the plane normalized to [0, 1], and the
 motion feature is rescaled to 8-bit units, so neither depends on the bit
 depth. Chroma planes are skipped, never decoded.
+
+The input may be a regular file or a pipe. No read asks for more than
+_READ_BLOCK bytes at a time, so a stream shorter than its header promises
+fails at its real length instead of allocating what the header claims.
 """
 
 from __future__ import annotations
 
-import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from stat import S_ISREG
 from typing import BinaryIO, Iterator
 
 import numpy as np
@@ -32,6 +33,7 @@ _CHROMA_DEPTH = {
 }
 MIN_DIMENSION = 16  # floor for four dyadic scales of 3x3 analysis blocks
 _MAX_HEADER_BYTES = 4096
+_READ_BLOCK = 16 << 20  # a 4K 8-bit luma plane is one read
 
 
 @dataclass(frozen=True)
@@ -163,13 +165,21 @@ def _read_line(stream: BinaryIO) -> bytes | None:
     raise SchemaError("stream ended inside a record line")
 
 
-def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int,
-                       limit: float = math.inf) -> LumaFrame | None:
-    """Read one frame; None when the stream ends cleanly at a frame boundary.
+def _read_bytes(stream: BinaryIO, size: int) -> bytes:
+    """Up to size bytes, fewer only where the stream ends; read in blocks
+    of at most _READ_BLOCK bytes and joined."""
+    blocks = []
+    while size > 0:
+        block = stream.read(min(size, _READ_BLOCK))
+        if not block:
+            break
+        blocks.append(block)
+        size -= len(block)
+    return b"".join(blocks)
 
-    No read asks for more than limit bytes, so a file's size caps what a
-    header with huge dimensions can make it allocate.
-    """
+
+def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> LumaFrame | None:
+    """Read one frame; None when the stream ends cleanly at a frame boundary."""
     marker = _read_line(stream)
     if marker is None:
         return None
@@ -179,11 +189,10 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int,
     bps = header.bytes_per_sample
     luma_bytes = header.width * header.height * bps
     chroma_bytes = (header.width // 2) * (header.height // 2) * bps * 2
-    buf = stream.read(min(luma_bytes, limit))
+    buf = _read_bytes(stream, luma_bytes)
     if len(buf) < luma_bytes:
         raise SchemaError(f"frame {index}: luma plane truncated")
-    skipped = stream.read(min(chroma_bytes, limit))
-    if len(skipped) < chroma_bytes:
+    if len(_read_bytes(stream, chroma_bytes)) < chroma_bytes:
         raise SchemaError(f"frame {index}: chroma planes truncated")
 
     dtype = np.uint8 if bps == 1 else np.dtype("<u2")
@@ -197,12 +206,11 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int,
     return LumaFrame(header.width, header.height, plane, index, peak)
 
 
-def iter_luma_frames(stream: BinaryIO, header: VideoHeader,
-                     limit: float = math.inf) -> Iterator[LumaFrame]:
+def iter_luma_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
     """Yield frames until the stream ends at a clean frame boundary."""
     index = 0
     while True:
-        frame = _read_frame_record(stream, header, index, limit)
+        frame = _read_frame_record(stream, header, index)
         if frame is None:
             return
         yield frame
@@ -214,18 +222,15 @@ def open_y4m(path) -> tuple[VideoHeader, Iterator[LumaFrame]]:
     stream = open(path, "rb")
     try:
         header = read_header(stream)
-        stat = os.fstat(stream.fileno())
     except Exception:
         stream.close()
         raise
-    # no frame read asks for more bytes than a regular file holds
-    limit = stat.st_size if S_ISREG(stat.st_mode) else math.inf
-    return header, _owned_frames(stream, header, limit)
+    return header, _owned_frames(stream, header)
 
 
-def _owned_frames(stream: BinaryIO, header: VideoHeader, limit: float) -> Iterator[LumaFrame]:
+def _owned_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
     try:
-        yield from iter_luma_frames(stream, header, limit)
+        yield from iter_luma_frames(stream, header)
     finally:
         stream.close()
 

@@ -1,9 +1,10 @@
 """Deterministic SVG plots with CSV twins.
 
 Plots are emitted as self-contained SVG text so they can be diffed and
-tested without a display stack; every plot has a CSV twin carrying the
-same numbers. Histogram binning follows the Freedman-Diaconis rule with
-documented fallbacks for degenerate data.
+tested without a display stack; every plot has a CSV twin written from
+the same bins or points. Both plots share one chart frame (canvas, axes
+and tick labels) and draw only their marks. Histogram binning follows
+the Freedman-Diaconis rule with documented fallbacks for degenerate data.
 """
 
 from __future__ import annotations
@@ -81,41 +82,15 @@ def histogram_csv_text(bins: list[Bin]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SVG primitives
+# the chart frame
 # ---------------------------------------------------------------------------
 
-def _svg_open(title: str) -> list[str]:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS_W}" '
-        f'height="{_CANVAS_H}" viewBox="0 0 {_CANVAS_W} {_CANVAS_H}">',
-        f'<rect width="{_CANVAS_W}" height="{_CANVAS_H}" fill="white"/>',
-        f'<text x="{_CANVAS_W / 2:.1f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
-    ]
+_X_PIXELS = (_MARGIN_L, _CANVAS_W - _MARGIN_R)
+_Y_PIXELS = (_CANVAS_H - _MARGIN_B, _MARGIN_T)
 
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def _axes(parts: list[str], xlabel: str, ylabel: str) -> None:
-    x0, y0 = _MARGIN_L, _CANVAS_H - _MARGIN_B
-    x1, y1 = _CANVAS_W - _MARGIN_R, _MARGIN_T
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="{(x0 + x1) / 2:.1f}" y="{_CANVAS_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{_escape(ylabel)}</text>'
-    )
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -125,45 +100,61 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-class _Scale:
-    def __init__(self, lo: float, hi: float, pix_lo: float, pix_hi: float):
-        span = hi - lo
-        self.lo, self.span = lo, span if span else 1.0
-        self.pix_lo, self.pix_span = pix_lo, pix_hi - pix_lo
-
-    def __call__(self, v: float) -> float:
-        return self.pix_lo + (v - self.lo) / self.span * self.pix_span
+def _scale(lo: float, hi: float, pixels: tuple[int, int]):
+    """Map [lo, hi] linearly onto pixels; a zero span maps to the first pixel."""
+    pix_lo, pix_hi = pixels
+    span = (hi - lo) or 1.0
+    return lambda v: pix_lo + (v - lo) / span * (pix_hi - pix_lo)
 
 
-def histogram_svg_text(values, title: str, xlabel: str) -> str:
-    bins = freedman_diaconis_bins(values)
-    peak = max(b.count for b in bins)
-    sx = _Scale(bins[0].lo, bins[-1].hi, _MARGIN_L, _CANVAS_W - _MARGIN_R)
-    sy = _Scale(0, peak, _CANVAS_H - _MARGIN_B, _MARGIN_T)
-    parts = _svg_open(title)
-    for b in bins:
-        x = sx(b.lo)
-        w = sx(b.hi) - x
-        y = sy(b.count)
-        h = sy(0) - y
-        parts.append(
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" '
-            f'fill="{_PALETTE[0]}" stroke="white" stroke-width="0.5"/>'
-        )
-    _axes(parts, xlabel, "count")
-    for tick in _ticks(bins[0].lo, bins[-1].hi):
-        parts.append(
-            f'<text x="{sx(tick):.2f}" y="{_CANVAS_H - _MARGIN_B + 16}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="10">'
-            f"{_fmt(tick)}</text>"
-        )
-    for tick in _ticks(0, peak):
-        parts.append(
-            f'<text x="{_MARGIN_L - 6}" y="{sy(tick) + 3:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{_fmt(tick)}</text>'
-        )
+def _chart(title: str, marks: list[str], xlabel: str, ylabel: str, sx, sy,
+           x_range: tuple[float, float], y_range: tuple[float, float], x_text=_fmt) -> str:
+    """An SVG chart: the titled canvas, the marks, both axes with their
+    labels, then five tick labels along each axis (one where it spans
+    nothing). sx and sy map x_range and y_range to pixels; x_text writes
+    an x tick."""
+    (x0, x1), (y0, y1) = _X_PIXELS, _Y_PIXELS
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS_W}" '
+        f'height="{_CANVAS_H}" viewBox="0 0 {_CANVAS_W} {_CANVAS_H}">',
+        f'<rect width="{_CANVAS_W}" height="{_CANVAS_H}" fill="white"/>',
+        f'<text x="{_CANVAS_W / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
+        *marks,
+        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black"/>',
+        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>',
+        f'<text x="{(x0 + x1) / 2:.1f}" y="{_CANVAS_H - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12">{_escape(xlabel)}</text>',
+        f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="12" '
+        f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{_escape(ylabel)}</text>',
+    ]
+    parts += [
+        f'<text x="{sx(tick):.2f}" y="{y0 + 16}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="10">{x_text(tick)}</text>'
+        for tick in _ticks(*x_range)
+    ]
+    parts += [
+        f'<text x="{x0 - 6}" y="{sy(tick) + 3:.2f}" text-anchor="end" '
+        f'font-family="sans-serif" font-size="10">{_fmt(tick)}</text>'
+        for tick in _ticks(*y_range)
+    ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def histogram_svg_text(bins: list[Bin], title: str, xlabel: str) -> str:
+    """Bars of the bins, as freedman_diaconis_bins gives them."""
+    x_range, y_range = (bins[0].lo, bins[-1].hi), (0, max(b.count for b in bins))
+    sx, sy = _scale(*x_range, _X_PIXELS), _scale(*y_range, _Y_PIXELS)
+    marks = []
+    for b in bins:
+        x, y = sx(b.lo), sy(b.count)
+        marks.append(
+            f'<rect x="{x:.2f}" y="{y:.2f}" width="{sx(b.hi) - x:.2f}" height="{sy(0) - y:.2f}" '
+            f'fill="{_PALETTE[0]}" stroke="white" stroke-width="0.5"/>'
+        )
+    return _chart(title, marks, xlabel, "count", sx, sy, x_range, y_range)
 
 
 # ---------------------------------------------------------------------------
@@ -184,43 +175,31 @@ def hull_svg_text(curves, title: str) -> str:
         raise SchemaError("no curves to plot")
     log_rates = [math.log2(b) for _, pts in curves for b, _ in pts]
     quals = [q for _, pts in curves for _, q in pts]
-    sx = _Scale(min(log_rates), max(log_rates), _MARGIN_L, _CANVAS_W - _MARGIN_R)
     pad = 0.05 * (max(quals) - min(quals)) or 1.0
-    sy = _Scale(min(quals) - pad, max(quals) + pad, _CANVAS_H - _MARGIN_B, _MARGIN_T)
-    parts = _svg_open(title)
+    x_range, y_range = (min(log_rates), max(log_rates)), (min(quals) - pad, max(quals) + pad)
+    sx, sy = _scale(*x_range, _X_PIXELS), _scale(*y_range, _Y_PIXELS)
+    marks = []
     for k, (label, points) in enumerate(curves):
         color = _PALETTE[k % len(_PALETTE)]
         cycle = k // len(_PALETTE)
         dash = f' stroke-dasharray="{4 * cycle} 3"' if cycle else ""
         coords = sorted((math.log2(b), q) for b, q in points)
         joined = " ".join(f"{sx(r):.2f},{sy(q):.2f}" for r, q in coords)
-        parts.append(
+        marks.append(
             f'<polyline points="{joined}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
         )
         for r, q in coords:
-            parts.append(
+            marks.append(
                 f'<circle cx="{sx(r):.2f}" cy="{sy(q):.2f}" r="2.5" fill="{color}"/>'
             )
         ly = _MARGIN_T + 14 + 16 * k
-        parts.append(
+        marks.append(
             f'<line x1="{_MARGIN_L + 8}" y1="{ly - 4}" x2="{_MARGIN_L + 28}" '
             f'y2="{ly - 4}" stroke="{color}" stroke-width="2"{dash}/>'
         )
-        parts.append(
+        marks.append(
             f'<text x="{_MARGIN_L + 34}" y="{ly}" font-family="sans-serif" '
             f'font-size="11">{_escape(label)}</text>'
         )
-    _axes(parts, "bitrate (Mbps, log scale)", "quality")
-    for tick in _ticks(min(log_rates), max(log_rates)):
-        parts.append(
-            f'<text x="{sx(tick):.2f}" y="{_CANVAS_H - _MARGIN_B + 16}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="10">'
-            f"{_fmt(2.0 ** tick / 1e6)}</text>"
-        )
-    for tick in _ticks(min(quals) - pad, max(quals) + pad):
-        parts.append(
-            f'<text x="{_MARGIN_L - 6}" y="{sy(tick) + 3:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{_fmt(tick)}</text>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _chart(title, marks, "bitrate (Mbps, log scale)", "quality", sx, sy,
+                  x_range, y_range, lambda tick: _fmt(2.0 ** tick / 1e6))

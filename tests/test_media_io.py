@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -146,6 +148,59 @@ def test_header_larger_than_the_file_exits_2(tmp_path):
     assert code == EXIT_DATA
     assert err.getvalue() == f"error: {path}: frame 0: luma plane truncated\n"
     assert not (tmp_path / "features.csv").exists()
+
+
+def test_pipe_with_a_huge_header_exits_2(tmp_path):
+    # a pipe has no size to check the header against; reading it in
+    # bounded blocks makes it fail at its real length
+    fifo = tmp_path / "huge.y4m"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as f:
+            f.write(b"YUV4MPEG2 W100000000 H100000000 F25:1\nFRAME\n" + b"abc")
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["extract", str(fifo), "--out", str(tmp_path / "features.csv")])
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert code == EXIT_DATA
+    assert err.getvalue() == f"error: {fifo}: frame 0: luma plane truncated\n"
+    assert not (tmp_path / "features.csv").exists()
+
+
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_any_read_block_gives_the_same_frames(monkeypatch, block):
+    rng = np.random.default_rng(block)
+    clips = [y4m_bytes([random_plane(rng, 48, 64, depth) for _ in range(3)], bit_depth=depth)
+             for depth in (8, 10)]
+    expected = [_frames_from_bytes(data)[1] for data in clips]
+    monkeypatch.setattr(media_io, "_READ_BLOCK", block)
+    for data, want in zip(clips, expected):
+        _, frames = _frames_from_bytes(data)
+        assert [f.index for f in frames] == [0, 1, 2]
+        for got, ref in zip(frames, want):
+            assert got.raw.dtype == ref.raw.dtype
+            assert np.array_equal(got.raw, ref.raw)
+
+
+# offsets into frame 1's 64x48 10-bit planes (6144 luma bytes, 3072 chroma):
+# at the start, on a 7- or 4096-byte block boundary, and inside a block
+@pytest.mark.parametrize("plane, cuts", [
+    ("luma plane", (0, 700, 703, 4096, 5000, 6143)),
+    ("chroma planes", (0, 700, 703, 3071)),
+])
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_any_read_block_truncates_with_the_same_message(monkeypatch, block, plane, cuts):
+    data = y4m_bytes([np.full((48, 64), 700)] * 2, bit_depth=10)
+    start = data.rindex(b"FRAME\n") + len(b"FRAME\n") + (6144 if plane == "chroma planes" else 0)
+    monkeypatch.setattr(media_io, "_READ_BLOCK", block)
+    for cut in cuts:
+        with pytest.raises(SchemaError, match=f"^frame 1: {plane} truncated$"):
+            _frames_from_bytes(data[:start + cut])
 
 
 def test_frame_indices_and_count():

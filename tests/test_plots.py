@@ -73,8 +73,9 @@ def test_histogram_csv_twin_mirrors_bins():
 def test_histogram_svg_deterministic_and_has_bars():
     rng = np.random.default_rng(5)
     values = list(rng.normal(0, 1, size=60))
-    a = plots.histogram_svg_text(values, "BD-rate distribution", "percent")
-    b = plots.histogram_svg_text(values, "BD-rate distribution", "percent")
+    bins = plots.freedman_diaconis_bins(values)
+    a = plots.histogram_svg_text(bins, "BD-rate distribution", "percent")
+    b = plots.histogram_svg_text(bins, "BD-rate distribution", "percent")
     assert a == b
     assert a.startswith("<svg ")
     assert a.rstrip().endswith("</svg>")
@@ -120,5 +121,5 @@ def test_hull_csv_twin():
 
 
 def test_titles_escaped():
-    svg = plots.histogram_svg_text([1.0, 2.0], "a < b & c", "x")
+    svg = plots.histogram_svg_text(plots.freedman_diaconis_bins([1.0, 2.0]), "a < b & c", "x")
     assert "a &lt; b &amp; c" in svg
