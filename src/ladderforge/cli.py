@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -145,25 +147,50 @@ def _resolve_config(args) -> RunConfig:
 # extract
 # ---------------------------------------------------------------------------
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _video_row(path: Path, noise_var: float):
+    """(video id, header, tensor) of one Y4M file; module-level, so a pool can send it."""
+    try:
+        header, frames = open_y4m(path)
+        return path.stem, header, video_features(frames, noise_var)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+
+
 def cmd_extract(args, cfg: RunConfig) -> int:
     by_id: dict[str, Path] = {}
     for path in map(Path, args.inputs):
         if path.stem in by_id:
             raise SchemaError(f"{by_id[path.stem]} and {path} share the video id {path.stem!r}")
         by_id[path.stem] = path
-    rows = []
-    warnings = []
-    for path in by_id.values():
+    paths = list(by_id.values())
+    # videos are independent, so they run in parallel processes; map keeps
+    # input order, so the first error raised is the first bad input's
+    processes = min(cfg.workers, len(paths), _usable_cpus())
+    if processes == 1:
+        rows = list(map(_video_row, paths, repeat(cfg.sigma_n2)))
+    else:
+        # imported only here: multiprocessing adds about 10 ms and 0.8 MiB
+        # to the start of every command
+        from concurrent.futures import process
+
+        pool = process.ProcessPoolExecutor(processes)
         try:
-            header, frames = open_y4m(path)
-            tensor = video_features(frames, cfg.sigma_n2)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
-        if not tensor.has_motion:
-            note = f"{path.name}: single frame, difference features written as zeros"
-            warnings.append(note)
-            print(f"warning: {note}", file=sys.stderr)
-        rows.append((path.stem, header, tensor))
+            rows = list(pool.map(_video_row, paths, repeat(cfg.sigma_n2)))
+        except process.BrokenProcessPool as exc:
+            raise LadderforgeError(f"an extract worker process died: {exc}") from None
+        finally:
+            pool.shutdown(cancel_futures=True)
+    warnings = [f"{path.name}: single frame, difference features written as zeros"
+                for path, (_, _, tensor) in zip(paths, rows) if not tensor.has_motion]
+    for note in warnings:
+        print(f"warning: {note}", file=sys.stderr)
     out = Path(args.out)
     atomic_write_text(out, features_csv_text(rows))
     _write_sidecar(out, "extract", cfg, {"inputs": [str(p) for p in args.inputs],
@@ -498,6 +525,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="feature CSV path")
     p.add_argument("--sigma-n2", type=float, dest="sigma_n2",
                    help="noise variance of the information measure")
+    p.add_argument("--workers", type=int,
+                   help="processes, at most one per input and per usable CPU")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", parents=[common], help="fit the quality regressor")

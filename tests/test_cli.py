@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import process
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +195,124 @@ def test_extract_y4m_errors_name_the_file(tmp_path, capsys, defect, message):
     assert main(["extract", str(good), str(bad), "--out", str(out)]) == EXIT_DATA
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not out.exists()
+
+
+# A patched _video_row reaches the workers only when they are forked.
+fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="workers are not forked on this platform")
+
+_real_video_row = cli._video_row
+
+
+def _pid_video_row(path, noise_var):
+    """_video_row that leaves a file named after the process running it."""
+    (path.parent / f"pid-{os.getpid()}").touch()
+    return _real_video_row(path, noise_var)
+
+
+def _dying_video_row(path, noise_var):
+    os._exit(1)
+
+
+def extract(clips, out, workers):
+    return main(["extract", *map(str, clips), "--out", str(out), "--workers", str(workers)])
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs whatever the machine, so --workers 2 starts a pool."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+
+def test_extract_output_is_the_same_for_any_worker_count(tmp_path, capsys, two_cpus):
+    clips = [
+        make_clip(tmp_path, "deep", frames=3, seed=11, bit_depth=10),
+        make_clip(tmp_path, "still", frames=1, seed=12),
+        make_clip(tmp_path, "moving", frames=4, seed=13),
+        make_clip(tmp_path, "dark", frames=1, seed=14, bit_depth=10),
+    ]
+    runs = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}.csv"
+        assert extract(clips, out, workers) == EXIT_OK
+        assert multiprocessing.active_children() == []
+        runs.append((out.read_bytes(), capsys.readouterr().err))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == "".join(
+        f"warning: {name}.y4m: single frame, difference features written as zeros\n"
+        for name in ("still", "dark"))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_bad_clip_between_good_ones_exits_2(tmp_path, capsys, two_cpus, workers):
+    clips = [make_clip(tmp_path, name, seed=i) for i, name in enumerate("abc")]
+    data = clips[1].read_bytes()
+    clips[1].write_bytes(data[:data.index(b"FRAME\n") + 6 + 100])
+    out = tmp_path / "features.csv"
+    assert extract(clips, out, workers) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {clips[1]}: frame 0: luma plane truncated\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_extract_names_the_first_bad_clip_in_input_order(tmp_path, capsys, two_cpus, workers):
+    # the first bad clip fails in its last frame, the second in its header,
+    # so in a pool the second fails first
+    slow = make_clip(tmp_path, "slow", frames=6, size=96, seed=3)
+    slow.write_bytes(slow.read_bytes()[:-10])
+    fast = make_clip(tmp_path, "fast", seed=4)
+    fast.write_bytes(fast.read_bytes().replace(b" C420", b" C444", 1))
+    assert extract([slow, fast], tmp_path / "features.csv", workers) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {slow}: frame 5: chroma planes truncated\n"
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_extract_worker_death_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch,
+                                                          two_cpus):
+    monkeypatch.setattr(cli, "_video_row", _dying_video_row)
+    clips = [make_clip(tmp_path, name, seed=i) for i, name in enumerate("abc")]
+    out = tmp_path / "features.csv"
+    assert extract(clips, out, 2) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: an extract worker process died: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers,cpus,started", [
+    (4, 2, [2]),   # capped at the usable CPUs
+    (4, 8, [3]),   # capped at the inputs
+    (2, 8, [2]),   # the setting itself
+    (4, 1, []),    # one CPU: no pool, the rows are made in this process
+])
+def test_extract_pool_size_is_capped(tmp_path, monkeypatch, workers, cpus, started):
+    sizes = []
+
+    class Recording(process.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    clips = [make_clip(tmp_path, f"c{i}", seed=i) for i in range(3)]
+    assert extract(clips, tmp_path / "features.csv", workers) == EXIT_OK
+    assert sizes == started
+
+
+@fork_only
+def test_extract_rows_come_from_at_most_one_process_per_usable_cpu(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_video_row", _pid_video_row)
+    clips = [make_clip(tmp_path, f"c{i}", seed=i) for i in range(4)]
+    assert extract(clips, tmp_path / "features.csv", 4) == EXIT_OK
+    pids = {int(path.name[4:]) for path in tmp_path.glob("pid-*")}
+    cpus = cli._usable_cpus()
+    assert 1 <= len(pids) <= cpus
+    assert (os.getpid() in pids) == (cpus == 1)
+    assert multiprocessing.active_children() == []
 
 
 def test_extract_sigma_flag_changes_features(tmp_path, pipeline):
