@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -219,25 +218,13 @@ def _right_children(feature: np.ndarray) -> np.ndarray:
     after = np.cumsum(2 * split - 1) + 1  # open slots once node i is placed
     if not after[:-1].all():
         raise ValueError("dangling node outside any branch")
-    if after[-1]:
+    if not after.size or after[-1]:
         raise ValueError("tree truncated mid-branch")
     before = after - 2 * split + 1  # open slots node i finds
     order = np.argsort(before, kind="stable")
     following = np.full(feature.size, -1, dtype=np.int32)
     following[order[:-1]] = order[1:]
     return np.where(split, following, np.int32(-1))
-
-
-def _tree_predict(tree: Tree, X: np.ndarray) -> np.ndarray:
-    idx = np.zeros(len(X), dtype=np.int64)
-    active = np.flatnonzero(tree.feature[idx] >= 0)
-    while active.size:
-        cur = idx[active]
-        go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
-        nxt = np.where(go_left, cur + 1, tree.right[cur])
-        idx[active] = nxt
-        active = active[tree.feature[nxt] >= 0]
-    return tree.value[idx]
 
 
 def predict_batch(model: ExtraTreesModel, X) -> np.ndarray:
@@ -247,7 +234,22 @@ def predict_batch(model: ExtraTreesModel, X) -> np.ndarray:
         raise SchemaError(
             f"expected (n, {len(model.columns)}) query, got shape {X.shape}"
         )
-    per_tree = np.stack([_tree_predict(tree, X) for tree in model.trees])
+    # every (tree, row) pair walks one table of all the trees' nodes
+    sizes = [tree.feature.size for tree in model.trees]
+    first = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature for tree in model.trees])
+    threshold = np.concatenate([tree.threshold for tree in model.trees])
+    right = np.concatenate([tree.right for tree in model.trees]) + np.repeat(first, sizes)
+    node = np.repeat(first, X.shape[0])
+    row = np.tile(np.arange(X.shape[0]), len(sizes))
+    active = np.flatnonzero(feature[node] >= 0)
+    while active.size:
+        cur = node[active]
+        go_left = X[row[active], feature[cur]] <= threshold[cur]
+        nxt = np.where(go_left, cur + 1, right[cur])
+        node[active] = nxt
+        active = active[feature[nxt] >= 0]
+    per_tree = np.concatenate([tree.value for tree in model.trees])[node].reshape(len(sizes), -1)
     # accumulate tree by tree so the summation order is the same for any
     # batch size; the mean of the votes lies inside their range, so the
     # clip removes the last-ulp slop and identical votes return exactly
@@ -266,11 +268,8 @@ def _body_lines(model: ExtraTreesModel) -> list[str]:
     lines = []
     for t, tree in enumerate(model.trees):
         lines.append(f"tree {t}")
-        for i in range(len(tree.feature)):
-            if tree.feature[i] < 0:
-                lines.append(f"l {float(tree.value[i])!r}")
-            else:
-                lines.append(f"s {int(tree.feature[i])} {float(tree.threshold[i])!r}")
+        for f, thr, v in zip(tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist()):
+            lines.append(f"l {v!r}" if f < 0 else f"s {f} {thr!r}")
     return lines
 
 
@@ -302,15 +301,17 @@ def _parse_header(lines: list[str]) -> dict:
 
 
 def load_model(path) -> ExtraTreesModel:
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_bytes().decode("utf-8")
+        if not data.isascii():
+            data.decode("utf-8")  # only a check: the body is parsed as bytes
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from None
-    head, sep, body = text.partition("\n---\n")
-    del text  # the body is the bulk of a model file; keep one copy of it
+    head, sep, body = data.partition(b"\n---\n")
+    del data  # the body is the bulk of a model file; keep one copy of it
     if not sep:
         raise SchemaError(f"{path}: missing header/body separator")
-    header_lines = head.split("\n")
+    header_lines = head.decode("utf-8").split("\n")
     if header_lines[0] != _FORMAT_LINE:
         raise SchemaError(
             f"{path}: expected {_FORMAT_LINE!r}, found {header_lines[0]!r}"
@@ -326,7 +327,7 @@ def load_model(path) -> ExtraTreesModel:
         checksum = fields["checksum"]
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: bad header ({exc})") from None
-    if hashlib.sha256(body.encode()).hexdigest() != checksum:
+    if hashlib.sha256(body).hexdigest() != checksum:
         raise SchemaError(f"{path}: body checksum mismatch")
     if approach not in APPROACH_FEATURE_LENGTHS or columns != tuple(column_names(approach)):
         raise SchemaError(f"{path}: layout does not match approach {approach}")
@@ -339,51 +340,115 @@ def load_model(path) -> ExtraTreesModel:
     return ExtraTreesModel(approach, columns, min_samples_leaf, k_features, seed, tuple(trees))
 
 
-def _lines(text: str, block: int = 1 << 16):
-    """text.splitlines(), split a block of about 64 KiB at a time.
+# A body line is ``tree <t>``, ``l <value>`` or ``s <feature> <threshold>``:
+# printable ASCII tokens, one space between them and "\n" after the last.
+_TREE, _SPLIT = b"ts"
+_TOKENS = np.zeros(256, dtype=np.intp)  # tokens on a line, by its first byte
+_TOKENS[list(b"tls")] = 2, 2, 3
+_TREE_HEAD = np.frombuffer(b"tree ", dtype=np.uint8)
+_LINE_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
-    Each block ends just after a "\\n", which ends a line for splitlines
-    too, so the lines are the same; a list of every line of a 100-tree
-    model would hold several times the model's size in small strings.
+
+class _Parsed(dict):
+    """Token -> number, parsing each distinct token once, as text."""
+
+    def __init__(self, parse):
+        self.parse = parse
+
+    def __missing__(self, token: bytes):
+        self[token] = number = self.parse(token.decode())
+        return number
+
+
+def _parse_trees(body: bytes, path, width: int, block: int = 1 << 16, trees: int = 0) -> list[Tree]:
+    """The trees of a model body: each run of node lines after a ``tree``
+    line, with split features in [0, width) and finite numbers.
+
+    The body is parsed a block of about ``block`` bytes at a time, each
+    ending at a "\\n", into one node table that the trees slice. A bad block
+    is parsed again a line at a time (block 0), after ``trees`` tree lines,
+    so the error names the tree of its first bad line.
     """
+    features, leaves = _Parsed(int), _Parsed(float)
+    size = body.count(b"\n") + 1  # room for a node per line
+    table = np.empty(size, dtype=np.int32), np.empty(size), np.empty(size)
+    starts, nodes = [], 0
     start = 0
-    while start < len(text):
-        end = text.find("\n", start + block) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
-
-
-def _parse_trees(body: str, path, width: int) -> list[Tree]:
-    """The trees of a model body: each run of node lines between ``tree``
-    lines, with split features in [0, width) and finite numbers."""
-    trees: list[Tree] = []
-    feature: list[int] = []
-    threshold: list[float] = []
-    value: list[float] = []
-    for line in chain(_lines(body), ["tree"]):
-        parts = line.split()
+    while start < len(body):
+        end = body.find(b"\n", start + block) + 1 or len(body)
+        seen = trees + len(starts)
         try:
-            if not parts:
-                continue
-            if parts[0] == "l" and len(parts) == 2:
-                feature.append(-1); threshold.append(0.0); value.append(float(parts[1]))
-            elif parts[0] == "s" and len(parts) == 3:
-                f = int(parts[1])
-                if not 0 <= f < width:
-                    raise ValueError(f"split feature outside [0, {width})")
-                feature.append(f); threshold.append(float(parts[2])); value.append(0.0)
-            elif parts[0] != "tree":
-                raise ValueError(f"bad node line {line!r}")
-            elif feature:
-                thresholds, values = np.array(threshold), np.array(value)
-                if not (np.isfinite(thresholds).all() and np.isfinite(values).all()):
-                    raise ValueError("threshold or leaf value not finite")
-                features = np.array(feature, dtype=np.int32)
-                trees.append(Tree(features, thresholds, _right_children(features), values))
-                feature, threshold, value = [], [], []
+            at, *columns = _node_table(body[start:end], width, features, leaves, not (start or seen))
         except ValueError as exc:
-            raise SchemaError(f"{path}: tree {len(trees)}: {exc}") from None
-    return trees
+            if block:
+                _parse_trees(body[start:end], path, width, 0, seen)
+            raise SchemaError(f"{path}: tree {max(seen - 1, 0)}: {exc}") from None
+        starts += (at + nodes).tolist()
+        for whole, part in zip(table, columns):
+            whole[nodes:nodes + part.size] = part
+        nodes += columns[0].size
+        start = end
+    feature, threshold, value = table
+    loaded = []
+    for t, (a, b) in enumerate(zip(starts, starts[1:] + [nodes])):
+        try:
+            right = _right_children(feature[a:b])
+        except ValueError as exc:
+            raise SchemaError(f"{path}: tree {t}: {exc}") from None
+        loaded.append(Tree(feature[a:b], threshold[a:b], right, value[a:b]))
+    return loaded
+
+
+def _node_table(lines: bytes, width, features, leaves, first):
+    """Where each ``tree`` line of whole body lines starts a tree among
+    their nodes, and the nodes' feature (-1 at a leaf), threshold and value.
+
+    A fixed number of array and builtin calls, whatever the line count.
+    Raises ValueError at a line outside the grammar (or a first line that is
+    not a ``tree`` line, when ``first``), a feature outside [0, width) or a
+    number that does not parse or is not finite.
+    """
+    codes = np.frombuffer(lines, dtype=np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(codes[:-1] == 10) + 1))
+    tags = codes[starts]
+    counts = _TOKENS[tags]
+    tree = tags == _TREE
+    tokens = lines.split()
+    if not (
+        lines.endswith(b"\n") and not lines.translate(None, _LINE_BYTES)
+        # one separator after each token: no blank, leading or doubled ones
+        and len(tokens) == lines.count(b" ") + starts.size
+        and (np.add.reduceat(codes == 32, starts) + 1 == counts).all()
+        # so each line starts with its first token, which must be exactly
+        # "tree", "l" or "s"
+        and (np.take(codes, starts[tree, None] + np.arange(5), mode="clip") == _TREE_HEAD).all()
+        and (codes[starts[~tree] + 1] == 32).all()
+        and not (first and not tree[0])
+    ):
+        text = lines.decode(errors="backslashreplace").removesuffix("\n")
+        raise ValueError(f"bad node line {text!r}")
+    split = tags[~tree] == _SPLIT
+    heads = (counts.cumsum() - counts)[~tree]  # each node line's first token
+
+    def token_after(at):
+        return list(map(tokens.__getitem__, (at + 1).tolist()))
+
+    feature = np.full(split.size, -1, dtype=np.int32)
+    split_features = list(map(features.__getitem__, token_after(heads[split])))
+    if split_features and not (min(split_features) >= 0 and max(split_features) < width):
+        raise ValueError(f"split feature outside [0, {width})")
+    feature[split] = split_features
+    threshold = np.zeros(split.size)
+    picked = token_after(heads[split] + 1)
+    try:
+        threshold[split] = list(map(float, picked))
+    except ValueError:  # parse again as text, for the message
+        threshold[split] = [float(token.decode()) for token in picked]
+    value = np.zeros(split.size)
+    value[~split] = list(map(leaves.__getitem__, token_after(heads[~split])))
+    if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
+        raise ValueError("threshold or leaf value not finite")
+    return np.cumsum(~tree)[tree], feature, threshold, value
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ checksum. ``main`` answers every bad file with exit code 2 and an
 import hashlib
 import json
 import re
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from ladderforge import config, dataset, regressor
 from ladderforge.cli import EXIT_DATA, EXIT_OK, main
 from ladderforge.errors import LadderforgeError, SchemaError
+from ladderforge.feature_assembly import column_names
 from test_csv_io import FEATURE_COLUMNS, LADDER_ROWS, csv_bytes, feature_row, log_rows
 
 # An approach-1 model as the depth-first grower of earlier versions wrote
@@ -76,13 +78,73 @@ def model_bytes(edits=(), drop=(), junk=b""):
         lines[i % len(lines)] = " ".join(parts)
     dropped = {d % len(lines) for d in drop}
     body = "".join(line + "\n" for k, line in enumerate(lines) if k not in dropped)
-    body_bytes = body.encode("utf-8") + junk
+    return with_body(body.encode("utf-8") + junk)
+
+
+def with_body(body: bytes) -> bytes:
+    """The old model's header under the checksum of ``body``, then ``body``."""
     head = "".join(
-        f"checksum {hashlib.sha256(body_bytes).hexdigest()}\n" if line.startswith("checksum ")
+        f"checksum {hashlib.sha256(body).hexdigest()}\n" if line.startswith("checksum ")
         else line + "\n"
         for line in HEAD.splitlines()
     )
-    return head.encode("utf-8") + b"---\n" + body_bytes
+    return head.encode("utf-8") + b"---\n" + body
+
+
+def line_loop_trees(body: str, path, width: int) -> list:
+    """The line-at-a-time body reader of earlier versions.
+
+    The oracle for regressor._parse_trees: it split each line on any
+    whitespace and skipped blank lines, so it accepts every body the block
+    parser accepts, and more.
+    """
+    def lines(text, block=1 << 16):
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + block) + 1 or len(text)
+            yield from text[start:end].splitlines()
+            start = end
+
+    trees = []
+    feature, threshold, value = [], [], []
+    for line in chain(lines(body), ["tree"]):
+        parts = line.split()
+        try:
+            if not parts:
+                continue
+            if parts[0] == "l" and len(parts) == 2:
+                feature.append(-1); threshold.append(0.0); value.append(float(parts[1]))
+            elif parts[0] == "s" and len(parts) == 3:
+                f = int(parts[1])
+                if not 0 <= f < width:
+                    raise ValueError(f"split feature outside [0, {width})")
+                feature.append(f); threshold.append(float(parts[2])); value.append(0.0)
+            elif parts[0] != "tree":
+                raise ValueError(f"bad node line {line!r}")
+            elif feature:
+                thresholds, values = np.array(threshold), np.array(value)
+                if not (np.isfinite(thresholds).all() and np.isfinite(values).all()):
+                    raise ValueError("threshold or leaf value not finite")
+                features = np.array(feature, dtype=np.int32)
+                trees.append(regressor.Tree(features, thresholds,
+                                            regressor._right_children(features), values))
+                feature, threshold, value = [], [], []
+        except ValueError as exc:
+            raise SchemaError(f"{path}: tree {len(trees)}: {exc}") from None
+    return trees
+
+
+def assert_same_trees(got, want):
+    """Same trees, array by array, in bytes and dtype."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("feature", "threshold", "right", "value"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+
+
+def body_of(path) -> bytes:
+    return path.read_bytes().partition(b"\n---\n")[2]
 
 
 MODEL_PROBES = {
@@ -178,6 +240,111 @@ def test_nodes_that_are_not_whole_trees_exit_2(workspace, tmp_path, capsys, shap
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edits", [
+    [(1, 1, "x")], [(1, 2, "x")], [(4, 1, "x")], [(16, 1, "1.5")], [(16, 1, "7")],
+    [(16, 2, "nan")], [(-1, 1, "-inf")], [(14, 2, "1e999")], [(4, 0, "q")], [(13, 1, "")],
+], ids=["feature-text", "threshold-text", "leaf-text", "feature-float", "feature-past-columns",
+        "threshold-nan", "leaf-inf", "threshold-overflow", "unknown-tag", "empty-token"])
+def test_one_bad_token_gives_the_line_loop_message(tmp_path, edits):
+    path = tmp_path / "token.model"
+    path.write_bytes(model_bytes(edits))
+    with pytest.raises(SchemaError) as want:
+        line_loop_trees(body_of(path).decode(), path, 7)
+    with pytest.raises(SchemaError) as got:
+        regressor.load_model(path)
+    assert str(got.value) == str(want.value)
+
+
+# Lines the line loop of earlier versions split on any whitespace or
+# skipped; no version wrote them, and the body grammar now rejects them.
+NOT_THE_GRAMMAR = {
+    "blank-line": (BODY.replace("tree 0\n", "tree 0\n\n"), 0),
+    "crlf": (BODY.replace("\n", "\r\n"), 0),
+    "double-space": (BODY.replace("s 6 0.5", "s 6  0.5"), 0),
+    "trailing-space": (BODY.replace("s 3 0.597837774358324\n", "s 3 0.597837774358324 \n"), 1),
+    "tab": (BODY.replace("s 1 0.298", "s\t1 0.298"), 1),
+    "extra-token": (BODY.replace("l 0.317\ntree 1", "l 0.317 0\ntree 1"), 0),
+    "lx": (BODY.replace("l 0.2188", "lx 0.2188", 1), 0),
+    "tre": (BODY.replace("tree 1\n", "tre 1\n"), 0),
+    "leaf-before-first-tree": ("l 0.5\n" + BODY, 0),
+    "no-final-newline": (BODY.removesuffix("\n"), 1),
+    "empty-tree-line": (BODY.replace("tree 1\n", "tree 1\ntree\n"), 1),
+}
+
+
+@pytest.mark.parametrize("probe", NOT_THE_GRAMMAR)
+def test_lines_outside_the_body_grammar_exit_2(workspace, tmp_path, capsys, probe):
+    body, tree = NOT_THE_GRAMMAR[probe]
+    assert body != BODY
+    path = tmp_path / "lines.model"
+    path.write_bytes(with_body(body.encode()))
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: tree {tree}: bad node line "):
+        regressor.load_model(path)
+    assert main(ladder_argv(workspace, path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad node line" in err and "Traceback" not in err
+
+
+def test_a_bad_line_is_named_whatever_the_block_size():
+    body = BODY.replace("l 0.1215\nl 0.0797", "l 0.1215 \nl 0.0797").encode()
+    for block in (0, 1, 9, 64, 1 << 16):
+        with pytest.raises(SchemaError, match=r"^m: tree 1: bad node line 'l 0\.1215 '$"):
+            regressor._parse_trees(body, "m", 7, block)
+
+
+def test_a_tree_without_nodes_is_truncated(tmp_path):
+    path = tmp_path / "empty-tree.model"
+    path.write_bytes(with_body(BODY.replace("tree 1\n", "tree 1\ntree 2\n").encode()))
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: tree 1: tree truncated"):
+        regressor.load_model(path)
+
+
+FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-310,
+                     1.7976931348623157e308, -1.7976931348623157e308, 0.1 + 0.2, 1 / 3]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def whole_trees(draw, width=7, max_splits=20):
+    """One pre-order tree: splits draw a feature and a threshold, leaves a value."""
+    feature, threshold, value = [], [], []
+    open_slots = 1
+    while open_slots:
+        split = len(feature) < 2 * max_splits and draw(st.booleans())
+        feature.append(draw(st.integers(0, width - 1)) if split else -1)
+        threshold.append(draw(FLOATS) if split else 0.0)
+        value.append(0.0 if split else draw(FLOATS))
+        open_slots += 1 if split else -1
+    feature = np.array(feature, dtype=np.int32)
+    return regressor.Tree(feature, np.array(threshold), regressor._right_children(feature),
+                          np.array(value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees=st.lists(whole_trees(), min_size=1, max_size=4), block=st.integers(0, 80))
+def test_saved_trees_load_to_the_line_loop_arrays(tmp_path_factory, trees, block):
+    model = regressor.ExtraTreesModel(1, tuple(column_names(1)), 1, 3, 0, tuple(trees))
+    path = tmp_path_factory.mktemp("model") / "round.model"
+    regressor.save_model(model, path)
+    want = line_loop_trees(body_of(path).decode(), path, 7)
+    assert_same_trees(regressor.load_model(path).trees, want)
+    assert_same_trees(regressor._parse_trees(body_of(path), path, 7, block), want)
+    assert_same_trees(trees, want)
+
+
+def test_a_hundred_tree_model_loads_to_the_line_loop_arrays(tmp_path):
+    rng = np.random.default_rng(41)
+    model = regressor.train(rng.random((300, 7)), rng.random(300), 1, n_trees=100, seed=42)
+    path = tmp_path / "hundred.model"
+    regressor.save_model(model, path)
+    assert len(body_of(path)) > 8 << 16  # many blocks
+    want = line_loop_trees(body_of(path).decode(), path, 7)
+    assert_same_trees(regressor.load_model(path).trees, want)
+    assert_same_trees(model.trees, want)
+
+
 def test_zero_tree_model_exits_2(workspace, tmp_path, capsys):
     # a header and an empty body that agree with each other and the checksum
     path = tmp_path / "empty.model"
@@ -216,6 +383,8 @@ def test_fuzzed_model_loads_or_raises_library_error(tmp_path_factory, edits, dro
     except LadderforgeError:
         return
     regressor.predict_batch(model, np.full((2, 7), 0.5))
+    # the block parser is never more lenient than the line loop before it
+    assert_same_trees(model.trees, line_loop_trees(body_of(path).decode(), path, 7))
 
 
 @settings(max_examples=30, deadline=None)

@@ -220,6 +220,38 @@ def test_distinct_rows_are_predicted_exactly():
     assert np.array_equal(regressor.predict_batch(model, X), y)
 
 
+def tree_by_tree_predictions(model, X):
+    """Each tree walked on its own, then the votes added in tree order.
+
+    The oracle for regressor.predict_batch, which walks every tree at once.
+    """
+    votes = []
+    for tree in model.trees:
+        idx = np.zeros(len(X), dtype=np.int64)
+        active = np.flatnonzero(tree.feature[idx] >= 0)
+        while active.size:
+            cur = idx[active]
+            go_left = X[active, tree.feature[cur]] <= tree.threshold[cur]
+            nxt = np.where(go_left, cur + 1, tree.right[cur])
+            idx[active] = nxt
+            active = active[tree.feature[nxt] >= 0]
+        votes.append(tree.value[idx])
+    total = np.zeros(len(X))
+    for vote in votes:
+        total += vote
+    return np.clip(total / len(votes), np.min(votes, axis=0), np.max(votes, axis=0))
+
+
+def test_trees_walked_at_once_predict_what_each_walked_alone_does():
+    X, y = make_rows(200, seed=43, fn=lambda x: x[0] - x[3] * x[5])
+    model = regressor.train(X, y, 1, n_trees=30, seed=44)
+    queries = np.random.default_rng(45).random((96, 7))
+    queries[:5] = X[:5]
+    for rows in (queries, queries[:1], queries[:0]):
+        want = tree_by_tree_predictions(model, rows)
+        assert regressor.predict_batch(model, rows).tobytes() == want.tobytes()
+
+
 def test_model_bytes_repeat_in_a_separate_process(tmp_path):
     script = (
         "import sys\n"
