@@ -16,6 +16,12 @@ on a peak-code scale is the 8-bit covariance divided by (255 / peak)^2,
 so the information uses lambda * (255 / peak)^2. A difference plane's
 subbands are its two frames' subbands subtracted, so a video builds one
 pyramid per frame.
+
+Level 0 of integer samples of at most 16 bits is split and kept in
+float32, which holds its quarter-integer values exactly: they are below
+2^17 in magnitude, differences of two frames' included (see pyramid).
+They become float64 only in extract_block_vectors' copy. Real planes,
+wider integers, levels 1-3 and the whole fit stay float64.
 """
 
 from __future__ import annotations
@@ -90,11 +96,12 @@ def extract_block_vectors(subband) -> np.ndarray:
     """Non-overlapping 3x3 tiles flattened row-major into (N, 9).
 
     Rows and columns that do not fill a whole tile are dropped. The result
-    is the transpose of a fresh channel-major (9, N) array, whose row c
-    holds tile position c of every block in one contiguous run; it never
-    shares memory with the subband.
+    is the transpose of a fresh float64 channel-major (9, N) array, whose
+    row c holds tile position c of every block in one contiguous run; it
+    never shares memory with the subband, which is cast only as it is
+    copied into those rows.
     """
-    coeffs = np.asarray(subband, dtype=np.float64)
+    coeffs = np.asarray(subband)
     if coeffs.ndim != 2:
         raise SchemaError(f"expected a 2-D subband, got shape {coeffs.shape}")
     rows, cols = coeffs.shape
@@ -185,8 +192,12 @@ def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.
 
 def plane_subbands(plane) -> list[tuple[np.ndarray, np.ndarray]]:
     """Both subbands of each pyramid level of a 2-D plane, on the plane's
-    own scale; each level is dropped once it is split."""
+    own scale; each level is dropped once it is split. Level 0 of integer
+    samples of at most 16 bits is split in float32, which is exact."""
     levels = list(build_scale_stack(plane))
+    dtype = np.asarray(plane).dtype
+    if dtype.kind in "iu" and dtype.itemsize <= 2:
+        levels[0] = levels[0].astype(np.float32)
     return [subband_decompose(levels.pop(0)) for _ in range(NUM_SCALES)]
 
 

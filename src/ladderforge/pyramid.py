@@ -12,6 +12,14 @@ All weights are dyadic (multiples of 1/16 and 1/4), so on integer samples
 of up to 16 bits every stage is exact in float64 and, being linear,
 commutes with subtraction: the subbands of a difference of two planes are
 the difference of their subbands, bit for bit.
+
+Level 0 of such samples, each in [-32768, 65535], is also exact in
+float32, whose 24-bit significand holds every quarter-integer below 2^22
+in magnitude. A level-0 subband value is (a - b + c - d) / 4: its partial
+sums are integers below 2^18, the value is below 2^16 and the difference
+of two such values below 2^17. So subband_decompose computes in float32
+when it is given float32. Levels 1-3 carry denominators up to 2^26 and
+stay float64.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ NUM_SCALES = 4
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
-def _as_plane(plane) -> np.ndarray:
-    plane = np.asarray(plane, dtype=np.float64)
+def _as_plane(plane, dtype=np.float64) -> np.ndarray:
+    plane = np.asarray(plane, dtype=dtype)
     if plane.ndim != 2:
         raise SchemaError(f"expected a 2-D plane, got shape {plane.shape}")
     return plane
@@ -70,9 +78,11 @@ def subband_decompose(level) -> tuple[np.ndarray, np.ndarray]:
     """Split a level into its two oriented detail subbands, (band1, band2).
 
     Output planes are one row and one column smaller than the input (valid
-    filter support only; no padding is invented at the borders).
+    filter support only; no padding is invented at the borders). They are
+    float32 when the level is float32, and float64 otherwise.
     """
-    plane = _as_plane(level)
+    plane = np.asarray(level)
+    plane = _as_plane(plane, np.float32 if plane.dtype == np.float32 else np.float64)
     h, w = plane.shape
     if h < 2 or w < 2:
         raise SchemaError(f"{w}x{h} level cannot host 2x2 filters")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -245,8 +246,27 @@ def test_fit_and_multipliers_agree_across_input_layouts():
 
 def test_block_vectors_never_share_the_subbands_memory():
     # a 3x3 subband is one whole tile, the case a reshape could return as a view
-    for subband in (np.arange(9.0).reshape(3, 3), np.zeros((7, 10))):
-        assert not np.shares_memory(gsm_vif.extract_block_vectors(subband), subband)
+    for dtype in (np.float64, np.float32):
+        for subband in (np.arange(9.0, dtype=dtype).reshape(3, 3), np.zeros((7, 10), dtype)):
+            assert not np.shares_memory(gsm_vif.extract_block_vectors(subband), subband)
+
+
+def test_float32_subband_blocks_equal_those_of_its_float64_copy():
+    # quarter-integers, as a level-0 subband of integer samples holds
+    subband = np.random.default_rng(23).integers(-4096, 4096, (300, 301)) / 4.0
+    expected = gsm_vif.extract_block_vectors(subband)
+    single = subband.astype(np.float32)
+    tracemalloc.start()
+    try:
+        got = gsm_vif.extract_block_vectors(single)
+        _, traced_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.float64
+    assert got.flags.f_contiguous and not got.flags.c_contiguous
+    assert np.array_equal(got, expected)
+    # the cast happens in the copy into the rows: no whole float64 subband
+    assert traced_peak < 1.5 * got.nbytes
 
 
 def test_multiplier_identity_covariance_unit_block():
@@ -459,6 +479,43 @@ def test_video_features_match_the_per_plane_route(bit_depth, shape):
     got = gsm_vif.video_features(frames).values
     assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
     assert np.abs(got[gsm_vif.MOTION_INDEX] - expected[-1]) <= 1e-9 * expected[-1]
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_plane_subbands_of_narrow_integers_are_float32_at_level_0_only(dtype):
+    plane = np.random.default_rng(24).integers(0, 256, (40, 52)).astype(dtype)
+    got = gsm_vif.plane_subbands(plane)
+    expected = gsm_vif.plane_subbands(plane.astype(np.float64))
+    for k, (pair, expected_pair) in enumerate(zip(got, expected)):
+        for band, expected_band in zip(pair, expected_pair):
+            assert band.dtype == (np.float32 if k == 0 else np.float64)
+            assert np.array_equal(band, expected_band)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32, np.int64])
+def test_plane_subbands_of_real_and_wide_integer_planes_stay_float64(dtype):
+    plane = np.random.default_rng(25).integers(-1000, 1000, (40, 52)).astype(dtype)
+    for pair in gsm_vif.plane_subbands(plane):
+        assert all(band.dtype == np.float64 for band in pair)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_video_features_peak_memory_stays_under_six_and_a_half_planes(bit_depth):
+    # the four level-0 subbands held across a frame pair are float32; held
+    # in float64 they would raise the peak to about 7.9 and 8.1 planes
+    rng = np.random.default_rng(bit_depth)
+    height, width = 360, 640
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    peak = float((1 << bit_depth) - 1)
+    frames = [LumaFrame(width, height, rng.integers(0, peak + 1, (height, width)).astype(dtype),
+                        i, peak) for i in range(3)]
+    tracemalloc.start()
+    try:
+        gsm_vif.video_features(frames)
+        _, traced_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced_peak <= 6.5 * width * height * 8
 
 
 # ---------------------------------------------------------------------------

@@ -190,3 +190,61 @@ def test_subbands_of_an_integer_difference_are_exact_differences(bit_depth, shap
         bands = [pyramid.subband_decompose(lv) for lv in (level_diff, level_cur, level_prev)]
         for band_diff, band_cur, band_prev in zip(*bands):
             assert np.array_equal(band_diff, band_cur - band_prev)
+
+
+def _integer_patterns(bit_depth, shape):
+    """Seeded random samples, 0/peak checkerboards of both phases, and a
+    full-scale step, whose edge gives the largest level-0 band magnitude."""
+    peak = (1 << bit_depth) - 1
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    rng = np.random.default_rng(bit_depth)
+    checker = (np.indices(shape).sum(axis=0) % 2) * peak
+    step = np.zeros(shape, dtype=np.int64)
+    step[:, shape[1] // 2:] = peak
+    return {name: plane.astype(dtype) for name, plane in {
+        "random": rng.integers(0, peak + 1, shape),
+        "checker": checker,
+        "checker_inverse": peak - checker,
+        "step": step,
+        "step_inverse": peak - step,
+    }.items()}
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10, 16])
+def test_float32_level0_subbands_equal_the_float64_ones(bit_depth):
+    patterns = _integer_patterns(bit_depth, (24, 37))
+    for name, plane in patterns.items():
+        for single, double in zip(pyramid.subband_decompose(plane.astype(np.float32)),
+                                  pyramid.subband_decompose(plane)):
+            assert single.dtype == np.float32 and double.dtype == np.float64
+            assert np.array_equal(single, double), name
+    step_band, _ = pyramid.subband_decompose(patterns["step"])
+    assert np.abs(step_band).max() == ((1 << bit_depth) - 1) / 2
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10, 16])
+def test_float32_level0_differences_equal_the_subbands_of_the_integer_difference(bit_depth):
+    patterns = _integer_patterns(bit_depth, (24, 37))
+    for current_name, current in patterns.items():
+        for previous_name, previous in patterns.items():
+            diff = current.astype(np.int32) - previous
+            expected = pyramid.subband_decompose(diff)
+            got = [band_cur - band_prev for band_cur, band_prev in zip(
+                pyramid.subband_decompose(current.astype(np.float32)),
+                pyramid.subband_decompose(previous.astype(np.float32)))]
+            for band_got, band_expected in zip(got, expected):
+                assert band_got.dtype == np.float32
+                assert np.array_equal(band_got, band_expected), (current_name, previous_name)
+
+
+def test_subbands_are_float64_unless_the_level_is_float32():
+    for dtype in (np.uint8, np.uint16, np.int32, np.float16, np.float64):
+        for band in pyramid.subband_decompose(np.zeros((4, 5), dtype=dtype)):
+            assert band.dtype == np.float64
+
+
+def test_float32_level_keeps_the_shape_checks():
+    with pytest.raises(SchemaError, match="9x1 level cannot host 2x2 filters"):
+        pyramid.subband_decompose(np.zeros((1, 9), dtype=np.float32))
+    with pytest.raises(SchemaError, match=r"expected a 2-D plane, got shape \(2, 3, 4\)"):
+        pyramid.subband_decompose(np.zeros((2, 3, 4), dtype=np.float32))
