@@ -18,7 +18,6 @@ from .errors import SchemaError
 from .gsm_vif import VifFeatureTensor
 from .ioutil import (
     atomic_write_bytes,
-    atomic_write_text,
     csv_text,
     finite_float,
     read_csv,
@@ -90,10 +89,6 @@ def parse_encode_log(path) -> list[EncodeRecord]:
 
 def encode_log_text(records) -> str:
     return csv_text(SCHEMA, records)
-
-
-def write_encode_log(records, path) -> None:
-    atomic_write_text(path, encode_log_text(records))
 
 
 def make_split(video_ids, seed: int) -> SplitManifest:

@@ -17,11 +17,8 @@ so the information uses lambda * (255 / peak)^2. A difference plane's
 subbands are its two frames' subbands subtracted, so a video builds one
 pyramid per frame.
 
-Level 0 of integer samples of at most 16 bits is split and kept in
-float32, which holds its quarter-integer values exactly: they are below
-2^17 in magnitude, differences of two frames' included (see pyramid).
-They become float64 only in extract_block_vectors' copy. Real planes,
-wider integers, levels 1-3 and the whole fit stay float64.
+Which float type each pyramid level is split in is the pyramid's rule
+(see pyramid); extract_block_vectors copies every subband to float64.
 """
 
 from __future__ import annotations
@@ -141,7 +138,6 @@ def _fit_eigen(vectors, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray
     """
     channels = _centered_channels(vectors, overwrite)
     cov = channels @ channels.T / channels.shape[1]
-    cov = (cov + cov.T) / 2.0
     eigvals, eigvecs = jacobi_eigh(cov)
     eigvals = np.maximum(eigvals, 0.0)
     return cov, eigvals, _whitened_energy(channels, eigvals, eigvecs)
@@ -192,12 +188,8 @@ def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.
 
 def plane_subbands(plane) -> list[tuple[np.ndarray, np.ndarray]]:
     """Both subbands of each pyramid level of a 2-D plane, on the plane's
-    own scale; each level is dropped once it is split. Level 0 of integer
-    samples of at most 16 bits is split in float32, which is exact."""
+    own scale; each level is dropped once it is split."""
     levels = list(build_scale_stack(plane))
-    dtype = np.asarray(plane).dtype
-    if dtype.kind in "iu" and dtype.itemsize <= 2:
-        levels[0] = levels[0].astype(np.float32)
     return [subband_decompose(levels.pop(0)) for _ in range(NUM_SCALES)]
 
 

@@ -3,9 +3,8 @@
 Only progressive planar 4:2:0 at 8 or 10 bits is accepted. A frame keeps
 its luma samples as read (uint8, or uint16 for 10 bits) together with the
 peak code 2^depth - 1, so the linear stages downstream run exactly on
-integers; `LumaFrame.samples` is the plane normalized to [0, 1], and the
-motion feature is rescaled to 8-bit units, so neither depends on the bit
-depth. Chroma planes are skipped, never decoded.
+integers; the motion feature is rescaled to 8-bit units, so it does not
+depend on the bit depth. Chroma planes are skipped, never decoded.
 
 The input may be a regular file or a pipe. No read asks for more than
 _READ_BLOCK bytes at a time, so a stream shorter than its header promises
@@ -51,8 +50,8 @@ class VideoHeader:
 
 @dataclass(frozen=True)
 class LumaFrame:
-    """One luma plane: raw holds its samples with shape (height, width)
-    on a scale where peak is full white.
+    """One luma plane: raw holds its samples, shaped (height, width), on a
+    scale where peak is full white.
 
     A frame read from Y4M holds the integer codes it read and the peak
     code 2^depth - 1. A difference of consecutive frames (frame_diff) is
@@ -61,16 +60,8 @@ class LumaFrame:
     as already normalized.
     """
 
-    width: int
-    height: int
     raw: np.ndarray
-    index: int
     peak: float = 1.0
-
-    @property
-    def samples(self) -> np.ndarray:
-        """The plane as float64 normalized to [0, 1] ([-1, 1] for a difference)."""
-        return self.raw / self.peak
 
 
 def parse_y4m_header(data: bytes) -> VideoHeader:
@@ -202,8 +193,7 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> Lum
         raise SchemaError(
             f"frame {index}: luma sample {raw.max()} exceeds {header.bit_depth}-bit range"
         )
-    plane = raw.reshape(header.height, header.width)
-    return LumaFrame(header.width, header.height, plane, index, peak)
+    return LumaFrame(raw.reshape(header.height, header.width), peak)
 
 
 def iter_luma_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
@@ -241,22 +231,14 @@ def frame_diff(current: LumaFrame, previous: LumaFrame) -> LumaFrame:
     Integer samples subtract exactly into the smallest signed type that
     holds them (int16 for 8 bits); real ones stay real.
     """
-    if (current.width, current.height) != (previous.width, previous.height):
+    if (current.raw.shape, current.peak) != (previous.raw.shape, previous.peak):
         raise SchemaError(
-            f"frame {current.index} is {current.width}x{current.height}, "
-            f"frame {previous.index} is {previous.width}x{previous.height}"
-        )
-    if current.peak != previous.peak:
-        raise SchemaError(
-            f"frame {current.index} peaks at {current.peak}, "
-            f"frame {previous.index} at {previous.peak}"
+            f"cannot subtract a frame of shape {previous.raw.shape} peaking at "
+            f"{previous.peak} from one of shape {current.raw.shape} peaking at {current.peak}"
         )
     return LumaFrame(
-        current.width,
-        current.height,
         np.subtract(current.raw, previous.raw,
                     dtype=np.result_type(current.raw, previous.raw, np.int16)),
-        current.index,
         current.peak,
     )
 

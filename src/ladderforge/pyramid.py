@@ -13,13 +13,16 @@ of up to 16 bits every stage is exact in float64 and, being linear,
 commutes with subtraction: the subbands of a difference of two planes are
 the difference of their subbands, bit for bit.
 
-Level 0 of such samples, each in [-32768, 65535], is also exact in
-float32, whose 24-bit significand holds every quarter-integer below 2^22
-in magnitude. A level-0 subband value is (a - b + c - d) / 4: its partial
-sums are integers below 2^18, the value is below 2^16 and the difference
-of two such values below 2^17. So subband_decompose computes in float32
-when it is given float32. Levels 1-3 carry denominators up to 2^26 and
-stay float64.
+Sample types: level 0 of integer samples is the plane as given, never
+copied; any other plane, and levels 1-3, are float64. A level is split in
+float32 when it is float32 or holds integers of at most 2 bytes (uint8 and
+uint16 frames, int16 differences), and in float64 otherwise. For integer
+samples that is exact: a level-0 subband value of samples in [-32768,
+65535] is (a - b + c - d) / 4, whose partial sums are integers below
+2^18; the value is below 2^16 and the difference of two such values below
+2^17, and float32's 24-bit significand holds every quarter-integer below
+2^22 in magnitude. Levels 1-3 carry denominators up to 2^26 and stay
+float64.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ NUM_SCALES = 4
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
-def _as_plane(plane, dtype=np.float64) -> np.ndarray:
-    plane = np.asarray(plane, dtype=dtype)
+def _as_plane(plane) -> np.ndarray:
+    plane = np.asarray(plane)
     if plane.ndim != 2:
         raise SchemaError(f"expected a 2-D plane, got shape {plane.shape}")
     return plane
@@ -60,11 +63,13 @@ def _reduce(plane: np.ndarray, axis: int) -> np.ndarray:
 def build_scale_stack(plane) -> tuple[np.ndarray, ...]:
     """Four-level pyramid of a 2-D plane.
 
-    Element 0 is the input plane as float64 and element k its k-fold
-    reduction. Requires at least 16x16 so the smallest level keeps a
-    usable extent.
+    Element 0 is the input plane, as given when it holds integers and as
+    float64 otherwise; element k is its k-fold reduction, in float64.
+    Requires at least 16x16 so the smallest level keeps a usable extent.
     """
     plane = _as_plane(plane)
+    if plane.dtype.kind not in "iu":
+        plane = plane.astype(np.float64, copy=False)
     h, w = plane.shape
     if h < 16 or w < 16:
         raise SchemaError(f"{w}x{h} plane; need at least 16x16")
@@ -79,10 +84,12 @@ def subband_decompose(level) -> tuple[np.ndarray, np.ndarray]:
 
     Output planes are one row and one column smaller than the input (valid
     filter support only; no padding is invented at the borders). They are
-    float32 when the level is float32, and float64 otherwise.
+    float32 when the level is float32 or integers of at most 2 bytes, and
+    float64 otherwise.
     """
-    plane = np.asarray(level)
-    plane = _as_plane(plane, np.float32 if plane.dtype == np.float32 else np.float64)
+    plane = _as_plane(level)
+    narrow = plane.dtype == np.float32 or (plane.dtype.kind in "iu" and plane.dtype.itemsize <= 2)
+    plane = plane.astype(np.float32 if narrow else np.float64, copy=False)
     h, w = plane.shape
     if h < 2 or w < 2:
         raise SchemaError(f"{w}x{h} level cannot host 2x2 filters")

@@ -117,7 +117,7 @@ def test_jacobi_matches_reference_solver():
 @pytest.mark.acceptance(name="feature-vector-lengths")
 def test_every_approach_vector_length():
     rng = np.random.default_rng(41)
-    frames = [LumaFrame(32, 32, rng.random((32, 32)), i) for i in range(2)]
+    frames = [LumaFrame(rng.random((32, 32))) for _ in range(2)]
     tensor = gsm_vif.video_features(frames)
     lengths = [
         feature_assembly.assemble(a, [tensor], [2e6], [1920], [1080]).shape[1] for a in range(1, 10)
@@ -279,7 +279,7 @@ def test_end_to_end_desk_scale(tmp_path):
 
     per_clip = {name: clip_records(name, c) for name, c in zip(names, complexities)}
     log = tmp_path / "encodes.csv"
-    dataset.write_encode_log([r for rs in per_clip.values() for r in rs], log)
+    log.write_text(dataset.encode_log_text([r for rs in per_clip.values() for r in rs]))
 
     split_path = tmp_path / "split.json"
     dataset.save_split(dataset.SplitManifest(0, tuple(names[:8]), (), tuple(names[8:])), split_path)
@@ -338,7 +338,7 @@ def test_repeat_runs_byte_identical(tmp_path):
         features = workdir / "features.csv"
         assert cli.main(["extract", *map(str, clips), "--out", str(features)]) == 0
         log = workdir / "encodes.csv"
-        dataset.write_encode_log([r for rs in per_clip.values() for r in rs], log)
+        log.write_text(dataset.encode_log_text([r for rs in per_clip.values() for r in rs]))
         model = workdir / "model.txt"
         assert cli.main([
             "train", "--features", str(features), "--encode-log", str(log),

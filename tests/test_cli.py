@@ -60,7 +60,7 @@ def pipeline(tmp_path_factory):
     for i, name in enumerate(names):
         records.extend(synth_records(name, 1.5 * i))
     log = root / "encodes.csv"
-    dataset.write_encode_log(records, log)
+    log.write_text(dataset.encode_log_text(records))
 
     split = dataset.SplitManifest(0, ("v0", "v1"), ("v2",), ("v3",))
     split_path = root / "split.json"
@@ -380,9 +380,8 @@ def test_train_rejects_overlapping_split(tmp_path, pipeline, capsys):
 def test_train_rejects_unassigned_video(tmp_path, pipeline, capsys):
     extra = synth_records("v9", 0.0)
     log = tmp_path / "log_extra.csv"
-    dataset.write_encode_log(
-        dataset.parse_encode_log(pipeline["log"]) + extra, log
-    )
+    log.write_text(dataset.encode_log_text(
+        dataset.parse_encode_log(pipeline["log"]) + extra))
     code = main([
         "train", "--features", str(pipeline["features"]), "--encode-log", str(log),
         "--split", str(pipeline["split"]), "--approach", "1",
@@ -414,12 +413,13 @@ def test_split_and_cross_file_errors_name_their_files(tmp_path, pipeline, capsys
 
     records = dataset.parse_encode_log(pipeline["log"])
     two_videos = tmp_path / "two_videos.csv"
-    dataset.write_encode_log([r for r in records if r.video_id in ("v0", "v1")], two_videos)
+    two_videos.write_text(dataset.encode_log_text(
+        [r for r in records if r.video_id in ("v0", "v1")]))
     err = run(train + ["--features", pipeline["features"], "--encode-log", two_videos])
     assert err == f"error: {two_videos}: need at least 3 distinct videos, got 2\n"
 
     no_v3 = tmp_path / "log_no_v3.csv"
-    dataset.write_encode_log([r for r in records if r.video_id != "v3"], no_v3)
+    no_v3.write_text(dataset.encode_log_text([r for r in records if r.video_id != "v3"]))
     argv = ladder_args(pipeline, tmp_path / "l.csv")
     argv[argv.index("--encode-log") + 1] = str(no_v3)
     assert run(argv) == f"error: {no_v3}: no rows for video 'v3'\n"
@@ -506,7 +506,7 @@ def test_ladder_missing_resolution_sweep(tmp_path, pipeline, capsys):
     records = [r for r in dataset.parse_encode_log(pipeline["log"])
                if (r.width, r.height) != (960, 540)]
     log = tmp_path / "partial.csv"
-    dataset.write_encode_log(records, log)
+    log.write_text(dataset.encode_log_text(records))
     out = tmp_path / "l.csv"
     code = main([
         "ladder", "--model", str(pipeline["model"]),

@@ -339,7 +339,7 @@ REPORT_ROW_LISTS = st.lists(st.builds(
 @given(records=ENCODE_RECORDS)
 def test_encode_log_round_trip(fuzz_dir, records):
     path = fuzz_dir / "round-trip-encodes.csv"
-    dataset.write_encode_log(records, path)
+    path.write_text(dataset.encode_log_text(records), encoding="utf-8")
     assert dataset.parse_encode_log(path) == records
 
 

@@ -31,7 +31,7 @@ def test_full_grid_round_trip(tmp_path):
     records = sample_records()
     assert len(records) == 8 * 33 == 264
     path = tmp_path / "log.csv"
-    dataset.write_encode_log(records, path)
+    path.write_text(dataset.encode_log_text(records))
     parsed = dataset.parse_encode_log(path)
     assert parsed == records
 
@@ -39,8 +39,8 @@ def test_full_grid_round_trip(tmp_path):
 def test_emitted_log_round_trips_bit_identically(tmp_path):
     records = sample_records(("a", "b"))
     p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
-    dataset.write_encode_log(records, p1)
-    dataset.write_encode_log(dataset.parse_encode_log(p1), p2)
+    p1.write_text(dataset.encode_log_text(records))
+    p2.write_text(dataset.encode_log_text(dataset.parse_encode_log(p1)))
     assert p1.read_bytes() == p2.read_bytes()
 
 

@@ -467,8 +467,7 @@ def test_video_features_match_the_per_plane_route(bit_depth, shape):
     dtype = np.uint8 if bit_depth == 8 else np.uint16
     peak = float((1 << bit_depth) - 1)
     height, width = shape
-    frames = [LumaFrame(width, height, rng.integers(0, peak + 1, shape).astype(dtype), i, peak)
-              for i in range(3)]
+    frames = [LumaFrame(rng.integers(0, peak + 1, shape).astype(dtype), peak) for _ in range(3)]
     planes = [f.raw / peak for f in frames]
     diffs = [cur - prev for prev, cur in zip(planes, planes[1:])]
     expected = np.concatenate([
@@ -507,8 +506,8 @@ def test_video_features_peak_memory_stays_under_six_and_a_half_planes(bit_depth)
     height, width = 360, 640
     dtype = np.uint8 if bit_depth == 8 else np.uint16
     peak = float((1 << bit_depth) - 1)
-    frames = [LumaFrame(width, height, rng.integers(0, peak + 1, (height, width)).astype(dtype),
-                        i, peak) for i in range(3)]
+    frames = [LumaFrame(rng.integers(0, peak + 1, (height, width)).astype(dtype), peak)
+              for _ in range(3)]
     tracemalloc.start()
     try:
         gsm_vif.video_features(frames)
@@ -516,6 +515,26 @@ def test_video_features_peak_memory_stays_under_six_and_a_half_planes(bit_depth)
     finally:
         tracemalloc.stop()
     assert traced_peak <= 6.5 * width * height * 8
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_integer_planes_are_split_without_a_float64_copy(dtype):
+    # level 0 is the samples as read; a float64 copy of them would raise the
+    # peak to about 3.05 float64 planes
+    height, width = 360, 640
+    plane = np.random.default_rng(26).integers(0, np.iinfo(dtype).max, (height, width), dtype,
+                                               endpoint=True)
+    stack = gsm_vif.build_scale_stack(plane)
+    assert np.shares_memory(stack[0], plane)
+    for level, expected in zip(stack[1:], gsm_vif.build_scale_stack(plane.astype(np.float64))[1:]):
+        assert level.dtype == np.float64 and np.array_equal(level, expected)
+    tracemalloc.start()
+    try:
+        gsm_vif.plane_subbands(plane)
+        _, traced_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced_peak <= 2.25 * width * height * 8
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,7 @@ def test_subbands_of_an_integer_difference_are_exact_differences(bit_depth, shap
     diff = current.astype(np.int32) - previous
     stacks = [pyramid.build_scale_stack(p) for p in (diff, current, previous)]
     for level_diff, level_cur, level_prev in zip(*stacks):
-        assert np.array_equal(level_diff, level_cur - level_prev)
+        assert np.array_equal(level_diff, np.subtract(level_cur, level_prev, dtype=np.float64))
         bands = [pyramid.subband_decompose(lv) for lv in (level_diff, level_cur, level_prev)]
         for band_diff, band_cur, band_prev in zip(*bands):
             assert np.array_equal(band_diff, band_cur - band_prev)
@@ -214,10 +214,12 @@ def _integer_patterns(bit_depth, shape):
 def test_float32_level0_subbands_equal_the_float64_ones(bit_depth):
     patterns = _integer_patterns(bit_depth, (24, 37))
     for name, plane in patterns.items():
-        for single, double in zip(pyramid.subband_decompose(plane.astype(np.float32)),
-                                  pyramid.subband_decompose(plane)):
-            assert single.dtype == np.float32 and double.dtype == np.float64
+        for single, native, double in zip(pyramid.subband_decompose(plane.astype(np.float32)),
+                                          pyramid.subband_decompose(plane),
+                                          pyramid.subband_decompose(plane.astype(np.float64))):
+            assert single.dtype == native.dtype == np.float32 and double.dtype == np.float64
             assert np.array_equal(single, double), name
+            assert np.array_equal(native, double), name
     step_band, _ = pyramid.subband_decompose(patterns["step"])
     assert np.abs(step_band).max() == ((1 << bit_depth) - 1) / 2
 
@@ -237,8 +239,11 @@ def test_float32_level0_differences_equal_the_subbands_of_the_integer_difference
                 assert np.array_equal(band_got, band_expected), (current_name, previous_name)
 
 
-def test_subbands_are_float64_unless_the_level_is_float32():
-    for dtype in (np.uint8, np.uint16, np.int32, np.float16, np.float64):
+def test_subbands_are_float32_only_for_float32_and_narrow_integer_levels():
+    for dtype in (np.float32, np.uint8, np.uint16, np.int16):
+        for band in pyramid.subband_decompose(np.zeros((4, 5), dtype=dtype)):
+            assert band.dtype == np.float32
+    for dtype in (np.int32, np.float16, np.float64):
         for band in pyramid.subband_decompose(np.zeros((4, 5), dtype=dtype)):
             assert band.dtype == np.float64
 
