@@ -37,6 +37,7 @@ NUM_BANDS = 2
 DEFAULT_NOISE_VAR = 2.0
 _PEAK_8BIT = 255.0
 _RANK_REL_TOL = 1e-10    # pseudo-inverse rank cut vs largest eigenvalue
+_CHUNK = 1 << 15         # blocks per whitening matmul, values per information pass
 
 # one plane's 84 values in features-CSV order: information per eigenchannel
 # (scale, band, channel), its totals per band (scale, band), and per scale
@@ -145,14 +146,31 @@ def _fit_eigen(vectors, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray
 
 def _whitened_energy(channels, eigenvalues, eigenvectors) -> np.ndarray:
     """s_i^2 = |V_k^T z_i / sqrt(lambda_k)|^2 / block_dim over the kept
-    eigenchannels k, with z_i column i of the centred (9, N) channel rows."""
+    eigenchannels k, with z_i column i of the centred (9, N) channel rows.
+
+    The blocks are whitened _CHUNK columns at a time, so no (k, N) array
+    exists. Chunks start at multiples of _CHUNK, and a one-column tail
+    joins the chunk before it: each s_i^2 is then the same bits as from
+    one (k, 9) @ (9, N) product, because every chunk is a matrix-matrix
+    product whose columns BLAS rounds as in the whole one. A one-column
+    product takes numpy's matrix-vector path, which rounds differently.
+    """
     eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     lam_max = eigenvalues.max(initial=0.0)
     keep = eigenvalues > _RANK_REL_TOL * lam_max
+    n = channels.shape[1]
     if lam_max <= 0.0 or not keep.any():
-        return np.zeros(channels.shape[1])
-    whitened = (eigenvectors[:, keep] / np.sqrt(eigenvalues[keep])).T @ channels
-    return np.einsum("ki,ki->i", whitened, whitened) / channels.shape[0]
+        return np.zeros(n)
+    basis = (eigenvectors[:, keep] / np.sqrt(eigenvalues[keep])).T
+    energy = np.empty(n)
+    start = 0
+    for stop in [*range(_CHUNK, n - 1, _CHUNK), n]:  # no chunk ends at n - 1
+        whitened = basis @ channels[:, start:stop]
+        np.einsum("ki,ki->i", whitened, whitened, out=energy[start:stop])
+        del whitened  # else it is held while the next chunk is formed
+        start = stop
+    energy /= channels.shape[0]
+    return energy
 
 
 def estimate_multipliers(vectors, covariance) -> np.ndarray:
@@ -170,19 +188,30 @@ def estimate_multipliers(vectors, covariance) -> np.ndarray:
 def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.ndarray, float]:
     """Average per-eigenchannel information and its band total.
 
-    per_eig[j] = mean_i log2(1 + s_i^2 * lambda_j / noise_var). Each
-    channel's terms form one contiguous row, along which numpy's mean sums
-    pairwise, so its rounding error grows with log N, not with N.
+    per_eig[j] = mean_i log2(1 + s_i^2 * lambda_j / noise_var). The terms
+    of as many eigenchannels as fit in _CHUNK values, and at least one,
+    are formed at a time in one reused array, so past _CHUNK / 9 blocks no
+    (9, N) array exists. Unlike the whitening's column chunks (starts at
+    multiples of _CHUNK, no one-column tail; see _whitened_energy), a
+    channel's terms are never split: they are one whole contiguous row,
+    along which numpy's mean sums pairwise as along a row of one (9, N)
+    array. So the bits are the same, and the rounding error grows with
+    log N, not with N.
     """
     if noise_var <= 0.0:
         raise SchemaError(f"noise variance must be > 0, got {noise_var}")
-    s2 = np.asarray(multipliers, dtype=np.float64)
-    lam = np.asarray(eigenvalues, dtype=np.float64)
+    s2 = np.asarray(multipliers, dtype=np.float64).ravel()
+    gains = np.asarray(eigenvalues, dtype=np.float64).ravel() / noise_var
     if s2.size == 0:
         raise SchemaError("no multipliers")
-    info = np.outer(lam / noise_var, s2)
-    info += 1.0
-    per_eig = np.log2(info, out=info).mean(axis=1)
+    rows = max(1, _CHUNK // s2.size)
+    per_eig = np.empty(gains.size)
+    slab = np.empty((min(rows, gains.size), s2.size))
+    for j in range(0, gains.size, rows):
+        part = gains[j : j + rows]
+        info = np.multiply.outer(part, s2, out=slab[: part.size])
+        info += 1.0
+        per_eig[j : j + rows] = np.log2(info, out=info).mean(axis=1)
     return per_eig, float(per_eig.sum())
 
 
