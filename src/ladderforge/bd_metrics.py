@@ -58,30 +58,6 @@ def pchip_slopes(xs, ys) -> np.ndarray:
     return np.concatenate((d[:1], inner, d[-1:]))
 
 
-def pchip_interpolate(xs, ys, x_query):
-    """Evaluate the monotone interpolant; queries must be inside the knots."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    m = pchip_slopes(xs, ys)
-    scalar = np.isscalar(x_query) or np.asarray(x_query).ndim == 0
-    x = np.atleast_1d(np.asarray(x_query, dtype=np.float64))
-    if np.any(x < xs[0]) or np.any(x > xs[-1]):
-        raise SchemaError(
-            f"query outside [{xs[0]}, {xs[-1]}]: {x[(x < xs[0]) | (x > xs[-1])][0]}"
-        )
-    i = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-    h = xs[i + 1] - xs[i]
-    t = (x - xs[i]) / h
-    t2 = t * t
-    t3 = t2 * t
-    h00 = 2 * t3 - 3 * t2 + 1
-    h10 = t3 - 2 * t2 + t
-    h01 = -2 * t3 + 3 * t2
-    h11 = t3 - t2
-    out = h00 * ys[i] + h10 * h * m[i] + h01 * ys[i + 1] + h11 * h * m[i + 1]
-    return float(out[0]) if scalar else out
-
-
 def _hermite_antiderivatives(t):
     t2 = t * t
     t3 = t2 * t

@@ -15,7 +15,6 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 from .dataset import CRF_MAX, CRF_MIN
@@ -23,17 +22,10 @@ from .errors import SchemaError
 from .feature_assembly import APPROACH_FEATURE_LENGTHS
 from .gsm_vif import DEFAULT_NOISE_VAR
 from .ioutil import read_json
-from .ladder import DEFAULT_RESOLUTIONS, DEFAULT_RUNG_BPS, validate_rungs
+from .ladder import DEFAULT_FIXED_LADDER, DEFAULT_RESOLUTIONS, DEFAULT_RUNG_BPS, validate_rungs
 
 ENV_CONFIG = "LADDERFORGE_CONFIG"
 TEMPLATE_PLACEHOLDERS = ("input", "width", "height", "crf", "output")
-
-
-def default_fixed_ladder() -> tuple[tuple[float, tuple[int, int]], ...]:
-    """The shipped rung -> resolution table (see data/fixed_ladder.json)."""
-    resource = resources.files("ladderforge").joinpath("data/fixed_ladder.json")
-    rows = json.loads(resource.read_text())["rungs"]
-    return _config_from_dict({"fixed_ladder": rows}, str(resource)).fixed_ladder
 
 
 @dataclass(frozen=True)
@@ -49,13 +41,11 @@ class RunConfig:
     fixed_ladder: tuple[tuple[float, tuple[int, int]], ...] | None = None
     encoder_template: str | None = None
     workers: int = 4
-    crf_min: int = 18
-    crf_max: int = 50
+    crf_min: int = CRF_MIN
+    crf_max: int = CRF_MAX
 
     def fixed_ladder_table(self) -> tuple[tuple[float, tuple[int, int]], ...]:
-        if self.fixed_ladder is not None:
-            return self.fixed_ladder
-        return default_fixed_ladder()
+        return DEFAULT_FIXED_LADDER if self.fixed_ladder is None else self.fixed_ladder
 
 
 def _check_dims(resolutions) -> None:

@@ -12,13 +12,14 @@ and is independent of source bit depth. The pyramid, the subbands and the
 fit run on a frame's integer samples as read, where every linear stage is
 exact (see pyramid). Only the eigenvalues carry the unit: the multipliers
 do not depend on the scale of the samples, and the covariance of samples
-on a peak-code scale is the 8-bit covariance divided by (255 / peak)^2,
-so the information uses lambda * (255 / peak)^2. A difference plane's
-subbands are its two frames' subbands subtracted, so a video builds one
-pyramid per frame.
+on a peak-code scale is the 8-bit covariance divided by unit^2, where
+unit = 255 / peak (LumaFrame.unit), so the information uses
+lambda * unit^2. A difference plane's subbands are its two frames'
+subbands subtracted, so a video builds one pyramid per frame.
 
 Which float type each pyramid level is split in is the pyramid's rule
-(see pyramid); extract_block_vectors copies every subband to float64.
+(see pyramid); extract_block_vectors copies every subband to float64, as
+nine channel rows of one (9, N) array that the fit then works on in place.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ BLOCK_SIZE = 3
 BLOCK_DIM = BLOCK_SIZE * BLOCK_SIZE
 NUM_BANDS = 2
 DEFAULT_NOISE_VAR = 2.0
-_PEAK_8BIT = 255.0
 _RANK_REL_TOL = 1e-10    # pseudo-inverse rank cut vs largest eigenvalue
 _CHUNK = 1 << 15         # blocks per whitening matmul, values per information pass
 
@@ -91,13 +91,13 @@ def jacobi_eigh(matrix):
 
 
 def extract_block_vectors(subband) -> np.ndarray:
-    """Non-overlapping 3x3 tiles flattened row-major into (N, 9).
+    """Non-overlapping 3x3 tiles as a fresh channel-major (9, N) float64 array.
 
-    Rows and columns that do not fill a whole tile are dropped. The result
-    is the transpose of a fresh float64 channel-major (9, N) array, whose
-    row c holds tile position c of every block in one contiguous run; it
-    never shares memory with the subband, which is cast only as it is
-    copied into those rows.
+    Row c holds tile position c (row-major within the tile) of every
+    block in one contiguous run, and column i is block i, blocks running
+    left to right, then top to bottom. Rows and columns that do not fill
+    a whole tile are dropped. The result never shares memory with the
+    subband, which is cast only as it is copied into the rows.
     """
     coeffs = np.asarray(subband)
     if coeffs.ndim != 2:
@@ -112,32 +112,17 @@ def extract_block_vectors(subband) -> np.ndarray:
     for c in range(BLOCK_DIM):
         dy, dx = divmod(c, BLOCK_SIZE)
         channels[c] = coeffs[dy : by * BLOCK_SIZE : BLOCK_SIZE, dx : bx * BLOCK_SIZE : BLOCK_SIZE]
-    return channels.reshape(BLOCK_DIM, by * bx).T
+    return channels.reshape(BLOCK_DIM, by * bx)
 
 
-def _centered_channels(vectors, overwrite: bool = False) -> np.ndarray:
-    """(N, 9) vectors as channel-major (9, N) rows, each minus its mean.
-
-    With overwrite set, the rows are vectors.T itself, centred in place,
-    when that is already a C-contiguous float64 array (as the result of
-    extract_block_vectors is); otherwise they are a copy.
-    """
-    vectors = np.asarray(vectors)
-    if vectors.ndim != 2 or vectors.shape[0] == 0:
-        raise SchemaError(f"expected (N, {BLOCK_DIM}) vectors, got {vectors.shape}")
-    channels = vectors.T.astype(np.float64, order="C", copy=not overwrite)
-    channels -= channels.mean(axis=1, keepdims=True)
-    return channels
-
-
-def _fit_eigen(vectors, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit_eigen(channels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One subband's whole fit: centre once, decompose once, whiten once.
 
-    Returns (covariance, clamped eigenvalues descending, multipliers).
-    overwrite lets the fit centre vectors in place, for a block copy
-    that nothing else reads.
+    channels are the (9, N) float64 rows of extract_block_vectors; each is
+    centred in place. Returns (covariance, clamped eigenvalues descending,
+    multipliers).
     """
-    channels = _centered_channels(vectors, overwrite)
+    channels -= channels.mean(axis=1, keepdims=True)
     cov = channels @ channels.T / channels.shape[1]
     eigvals, eigvecs = jacobi_eigh(cov)
     eigvals = np.maximum(eigvals, 0.0)
@@ -179,8 +164,13 @@ def estimate_multipliers(vectors, covariance) -> np.ndarray:
     s_i^2 = z_i^T C+ z_i / block_dim with z_i the mean-removed
     block and C+ the pseudo-inverse of the fitted covariance, computed in
     its eigenbasis with eigenvalues below 1e-10 * max treated as zero.
+    vectors are (N, 9), one block per row, and are left unchanged.
     """
-    channels = _centered_channels(vectors)
+    vectors = np.asarray(vectors)
+    if vectors.ndim != 2 or vectors.shape[0] == 0:
+        raise SchemaError(f"expected (N, {BLOCK_DIM}) vectors, got {vectors.shape}")
+    channels = vectors.T.astype(np.float64, order="C")
+    channels -= channels.mean(axis=1, keepdims=True)
     eigenvalues, eigenvectors = jacobi_eigh(covariance)
     return _whitened_energy(channels, np.maximum(eigenvalues, 0.0), eigenvectors)
 
@@ -226,10 +216,11 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, subbands=Non
     """Information features of one luma or difference plane: the 84-value
     plane vector laid out as PLANE_SPANS says.
 
-    frame is a LumaFrame or a bare 2-D plane normalized to [0, 1]. subbands,
-    when given, stand for plane_subbands of the frame's raw samples: one
-    iterable per scale of its two subbands, which may be generated one at
-    a time so that only the subband being fitted exists.
+    frame is a LumaFrame, or a bare 2-D plane taken as LumaFrame(plane),
+    that is, normalized to [0, 1]. subbands, when given, stand for
+    plane_subbands of the frame's raw samples: one iterable per scale of
+    its two subbands, which may be generated one at a time so that only
+    the subband being fitted exists.
 
     Scales whose subbands are too small for a single 3x3 block (possible
     for frames near the 16x16 minimum) contribute zeros, which keeps the
@@ -237,13 +228,11 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, subbands=Non
     """
     if noise_var <= 0.0:
         raise SchemaError(f"noise variance must be > 0, got {noise_var}")
-    if isinstance(frame, LumaFrame):
-        plane, peak = frame.raw, frame.peak
-    else:
-        plane, peak = frame, 1.0
+    if not isinstance(frame, LumaFrame):
+        frame = LumaFrame(frame)
     if subbands is None:
-        subbands = plane_subbands(plane)
-    eig_scale = (_PEAK_8BIT / peak) ** 2
+        subbands = plane_subbands(frame.raw)
+    eig_scale = frame.unit ** 2
 
     features = np.zeros(FRAME_FEATURE_COUNT)
     per_eig = features[PLANE_SPANS["eig"]].reshape(NUM_SCALES, NUM_BANDS, BLOCK_DIM)
@@ -258,10 +247,10 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, subbands=Non
             rows, cols = subband.shape
             if rows < BLOCK_SIZE or cols < BLOCK_SIZE:
                 continue
-            blocks = extract_block_vectors(subband)
+            channels = extract_block_vectors(subband)
             del subband
-            _, eigvals, s2 = _fit_eigen(blocks, overwrite=True)
-            del blocks
+            _, eigvals, s2 = _fit_eigen(channels)
+            del channels
             per_eig[k, b], per_band[k, b] = subband_information(s2, eigvals * eig_scale, noise_var)
     features[PLANE_SPANS["scale"]] = 0.5 * per_band.sum(axis=1)
     return features

@@ -54,6 +54,25 @@ DEFAULT_RESOLUTIONS = (
     (512, 288),
 )
 
+# the fixed ladder when a config gives none: adapted from the bitrate and
+# resolution table in the HLS Authoring Specification for Apple Devices,
+# restricted to the eight working resolutions and snapped to the twelve
+# rung targets
+DEFAULT_FIXED_LADDER = (
+    (250_000.0, (512, 288)),
+    (500_000.0, (640, 360)),
+    (1_000_000.0, (768, 432)),
+    (2_000_000.0, (960, 540)),
+    (3_000_000.0, (1280, 720)),
+    (4_000_000.0, (1280, 720)),
+    (5_000_000.0, (1920, 1080)),
+    (6_000_000.0, (1920, 1080)),
+    (7_000_000.0, (1920, 1080)),
+    (8_000_000.0, (2560, 1440)),
+    (9_000_000.0, (2560, 1440)),
+    (10_500_000.0, (3840, 2160)),
+)
+
 @dataclass(frozen=True)
 class LadderRung:
     """One row of a ladder CSV: a rung target and the logged encode realizing it."""

@@ -57,24 +57,25 @@ class LumaFrame:
     code 2^depth - 1. A difference of consecutive frames (frame_diff) is
     also a LumaFrame, with signed integer raw samples and the frames' peak.
     Any real plane may stand in for raw; the default peak of 1.0 takes it
-    as already normalized.
+    as already normalized. unit, 255 / peak, converts samples to
+    8-bit-equivalent units.
     """
 
     raw: np.ndarray
     peak: float = 1.0
 
+    @property
+    def unit(self) -> float:
+        return 255.0 / self.peak
 
-def parse_y4m_header(data: bytes) -> VideoHeader:
-    """Parse the stream header line from a byte prefix.
+
+def parse_y4m_header(line: bytes) -> VideoHeader:
+    """Parse the stream header line, without its newline.
 
     Raises SchemaError for structural problems and for valid Y4M we
     refuse (interlaced, chroma other than 8/10-bit 4:2:0, frames smaller
     than MIN_DIMENSION or with odd dimensions).
     """
-    newline = data.find(b"\n", 0, _MAX_HEADER_BYTES)
-    if newline < 0:
-        raise SchemaError("header line is not newline-terminated")
-    line = data[:newline]
     if not line.startswith(_MAGIC) or (len(line) > len(_MAGIC) and line[len(_MAGIC):len(_MAGIC) + 1] != b" "):
         raise SchemaError("missing YUV4MPEG2 magic")
 
@@ -136,14 +137,6 @@ def _parse_rate(text: str) -> Fraction:
     return rate
 
 
-def read_header(stream: BinaryIO) -> VideoHeader:
-    """Consume and parse the header line, leaving the stream at frame 0."""
-    line = _read_line(stream)
-    if line is None:
-        raise SchemaError("empty stream")
-    return parse_y4m_header(line + b"\n")
-
-
 def _read_line(stream: BinaryIO) -> bytes | None:
     """Read bytes up to (not including) a newline; None on immediate EOF."""
     line = stream.readline(_MAX_HEADER_BYTES + 1)
@@ -196,33 +189,28 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> Lum
     return LumaFrame(raw.reshape(header.height, header.width), peak)
 
 
-def iter_luma_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
-    """Yield frames until the stream ends at a clean frame boundary."""
-    index = 0
-    while True:
-        frame = _read_frame_record(stream, header, index)
-        if frame is None:
-            return
-        yield frame
-        index += 1
-
-
 def open_y4m(path) -> tuple[VideoHeader, Iterator[LumaFrame]]:
     """Open a file and return (header, frame iterator owning the handle)."""
     stream = open(path, "rb")
     try:
-        header = read_header(stream)
+        line = _read_line(stream)
+        if line is None:
+            raise SchemaError("empty stream")
+        header = parse_y4m_header(line)
     except Exception:
         stream.close()
         raise
-    return header, _owned_frames(stream, header)
+    return header, _frames(stream, header)
 
 
-def _owned_frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
-    try:
-        yield from iter_luma_frames(stream, header)
-    finally:
-        stream.close()
+def _frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
+    """Yield frames until the stream ends at a clean frame boundary, then
+    close it."""
+    with stream:
+        index = 0
+        while (frame := _read_frame_record(stream, header, index)) is not None:
+            yield frame
+            index += 1
 
 
 def frame_diff(current: LumaFrame, previous: LumaFrame) -> LumaFrame:
@@ -246,7 +234,8 @@ def frame_diff(current: LumaFrame, previous: LumaFrame) -> LumaFrame:
 def mean_abs_luma_diff(diff: LumaFrame) -> float:
     """Mean absolute difference, rescaled to 8-bit-equivalent units.
 
-    The 255/peak rescale keeps the motion feature's magnitude in line with
-    the conventional 8-bit definition regardless of source bit depth.
+    Scaling by the frame's unit keeps the motion feature's magnitude in
+    line with the conventional 8-bit definition regardless of source bit
+    depth.
     """
-    return float(np.mean(np.abs(diff.raw)) * (255.0 / diff.peak))
+    return float(np.mean(np.abs(diff.raw)) * diff.unit)

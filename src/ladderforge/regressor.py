@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import zip_longest
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -273,31 +274,27 @@ def _body_lines(model: ExtraTreesModel) -> list[str]:
     return lines
 
 
+def _header_lines(approach, columns, n_trees, min_samples_leaf, k_features, seed,
+                  checksum) -> list[str]:
+    """The header lines of a model file, in the one form save_model writes."""
+    return [
+        _FORMAT_LINE,
+        f"approach {approach}",
+        "columns " + ",".join(columns),
+        f"n_trees {n_trees}",
+        f"min_samples_leaf {min_samples_leaf}",
+        f"k_features {k_features}",
+        f"seed {seed}",
+        f"checksum {checksum}",
+    ]
+
+
 def save_model(model: ExtraTreesModel, path) -> None:
     body = "\n".join(_body_lines(model)) + "\n"
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    header = "\n".join(
-        [
-            _FORMAT_LINE,
-            f"approach {model.approach}",
-            "columns " + ",".join(model.columns),
-            f"n_trees {len(model.trees)}",
-            f"min_samples_leaf {model.min_samples_leaf}",
-            f"k_features {model.k_features}",
-            f"seed {model.seed}",
-            f"checksum {digest}",
-            "---",
-        ]
-    )
-    atomic_write_text(path, header + "\n" + body)
-
-
-def _parse_header(lines: list[str]) -> dict:
-    fields = {}
-    for line in lines:
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
-    return fields
+    header = _header_lines(model.approach, model.columns, len(model.trees),
+                           model.min_samples_leaf, model.k_features, model.seed,
+                           hashlib.sha256(body.encode()).hexdigest())
+    atomic_write_text(path, "\n".join(header) + "\n---\n" + body)
 
 
 def load_model(path) -> ExtraTreesModel:
@@ -316,7 +313,7 @@ def load_model(path) -> ExtraTreesModel:
         raise SchemaError(
             f"{path}: expected {_FORMAT_LINE!r}, found {header_lines[0]!r}"
         )
-    fields = _parse_header(header_lines[1:])
+    fields = dict(line.partition(" ")[::2] for line in header_lines[1:])
     try:
         approach = int(fields["approach"])
         columns = tuple(fields["columns"].split(","))
@@ -327,12 +324,26 @@ def load_model(path) -> ExtraTreesModel:
         checksum = fields["checksum"]
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: bad header ({exc})") from None
+    # the parsed values must give back the header exactly: no unknown,
+    # repeated or reordered key, and each value in its one written form
+    expected = _header_lines(approach, columns, n_trees, min_samples_leaf, k_features, seed,
+                             checksum)
+    for number, (got, want) in enumerate(zip_longest(header_lines, expected), 1):
+        if got != want:
+            want = "no line" if want is None else repr(want)
+            raise SchemaError(f"{path}: header line {number} is {got!r}, expected {want}")
     if hashlib.sha256(body).hexdigest() != checksum:
         raise SchemaError(f"{path}: body checksum mismatch")
     if approach not in APPROACH_FEATURE_LENGTHS or columns != tuple(column_names(approach)):
         raise SchemaError(f"{path}: layout does not match approach {approach}")
     if n_trees < 1:
         raise SchemaError(f"{path}: n_trees must be >= 1, got {n_trees}")
+    if min_samples_leaf < 1:
+        raise SchemaError(f"{path}: min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    if not 1 <= k_features <= len(columns):
+        raise SchemaError(f"{path}: k_features must be in [1, {len(columns)}], got {k_features}")
+    if seed < 0:
+        raise SchemaError(f"{path}: seed must be >= 0, got {seed}")
 
     trees = _parse_trees(body, path, len(columns))
     if len(trees) != n_trees:

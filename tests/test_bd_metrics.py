@@ -8,10 +8,25 @@ from ladderforge.bd_metrics import RqCurve
 from ladderforge.errors import DegenerateCurve, SchemaError
 
 
+def hermite_values(xs, ys, grid):
+    """The interpolant at grid points inside the knots, from its knot slopes.
+
+    The oracle for pchip_integrate: the cubic Hermite basis evaluated
+    directly, a separate path from the package's closed-form antiderivatives.
+    """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    m = bd_metrics.pchip_slopes(xs, ys)
+    i = np.clip(np.searchsorted(xs, grid, side="right") - 1, 0, len(xs) - 2)
+    h = xs[i + 1] - xs[i]
+    t = (grid - xs[i]) / h
+    return ((2 * t**3 - 3 * t**2 + 1) * ys[i] + (t**3 - 2 * t**2 + t) * h * m[i]
+            + (-2 * t**3 + 3 * t**2) * ys[i + 1] + (t**3 - t**2) * h * m[i + 1])
+
+
 def trapezoid_integral(xs, ys, lo, hi, n=100_001):
     """Dense-grid oracle for the interpolant's integral."""
     grid = np.linspace(lo, hi, n)
-    vals = bd_metrics.pchip_interpolate(xs, ys, grid)
+    vals = hermite_values(xs, ys, grid)
     dx = (hi - lo) / (n - 1)
     return dx * (vals[0] / 2 + vals[1:-1].sum() + vals[-1] / 2)
 
@@ -27,68 +42,74 @@ def curve_from_bitrates(bitrates, qualities):
 
 
 # ---------------------------------------------------------------------------
-# interpolation
+# knot slopes
 # ---------------------------------------------------------------------------
-
-def test_knots_reproduced_exactly():
-    rng = np.random.default_rng(0)
-    xs = np.sort(rng.uniform(0, 10, size=9))
-    xs += np.arange(9) * 1e-3  # guard against duplicates
-    ys = np.cumsum(rng.uniform(0.5, 2.0, size=9))
-    for x, y in zip(xs, ys):
-        assert bd_metrics.pchip_interpolate(xs, ys, x) == y
-
 
 def test_linear_data_reproduced_everywhere():
     xs = np.array([0.0, 0.7, 1.1, 2.9, 4.0])
     ys = 3.25 * xs - 1.5
-    grid = np.linspace(0, 4, 777)
-    vals = bd_metrics.pchip_interpolate(xs, ys, grid)
-    assert np.allclose(vals, 3.25 * grid - 1.5, atol=1e-12)
+    assert np.allclose(bd_metrics.pchip_slopes(xs, ys), 3.25, atol=1e-12)
+    for lo, hi in ((0.0, 4.0), (0.3, 0.9), (1.5, 3.7)):
+        line = 3.25 * (hi * hi - lo * lo) / 2 - 1.5 * (hi - lo)
+        assert bd_metrics.pchip_integrate(xs, ys, lo, hi) == pytest.approx(line, abs=1e-12)
 
 
 def test_monotone_data_gives_monotone_interpolant():
+    # Fritsch-Carlson: slopes of the data's sign within three times each
+    # neighbouring secant keep every cubic piece monotone
     rng = np.random.default_rng(3)
     for _ in range(10):
         xs = np.cumsum(rng.uniform(0.2, 1.5, size=7))
         ys = np.cumsum(rng.uniform(0.0, 3.0, size=7))
-        grid = np.linspace(xs[0], xs[-1], 1000)
-        vals = bd_metrics.pchip_interpolate(xs, ys, grid)
+        m = bd_metrics.pchip_slopes(xs, ys)
+        secants = np.diff(ys) / np.diff(xs)
+        assert np.all(m >= 0.0)
+        assert np.all(m[:-1] <= 3 * secants + 1e-12) and np.all(m[1:] <= 3 * secants + 1e-12)
+        vals = hermite_values(xs, ys, np.linspace(xs[0], xs[-1], 1000))
         assert np.all(np.diff(vals) >= -1e-12)
 
 
 def test_interpolant_stays_between_knots_on_wiggly_data():
     xs = np.arange(6.0)
     ys = np.array([0.0, 5.0, 1.0, 1.0, 8.0, 2.0])
+    m = bd_metrics.pchip_slopes(xs, ys)
+    # one-sided secants at the ends, zero at the extrema and the flat step
+    assert m.tolist() == [5.0, 0.0, 0.0, 0.0, 0.0, -6.0]
     for i in range(5):
-        grid = np.linspace(xs[i], xs[i + 1], 200)
-        vals = bd_metrics.pchip_interpolate(xs, ys, grid)
+        vals = hermite_values(xs, ys, np.linspace(xs[i], xs[i + 1], 200))
+        mean = bd_metrics.pchip_integrate(xs, ys, xs[i], xs[i + 1]) / (xs[i + 1] - xs[i])
         lo, hi = min(ys[i], ys[i + 1]), max(ys[i], ys[i + 1])
         assert np.all(vals >= lo - 1e-12) and np.all(vals <= hi + 1e-12)
+        assert lo - 1e-12 <= mean <= hi + 1e-12
 
 
-def test_query_outside_knots_rejected():
-    with pytest.raises(SchemaError, match="query outside"):
-        bd_metrics.pchip_interpolate([0.0, 1.0], [0.0, 1.0], 1.5)
-    with pytest.raises(SchemaError, match="query outside"):
-        bd_metrics.pchip_interpolate([0.0, 1.0], [0.0, 1.0], [-0.1, 0.5])
+def test_slopes_capped_at_three_times_the_smaller_secant():
+    # secants 1 and 100: their mean 50.5 is capped at 3
+    m = bd_metrics.pchip_slopes([0.0, 1.0, 2.0], [0.0, 1.0, 101.0])
+    assert m.tolist() == [1.0, 3.0, 100.0]
+    m = bd_metrics.pchip_slopes([0.0, 1.0, 2.0], [0.0, -1.0, -101.0])
+    assert m.tolist() == [-1.0, -3.0, -100.0]
 
 
 def test_unsorted_abscissa_rejected():
     with pytest.raises(SchemaError, match="strictly increasing"):
-        bd_metrics.pchip_interpolate([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], 0.5)
+        bd_metrics.pchip_slopes([0.0, 2.0, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(SchemaError, match="strictly increasing"):
-        bd_metrics.pchip_interpolate([0.0, 0.0, 1.0], [0.0, 1.0, 2.0], 0.5)
+        bd_metrics.pchip_integrate([0.0, 0.0, 1.0], [0.0, 1.0, 2.0], 0.0, 0.5)
 
 
 def test_single_point_rejected():
     with pytest.raises(DegenerateCurve):
-        bd_metrics.pchip_interpolate([1.0], [1.0], 1.0)
+        bd_metrics.pchip_slopes([1.0], [1.0])
+    with pytest.raises(DegenerateCurve):
+        bd_metrics.pchip_integrate([1.0], [1.0], 1.0, 1.0)
 
 
 def test_two_points_interpolate_linearly():
-    val = bd_metrics.pchip_interpolate([0.0, 2.0], [10.0, 20.0], 0.5)
-    assert val == pytest.approx(12.5, abs=1e-12)
+    assert bd_metrics.pchip_slopes([0.0, 2.0], [10.0, 20.0]).tolist() == [5.0, 5.0]
+    # the line 10 + 5x over [0, 0.5]: 5 + 0.625
+    assert bd_metrics.pchip_integrate([0.0, 2.0], [10.0, 20.0], 0.0, 0.5) == pytest.approx(
+        5.625, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

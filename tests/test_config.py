@@ -7,6 +7,7 @@ import pytest
 from ladderforge import config as cfg
 from ladderforge.cli import EXIT_DATA, main
 from ladderforge.errors import SchemaError
+from ladderforge.ladder import DEFAULT_FIXED_LADDER
 
 
 def test_defaults():
@@ -19,7 +20,7 @@ def test_defaults():
 
 
 def test_default_fixed_ladder_is_twelve_rungs_ascending():
-    table = cfg.default_fixed_ladder()
+    table = DEFAULT_FIXED_LADDER
     assert len(table) == 12
     bps = [b for b, _ in table]
     assert bps == sorted(bps)
@@ -28,6 +29,14 @@ def test_default_fixed_ladder_is_twelve_rungs_ascending():
     # resolutions never shrink as the rung bitrate grows
     pixels = [w * h for _, (w, h) in table]
     assert pixels == sorted(pixels)
+
+
+def test_default_fixed_ladder_is_a_valid_config_value(tmp_path):
+    # the rules a config's fixed_ladder key must meet, and its JSON round trip
+    c = cfg.validate_config(cfg.RunConfig(fixed_ladder=DEFAULT_FIXED_LADDER))
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(cfg.config_json_dict(c)))
+    assert cfg.load_config(path).fixed_ladder == DEFAULT_FIXED_LADDER
 
 
 def test_file_overrides_defaults(tmp_path):
@@ -104,7 +113,8 @@ def test_config_round_trip_through_json(tmp_path):
 
 
 def test_fixed_ladder_table_falls_back_to_default():
-    assert cfg.RunConfig().fixed_ladder_table() == cfg.default_fixed_ladder()
+    assert cfg.RunConfig().fixed_ladder is None
+    assert cfg.RunConfig().fixed_ladder_table() == DEFAULT_FIXED_LADDER
     custom = ((1e6, (1280, 720)), (2e6, (1920, 1080)))
     assert cfg.RunConfig(fixed_ladder=custom).fixed_ladder_table() == custom
 

@@ -107,19 +107,19 @@ def features_oracle(plane, noise_var):
 # ---------------------------------------------------------------------------
 
 def test_block_count_drops_remainder():
-    vecs = gsm_vif.extract_block_vectors(np.arange(7 * 8, dtype=float).reshape(7, 8))
-    assert vecs.shape == (4, 9)
+    channels = gsm_vif.extract_block_vectors(np.arange(7 * 8, dtype=float).reshape(7, 8))
+    assert channels.shape == (9, 4)
 
 
 def test_blocks_are_row_major_tiles():
     plane = np.arange(36, dtype=float).reshape(6, 6)
-    vecs = gsm_vif.extract_block_vectors(plane)
-    assert vecs.shape == (4, 9)
-    # first tile is rows 0..2, cols 0..2 flattened row-major
-    assert np.array_equal(vecs[0], plane[0:3, 0:3].reshape(-1))
-    # tiles enumerate left-to-right then top-to-bottom
-    assert np.array_equal(vecs[1], plane[0:3, 3:6].reshape(-1))
-    assert np.array_equal(vecs[2], plane[3:6, 0:3].reshape(-1))
+    channels = gsm_vif.extract_block_vectors(plane)
+    assert channels.shape == (9, 4) and channels.flags.c_contiguous
+    # block 0 is rows 0..2, cols 0..2, its tile positions row-major down the channels
+    assert np.array_equal(channels[:, 0], plane[0:3, 0:3].reshape(-1))
+    # blocks enumerate left-to-right then top-to-bottom
+    assert np.array_equal(channels[:, 1], plane[0:3, 3:6].reshape(-1))
+    assert np.array_equal(channels[:, 2], plane[3:6, 0:3].reshape(-1))
 
 
 def test_blocks_too_small():
@@ -189,14 +189,14 @@ def test_fit_covariance_whitened_data_gives_unit_eigenvalues():
     lam, V = np.linalg.eigh(C)
     W = V @ np.diag(lam ** -0.5) @ V.T
     whitened = Z @ W + rng.normal(size=9)  # arbitrary mean offset
-    cov, eigvals, _ = gsm_vif._fit_eigen(whitened)
+    cov, eigvals, _ = gsm_vif._fit_eigen(whitened.T.copy())
     assert np.allclose(cov, np.eye(9), atol=1e-10)
     assert np.all(np.abs(eigvals - 1.0) <= 1e-10)
 
 
 def test_fit_covariance_identical_vectors():
     vectors = np.tile(np.arange(9.0), (40, 1))
-    cov, eigvals, _ = gsm_vif._fit_eigen(vectors)
+    cov, eigvals, _ = gsm_vif._fit_eigen(vectors.T.copy())
     assert np.all(cov == 0.0)
     assert np.all(eigvals == 0.0)
 
@@ -204,42 +204,41 @@ def test_fit_covariance_identical_vectors():
 def test_fit_covariance_uses_population_normalization():
     rng = np.random.default_rng(6)
     X = rng.normal(size=(37, 9))
-    cov, _, _ = gsm_vif._fit_eigen(X)
+    cov, _, _ = gsm_vif._fit_eigen(X.T.copy())
     Z = X - X.mean(axis=0)
     assert np.allclose(cov, Z.T @ Z / 37, atol=1e-12)
 
 
 def test_fit_covariance_empty():
+    # the fit's own rows come from extract_block_vectors, which never gives
+    # an empty set (test_blocks_too_small); a caller's vectors may be empty
     with pytest.raises(SchemaError, match=r"expected \(N, 9\) vectors, got \(0, 9\)"):
-        gsm_vif._fit_eigen(np.zeros((0, 9)))
+        gsm_vif.estimate_multipliers(np.zeros((0, 9)), np.eye(9))
 
 
 # ---------------------------------------------------------------------------
 # multiplier estimation
 # ---------------------------------------------------------------------------
 
-def test_fit_eigen_leaves_the_callers_vectors_unchanged():
-    X = np.random.default_rng(7).normal(size=(60, 9)) + 3.0
-    before = X.copy()
-    # C order, and F order, whose transpose is the fit's own channel-major layout
-    for vectors in (X, np.asfortranarray(X)):
-        gsm_vif._fit_eigen(vectors)
-        assert np.array_equal(vectors, before)
+def test_fit_eigen_centres_the_channel_rows_in_place():
+    channels = np.random.default_rng(7).normal(size=(9, 60)) + 3.0
+    centred = channels - channels.mean(axis=1, keepdims=True)
+    cov, _, _ = gsm_vif._fit_eigen(channels)
+    assert np.array_equal(channels, centred)
+    assert np.array_equal(cov, centred @ centred.T / 60)
 
 
 def test_fit_and_multipliers_agree_across_input_layouts():
-    # extract_block_vectors returns F-ordered (N, 9); other callers pass C order
-    f_order = gsm_vif.extract_block_vectors(np.random.default_rng(19).normal(size=(30, 45)))
+    # the fit takes channel rows; estimate_multipliers takes (N, 9) blocks
+    # in C order, or in F order as the transpose of the rows
+    channels = gsm_vif.extract_block_vectors(np.random.default_rng(19).normal(size=(30, 45)))
+    f_order = channels.T.copy(order="F")
     c_order = np.ascontiguousarray(f_order)
-    assert f_order.flags.f_contiguous and not f_order.flags.c_contiguous
 
     def close(got, want):
         return np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
-    cov, eigvals, s2 = gsm_vif._fit_eigen(c_order)
-    for fit in (gsm_vif._fit_eigen(f_order),
-                gsm_vif._fit_eigen(f_order.copy(order="F"), overwrite=True)):
-        assert all(close(got, want) for got, want in zip(fit, (cov, eigvals, s2)))
+    cov, eigvals, s2 = gsm_vif._fit_eigen(channels)
     for vectors in (c_order, f_order):
         assert close(gsm_vif.estimate_multipliers(vectors, cov), s2)
 
@@ -262,8 +261,7 @@ def test_float32_subband_blocks_equal_those_of_its_float64_copy():
         _, traced_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got.dtype == np.float64
-    assert got.flags.f_contiguous and not got.flags.c_contiguous
+    assert got.dtype == np.float64 and got.flags.c_contiguous
     assert np.array_equal(got, expected)
     # the cast happens in the copy into the rows: no whole float64 subband
     assert traced_peak < 1.5 * got.nbytes
@@ -285,7 +283,7 @@ def test_multipliers_match_likelihood_grid():
     L = np.linalg.cholesky(true_cov)
     s_true = rng.uniform(0.2, 2.0, size=60)
     X = (rng.normal(size=(60, 9)) @ L.T) * np.sqrt(s_true)[:, None]
-    cov, _, _ = gsm_vif._fit_eigen(X)
+    cov, _, _ = gsm_vif._fit_eigen(X.T.copy())
     est = gsm_vif.estimate_multipliers(X, cov)
     Z = X - X.mean(axis=0)
     for i in range(0, 60, 7):
@@ -296,7 +294,7 @@ def test_multipliers_match_likelihood_grid():
 def test_estimate_multipliers_leaves_the_callers_vectors_unchanged():
     X = np.random.default_rng(10).normal(size=(60, 9)) + 3.0
     before = X.copy()
-    cov, _, _ = gsm_vif._fit_eigen(X)
+    cov, _, _ = gsm_vif._fit_eigen(X.T.copy())
     for vectors in (X, np.asfortranarray(X)):
         gsm_vif.estimate_multipliers(vectors, cov)
         assert np.array_equal(vectors, before)
@@ -304,7 +302,7 @@ def test_estimate_multipliers_leaves_the_callers_vectors_unchanged():
 
 def test_multipliers_zero_covariance():
     vectors = np.tile(np.arange(9.0), (5, 1))
-    cov, _, _ = gsm_vif._fit_eigen(vectors)
+    cov, _, _ = gsm_vif._fit_eigen(vectors.T.copy())
     s2 = gsm_vif.estimate_multipliers(vectors, cov)
     assert np.all(s2 == 0.0)
 
@@ -312,7 +310,7 @@ def test_multipliers_zero_covariance():
 def test_multipliers_nonnegative():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(100, 9))
-    cov, _, _ = gsm_vif._fit_eigen(X)
+    cov, _, _ = gsm_vif._fit_eigen(X.T.copy())
     assert np.all(gsm_vif.estimate_multipliers(X, cov) >= 0.0)
 
 
@@ -336,7 +334,8 @@ def test_chunked_whitening_equals_one_product(rank, blocks):
     rng = np.random.default_rng(rank * 100_003 + blocks)
     for _ in range(8):
         vectors = rng.normal(size=(blocks, rank)) @ rng.normal(size=(rank, 9))
-        channels = gsm_vif._centered_channels(vectors)
+        channels = vectors.T.copy()
+        channels -= channels.mean(axis=1, keepdims=True)
         eigvals, eigvecs = gsm_vif.jacobi_eigh(channels @ channels.T / blocks)
         eigvals = np.maximum(eigvals, 0.0)
         assert np.count_nonzero(eigvals > gsm_vif._RANK_REL_TOL * eigvals[0]) == rank
@@ -348,11 +347,11 @@ def test_fit_and_information_hold_no_full_size_temporary():
     # a 1080p level-0 subband's blocks; a (k, N) whitened array or a (9, N)
     # information array would add a whole unit to the peak (1.11 units
     # when both existed; 0.25 with neither)
-    blocks = np.random.default_rng(27).normal(size=(gsm_vif.BLOCK_DIM, 229_401)).T
-    unit = blocks.nbytes
+    channels = np.random.default_rng(27).normal(size=(gsm_vif.BLOCK_DIM, 229_401))
+    unit = channels.nbytes
     tracemalloc.start()
     try:
-        _, eigvals, s2 = gsm_vif._fit_eigen(blocks, overwrite=True)
+        _, eigvals, s2 = gsm_vif._fit_eigen(channels)
         gsm_vif.subband_information(s2, eigvals, gsm_vif.DEFAULT_NOISE_VAR)
         _, traced_peak = tracemalloc.get_traced_memory()
     finally:

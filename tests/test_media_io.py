@@ -1,7 +1,9 @@
 import contextlib
 import io
 import os
+import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,20 +18,20 @@ from helpers import random_plane, y4m_bytes
 
 
 def test_parse_header_10bit_uhd():
-    hdr = media_io.parse_y4m_header(b"YUV4MPEG2 W3840 H2160 F60:1 C420p10\n")
+    hdr = media_io.parse_y4m_header(b"YUV4MPEG2 W3840 H2160 F60:1 C420p10")
     assert (hdr.width, hdr.height) == (3840, 2160)
     assert (hdr.frame_rate.numerator, hdr.frame_rate.denominator) == (60, 1)
     assert hdr.bit_depth == 10
 
 
 def test_parse_header_minimal_8bit():
-    hdr = media_io.parse_y4m_header(b"YUV4MPEG2 W16 H16 F24:1 C420\n")
+    hdr = media_io.parse_y4m_header(b"YUV4MPEG2 W16 H16 F24:1 C420")
     assert (hdr.width, hdr.height, hdr.bit_depth) == (16, 16, 8)
     assert (hdr.frame_rate.numerator, hdr.frame_rate.denominator) == (24, 1)
 
 
 def test_parse_header_default_chroma_is_8bit_420():
-    hdr = media_io.parse_y4m_header(b"YUV4MPEG2 W32 H32 F30000:1001\n")
+    hdr = media_io.parse_y4m_header(b"YUV4MPEG2 W32 H32 F30000:1001")
     assert hdr.bit_depth == 8
 
 
@@ -38,14 +40,14 @@ MALFORMED_HEADERS = {
     b"YUV4MPEG2 W3840 F60:1\n": "must carry W and H",           # missing height
     b"YUV4MPEG2 W3840 H2160\n": "must carry a frame rate",      # missing frame rate
     b"MPEG W16 H16 F24:1\n": "missing YUV4MPEG2 magic",         # wrong magic
-    b"YUV4MPEG2 W16 H16 F24:1 C420": "not newline-terminated",  # unterminated header line
+    b"YUV4MPEG2 W16 H16 F24:1 C420": "ended inside a record line",  # unterminated header line
 }
 
 
 @pytest.mark.parametrize("line", list(MALFORMED_HEADERS))
 def test_malformed_headers(line):
     with pytest.raises(SchemaError, match=MALFORMED_HEADERS[line]):
-        media_io.parse_y4m_header(line)
+        _frames_from_bytes(line)
 
 
 UNSUPPORTED_FORMATS = {
@@ -61,13 +63,16 @@ UNSUPPORTED_FORMATS = {
 @pytest.mark.parametrize("line", list(UNSUPPORTED_FORMATS))
 def test_unsupported_formats(line):
     with pytest.raises(SchemaError, match=UNSUPPORTED_FORMATS[line]):
-        media_io.parse_y4m_header(line)
+        _frames_from_bytes(line)
 
 
 def _frames_from_bytes(data):
-    stream = io.BytesIO(data)
-    hdr = media_io.read_header(stream)
-    return hdr, list(media_io.iter_luma_frames(stream, hdr))
+    """open_y4m over a file holding data: (header, every frame read)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.y4m"
+        path.write_bytes(data)
+        header, frames = media_io.open_y4m(path)
+        return header, list(frames)
 
 
 def test_constant_frame_normalizes_by_255():
@@ -104,36 +109,30 @@ def test_10bit_samples_are_little_endian():
 def test_truncated_mid_plane():
     plane = np.full((16, 16), 7)
     data = y4m_bytes([plane])
-    stream = io.BytesIO(data[:-40])  # cut inside the chroma tail
-    hdr = media_io.read_header(stream)
     with pytest.raises(SchemaError, match="chroma planes truncated"):
-        list(media_io.iter_luma_frames(stream, hdr))
+        _frames_from_bytes(data[:-40])  # cut inside the chroma tail
 
 
 def _with_frame_line(line):
     """One 16x16 frame whose FRAME record line is replaced by line."""
     data = y4m_bytes([np.full((16, 16), 7)])
-    return io.BytesIO(data.replace(b"FRAME\n", line, 1))
+    return data.replace(b"FRAME\n", line, 1)
 
 
 def test_record_line_at_length_limit_is_read():
-    stream = _with_frame_line(b"FRAME " + b"X" * (4096 - 6) + b"\n")
-    hdr = media_io.read_header(stream)
-    assert len(list(media_io.iter_luma_frames(stream, hdr))) == 1
+    data = _with_frame_line(b"FRAME " + b"X" * (4096 - 6) + b"\n")
+    assert len(_frames_from_bytes(data)[1]) == 1
 
 
 def test_record_line_over_length_limit():
-    stream = _with_frame_line(b"FRAME " + b"X" * (4097 - 6) + b"\n")
-    hdr = media_io.read_header(stream)
+    data = _with_frame_line(b"FRAME " + b"X" * (4097 - 6) + b"\n")
     with pytest.raises(SchemaError, match="record line exceeds"):
-        list(media_io.iter_luma_frames(stream, hdr))
+        _frames_from_bytes(data)
 
 
 def test_stream_ends_inside_record_line():
-    stream = io.BytesIO(y4m_bytes([np.full((16, 16), 7)]) + b"FRA")
-    hdr = media_io.read_header(stream)
     with pytest.raises(SchemaError, match="ended inside a record line"):
-        list(media_io.iter_luma_frames(stream, hdr))
+        _frames_from_bytes(y4m_bytes([np.full((16, 16), 7)]) + b"FRA")
 
 
 def test_header_larger_than_the_file_exits_2(tmp_path):
@@ -234,6 +233,7 @@ def test_frames_keep_the_codes_they_read(bit_depth, dtype, diff_dtype):
     _, frames = _frames_from_bytes(y4m_bytes(planes, bit_depth=bit_depth))
     for frame, plane in zip(frames, planes):
         assert frame.raw.dtype == dtype and frame.peak == (1 << bit_depth) - 1
+        assert frame.unit == 255 / frame.peak
         assert np.array_equal(frame.raw, plane)
     diff = media_io.frame_diff(frames[1], frames[0])
     assert diff.raw.dtype == diff_dtype and diff.peak == frames[0].peak

@@ -372,6 +372,37 @@ def test_columns_of_another_approach_exit_2(workspace, tmp_path, capsys):
     assert "layout does not match approach 5" in capsys.readouterr().err
 
 
+# (text in the old model's header, its replacement, the error after the path)
+HEADER_VARIANTS = {
+    "unknown-key": ("seed 5\n", "seed 5\ncolour blue\n",
+                    "header line 8 is 'colour blue', expected 'checksum "),
+    "duplicate-seed": ("seed 5\n", "seed 9\nseed 5\n",
+                       "header line 7 is 'seed 9', expected 'seed 5'"),
+    "reordered": ("k_features 3\nseed 5\n", "seed 5\nk_features 3\n",
+                  "header line 6 is 'seed 5', expected 'k_features 3'"),
+    "doubled-space": ("approach 1\n", "approach  1\n",
+                      "header line 2 is 'approach  1', expected 'approach 1'"),
+    "k-features-0": ("k_features 3\n", "k_features 0\n", r"k_features must be in \[1, 7\], got 0"),
+    "k-features-past-columns": ("k_features 3\n", "k_features 8\n",
+                                r"k_features must be in \[1, 7\], got 8"),
+    "min-leaf-negative": ("min_samples_leaf 1\n", "min_samples_leaf -3\n",
+                          "min_samples_leaf must be >= 1, got -3"),
+    "seed-negative": ("seed 5\n", "seed -5\n", "seed must be >= 0, got -5"),
+    "trailing-space": ("seed 5\n", "seed 5 \n", "header line 7 is 'seed 5 ', expected 'seed 5'"),
+}
+
+
+@pytest.mark.parametrize("variant", list(HEADER_VARIANTS))
+def test_header_not_as_saved_exits_2(workspace, tmp_path, capsys, variant):
+    old, new, message = HEADER_VARIANTS[variant]
+    path = tmp_path / "variant.model"
+    path.write_text(OLD_MODEL.replace(old, new, 1))
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: {message}"):
+        regressor.load_model(path)
+    assert main(ladder_argv(workspace, path)) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 @settings(max_examples=50, deadline=None)
 @given(edits=MODEL_EDITS, drop=DROPS, junk=JUNK)
 @pin_model_probes
