@@ -18,6 +18,7 @@ import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from itertools import repeat
 from pathlib import Path
 
@@ -154,11 +155,12 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _video_row(path: Path, noise_var: float):
+def _video_row(path: Path, noise_var: float, overlap: bool):
     """(video id, header, tensor) of one Y4M file; module-level, so a pool can send it."""
     try:
         header, frames = open_y4m(path)
-        return path.stem, header, video_features(frames, noise_var)
+        with closing(frames):  # closes the file when the fit raises between frames
+            return path.stem, header, video_features(frames, noise_var, overlap)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -171,10 +173,14 @@ def cmd_extract(args, cfg: RunConfig) -> int:
         by_id[path.stem] = path
     paths = list(by_id.values())
     # videos are independent, so they run in parallel processes; map keeps
-    # input order, so the first error raised is the first bad input's
-    processes = min(cfg.workers, len(paths), _usable_cpus())
+    # input order, so the first error raised is the first bad input's. A
+    # process fits its difference planes on a second thread when the CPUs
+    # leave one free for each process.
+    cpus = min(cfg.workers, _usable_cpus())
+    processes = min(cpus, len(paths))
+    fit_args = (repeat(cfg.sigma_n2), repeat(2 * processes <= cpus))
     if processes == 1:
-        rows = list(map(_video_row, paths, repeat(cfg.sigma_n2)))
+        rows = list(map(_video_row, paths, *fit_args))
     else:
         # imported only here: multiprocessing adds about 10 ms and 0.8 MiB
         # to the start of every command
@@ -182,7 +188,7 @@ def cmd_extract(args, cfg: RunConfig) -> int:
 
         pool = process.ProcessPoolExecutor(processes)
         try:
-            rows = list(pool.map(_video_row, paths, repeat(cfg.sigma_n2)))
+            rows = list(pool.map(_video_row, paths, *fit_args))
         except process.BrokenProcessPool as exc:
             raise LadderforgeError(f"an extract worker process died: {exc}") from None
         finally:

@@ -14,17 +14,25 @@ exact (see pyramid). Only the eigenvalues carry the unit: the multipliers
 do not depend on the scale of the samples, and the covariance of samples
 on a peak-code scale is the 8-bit covariance divided by unit^2, where
 unit = 255 / peak (LumaFrame.unit), so the information uses
-lambda * unit^2. A difference plane's subbands are its two frames'
-subbands subtracted, so a video builds one pyramid per frame.
+lambda * unit^2. A video builds one pyramid per frame and keeps a frame's
+levels until the next frame. A difference plane's levels are its integer
+samples at level 0 and the two frames' levels subtracted above it, so it
+never gets a pyramid of its own; it may be fitted on a second thread
+while the frame plane is fitted (video_features).
 
 Which float type each pyramid level is split in is the pyramid's rule
-(see pyramid); extract_block_vectors copies every subband to float64, as
-nine channel rows of one (9, N) array that the fit then works on in place.
+(see pyramid). Each subband is formed just before its fit and dropped
+after it; extract_block_vectors copies it to float64, as nine channel rows
+of one (9, N) array that the fit then works on in place.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -205,22 +213,15 @@ def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.
     return per_eig, float(per_eig.sum())
 
 
-def plane_subbands(plane) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Both subbands of each pyramid level of a 2-D plane, on the plane's
-    own scale; each level is dropped once it is split."""
-    levels = list(build_scale_stack(plane))
-    return [subband_decompose(levels.pop(0)) for _ in range(NUM_SCALES)]
-
-
-def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, subbands=None) -> np.ndarray:
+def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, levels=None) -> np.ndarray:
     """Information features of one luma or difference plane: the 84-value
     plane vector laid out as PLANE_SPANS says.
 
     frame is a LumaFrame, or a bare 2-D plane taken as LumaFrame(plane),
-    that is, normalized to [0, 1]. subbands, when given, stand for
-    plane_subbands of the frame's raw samples: one iterable per scale of
-    its two subbands, which may be generated one at a time so that only
-    the subband being fitted exists.
+    that is, normalized to [0, 1]. levels, when given, stand for
+    build_scale_stack of the frame's raw samples, one per scale; they may
+    be generated one at a time. Each level is split one subband at a
+    time, so only the subband being fitted exists.
 
     Scales whose subbands are too small for a single 3x3 block (possible
     for frames near the 16x16 minimum) contribute zeros, which keeps the
@@ -230,20 +231,18 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, subbands=Non
         raise SchemaError(f"noise variance must be > 0, got {noise_var}")
     if not isinstance(frame, LumaFrame):
         frame = LumaFrame(frame)
-    if subbands is None:
-        subbands = plane_subbands(frame.raw)
+    if levels is None:
+        levels = build_scale_stack(frame.raw)
     eig_scale = frame.unit ** 2
 
     features = np.zeros(FRAME_FEATURE_COUNT)
     per_eig = features[PLANE_SPANS["eig"]].reshape(NUM_SCALES, NUM_BANDS, BLOCK_DIM)
     per_band = features[PLANE_SPANS["band"]].reshape(NUM_SCALES, NUM_BANDS)
-    for k, pair in enumerate(subbands):
-        # a generated difference subband is dropped once its blocks exist
-        # (next() rather than enumerate(), whose cached result tuple would
-        # keep it), and the blocks before the next subband is formed
-        pair = iter(pair)
+    for k, level in enumerate(levels):
         for b in range(NUM_BANDS):
-            subband = next(pair)
+            # the subband is dropped once its blocks exist, and the blocks
+            # before the next subband is formed
+            subband = subband_decompose(level, b + 1)
             rows, cols = subband.shape
             if rows < BLOCK_SIZE or cols < BLOCK_SIZE:
                 continue
@@ -282,30 +281,41 @@ def pool_video(frame_feats, diff_feats, motions) -> VifFeatureTensor:
     return VifFeatureTensor(values, len(frame_feats))
 
 
-def video_features(frames, noise_var: float = DEFAULT_NOISE_VAR) -> VifFeatureTensor:
+def video_features(frames, noise_var: float = DEFAULT_NOISE_VAR,
+                   overlap: bool = False) -> VifFeatureTensor:
     """Run the whole per-video pipeline over an iterable of LumaFrames.
 
-    Each frame's subbands are kept until the next frame. The difference
-    plane's subbands are the two frames' subbands subtracted, each formed
-    just before its fit, so a difference plane never gets a pyramid.
+    Each frame's pyramid levels are kept until the next frame. A
+    difference plane's levels are frame_diff's integer samples at level 0
+    and the two frames' levels subtracted above it, each formed just
+    before its subbands, so a difference plane never gets a pyramid.
+
+    With overlap, each difference plane is fitted on a second thread
+    while the caller fits the frame plane; the two fits share no array
+    they write, so the values are the same bits either way. The thread
+    ends before this returns or raises, and an error raised on it is
+    raised here.
     """
     frame_feats: list[np.ndarray] = []
     diff_feats: list[np.ndarray] = []
     motions: list[float] = []
     previous: LumaFrame | None = None
-    previous_subbands = None
-    for frame in frames:
-        subbands = plane_subbands(frame.raw)
-        frame_feats.append(frame_vif_features(frame, noise_var, subbands))
-        if previous is not None:
-            diff = frame_diff(frame, previous)
-            motions.append(mean_abs_luma_diff(diff))
-            diff_subbands = (
-                (band - previous_band for band, previous_band in zip(pair, previous_pair))
-                for pair, previous_pair in zip(subbands, previous_subbands)
-            )
-            diff_feats.append(frame_vif_features(diff, noise_var, diff_subbands))
-        previous, previous_subbands = frame, subbands
+    previous_levels = None
+    with ThreadPoolExecutor(1) if overlap else nullcontext() as pool:
+        for frame in frames:
+            levels = build_scale_stack(frame.raw)
+            diff_fit = None
+            if previous is not None:
+                diff = frame_diff(frame, previous)
+                motions.append(mean_abs_luma_diff(diff))
+                diff_levels = chain([diff.raw], map(np.subtract, levels[1:], previous_levels[1:]))
+                diff_fit = partial(frame_vif_features, diff, noise_var, diff_levels)
+                if pool is not None:
+                    diff_fit = pool.submit(diff_fit).result
+            frame_feats.append(frame_vif_features(frame, noise_var, levels))
+            if diff_fit is not None:
+                diff_feats.append(diff_fit())
+            previous, previous_levels = frame, levels
     return pool_video(frame_feats, diff_feats, motions)
 
 

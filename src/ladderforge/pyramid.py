@@ -10,19 +10,22 @@ arrangement.
 
 All weights are dyadic (multiples of 1/16 and 1/4), so on integer samples
 of up to 16 bits every stage is exact in float64 and, being linear,
-commutes with subtraction: the subbands of a difference of two planes are
-the difference of their subbands, bit for bit.
+commutes with subtraction: the levels and the subbands of a difference of
+two planes are the differences of theirs, bit for bit. So extraction
+keeps a frame's levels, not its subbands, and splits a difference plane's
+levels (its own samples at level 0, the frames' levels subtracted above)
+one subband at a time.
 
 Sample types: level 0 of integer samples is the plane as given, never
-copied; any other plane, and levels 1-3, are float64. A level is split in
-float32 when it is float32 or holds integers of at most 2 bytes (uint8 and
-uint16 frames, int16 differences), and in float64 otherwise. For integer
-samples that is exact: a level-0 subband value of samples in [-32768,
-65535] is (a - b + c - d) / 4, whose partial sums are integers below
-2^18; the value is below 2^16 and the difference of two such values below
-2^17, and float32's 24-bit significand holds every quarter-integer below
-2^22 in magnitude. Levels 1-3 carry denominators up to 2^26 and stay
-float64.
+copied; any other plane, and levels 1-3, are float64. A level is split,
+one subband at a time, in float32 when it is float32 or holds integers of
+at most 2 bytes (uint8 and uint16 frames, int16 differences), and in
+float64 otherwise. For integer samples that is exact: a level-0 subband
+value of samples in [-32768, 65535] is (a - b + c - d) / 4, whose partial
+sums are integers below 2^18; the value is below 2^16 and the difference
+of two such values below 2^17, and float32's 24-bit significand holds
+every quarter-integer below 2^22 in magnitude. Levels 1-3 carry
+denominators up to 2^26 and stay float64.
 """
 
 from __future__ import annotations
@@ -79,28 +82,27 @@ def build_scale_stack(plane) -> tuple[np.ndarray, ...]:
     return tuple(levels)
 
 
-def subband_decompose(level) -> tuple[np.ndarray, np.ndarray]:
-    """Split a level into its two oriented detail subbands, (band1, band2).
+def subband_decompose(level, band: int) -> np.ndarray:
+    """One oriented detail subband of a level: band 1 or band 2.
 
-    Output planes are one row and one column smaller than the input (valid
-    filter support only; no padding is invented at the borders). They are
+    The subband is one row and one column smaller than the level (valid
+    filter support only; no padding is invented at the borders). It is
     float32 when the level is float32 or integers of at most 2 bytes, and
-    float64 otherwise.
+    float64 otherwise; the level is read as stored, never copied.
     """
     plane = _as_plane(level)
     narrow = plane.dtype == np.float32 or (plane.dtype.kind in "iu" and plane.dtype.itemsize <= 2)
-    plane = plane.astype(np.float32 if narrow else np.float64, copy=False)
     h, w = plane.shape
     if h < 2 or w < 2:
         raise SchemaError(f"{w}x{h} level cannot host 2x2 filters")
-    # band 1: difference along x, average along y
-    band1 = plane[:-1, 1:] - plane[:-1, :-1]
-    band1 += plane[1:, 1:]
-    band1 -= plane[1:, :-1]
-    band1 /= 4.0
-    # band 2: difference along y, average along x
-    band2 = plane[1:, :-1] - plane[:-1, :-1]
-    band2 += plane[1:, 1:]
-    band2 -= plane[:-1, 1:]
-    band2 /= 4.0
-    return band1, band2
+    if band == 1:  # difference along x, average along y
+        terms = plane[:-1, 1:], plane[:-1, :-1], plane[1:, 1:], plane[1:, :-1]
+    elif band == 2:  # difference along y, average along x
+        terms = plane[1:, :-1], plane[:-1, :-1], plane[1:, 1:], plane[:-1, 1:]
+    else:
+        raise SchemaError(f"band must be 1 or 2, got {band}")
+    out = np.subtract(terms[0], terms[1], dtype=np.float32 if narrow else np.float64)
+    out += terms[2]
+    out -= terms[3]
+    out /= 4.0
+    return out

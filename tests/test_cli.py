@@ -3,14 +3,16 @@ import json
 import math
 import multiprocessing
 import os
+import threading
 from concurrent.futures import process
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ladderforge import cli, config, dataset, ladder
+from ladderforge import cli, config, dataset, gsm_vif, ladder
 from ladderforge.cli import EXIT_DATA, EXIT_OK, EXIT_TOOL, EXIT_USAGE, main
+from ladderforge.errors import SchemaError
 
 from helpers import is_monotone, random_plane, rung_resolutions, write_y4m
 
@@ -204,13 +206,19 @@ fork_only = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
 _real_video_row = cli._video_row
 
 
-def _pid_video_row(path, noise_var):
+def _pid_video_row(path, noise_var, overlap):
     """_video_row that leaves a file named after the process running it."""
     (path.parent / f"pid-{os.getpid()}").touch()
-    return _real_video_row(path, noise_var)
+    return _real_video_row(path, noise_var, overlap)
 
 
-def _dying_video_row(path, noise_var):
+def _overlap_video_row(path, noise_var, overlap):
+    """_video_row that leaves a file saying whether it overlaps its fits."""
+    (path.parent / f"overlap-{path.stem}-{overlap}").touch()
+    return _real_video_row(path, noise_var, overlap)
+
+
+def _dying_video_row(path, noise_var, overlap):
     os._exit(1)
 
 
@@ -313,6 +321,57 @@ def test_extract_rows_come_from_at_most_one_process_per_usable_cpu(tmp_path, mon
     assert 1 <= len(pids) <= cpus
     assert (os.getpid() in pids) == (cpus == 1)
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers,cpus,inputs,overlap", [
+    (4, 2, 1, True),    # the default on two CPUs: one process, a free CPU
+    (1, 2, 1, False),   # --workers 1 leaves no second CPU
+    (4, 1, 1, False),   # nor does one usable CPU
+    (3, 3, 1, True),
+    pytest.param(4, 2, 2, False, marks=fork_only),  # one CPU per pool process
+    pytest.param(4, 3, 2, False, marks=fork_only),
+    pytest.param(4, 4, 2, True, marks=fork_only),   # two CPUs per pool process
+])
+def test_extract_overlaps_difference_fits_only_with_a_cpu_to_spare(
+        tmp_path, monkeypatch, workers, cpus, inputs, overlap):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cli, "_video_row", _overlap_video_row)
+    clips = [make_clip(tmp_path, f"c{i}", seed=i) for i in range(inputs)]
+    assert extract(clips, tmp_path / "features.csv", workers) == EXIT_OK
+    assert sorted(path.name for path in tmp_path.glob("overlap-*")) == [
+        f"overlap-c{i}-{overlap}" for i in range(inputs)]
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_extract_one_input_gives_the_same_bytes_serial_and_overlapped(tmp_path, two_cpus,
+                                                                       bit_depth):
+    clip = make_clip(tmp_path, "v", frames=4, size=48, seed=15, bit_depth=bit_depth)
+    serial, overlapped = tmp_path / "serial.csv", tmp_path / "overlapped.csv"
+    assert extract([clip], serial, 1) == EXIT_OK
+    assert main(["extract", str(clip), "--out", str(overlapped)]) == EXIT_OK
+    assert serial.read_bytes() == overlapped.read_bytes()
+
+
+def test_extract_error_on_the_difference_thread_exits_2_naming_the_file(
+        tmp_path, capsys, monkeypatch, two_cpus):
+    fit = gsm_vif.frame_vif_features
+    failed_on = []
+
+    def failing_difference_fit(frame, *args):
+        if frame.raw.dtype.kind == "i":  # a difference plane's samples are signed
+            failed_on.append(threading.current_thread())
+            raise SchemaError("planted difference-plane failure")
+        return fit(frame, *args)
+
+    monkeypatch.setattr(gsm_vif, "frame_vif_features", failing_difference_fit)
+    clip = make_clip(tmp_path, "v", frames=3, seed=16)
+    out = tmp_path / "features.csv"
+    threads = threading.enumerate()
+    assert main(["extract", str(clip), "--out", str(out)]) == EXIT_DATA
+    assert threading.enumerate() == threads
+    assert len(failed_on) == 1 and failed_on[0] not in threads
+    assert capsys.readouterr().err == f"error: {clip}: planted difference-plane failure\n"
+    assert not out.exists()
 
 
 def test_extract_sigma_flag_changes_features(tmp_path, pipeline):

@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -479,7 +480,7 @@ def test_rank_deficient_subbands_match_oracle():
     # band repeats one row (covariance rank <= 3), the y-difference band is 0
     rng = np.random.default_rng(22)
     plane = np.tile(rng.random(64), (48, 1))
-    band1, band2 = gsm_vif.subband_decompose(plane * 255.0)
+    band1, band2 = (gsm_vif.subband_decompose(plane * 255.0, band) for band in (1, 2))
     _, lam, _ = gsm_vif._fit_eigen(gsm_vif.extract_block_vectors(band1))
     assert lam[0] > 0.0 and np.all(lam[3:] <= 1e-10 * lam[0])
     assert np.all(band2 == 0.0)
@@ -536,11 +537,17 @@ def test_video_features_match_the_per_plane_route(bit_depth, shape):
     assert np.abs(got[gsm_vif.MOTION_INDEX] - expected[-1]) <= 1e-9 * expected[-1]
 
 
+def plane_subbands(plane):
+    """Both subbands of each pyramid level of a plane, per level."""
+    return [[gsm_vif.subband_decompose(level, band) for band in (1, 2)]
+            for level in gsm_vif.build_scale_stack(plane)]
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 def test_plane_subbands_of_narrow_integers_are_float32_at_level_0_only(dtype):
     plane = np.random.default_rng(24).integers(0, 256, (40, 52)).astype(dtype)
-    got = gsm_vif.plane_subbands(plane)
-    expected = gsm_vif.plane_subbands(plane.astype(np.float64))
+    got = plane_subbands(plane)
+    expected = plane_subbands(plane.astype(np.float64))
     for k, (pair, expected_pair) in enumerate(zip(got, expected)):
         for band, expected_band in zip(pair, expected_pair):
             assert band.dtype == (np.float32 if k == 0 else np.float64)
@@ -550,35 +557,78 @@ def test_plane_subbands_of_narrow_integers_are_float32_at_level_0_only(dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32, np.int64])
 def test_plane_subbands_of_real_and_wide_integer_planes_stay_float64(dtype):
     plane = np.random.default_rng(25).integers(-1000, 1000, (40, 52)).astype(dtype)
-    for pair in gsm_vif.plane_subbands(plane):
+    for pair in plane_subbands(plane):
         assert all(band.dtype == np.float64 for band in pair)
+
+
+def _video(bit_depth, shape, count, seed):
+    rng = np.random.default_rng(seed)
+    dtype = np.uint8 if bit_depth == 8 else np.uint16
+    peak = float((1 << bit_depth) - 1)
+    return [LumaFrame(rng.integers(0, peak + 1, shape).astype(dtype), peak)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("bit_depth, shape, count", [
+    (8, (360, 640), 3), (10, (360, 640), 3), (10, (37, 53), 3), (8, (16, 16), 3),
+    (8, (360, 640), 1),
+])
+def test_overlapped_difference_fits_change_no_bit(monkeypatch, bit_depth, shape, count):
+    frames = _video(bit_depth, shape, count, seed=bit_depth + shape[0] + count)
+    fitted_on = []
+    fit = gsm_vif.frame_vif_features
+
+    def recording_fit(frame, *args):
+        fitted_on.append((frame.raw.dtype.kind, threading.current_thread()))
+        return fit(frame, *args)
+
+    monkeypatch.setattr(gsm_vif, "frame_vif_features", recording_fit)
+    threads = threading.enumerate()
+    serial = gsm_vif.video_features(frames).values
+    assert {thread for _, thread in fitted_on} == {threading.current_thread()}
+    fitted_on.clear()
+    overlapped = gsm_vif.video_features(frames, overlap=True).values
+    assert np.array_equal(overlapped, serial)
+    assert threading.enumerate() == threads
+    # frame planes (unsigned samples) on this thread, difference planes
+    # (signed) on the other
+    assert sorted(kind for kind, _ in fitted_on) == sorted("u" * count + "i" * (count - 1))
+    for kind, thread in fitted_on:
+        assert (thread is threading.current_thread()) == (kind == "u")
+
+
+def _traced_video_peak(bit_depth, overlap):
+    """Traced peak of one 3-frame 640x360 video, in float64 planes."""
+    height, width = 360, 640
+    frames = _video(bit_depth, (height, width), 3, seed=bit_depth)
+    tracemalloc.start()
+    try:
+        gsm_vif.video_features(frames, overlap=overlap)
+        _, traced_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return traced_peak / (width * height * 8)
 
 
 @pytest.mark.parametrize("bit_depth", [8, 10])
 def test_video_features_peak_memory_stays_under_six_and_a_half_planes(bit_depth):
-    # the four level-0 subbands held across a frame pair are float32; held
-    # in float64 they would raise the peak to about 7.9 and 8.1 planes. It
-    # reads 5.75 and 6.00 planes, and 5.86 and 6.11 with a (9, N)
-    # information array
-    rng = np.random.default_rng(bit_depth)
-    height, width = 360, 640
-    dtype = np.uint8 if bit_depth == 8 else np.uint16
-    peak = float((1 << bit_depth) - 1)
-    frames = [LumaFrame(rng.integers(0, peak + 1, (height, width)).astype(dtype), peak)
-              for _ in range(3)]
-    tracemalloc.start()
-    try:
-        gsm_vif.video_features(frames)
-        _, traced_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert traced_peak <= 6.25 * width * height * 8
+    # overlapped: two subbands are fitted at once. It reads 5.10-5.32 and
+    # 5.35-5.57 planes, as the timing of the two threads falls
+    assert _traced_video_peak(bit_depth, overlap=True) <= 6.25
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_serial_video_features_peak_memory_stays_under_four_planes(bit_depth):
+    # a frame keeps its levels, 0.46 float64 planes (0.58 at 10 bits), not
+    # its subbands, 1.67 planes; it reads 3.12 and 3.36 planes, against
+    # 5.75 and 6.00 when two frames' subbands were held
+    assert _traced_video_peak(bit_depth, overlap=False) <= 3.75
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 def test_integer_planes_are_split_without_a_float64_copy(dtype):
-    # level 0 is the samples as read; a float64 copy of them would raise the
-    # peak to about 3.05 float64 planes
+    # level 0 is the samples as read; a float64 copy of them would add a
+    # whole float64 plane to the peak
     height, width = 360, 640
     plane = np.random.default_rng(26).integers(0, np.iinfo(dtype).max, (height, width), dtype,
                                                endpoint=True)
@@ -588,11 +638,14 @@ def test_integer_planes_are_split_without_a_float64_copy(dtype):
         assert level.dtype == np.float64 and np.array_equal(level, expected)
     tracemalloc.start()
     try:
-        gsm_vif.plane_subbands(plane)
+        for level in gsm_vif.build_scale_stack(plane):
+            for band in (1, 2):
+                gsm_vif.subband_decompose(level, band)
         _, traced_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert traced_peak <= 2.25 * width * height * 8
+    # it reads 1.54 float64 planes, a peak set while the pyramid is built
+    assert traced_peak <= 1.75 * width * height * 8
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,11 @@ def full_blur_then_decimate(plane):
         return out.swapaxes(0, axis)
 
     return decimate_oracle(blur_axis(blur_axis(plane, 0), 1))
+
+
+def subbands(level):
+    """Both subbands of a level, band 1 then band 2."""
+    return [pyramid.subband_decompose(level, band) for band in (1, 2)]
 
 
 def subband_oracle(plane):
@@ -100,7 +107,7 @@ def test_too_small_plane_rejected():
 def test_horizontal_ramp_subbands():
     delta = 0.125
     plane = np.tile(np.arange(20) * delta, (12, 1))
-    b1, b2 = pyramid.subband_decompose(plane)
+    b1, b2 = subbands(plane)
     assert b1.shape == (11, 19)
     assert np.allclose(b1, delta / 2, atol=1e-14)
     assert np.allclose(b2, 0.0, atol=1e-14)
@@ -109,7 +116,7 @@ def test_horizontal_ramp_subbands():
 def test_subbands_against_loop_oracle():
     rng = np.random.default_rng(9)
     plane = rng.random((32, 32))
-    b1, b2 = pyramid.subband_decompose(plane)
+    b1, b2 = subbands(plane)
     ref1, ref2 = subband_oracle(plane)
     assert np.allclose(b1, ref1, atol=1e-12)
     assert np.allclose(b2, ref2, atol=1e-12)
@@ -118,14 +125,14 @@ def test_subbands_against_loop_oracle():
 def test_transpose_swaps_bands():
     rng = np.random.default_rng(10)
     plane = rng.random((24, 40))
-    b1, b2 = pyramid.subband_decompose(plane)
-    t1, t2 = pyramid.subband_decompose(plane.T)
+    b1, b2 = subbands(plane)
+    t1, t2 = subbands(plane.T)
     assert np.allclose(b1, t2.T, atol=1e-14)
     assert np.allclose(b2, t1.T, atol=1e-14)
 
 
 def test_constant_annihilation():
-    b1, b2 = pyramid.subband_decompose(np.full((18, 22), 3.7))
+    b1, b2 = subbands(np.full((18, 22), 3.7))
     assert np.all(b1 == 0.0)
     assert np.all(b2 == 0.0)
 
@@ -134,7 +141,7 @@ def test_white_noise_subband_variance():
     rng = np.random.default_rng(11)
     sigma = 0.3
     plane = rng.normal(0.0, sigma, size=(400, 400))
-    b1, _ = pyramid.subband_decompose(plane)
+    b1, _ = subbands(plane)
     # 4 taps of magnitude 1/4 on iid noise: variance sigma^2 / 4
     measured = b1[::2, ::2].var()  # stride past tap overlap
     assert measured == pytest.approx(sigma ** 2 / 4, rel=0.10)
@@ -142,7 +149,7 @@ def test_white_noise_subband_variance():
 
 def test_subband_needs_two_samples_per_axis():
     with pytest.raises(SchemaError, match="9x1 level cannot host 2x2 filters"):
-        pyramid.subband_decompose(np.zeros((1, 9)))
+        pyramid.subband_decompose(np.zeros((1, 9)), 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,9 +162,9 @@ def test_subband_linearity(seed, alpha, beta):
     rng = np.random.default_rng(seed)
     p = rng.random((12, 15))
     q = rng.random((12, 15))
-    lhs1, lhs2 = pyramid.subband_decompose(alpha * p + beta * q)
-    p1, p2 = pyramid.subband_decompose(p)
-    q1, q2 = pyramid.subband_decompose(q)
+    lhs1, lhs2 = subbands(alpha * p + beta * q)
+    p1, p2 = subbands(p)
+    q1, q2 = subbands(q)
     assert np.allclose(lhs1, alpha * p1 + beta * q1, atol=1e-12)
     assert np.allclose(lhs2, alpha * p2 + beta * q2, atol=1e-12)
 
@@ -187,7 +194,7 @@ def test_subbands_of_an_integer_difference_are_exact_differences(bit_depth, shap
     stacks = [pyramid.build_scale_stack(p) for p in (diff, current, previous)]
     for level_diff, level_cur, level_prev in zip(*stacks):
         assert np.array_equal(level_diff, np.subtract(level_cur, level_prev, dtype=np.float64))
-        bands = [pyramid.subband_decompose(lv) for lv in (level_diff, level_cur, level_prev)]
+        bands = [subbands(lv) for lv in (level_diff, level_cur, level_prev)]
         for band_diff, band_cur, band_prev in zip(*bands):
             assert np.array_equal(band_diff, band_cur - band_prev)
 
@@ -214,13 +221,13 @@ def _integer_patterns(bit_depth, shape):
 def test_float32_level0_subbands_equal_the_float64_ones(bit_depth):
     patterns = _integer_patterns(bit_depth, (24, 37))
     for name, plane in patterns.items():
-        for single, native, double in zip(pyramid.subband_decompose(plane.astype(np.float32)),
-                                          pyramid.subband_decompose(plane),
-                                          pyramid.subband_decompose(plane.astype(np.float64))):
+        for single, native, double in zip(subbands(plane.astype(np.float32)),
+                                          subbands(plane),
+                                          subbands(plane.astype(np.float64))):
             assert single.dtype == native.dtype == np.float32 and double.dtype == np.float64
             assert np.array_equal(single, double), name
             assert np.array_equal(native, double), name
-    step_band, _ = pyramid.subband_decompose(patterns["step"])
+    step_band, _ = subbands(patterns["step"])
     assert np.abs(step_band).max() == ((1 << bit_depth) - 1) / 2
 
 
@@ -230,10 +237,10 @@ def test_float32_level0_differences_equal_the_subbands_of_the_integer_difference
     for current_name, current in patterns.items():
         for previous_name, previous in patterns.items():
             diff = current.astype(np.int32) - previous
-            expected = pyramid.subband_decompose(diff)
+            expected = subbands(diff)
             got = [band_cur - band_prev for band_cur, band_prev in zip(
-                pyramid.subband_decompose(current.astype(np.float32)),
-                pyramid.subband_decompose(previous.astype(np.float32)))]
+                subbands(current.astype(np.float32)),
+                subbands(previous.astype(np.float32)))]
             for band_got, band_expected in zip(got, expected):
                 assert band_got.dtype == np.float32
                 assert np.array_equal(band_got, band_expected), (current_name, previous_name)
@@ -241,15 +248,39 @@ def test_float32_level0_differences_equal_the_subbands_of_the_integer_difference
 
 def test_subbands_are_float32_only_for_float32_and_narrow_integer_levels():
     for dtype in (np.float32, np.uint8, np.uint16, np.int16):
-        for band in pyramid.subband_decompose(np.zeros((4, 5), dtype=dtype)):
+        for band in subbands(np.zeros((4, 5), dtype=dtype)):
             assert band.dtype == np.float32
     for dtype in (np.int32, np.float16, np.float64):
-        for band in pyramid.subband_decompose(np.zeros((4, 5), dtype=dtype)):
+        for band in subbands(np.zeros((4, 5), dtype=dtype)):
             assert band.dtype == np.float64
 
 
 def test_float32_level_keeps_the_shape_checks():
     with pytest.raises(SchemaError, match="9x1 level cannot host 2x2 filters"):
-        pyramid.subband_decompose(np.zeros((1, 9), dtype=np.float32))
+        pyramid.subband_decompose(np.zeros((1, 9), dtype=np.float32), 2)
     with pytest.raises(SchemaError, match=r"expected a 2-D plane, got shape \(2, 3, 4\)"):
-        pyramid.subband_decompose(np.zeros((2, 3, 4), dtype=np.float32))
+        pyramid.subband_decompose(np.zeros((2, 3, 4), dtype=np.float32), 1)
+
+
+@pytest.mark.parametrize("band", [0, 3, -1])
+def test_only_bands_1_and_2_exist(band):
+    with pytest.raises(SchemaError, match=f"band must be 1 or 2, got {band}"):
+        pyramid.subband_decompose(np.zeros((4, 5)), band)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16, np.float32, np.float64])
+def test_a_subband_is_split_without_a_copy_of_the_level(dtype):
+    # the level is read as stored: a float copy of it would add at least
+    # one subband's bytes to the peak. It reads 1.14 subbands, the rest
+    # being numpy's fixed 8192-value ufunc buffers
+    level = np.random.default_rng(28).integers(0, 200, (300, 401)).astype(dtype)
+    for band in (1, 2):
+        expected = pyramid.subband_decompose(level.astype(np.float64), band)
+        tracemalloc.start()
+        try:
+            got = pyramid.subband_decompose(level, band)
+            _, traced_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, expected)
+        assert traced_peak <= 1.25 * got.nbytes
