@@ -314,10 +314,9 @@ def _compare_one(video_id: str, pair: str, test_path, anchor_path) -> ReportRow:
 
 def _parse_batch_listing(path) -> list[tuple[str, Path, Path]]:
     base = Path(path).parent
-    out = [
-        (video_id, base / test, base / anchor)
-        for _, (video_id, test, anchor) in read_csv(path, BATCH_COLUMNS, (str,) * 3)
-    ]
+    # video_id is a label only; an empty path would name the listing's directory
+    rows = read_csv(path, BATCH_COLUMNS, (str, VIDEO_ID, VIDEO_ID))
+    out = [(video_id, base / test, base / anchor) for _, (video_id, test, anchor) in rows]
     if not out:
         raise SchemaError(f"{path}: batch listing has no rows")
     return out

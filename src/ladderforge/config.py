@@ -12,17 +12,22 @@ the sidecar alone.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .dataset import CRF_MAX, CRF_MIN
 from .errors import SchemaError
-from .feature_assembly import APPROACH_FEATURE_LENGTHS
-from .gsm_vif import DEFAULT_NOISE_VAR
+from .gsm_vif import DEFAULT_NOISE_VAR, validate_noise_var
 from .ioutil import read_json
-from .ladder import DEFAULT_FIXED_LADDER, DEFAULT_RESOLUTIONS, DEFAULT_RUNG_BPS, validate_rungs
+from .ladder import (
+    DEFAULT_FIXED_LADDER,
+    DEFAULT_RESOLUTIONS,
+    DEFAULT_RUNG_BPS,
+    validate_resolutions,
+    validate_rungs,
+)
+from .regressor import validate_forest
 
 ENV_CONFIG = "LADDERFORGE_CONFIG"
 TEMPLATE_PLACEHOLDERS = ("input", "width", "height", "crf", "output")
@@ -48,29 +53,12 @@ class RunConfig:
         return DEFAULT_FIXED_LADDER if self.fixed_ladder is None else self.fixed_ladder
 
 
-def _check_dims(resolutions) -> None:
-    for w, h in resolutions:
-        if w <= 0 or h <= 0 or w % 2 or h % 2:
-            raise SchemaError(f"resolutions need positive even dims, got {w}x{h}")
-
-
 def validate_config(config: RunConfig) -> RunConfig:
-    if not 0 < config.sigma_n2 < math.inf:
-        raise SchemaError(f"sigma_n2 must be finite and > 0, got {config.sigma_n2}")
-    if config.approach not in APPROACH_FEATURE_LENGTHS:
-        raise SchemaError(f"approach must be 1..9, got {config.approach}")
-    if not config.resolutions:
-        raise SchemaError("resolution list is empty")
-    _check_dims(config.resolutions)
+    validate_noise_var(config.sigma_n2)
+    validate_forest(config.approach, config.n_trees, config.min_samples_leaf,
+                    config.k_features, config.seed)
+    validate_resolutions(config.resolutions)
     validate_rungs(config.rung_bitrates_bps)
-    if config.n_trees < 1:
-        raise SchemaError(f"n_trees must be >= 1, got {config.n_trees}")
-    if config.min_samples_leaf < 1:
-        raise SchemaError(f"min_samples_leaf must be >= 1, got {config.min_samples_leaf}")
-    if config.k_features is not None and config.k_features < 1:
-        raise SchemaError(f"k_features must be >= 1, got {config.k_features}")
-    if config.seed < 0:
-        raise SchemaError(f"seed must be >= 0, got {config.seed}")
     if config.workers < 1:
         raise SchemaError(f"workers must be >= 1, got {config.workers}")
     if not CRF_MIN <= config.crf_min <= config.crf_max <= CRF_MAX:
@@ -81,7 +69,7 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.fixed_ladder is not None:
         try:
             validate_rungs([bps for bps, _ in config.fixed_ladder])
-            _check_dims([res for _, res in config.fixed_ladder])
+            validate_resolutions([res for _, res in config.fixed_ladder])
         except SchemaError as exc:
             raise SchemaError(f"fixed_ladder: {exc}") from None
     if config.encoder_template is not None:

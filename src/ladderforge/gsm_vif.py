@@ -28,6 +28,7 @@ of one (9, N) array that the fit then works on in place.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -183,6 +184,12 @@ def estimate_multipliers(vectors, covariance) -> np.ndarray:
     return _whitened_energy(channels, np.maximum(eigenvalues, 0.0), eigenvectors)
 
 
+def validate_noise_var(noise_var: float) -> None:
+    """The noise floor sigma_n^2 must be a finite number > 0."""
+    if not 0.0 < noise_var < math.inf:
+        raise SchemaError(f"sigma_n2 must be finite and > 0, got {noise_var}")
+
+
 def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.ndarray, float]:
     """Average per-eigenchannel information and its band total.
 
@@ -196,8 +203,7 @@ def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.
     array. So the bits are the same, and the rounding error grows with
     log N, not with N.
     """
-    if noise_var <= 0.0:
-        raise SchemaError(f"noise variance must be > 0, got {noise_var}")
+    validate_noise_var(noise_var)
     s2 = np.asarray(multipliers, dtype=np.float64).ravel()
     gains = np.asarray(eigenvalues, dtype=np.float64).ravel() / noise_var
     if s2.size == 0:
@@ -227,8 +233,7 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, levels=None)
     for frames near the 16x16 minimum) contribute zeros, which keeps the
     feature layout fixed and the per-band/per-scale identities intact.
     """
-    if noise_var <= 0.0:
-        raise SchemaError(f"noise variance must be > 0, got {noise_var}")
+    validate_noise_var(noise_var)
     if not isinstance(frame, LumaFrame):
         frame = LumaFrame(frame)
     if levels is None:

@@ -106,6 +106,17 @@ def validate_rungs(rungs) -> tuple[float, ...]:
     return rungs
 
 
+def validate_resolutions(resolutions) -> tuple[tuple[int, int], ...]:
+    """A resolution list: not empty, every dimension positive and even."""
+    resolutions = tuple(resolutions)
+    if not resolutions:
+        raise SchemaError("resolution list is empty")
+    for w, h in resolutions:
+        if w <= 0 or h <= 0 or w % 2 or h % 2:
+            raise SchemaError(f"resolutions need positive even dims, got {w}x{h}")
+    return resolutions
+
+
 def predict_quality_grid(
     model: ExtraTreesModel,
     vif: VifFeatureTensor,
@@ -118,9 +129,7 @@ def predict_quality_grid(
     entry is the model's prediction for this video encoded at that
     resolution and target bitrate.
     """
-    resolutions = list(resolutions)
-    if not resolutions:
-        raise ValueError("resolution list is empty")
+    resolutions = validate_resolutions(resolutions)
     rungs = validate_rungs(rungs)
     widths, heights = np.repeat(resolutions, len(rungs), axis=0).T
     X = assemble(model.approach, [vif] * widths.size, rungs * len(resolutions), widths, heights)

@@ -20,6 +20,7 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from .errors import SchemaError
+from .pyramid import MIN_DIMENSION
 
 _MAGIC = b"YUV4MPEG2"
 # Y4M colourspace tags we can decode, mapped to sample bit depth.
@@ -30,7 +31,6 @@ _CHROMA_DEPTH = {
     "420mpeg2": 8,
     "420p10": 10,
 }
-MIN_DIMENSION = 16  # floor for four dyadic scales of 3x3 analysis blocks
 _MAX_HEADER_BYTES = 4096
 _READ_BLOCK = 16 << 20  # a 4K 8-bit luma plane is one read
 

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import SchemaError
 
 NUM_SCALES = 4
+MIN_DIMENSION = 16  # floor for four dyadic scales of 3x3 analysis blocks
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
 
@@ -68,14 +69,15 @@ def build_scale_stack(plane) -> tuple[np.ndarray, ...]:
 
     Element 0 is the input plane, as given when it holds integers and as
     float64 otherwise; element k is its k-fold reduction, in float64.
-    Requires at least 16x16 so the smallest level keeps a usable extent.
+    Requires at least MIN_DIMENSION in each direction so the smallest
+    level keeps a usable extent.
     """
     plane = _as_plane(plane)
     if plane.dtype.kind not in "iu":
         plane = plane.astype(np.float64, copy=False)
     h, w = plane.shape
-    if h < 16 or w < 16:
-        raise SchemaError(f"{w}x{h} plane; need at least 16x16")
+    if h < MIN_DIMENSION or w < MIN_DIMENSION:
+        raise SchemaError(f"{w}x{h} plane; need at least {MIN_DIMENSION}x{MIN_DIMENSION}")
     levels = [plane]
     for _ in range(NUM_SCALES - 1):
         levels.append(_reduce(_reduce(levels[-1], 0), 1))

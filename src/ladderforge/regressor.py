@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SchemaError
-from .feature_assembly import APPROACH_FEATURE_LENGTHS, column_names
+from .feature_assembly import column_names
 from .ioutil import atomic_write_text
 
 _FORMAT_LINE = "ladderforge-extra-trees v1"
@@ -68,8 +68,7 @@ def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
     X holds one row per encode in column_names(approach) order, as
     feature_assembly.assemble builds it; k_features None is ceil(d / 3).
     """
-    if n_trees < 1:
-        raise SchemaError(f"n_trees must be >= 1, got {n_trees}")
+    k = validate_forest(approach, n_trees, min_samples_leaf, k_features, seed)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not y.size:
@@ -81,14 +80,15 @@ def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
             f"approach {approach} takes an (n, {width}) X and an (n,) y, "
             f"got {X.shape} and {y.shape}"
         )
+    for name, values in (("X", X), ("y", y)):
+        if not np.isfinite(values).all():
+            raise SchemaError(f"{name} holds a value that is not finite")
 
     # canonical row order: sort lexicographically by features then target
     keys = [y] + [X[:, j] for j in reversed(range(width))]
     order = np.lexsort(keys)
     X, y = X[order], y[order]
 
-    k = k_features if k_features is not None else math.ceil(width / 3)
-    k = max(1, min(k, width))
     trees = tuple(
         _grow_tree(X, y, k, min_samples_leaf, np.random.default_rng(seed + t))
         for t in range(n_trees)
@@ -101,6 +101,22 @@ def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
         seed=seed,
         trees=trees,
     )
+
+
+def validate_forest(approach: int, n_trees: int, min_samples_leaf: int,
+                    k_features: int | None, seed: int) -> int:
+    """Check an approach's tree settings; return k, the features drawn per node."""
+    width = len(column_names(approach))
+    k = math.ceil(width / 3) if k_features is None else k_features
+    if n_trees < 1:
+        raise SchemaError(f"n_trees must be >= 1, got {n_trees}")
+    if min_samples_leaf < 1:
+        raise SchemaError(f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
+    if not 1 <= k <= width:
+        raise SchemaError(f"k_features must be in [1, {width}], got {k}")
+    if seed < 0:
+        raise SchemaError(f"seed must be >= 0, got {seed}")
+    return k
 
 
 def _grow_tree(X, y, k, min_leaf, rng) -> Tree:
@@ -334,16 +350,12 @@ def load_model(path) -> ExtraTreesModel:
             raise SchemaError(f"{path}: header line {number} is {got!r}, expected {want}")
     if hashlib.sha256(body).hexdigest() != checksum:
         raise SchemaError(f"{path}: body checksum mismatch")
-    if approach not in APPROACH_FEATURE_LENGTHS or columns != tuple(column_names(approach)):
+    try:
+        validate_forest(approach, n_trees, min_samples_leaf, k_features, seed)
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    if columns != tuple(column_names(approach)):
         raise SchemaError(f"{path}: layout does not match approach {approach}")
-    if n_trees < 1:
-        raise SchemaError(f"{path}: n_trees must be >= 1, got {n_trees}")
-    if min_samples_leaf < 1:
-        raise SchemaError(f"{path}: min_samples_leaf must be >= 1, got {min_samples_leaf}")
-    if not 1 <= k_features <= len(columns):
-        raise SchemaError(f"{path}: k_features must be in [1, {len(columns)}], got {k_features}")
-    if seed < 0:
-        raise SchemaError(f"{path}: seed must be >= 0, got {seed}")
 
     trees = _parse_trees(body, path, len(columns))
     if len(trees) != n_trees:
@@ -373,7 +385,8 @@ class _Parsed(dict):
 
 def _parse_trees(body: bytes, path, width: int, block: int = 1 << 16, trees: int = 0) -> list[Tree]:
     """The trees of a model body: each run of node lines after a ``tree``
-    line, with split features in [0, width) and finite numbers.
+    line that carries the tree's index, with split features in [0, width)
+    and finite numbers.
 
     The body is parsed a block of about ``block`` bytes at a time, each
     ending at a "\\n", into one node table that the trees slice. A bad block
@@ -389,11 +402,15 @@ def _parse_trees(body: bytes, path, width: int, block: int = 1 << 16, trees: int
         end = body.find(b"\n", start + block) + 1 or len(body)
         seen = trees + len(starts)
         try:
-            at, *columns = _node_table(body[start:end], width, features, leaves, not (start or seen))
+            at, labels, *columns = _node_table(body[start:end], width, features, leaves, not seen)
         except ValueError as exc:
             if block:
                 _parse_trees(body[start:end], path, width, 0, seen)
             raise SchemaError(f"{path}: tree {max(seen - 1, 0)}: {exc}") from None
+        indexes = list(map(b"%d".__mod__, range(seen, seen + len(labels))))
+        if labels != indexes:
+            i = next(i for i, (label, index) in enumerate(zip(labels, indexes)) if label != index)
+            raise SchemaError(f"{path}: tree {seen + i}: tree line is 'tree {labels[i].decode()}'")
         starts += (at + nodes).tolist()
         for whole, part in zip(table, columns):
             whole[nodes:nodes + part.size] = part
@@ -412,7 +429,8 @@ def _parse_trees(body: bytes, path, width: int, block: int = 1 << 16, trees: int
 
 def _node_table(lines: bytes, width, features, leaves, first):
     """Where each ``tree`` line of whole body lines starts a tree among
-    their nodes, and the nodes' feature (-1 at a leaf), threshold and value.
+    their nodes, its ``<t>`` token, and the nodes' feature (-1 at a leaf),
+    threshold and value.
 
     A fixed number of array and builtin calls, whatever the line count.
     Raises ValueError at a line outside the grammar (or a first line that is
@@ -438,11 +456,14 @@ def _node_table(lines: bytes, width, features, leaves, first):
     ):
         text = lines.decode(errors="backslashreplace").removesuffix("\n")
         raise ValueError(f"bad node line {text!r}")
-    split = tags[~tree] == _SPLIT
-    heads = (counts.cumsum() - counts)[~tree]  # each node line's first token
 
     def token_after(at):
         return list(map(tokens.__getitem__, (at + 1).tolist()))
+
+    heads = counts.cumsum() - counts  # each line's first token
+    labels = token_after(heads[tree])
+    heads = heads[~tree]
+    split = tags[~tree] == _SPLIT
 
     feature = np.full(split.size, -1, dtype=np.int32)
     split_features = list(map(features.__getitem__, token_after(heads[split])))
@@ -459,7 +480,7 @@ def _node_table(lines: bytes, width, features, leaves, first):
     value[~split] = list(map(leaves.__getitem__, token_after(heads[~split])))
     if not (np.isfinite(threshold).all() and np.isfinite(value).all()):
         raise ValueError("threshold or leaf value not finite")
-    return np.cumsum(~tree)[tree], feature, threshold, value
+    return np.cumsum(~tree)[tree], labels, feature, threshold, value
 
 
 # ---------------------------------------------------------------------------

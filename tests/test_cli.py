@@ -687,6 +687,26 @@ def test_compare_batch_with_video_is_usage_error(tmp_path, ladders, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row, column", [("x,,b.csv", "test"), ("x,a.csv,", "anchor")])
+def test_compare_batch_empty_path_exits_2_naming_listing_and_line(tmp_path, capsys, row, column):
+    listing = tmp_path / "batch.csv"
+    listing.write_text(f"video_id,test,anchor\n{row}\n")
+    out = tmp_path / "report.csv"
+    assert main(["compare", "--batch", str(listing), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"error: {listing} line 2: {column}: '' must not be empty\n"
+    assert not out.exists()
+
+
+def test_compare_batch_empty_video_id_is_a_label(tmp_path, ladders):
+    _, paths = ladders
+    listing = tmp_path / "batch.csv"
+    listing.write_text(f"video_id,test,anchor\n,{paths['v2']['pred']},{paths['v2']['ref']}\n")
+    out = tmp_path / "report.csv"
+    assert main(["compare", "--batch", str(listing), "--out", str(out)]) == EXIT_OK
+    assert list(csv.reader(out.read_text().splitlines()))[1][0] == ""
+
+
 def test_compare_pair_without_video_names_its_row_video(tmp_path, ladders):
     _, paths = ladders
     out = tmp_path / "report.csv"

@@ -412,7 +412,7 @@ def test_information_mean_is_pairwise_along_each_channel():
 
 
 def test_information_rejects_bad_noise():
-    with pytest.raises(SchemaError, match="noise variance must be > 0, got 0.0"):
+    with pytest.raises(SchemaError, match="sigma_n2 must be finite and > 0, got 0.0"):
         gsm_vif.subband_information(np.ones(3), np.ones(9), 0.0)
 
 
@@ -511,7 +511,7 @@ def test_contrast_scaling_never_decreases_information():
 
 
 def test_bad_noise_var_rejected():
-    with pytest.raises(SchemaError, match="noise variance must be > 0, got -1.0"):
+    with pytest.raises(SchemaError, match="sigma_n2 must be finite and > 0, got -1.0"):
         gsm_vif.frame_vif_features(np.zeros((16, 16)), noise_var=-1.0)
 
 

@@ -91,7 +91,7 @@ def test_grid_matches_looped_single_predictions():
 
 def test_grid_rejects_empty_resolutions():
     model = train_toy_model()
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="^resolution list is empty$"):
         ladder.predict_quality_grid(model, make_tensor(), [], [1e6])
 
 

@@ -292,6 +292,36 @@ def test_a_bad_line_is_named_whatever_the_block_size():
             regressor._parse_trees(body, "m", 7, block)
 
 
+# (the body's second tree line, the tree the error names); the checksum
+# is recomputed, so the body parser is what rejects them
+TREE_LINES = {
+    "later-index": ("tree 7", 1),
+    "not-a-number": ("tree x", 1),
+    "repeated-index": ("tree 0", 1),
+    "leading-zero": ("tree 01", 1),
+}
+
+
+@pytest.mark.parametrize("probe", TREE_LINES)
+def test_a_tree_line_must_carry_its_index(workspace, tmp_path, capsys, probe):
+    line, tree = TREE_LINES[probe]
+    path = tmp_path / "index.model"
+    path.write_bytes(with_body(BODY.replace("tree 1\n", line + "\n").encode()))
+    message = f"{path}: tree {tree}: tree line is '{line}'"
+    with pytest.raises(SchemaError) as raised:
+        regressor.load_model(path)
+    assert str(raised.value) == message
+    assert main(ladder_argv(workspace, path)) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_misnumbered_tree_is_named_whatever_the_block_size():
+    body = (BODY + BODY.replace("tree 0", "tree 2").replace("tree 1", "tree 4")).encode()
+    for block in (0, 1, 9, 64, 1 << 16):
+        with pytest.raises(SchemaError, match=r"^m: tree 3: tree line is 'tree 4'$"):
+            regressor._parse_trees(body, "m", 7, block)
+
+
 def test_a_tree_without_nodes_is_truncated(tmp_path):
     path = tmp_path / "empty-tree.model"
     path.write_bytes(with_body(BODY.replace("tree 1\n", "tree 1\ntree 2\n").encode()))

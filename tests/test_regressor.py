@@ -330,6 +330,18 @@ def test_train_rejects_fewer_than_one_tree():
             regressor.train(X, y, 1, n_trees=n_trees, seed=0)
 
 
+@pytest.mark.parametrize("where, value", [("X", np.nan), ("X", np.inf), ("X", -np.inf),
+                                          ("y", np.nan), ("y", -np.inf)])
+def test_train_rejects_values_that_are_not_finite(where, value):
+    X, y = make_rows(10, seed=7)
+    if where == "X":
+        X[4, 2] = value
+    else:
+        y[4] = value
+    with pytest.raises(SchemaError, match=f"^{where} holds a value that is not finite$"):
+        regressor.train(X, y, 1, n_trees=2, seed=0)
+
+
 def test_inconsistent_layout():
     X, y = make_rows(10, seed=18)
     # an approach-4 width, a target short, a column matrix for the targets
