@@ -5,10 +5,8 @@ quality over their shared quality interval; BD-quality is the mean gap
 between their quality as a function of log2 rate over the shared log2-rate
 interval. Both integrate a monotone piecewise-cubic Hermite interpolant in
 closed form, so results are exact for the interpolant rather than
-grid-approximated. Its knot slopes are the secant mean capped at three
-times the smaller secant (the Fritsch-Carlson limit), zeroed at extrema,
-with one-sided secants at the ends; this is not the Fritsch-Butland rule
-of MATLAB's or scipy's pchip, so deltas can differ from those tools'.
+grid-approximated. Its knot slopes are the Fritsch-Butland rule of
+MATLAB's and scipy's pchip, so deltas agree with those tools'.
 """
 
 from __future__ import annotations
@@ -41,21 +39,35 @@ def _check_abscissa(xs: np.ndarray) -> None:
 
 
 def pchip_slopes(xs, ys) -> np.ndarray:
-    """Knot slopes that keep the Hermite cubic monotone between knots.
+    """Fritsch-Butland knot slopes, which keep the Hermite cubic monotone
+    between knots wherever the data are.
 
-    Interior slopes are the secant average, zeroed at local extrema and
-    limited to three times the smaller neighbouring secant; endpoints
-    take their one-sided secant.
+    An interior slope is the harmonic mean of its neighbouring secants
+    weighted by w1 = 2h[k] + h[k-1] and w2 = h[k] + 2h[k-1], and 0 where
+    those secants differ in sign or either is 0. An end slope is the
+    three-point estimate ((2h0 + h1)d0 - h0 d1) / (h0 + h1), with h0 and d0
+    the end interval's: 0 where its sign is not d0's, and at most 3 d0
+    where d0 and d1 differ in sign. Two knots share their secant.
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     _check_abscissa(xs)
-    d = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
-    left, right = d[:-1], d[1:]
-    avg = 0.5 * (left + right)
-    cap = 3.0 * np.minimum(np.abs(left), np.abs(right))
-    inner = np.where(left * right <= 0, 0.0, np.copysign(np.minimum(np.abs(avg), cap), avg))
-    return np.concatenate((d[:1], inner, d[-1:]))
+    h = xs[1:] - xs[:-1]
+    d = (ys[1:] - ys[:-1]) / h
+    if d.size == 1:
+        return np.concatenate((d, d))
+    sign = np.sign(d)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    same = (sign[:-1] == sign[1:]) & (sign[1:] != 0)
+    # 1 stands in for a secant the slope does not use, so nothing divides by 0
+    left, right = np.where(same, d[:-1], 1.0), np.where(same, d[1:], 1.0)
+    inner = np.where(same, (w1 + w2) / (w1 / left + w2 / right), 0.0)
+    # both ends at once: the end interval's width and secant, then its neighbour's
+    h0, h1, d0, d1 = h[[0, -1]], h[[1, -2]], d[[0, -1]], d[[1, -2]]
+    ends = ((2 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
+    ends = np.where(np.sign(ends) != np.sign(d0), 0.0, ends)
+    ends = np.where((np.sign(d0) != np.sign(d1)) & (np.abs(ends) > 3 * np.abs(d0)), 3 * d0, ends)
+    return np.concatenate((ends[:1], inner, ends[1:]))
 
 
 def _hermite_antiderivatives(t):

@@ -18,7 +18,6 @@ import shlex
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from itertools import repeat
 from pathlib import Path
 
@@ -158,8 +157,7 @@ def _usable_cpus() -> int:
 def _video_row(path: Path, noise_var: float, overlap: bool):
     """(video id, header, tensor) of one Y4M file; module-level, so a pool can send it."""
     try:
-        header, frames = open_y4m(path)
-        with closing(frames):  # closes the file when the fit raises between frames
+        with open_y4m(path) as (header, frames):
             return path.stem, header, video_features(frames, noise_var, overlap)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
@@ -172,9 +170,12 @@ def cmd_extract(args, cfg: RunConfig) -> int:
             raise SchemaError(f"{by_id[path.stem]} and {path} share the video id {path.stem!r}")
         by_id[path.stem] = path
     paths = list(by_id.values())
-    # videos are independent, so they run in parallel processes; map keeps
-    # input order, so the first error raised is the first bad input's. A
-    # process fits its difference planes on a second thread when the CPUs
+    # videos run in parallel processes, not threads: threads share the
+    # interpreter lock over many small arrays, and their heaps add up in one
+    # RSS. On 2 cores a thread pool here read +33% wall, +16% CPU and +26%
+    # peak RSS on perfbench's extract-360p (worse in 4 of 4 pairs). map
+    # keeps input order, so the first error raised is the first bad input's.
+    # A process fits its difference planes on a second thread when the CPUs
     # leave one free for each process.
     cpus = min(cfg.workers, _usable_cpus())
     processes = min(cpus, len(paths))
@@ -286,7 +287,7 @@ def cmd_ladder(args, cfg: RunConfig) -> int:
     summary = ladder_summary_text("predicted", predicted)
 
     if args.fixed_out:
-        fixed = fixed_ladder(cfg.fixed_ladder_table(), records)
+        fixed = fixed_ladder(cfg.fixed_ladder, records)
         atomic_write_text(Path(args.fixed_out), ladder_csv_text(fixed))
         summary += ladder_summary_text("fixed", fixed)
     if args.reference_out:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 
 from .dataset import CRF_MAX, CRF_MIN
 from .errors import SchemaError
@@ -43,14 +42,11 @@ class RunConfig:
     min_samples_leaf: int = 1
     k_features: int | None = None
     seed: int = 0
-    fixed_ladder: tuple[tuple[float, tuple[int, int]], ...] | None = None
+    fixed_ladder: tuple[tuple[float, tuple[int, int]], ...] = DEFAULT_FIXED_LADDER
     encoder_template: str | None = None
     workers: int = 4
     crf_min: int = CRF_MIN
     crf_max: int = CRF_MAX
-
-    def fixed_ladder_table(self) -> tuple[tuple[float, tuple[int, int]], ...]:
-        return DEFAULT_FIXED_LADDER if self.fixed_ladder is None else self.fixed_ladder
 
 
 def validate_config(config: RunConfig) -> RunConfig:
@@ -66,12 +62,11 @@ def validate_config(config: RunConfig) -> RunConfig:
             f"crf range must satisfy {CRF_MIN} <= min <= max <= {CRF_MAX}, "
             f"got [{config.crf_min}, {config.crf_max}]"
         )
-    if config.fixed_ladder is not None:
-        try:
-            validate_rungs([bps for bps, _ in config.fixed_ladder])
-            validate_resolutions([res for _, res in config.fixed_ladder])
-        except SchemaError as exc:
-            raise SchemaError(f"fixed_ladder: {exc}") from None
+    try:
+        validate_rungs([bps for bps, _ in config.fixed_ladder])
+        validate_resolutions([res for _, res in config.fixed_ladder])
+    except SchemaError as exc:
+        raise SchemaError(f"fixed_ladder: {exc}") from None
     if config.encoder_template is not None:
         for name in TEMPLATE_PLACEHOLDERS:
             if "{" + name + "}" not in config.encoder_template:
@@ -109,6 +104,8 @@ def _optional(convert):
 
 
 def _fixed_ladder(rows, key: str) -> tuple[tuple[float, tuple[int, int]], ...]:
+    if rows is None:  # older files and sidecars wrote null for the default table
+        return DEFAULT_FIXED_LADDER
     try:
         return tuple(
             (_json_number(row["bitrate_bps"], f"{key} bitrate_bps"),
@@ -129,7 +126,7 @@ _FROM_JSON = {
     "min_samples_leaf": _json_int,
     "k_features": _optional(_json_int),
     "seed": _json_int,
-    "fixed_ladder": _optional(_fixed_ladder),
+    "fixed_ladder": _fixed_ladder,
     "encoder_template": _optional(_json_str),
     "workers": _json_int,
     "crf_min": _json_int,
@@ -155,13 +152,7 @@ def load_config(path=None, env=None) -> RunConfig:
         path = env.get(ENV_CONFIG) or None
     if path is None:
         return RunConfig()
-    path = Path(path)
-    if not path.exists():
-        raise SchemaError(f"config file not found: {path}")
-    payload = read_json(path, "config")
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: config must be a JSON object")
-    return _config_from_dict(payload, str(path))
+    return _config_from_dict(read_json(path, "config"), str(path))
 
 
 def apply_overrides(config: RunConfig, **overrides) -> RunConfig:
@@ -173,8 +164,7 @@ def apply_overrides(config: RunConfig, **overrides) -> RunConfig:
 def config_json_dict(config: RunConfig) -> dict:
     """The config as a JSON object: field names are the keys, in field order."""
     payload = asdict(config)
-    if config.fixed_ladder is not None:
-        payload["fixed_ladder"] = [
-            {"bitrate_bps": bps, "width": w, "height": h} for bps, (w, h) in config.fixed_ladder
-        ]
+    payload["fixed_ladder"] = [
+        {"bitrate_bps": bps, "width": w, "height": h} for bps, (w, h) in config.fixed_ladder
+    ]
     return payload

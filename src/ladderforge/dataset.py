@@ -127,8 +127,6 @@ def save_split(split: SplitManifest, path) -> None:
 
 def load_split(path) -> SplitManifest:
     payload = read_json(path, "split manifest")
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: split manifest must be a JSON object")
     if payload.get("format") != _SPLIT_FORMAT:
         raise SchemaError(f"{path}: unknown split manifest format {payload.get('format')!r}")
     seed = payload.get("seed")

@@ -102,15 +102,16 @@ def read_csv(path, columns, converters) -> Iterator[tuple[int, list]]:
         raise SchemaError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-def read_json(path, what: str):
-    """Parse a UTF-8 JSON file whose numbers are all finite.
+def read_json(path, what: str) -> dict:
+    """Parse a UTF-8 file holding one JSON object whose numbers are all finite.
 
-    Every failure is a SchemaError naming what and the path: an unreadable
-    file, bytes that are not UTF-8, malformed or too deeply nested JSON,
-    and NaN, Infinity or a number too large for a float.
+    Every failure is a SchemaError naming what and the path: a missing or
+    unreadable file, bytes that are not UTF-8, malformed or too deeply
+    nested JSON, NaN, Infinity or a number too large for a float, and a
+    value that is not an object.
     """
     try:
-        return json.loads(
+        payload = json.loads(
             Path(path).read_bytes().decode("utf-8"),
             parse_float=finite_float,
             parse_constant=finite_float,
@@ -118,6 +119,9 @@ def read_json(path, what: str):
     except (OSError, ValueError, RecursionError, SchemaError) as exc:
         # ValueError covers JSONDecodeError, UnicodeDecodeError and a NUL in the path
         raise SchemaError(f"unreadable {what} {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: {what} must be a JSON object")
+    return payload
 
 
 def _cell(value):

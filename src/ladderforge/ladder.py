@@ -233,8 +233,6 @@ def fixed_ladder(table, log) -> tuple[LadderRung, ...]:
 
     ``table`` is an ascending sequence of (target_bps, (width, height)).
     """
-    if not table:
-        raise SchemaError("fixed-ladder table is missing or empty")
     rungs = [bps for bps, _ in table]
     choices = [tuple(res) for _, res in table]
     return realize_ladder(choices, rungs, log)

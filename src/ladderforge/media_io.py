@@ -6,13 +6,16 @@ peak code 2^depth - 1, so the linear stages downstream run exactly on
 integers; the motion feature is rescaled to 8-bit units, so it does not
 depend on the bit depth. Chroma planes are skipped, never decoded.
 
-The input may be a regular file or a pipe. No read asks for more than
-_READ_BLOCK bytes at a time, so a stream shorter than its header promises
-fails at its real length instead of allocating what the header claims.
+The input may be a regular file or a pipe. open_y4m keeps it open for
+the length of a with block, and the block reads its frames one at a
+time. No read asks for more than _READ_BLOCK bytes at a time, so a
+stream shorter than its header promises fails at its real length
+instead of allocating what the header claims.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import BinaryIO, Iterator
@@ -189,28 +192,23 @@ def _read_frame_record(stream: BinaryIO, header: VideoHeader, index: int) -> Lum
     return LumaFrame(raw.reshape(header.height, header.width), peak)
 
 
-def open_y4m(path) -> tuple[VideoHeader, Iterator[LumaFrame]]:
-    """Open a file and return (header, frame iterator owning the handle)."""
-    stream = open(path, "rb")
-    try:
+@contextmanager
+def open_y4m(path) -> Iterator[tuple[VideoHeader, Iterator[LumaFrame]]]:
+    """Yield (header, frame iterator) of a Y4M file held open for the with block."""
+    with open(path, "rb") as stream:
         line = _read_line(stream)
         if line is None:
             raise SchemaError("empty stream")
         header = parse_y4m_header(line)
-    except Exception:
-        stream.close()
-        raise
-    return header, _frames(stream, header)
+        yield header, _frames(stream, header)
 
 
 def _frames(stream: BinaryIO, header: VideoHeader) -> Iterator[LumaFrame]:
-    """Yield frames until the stream ends at a clean frame boundary, then
-    close it."""
-    with stream:
-        index = 0
-        while (frame := _read_frame_record(stream, header, index)) is not None:
-            yield frame
-            index += 1
+    """Yield frames until the stream ends at a clean frame boundary."""
+    index = 0
+    while (frame := _read_frame_record(stream, header, index)) is not None:
+        yield frame
+        index += 1
 
 
 def frame_diff(current: LumaFrame, previous: LumaFrame) -> LumaFrame:

@@ -73,8 +73,8 @@ def test_interpolant_stays_between_knots_on_wiggly_data():
     xs = np.arange(6.0)
     ys = np.array([0.0, 5.0, 1.0, 1.0, 8.0, 2.0])
     m = bd_metrics.pchip_slopes(xs, ys)
-    # one-sided secants at the ends, zero at the extrema and the flat step
-    assert m.tolist() == [5.0, 0.0, 0.0, 0.0, 0.0, -6.0]
+    # three-point estimates at the ends, zero at the extrema and the flat step
+    assert m.tolist() == [9.5, 0.0, 0.0, 0.0, 0.0, -12.5]
     for i in range(5):
         vals = hermite_values(xs, ys, np.linspace(xs[i], xs[i + 1], 200))
         mean = bd_metrics.pchip_integrate(xs, ys, xs[i], xs[i + 1]) / (xs[i + 1] - xs[i])
@@ -83,12 +83,64 @@ def test_interpolant_stays_between_knots_on_wiggly_data():
         assert lo - 1e-12 <= mean <= hi + 1e-12
 
 
-def test_slopes_capped_at_three_times_the_smaller_secant():
-    # secants 1 and 100: their mean 50.5 is capped at 3
-    m = bd_metrics.pchip_slopes([0.0, 1.0, 2.0], [0.0, 1.0, 101.0])
-    assert m.tolist() == [1.0, 3.0, 100.0]
-    m = bd_metrics.pchip_slopes([0.0, 1.0, 2.0], [0.0, -1.0, -101.0])
-    assert m.tolist() == [-1.0, -3.0, -100.0]
+def textbook_pchip_slopes(xs, ys):
+    """Fritsch-Butland slopes knot by knot, as Moler's pchiptx states them.
+
+    The oracle for pchip_slopes: a loop over knots in plain floats, with
+    the harmonic mean written as 1 / ((w1/d0 + w2/d1) / (w1 + w2)).
+    """
+    h = [b - a for a, b in zip(xs, xs[1:])]
+    d = [(b - a) / w for a, b, w in zip(ys, ys[1:], h)]
+    if len(d) == 1:
+        return [d[0], d[0]]
+    slopes = [0.0] * len(xs)
+    for k in range(1, len(xs) - 1):
+        if d[k - 1] * d[k] > 0:
+            w1, w2 = 2 * h[k] + h[k - 1], h[k] + 2 * h[k - 1]
+            slopes[k] = 1.0 / ((w1 / d[k - 1] + w2 / d[k]) / (w1 + w2))
+
+    def end(h0, h1, d0, d1):
+        slope = ((2 * h0 + h1) * d0 - h0 * d1) / (h0 + h1)
+        if np.sign(slope) != np.sign(d0):
+            return 0.0
+        if np.sign(d0) != np.sign(d1) and abs(slope) > abs(3 * d0):
+            return 3 * d0
+        return slope
+
+    slopes[0] = end(h[0], h[1], d[0], d[1])
+    slopes[-1] = end(h[-1], h[-2], d[-1], d[-2])
+    return slopes
+
+
+def test_slopes_match_the_textbook_formula():
+    rng = np.random.default_rng(8)
+    for n in range(2, 12):
+        for ys in (np.cumsum(rng.uniform(0.0, 4.0, size=n)),   # monotone
+                   rng.normal(0.0, 5.0, size=n),               # extrema everywhere
+                   np.round(rng.normal(0.0, 1.0, size=n))):    # flat steps and zeros
+            xs = np.cumsum(rng.uniform(0.05, 3.0, size=n))
+            want = textbook_pchip_slopes(xs.tolist(), ys.tolist())
+            assert bd_metrics.pchip_slopes(xs, ys) == pytest.approx(want, rel=1e-13, abs=1e-13)
+
+
+# (xs, ys, slopes): the slopes were computed once with scipy 1.17.1's
+# PchipInterpolator, whose rule MATLAB's pchip shares
+SCIPY_SLOPES = {
+    "harmonic-mean": ([0.0, 1.0, 2.0], [0.0, 1.0, 101.0], [0.0, 1.9801980198019802, 149.5]),
+    "harmonic-mean-falling": ([0.0, 1.0, 2.0], [0.0, -1.0, -101.0],
+                              [0.0, -1.9801980198019802, -149.5]),
+    "end-zeroed": ([0.0, 1.0, 2.0], [0.0, 1.0, 5.0], [0.0, 1.6, 5.5]),
+    "end-capped": ([0.0, 1.0, 2.0], [0.0, 1.0, -10.0], [3.0, 0.0, -17.0]),
+    "uneven-widths": ([0.0, 0.5, 2.0, 2.5, 4.5], [0.0, 2.0, 3.0, 7.0, 8.0],
+                      [4.833333333333333, 1.2972972972972971, 1.4328358208955225,
+                       1.1428571428571428, 0.0]),
+}
+
+
+@pytest.mark.parametrize("case", SCIPY_SLOPES)
+def test_slopes_are_scipys_pchip(case):
+    xs, ys, want = SCIPY_SLOPES[case]
+    assert bd_metrics.pchip_slopes(xs, ys) == pytest.approx(want, rel=1e-15, abs=1e-15)
 
 
 def test_unsorted_abscissa_rejected():

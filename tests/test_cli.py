@@ -33,9 +33,9 @@ def synth_vmaf(video_seed, width, height, bitrate_bps):
     return max(0.0, min(100.0, value))
 
 
-def synth_records(video_id, video_seed):
+def synth_records(video_id, video_seed, resolutions=RESOLUTIONS):
     records = []
-    for width, height in RESOLUTIONS:
+    for width, height in resolutions:
         base = 0.35e6 * (width * height) / (960 * 540)
         for crf in range(18, 30):
             bitrate = base * 2.0 ** ((29 - crf) / 4.0)
@@ -594,6 +594,41 @@ def test_ladder_sidecar_config_reproduces_the_run(tmp_path, pipeline):
                                   resolutions=RESOLUTIONS)
     assert used != config.load_config(conf)
     assert config.load_config(replay) == used
+
+
+def test_default_ladder_sidecar_records_the_fixed_table_it_used(tmp_path, pipeline):
+    # a log at every default resolution, so the default fixed table realizes
+    log = tmp_path / "encodes.csv"
+    log.write_text(dataset.encode_log_text(synth_records("v3", 4.5, ladder.DEFAULT_RESOLUTIONS)))
+    out, fixed = tmp_path / "ladder.csv", tmp_path / "fixed.csv"
+    args = ["ladder", "--model", str(pipeline["model"]), "--features", str(pipeline["features"]),
+            "--video", "v3", "--encode-log", str(log), "--out", str(out), "--fixed-out", str(fixed)]
+    assert main(args) == EXIT_OK
+    sidecar = json.loads(Path(str(out) + ".runconfig.json").read_text())
+    assert len(ladder.DEFAULT_FIXED_LADDER) == 12
+    assert sidecar["config"]["fixed_ladder"] == [
+        {"bitrate_bps": bps, "width": w, "height": h} for bps, (w, h) in ladder.DEFAULT_FIXED_LADDER]
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(sidecar["config"]))
+    replayed = tmp_path / "replayed.csv"
+    assert main(args[:-4] + ["--out", str(tmp_path / "again.csv"), "--fixed-out", str(replayed),
+                             "--config", str(replay)]) == EXIT_OK
+    assert replayed.read_bytes() == fixed.read_bytes()
+    assert [r.rung_bps for r in ladder.parse_ladder_csv(fixed)] == [
+        bps for bps, _ in ladder.DEFAULT_FIXED_LADDER]
+
+
+def test_json_inputs_that_are_not_objects_exit_2(tmp_path, pipeline, capsys):
+    conf, split = tmp_path / "conf.json", tmp_path / "split.json"
+    conf.write_text("[]")
+    split.write_text("[]")
+    assert main(ladder_args(pipeline, tmp_path / "l.csv", extra=["--config", str(conf)])) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {conf}: config must be a JSON object\n"
+    assert main(["train", "--features", str(pipeline["features"]),
+                 "--encode-log", str(pipeline["log"]), "--split", str(split),
+                 "--out", str(tmp_path / "m.txt")]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {split}: split manifest must be a JSON object\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["conf.json", "split.json"]
 
 
 def test_ladder_unknown_video(tmp_path, pipeline, capsys):

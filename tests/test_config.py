@@ -63,9 +63,15 @@ def test_explicit_path_beats_env(tmp_path):
     assert c.n_trees == 3
 
 
-def test_missing_config_file(tmp_path):
-    with pytest.raises(SchemaError, match="config file not found"):
-        cfg.load_config(tmp_path / "absent.json")
+def test_missing_config_file(tmp_path, capsys):
+    # the JSON reader's rule reports a missing file, as it does an unreadable one
+    path = tmp_path / "absent.json"
+    with pytest.raises(SchemaError, match=rf"^unreadable config {path}: \[Errno 2\] "):
+        cfg.load_config(path)
+    code = main(["plot", "--ladders", "missing.csv", "--config", str(path),
+                 "--out", str(tmp_path / "hulls.svg")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"error: unreadable config {path}: [Errno 2] ")
 
 
 def test_unknown_keys_rejected(tmp_path):
@@ -112,11 +118,16 @@ def test_config_round_trip_through_json(tmp_path):
     assert cfg.load_config(path) == base
 
 
-def test_fixed_ladder_table_falls_back_to_default():
-    assert cfg.RunConfig().fixed_ladder is None
-    assert cfg.RunConfig().fixed_ladder_table() == DEFAULT_FIXED_LADDER
+def test_fixed_ladder_falls_back_to_default(tmp_path):
+    assert cfg.RunConfig().fixed_ladder == DEFAULT_FIXED_LADDER
+    assert cfg.config_json_dict(cfg.RunConfig())["fixed_ladder"][0] == {
+        "bitrate_bps": 250000.0, "width": 512, "height": 288}
     custom = ((1e6, (1280, 720)), (2e6, (1920, 1080)))
-    assert cfg.RunConfig(fixed_ladder=custom).fixed_ladder_table() == custom
+    assert cfg.RunConfig(fixed_ladder=custom).fixed_ladder == custom
+    # older config files and sidecars wrote null for the default table
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps({"fixed_ladder": None, "n_trees": 7}))
+    assert cfg.load_config(path) == cfg.RunConfig(n_trees=7)
 
 
 def test_fixed_ladder_must_ascend(tmp_path):

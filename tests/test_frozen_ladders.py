@@ -26,8 +26,8 @@ FROZEN_LADDER = {
     "predicted.csv.summary.txt": "70b1400553b5bfc8227fd9e00e80a34a421b22916e06429c07c9f84edd08cc30",
 }
 FROZEN_COMPARE = {
-    "report.csv": "805d15a4cb7cfe03bdd37ad8bb812fade1e60f4c73d8c1fbf9d42566704f1a60",
-    "report.csv.aggregate.json": "41921e5a5735b26d5d3b093342446773ec71bf116a0e31d731a8b100e73126b8",
+    "report.csv": "96d475bad490e1b3c9956d16a4dbe4032c2b614caf18193aa163abc07fae1b56",
+    "report.csv.aggregate.json": "66c5bede6914875aa42bb3505ffd98f271c47e9ba67b569a55b79da3f8ede86e",
 }
 
 
@@ -62,8 +62,8 @@ def test_seeded_ladder_run_matches_frozen_digests(tmp_path):
 
 def test_seeded_batch_compare_matches_frozen_digests(tmp_path):
     write_ladders(tmp_path)
-    # a seven-knot curve whose slopes hit the 3x cap, one inside a sliver of
-    # the reference's span, and one with a single Pareto point
+    # a seven-knot curve whose neighbouring secants differ up to 19-fold, one
+    # inside a sliver of the reference's span, and one with a single Pareto point
     dense = zip((0.5, 0.6, 0.9, 1.5, 2.5, 4.0, 7.0), (0.55, 0.7, 1.0, 1.6, 5.0, 6.0, 12.0),
                 (60.0, 66.0, 66.5, 79.0, 85.0, 85.5, 95.0))
     (tmp_path / "dense.csv").write_text(LADDER_HEADER + "".join(

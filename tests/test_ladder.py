@@ -328,8 +328,10 @@ def test_fixed_ladder_exact_match_row():
 
 
 def test_fixed_ladder_empty_config():
-    with pytest.raises(SchemaError, match="fixed-ladder table is missing or empty"):
-        ladder.fixed_ladder([], [rec(*R720, 30, 2e6, 60.0)])
+    # a config file's empty table is refused when the config loads; a
+    # library call with one meets the rung rule of realize_ladder
+    with pytest.raises(SchemaError, match="^rung list is empty$"):
+        ladder.fixed_ladder((), [rec(*R720, 30, 2e6, 60.0)])
 
 
 def test_fixed_ladder_missing_resolution_names_rung():

@@ -71,8 +71,8 @@ def _frames_from_bytes(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "clip.y4m"
         path.write_bytes(data)
-        header, frames = media_io.open_y4m(path)
-        return header, list(frames)
+        with media_io.open_y4m(path) as (header, frames):
+            return header, list(frames)
 
 
 def test_constant_frame_normalizes_by_255():
@@ -318,6 +318,74 @@ def test_mean_abs_invariant_under_bit_depth():
 
 
 # ---------------------------------------------------------------------------
+# open_y4m owns its file: it is closed when the with block ends, however
+# the block ends
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def opened(monkeypatch):
+    """Every file object that media_io opens, in order."""
+    files = []
+
+    def recording_open(*args, **kwargs):
+        files.append(open(*args, **kwargs))
+        return files[-1]
+
+    monkeypatch.setattr(media_io, "open", recording_open, raising=False)
+    return files
+
+
+def _first_frame(path):
+    with media_io.open_y4m(path) as (_, frames):
+        return next(frames)
+
+
+def _every_frame(path):
+    with media_io.open_y4m(path) as (_, frames):
+        return list(frames)
+
+
+TWO_FRAMES = y4m_bytes([np.full((16, 16), 7)] * 2)
+
+
+@pytest.mark.parametrize("data, read, error", [
+    (TWO_FRAMES, _every_frame, None),
+    (TWO_FRAMES, _first_frame, None),  # the block returns with frames left unread
+    (b"YUV4MPEG2 W16 H16 F24:1 C444\n" + TWO_FRAMES[TWO_FRAMES.index(b"FRAME"):], _every_frame,
+     "^colourspace C444 not supported$"),
+    (TWO_FRAMES[:-40], _every_frame, "^frame 1: chroma planes truncated$"),  # raised in the block
+], ids=["read-to-the-end", "return-after-first-frame", "bad-header", "truncated-frame"])
+def test_open_y4m_closes_its_file_when_the_block_ends(tmp_path, opened, data, read, error):
+    path = tmp_path / "clip.y4m"
+    path.write_bytes(data)
+    if error is None:
+        assert read(path)
+    else:
+        with pytest.raises(SchemaError, match=error):
+            read(path)
+    assert len(opened) == 1 and opened[0].closed
+
+
+def test_open_y4m_keeps_its_file_open_inside_the_block(tmp_path, opened):
+    path = tmp_path / "clip.y4m"
+    path.write_bytes(TWO_FRAMES)
+    with media_io.open_y4m(path) as (_, frames):
+        next(frames)
+        assert not opened[0].closed
+    assert opened[0].closed
+
+
+@pytest.mark.parametrize("cut, code", [(0, EXIT_OK), (40, EXIT_DATA)], ids=["good", "truncated"])
+def test_extract_closes_every_file_it_opens(tmp_path, opened, capsys, cut, code):
+    path = tmp_path / "clip.y4m"
+    path.write_bytes(TWO_FRAMES[:len(TWO_FRAMES) - cut])
+    assert main(["extract", str(path), "--out", str(tmp_path / "features.csv")]) == code
+    assert capsys.readouterr().err == ("" if code == EXIT_OK else
+                                       f"error: {path}: frame 1: chroma planes truncated\n")
+    assert len(opened) == 1 and opened[0].closed
+
+
+# ---------------------------------------------------------------------------
 # fuzzed streams: open_y4m and extract either read them or reject them
 # ---------------------------------------------------------------------------
 
@@ -380,10 +448,10 @@ def test_fuzzed_stream_reads_or_raises_library_error(y4m_dir, data):
     path = y4m_dir / "clip.y4m"
     path.write_bytes(data)
     try:
-        header, frames = media_io.open_y4m(path)
-        for frame in frames:
-            assert frame.raw.shape == (header.height, header.width)
-            assert 0 <= frame.raw.min() and frame.raw.max() <= frame.peak
+        with media_io.open_y4m(path) as (header, frames):
+            for frame in frames:
+                assert frame.raw.shape == (header.height, header.width)
+                assert 0 <= frame.raw.min() and frame.raw.max() <= frame.peak
     except LadderforgeError:
         pass
 
