@@ -199,10 +199,18 @@ def bd_rate(test: RqCurve, anchor: RqCurve) -> float:
     """Average rate difference at equal quality, in percent.
 
     Negative values mean the test curve needs less bitrate than the
-    anchor for the same quality.
+    anchor for the same quality. A BD-rate too large for a float, which
+    curves whose rates span most of the float range can give, raises
+    DegenerateCurve.
     """
     gap = _mean_gap(test.qualities, test.log_rates, anchor.qualities, anchor.log_rates, "quality")
-    return (2.0 ** gap - 1.0) * 100.0
+    try:
+        percent = (2.0 ** gap - 1.0) * 100.0
+    except OverflowError:
+        percent = math.inf
+    if not math.isfinite(percent):
+        raise DegenerateCurve(f"BD-rate is not a finite number: mean log2-rate gap {gap}")
+    return percent
 
 
 def bd_quality(test: RqCurve, anchor: RqCurve) -> float:

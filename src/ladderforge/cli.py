@@ -2,16 +2,18 @@
 
 Subcommands: extract, train, ladder, compare, plot, encode-sweep.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 external tool
-failure. Primary outputs are written atomically, and every command
-drops a ``<out>.runconfig.json`` sidecar with the resolved settings so
-the run can be reproduced.
+failure. Every output is written atomically. Each ``cmd_*`` writes its
+``--out`` file and the files beside it, each at ``--out`` plus a fixed
+suffix, and returns its exit code with its sidecar extras. ``main`` then
+prints the extras' warnings and writes the ``<out>.runconfig.json``
+sidecar: the command, the package version, the resolved settings, the
+warnings and the extras, so the run can be reproduced.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import re
 import shlex
@@ -42,8 +44,9 @@ from .dataset import (
     save_split,
 )
 from .errors import DegenerateCurve, ExternalToolFailure, LadderforgeError, SchemaError
+from .feature_assembly import require_motion
 from .gsm_vif import TENSOR_VALUE_COUNT, VifFeatureTensor, feature_column_names, video_features
-from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv
+from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv, write_json
 from .ladder import (
     fixed_ladder,
     ladder_csv_text,
@@ -113,11 +116,9 @@ def parse_features_csv(path) -> dict[str, VifFeatureTensor]:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _write_sidecar(out_path, command: str, cfg: RunConfig, extra: dict | None = None) -> None:
-    payload = {"command": command, "config": config_json_dict(cfg)}
-    if extra:
-        payload.update(extra)
-    atomic_write_text(Path(str(out_path) + ".runconfig.json"), json.dumps(payload, indent=2) + "\n")
+def _beside(out, suffix: str) -> Path:
+    """Where a command keeps a file that belongs to its --out file."""
+    return Path(str(out) + suffix)
 
 
 def _resolutions_flag(text: str) -> tuple[tuple[int, int], ...]:
@@ -163,7 +164,7 @@ def _video_row(path: Path, noise_var: float, overlap: bool):
         raise SchemaError(f"{path}: {exc}") from None
 
 
-def cmd_extract(args, cfg: RunConfig) -> int:
+def cmd_extract(args, cfg: RunConfig) -> tuple[int, dict]:
     by_id: dict[str, Path] = {}
     for path in map(Path, args.inputs):
         if path.stem in by_id:
@@ -194,22 +195,19 @@ def cmd_extract(args, cfg: RunConfig) -> int:
             raise LadderforgeError(f"an extract worker process died: {exc}") from None
         finally:
             pool.shutdown(cancel_futures=True)
-    warnings = [f"{path.name}: single frame, difference features written as zeros"
-                for path, (_, _, tensor) in zip(paths, rows) if not tensor.has_motion]
-    for note in warnings:
-        print(f"warning: {note}", file=sys.stderr)
-    out = Path(args.out)
-    atomic_write_text(out, features_csv_text(rows))
-    _write_sidecar(out, "extract", cfg, {"inputs": [str(p) for p in args.inputs],
-                                         "warnings": warnings})
-    return EXIT_OK
+    atomic_write_text(Path(args.out), features_csv_text(rows))
+    return EXIT_OK, {
+        "inputs": args.inputs,
+        "warnings": [f"{path.name}: single frame, difference features written as zeros"
+                     for path, (_, _, tensor) in zip(paths, rows) if not tensor.has_motion],
+    }
 
 
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
 
-def cmd_train(args, cfg: RunConfig) -> int:
+def cmd_train(args, cfg: RunConfig) -> tuple[int, dict]:
     tensors = parse_features_csv(args.features)
     records = parse_encode_log(args.encode_log)
     out = Path(args.out)
@@ -220,7 +218,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
             split = make_split(sorted({r.video_id for r in records}), cfg.seed)
         except SchemaError as exc:
             raise SchemaError(f"{args.encode_log}: {exc}") from None
-        save_split(split, Path(str(out) + ".split.json"))
+        save_split(split, _beside(out, ".split.json"))
     known = set(split.train) | set(split.validation) | set(split.test)
     for record in records:
         if record.video_id not in known:
@@ -250,21 +248,19 @@ def cmd_train(args, cfg: RunConfig) -> int:
             r2=r2_score(y_val, preds),
             spearman=spearman_rho(y_val, preds),
         )
-    metrics_path = Path(args.metrics) if args.metrics else Path(str(out) + ".metrics.json")
-    atomic_write_text(metrics_path, json.dumps(metrics, indent=2) + "\n")
-    _write_sidecar(out, "train", cfg, {"split": {
+    write_json(_beside(out, ".metrics.json"), metrics)
+    return EXIT_OK, {"split": {
         "train": list(split.train),
         "validation": list(split.validation),
         "test": list(split.test),
-    }})
-    return EXIT_OK
+    }}
 
 
 # ---------------------------------------------------------------------------
 # ladder
 # ---------------------------------------------------------------------------
 
-def cmd_ladder(args, cfg: RunConfig) -> int:
+def cmd_ladder(args, cfg: RunConfig) -> tuple[int, dict]:
     model = load_model(args.model)
     tensors = parse_features_csv(args.features)
     if args.video not in tensors:
@@ -272,32 +268,29 @@ def cmd_ladder(args, cfg: RunConfig) -> int:
     records = [r for r in parse_encode_log(args.encode_log) if r.video_id == args.video]
     if not records:
         raise SchemaError(f"{args.encode_log}: no rows for video {args.video!r}")
+    try:
+        require_motion(model.approach, [tensors[args.video]])
+    except SchemaError as exc:
+        raise SchemaError(f"{args.features}: video {args.video!r}: {exc}") from None
 
-    predicted = predicted_ladder(
-        model,
-        tensors[args.video],
-        records,
-        rungs=cfg.rung_bitrates_bps,
-        resolutions=cfg.resolutions,
-        correct=not args.no_correction,
-    )
-    out = Path(args.out)
-    atomic_write_text(out, ladder_csv_text(predicted))
-    summary_path = Path(args.summary) if args.summary else Path(str(out) + ".summary.txt")
-    summary = ladder_summary_text("predicted", predicted)
-
-    if args.fixed_out:
-        fixed = fixed_ladder(cfg.fixed_ladder, records)
-        atomic_write_text(Path(args.fixed_out), ladder_csv_text(fixed))
-        summary += ladder_summary_text("fixed", fixed)
-    if args.reference_out:
-        reference = reference_ladder(records, cfg.rung_bitrates_bps, correct=not args.no_correction)
-        atomic_write_text(Path(args.reference_out), ladder_csv_text(reference))
-        summary += ladder_summary_text("reference", reference)
-    atomic_write_text(summary_path, summary)
-    _write_sidecar(out, "ladder", cfg, {"video": args.video,
-                                        "correction": not args.no_correction})
-    return EXIT_OK
+    # every ladder is built before any is written; what can still fail is the log
+    correct = not args.no_correction
+    try:
+        ladders = [(args.out, "predicted", predicted_ladder(
+            model, tensors[args.video], records, rungs=cfg.rung_bitrates_bps,
+            resolutions=cfg.resolutions, correct=correct))]
+        if args.fixed_out:
+            ladders.append((args.fixed_out, "fixed", fixed_ladder(cfg.fixed_ladder, records)))
+        if args.reference_out:
+            ladders.append((args.reference_out, "reference",
+                            reference_ladder(records, cfg.rung_bitrates_bps, correct=correct)))
+    except SchemaError as exc:
+        raise SchemaError(f"{args.encode_log}: video {args.video!r}: {exc}") from None
+    for path, _, rungs in ladders:
+        atomic_write_text(Path(path), ladder_csv_text(rungs))
+    atomic_write_text(_beside(args.out, ".summary.txt"),
+                      "".join(ladder_summary_text(name, rungs) for _, name, rungs in ladders))
+    return EXIT_OK, {"video": args.video, "correction": correct}
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +316,7 @@ def _parse_batch_listing(path) -> list[tuple[str, Path, Path]]:
     return out
 
 
-def cmd_compare(args, cfg: RunConfig) -> int:
+def cmd_compare(args, cfg: RunConfig) -> tuple[int, dict]:
     out = Path(args.out)
     if args.batch:
         if args.test or args.anchor:
@@ -343,16 +336,12 @@ def cmd_compare(args, cfg: RunConfig) -> int:
     atomic_write_text(out, report_csv_text(rows))
 
     results = [row for row in rows if row.bd_rate_percent is not None]
-    skipped = [row for row in rows if row.bd_rate_percent is None]
-    for row in skipped:
-        print(f"warning: {row.video_id}: {row.warnings}", file=sys.stderr)
+    skipped = [f"{row.video_id}: {row.warnings}" for row in rows if row.bd_rate_percent is None]
     summary: dict = {"pair": args.pair, "n_compared": len(results), "n_skipped": len(skipped)}
     if results:
         summary.update(aggregate(results))
-    aggregate_path = Path(args.aggregate_out) if args.aggregate_out else Path(str(out) + ".aggregate.json")
-    atomic_write_text(aggregate_path, json.dumps(summary, indent=2) + "\n")
-    _write_sidecar(out, "compare", cfg, {"pair": args.pair})
-    return EXIT_OK
+    write_json(_beside(out, ".aggregate.json"), summary)
+    return EXIT_OK, {"pair": args.pair, "warnings": skipped}
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +352,7 @@ def _csv_twin(out: Path) -> Path:
     return out.with_suffix(".csv") if out.suffix else Path(str(out) + ".csv")
 
 
-def cmd_plot(args, cfg: RunConfig) -> int:
+def cmd_plot(args, cfg: RunConfig) -> tuple[int, dict]:
     out = Path(args.out)
     if args.report:
         for flag, value in (("--labels", args.labels), ("--title", args.title)):
@@ -394,8 +383,7 @@ def cmd_plot(args, cfg: RunConfig) -> int:
         title = "rate-quality hulls" if args.title is None else args.title
         atomic_write_text(out, hull_svg_text(curves, title))
         atomic_write_text(_csv_twin(out), hull_csv_text(curves))
-    _write_sidecar(out, "plot", cfg)
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +392,6 @@ def cmd_plot(args, cfg: RunConfig) -> int:
 
 _BITRATE_RE = re.compile(r"bitrate_bps=([0-9.eE+\-]+)")
 _VMAF_RE = re.compile(r"vmaf=([0-9.eE+\-]+)")
-
-
-def _journal_path(out: Path) -> Path:
-    return Path(str(out) + ".journal.csv")
 
 
 def _read_journal(path: Path, video_id: str) -> dict[tuple[int, int, int], EncodeRecord]:
@@ -456,7 +440,7 @@ def _run_cell(template: str, input_path: Path, video_id: str, w: int, h: int,
     return EncodeRecord(video_id, w, h, crf, bitrate, vmaf)
 
 
-def cmd_encode_sweep(args, cfg: RunConfig) -> int:
+def cmd_encode_sweep(args, cfg: RunConfig) -> tuple[int, dict]:
     template = cfg.encoder_template
     if template is None:
         raise SchemaError("no encoder template configured (--template or config file)")
@@ -465,10 +449,10 @@ def cmd_encode_sweep(args, cfg: RunConfig) -> int:
         raise SchemaError(f"input not found: {input_path}")
     video_id = input_path.stem
     out = Path(args.out)
-    work_dir = Path(args.work_dir) if args.work_dir else Path(str(out) + ".work")
+    work_dir = Path(args.work_dir) if args.work_dir else _beside(out, ".work")
     work_dir.mkdir(parents=True, exist_ok=True)
 
-    journal = _journal_path(out)
+    journal = _beside(out, ".journal.csv")
     done = _read_journal(journal, video_id)
     grid = [
         (w, h, crf)
@@ -501,16 +485,14 @@ def cmd_encode_sweep(args, cfg: RunConfig) -> int:
     )
     if records:
         atomic_write_text(out, encode_log_text(records))
-    failures_path = Path(str(out) + ".failures.txt")
+    failures_path = _beside(out, ".failures.txt")
     if failures:
         atomic_write_text(failures_path, "\n\n".join(sorted(failures)) + "\n")
         print(f"error: {len(failures)} cell(s) failed, see {failures_path}", file=sys.stderr)
     elif failures_path.exists():
         failures_path.unlink()
-    _write_sidecar(out, "encode-sweep", cfg, {"input": str(input_path),
-                                              "completed": len(done),
-                                              "failed": len(failures)})
-    return EXIT_TOOL if failures else EXIT_OK
+    return (EXIT_TOOL if failures else EXIT_OK), {"input": str(input_path),
+                                                  "completed": len(done), "failed": len(failures)}
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +523,6 @@ def build_parser() -> _Parser:
     p.add_argument("--approach", type=int, help="feature set 1..9")
     p.add_argument("--split", help="split manifest JSON; derived from the log when absent")
     p.add_argument("--out", required=True, help="model file path")
-    p.add_argument("--metrics", help="metrics JSON path (default <out>.metrics.json)")
     p.add_argument("--seed", type=int)
     p.add_argument("--n-trees", type=int, dest="n_trees")
     p.add_argument("--min-samples-leaf", type=int, dest="min_samples_leaf")
@@ -562,7 +543,6 @@ def build_parser() -> _Parser:
                    help="emit the raw argmax ladder without monotonic correction")
     p.add_argument("--fixed-out", help="also realize the configured fixed ladder")
     p.add_argument("--reference-out", help="also build the exhaustive reference ladder")
-    p.add_argument("--summary", help="summary text path (default <out>.summary.txt)")
     p.set_defaults(func=cmd_ladder)
 
     p = sub.add_parser("compare", parents=[common],
@@ -573,8 +553,6 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", help="CSV listing video_id,test,anchor for corpus mode")
     p.add_argument("--pair", default="test-vs-anchor", help="comparison label")
     p.add_argument("--out", required=True, help="BD report CSV")
-    p.add_argument("--aggregate-out", dest="aggregate_out",
-                   help="aggregate JSON path (default <out>.aggregate.json)")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("plot", parents=[common], help="emit SVG plots with CSV twins")
@@ -609,7 +587,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _resolve_config(args)
-        return args.func(args, cfg)
+        code, extras = args.func(args, cfg)
+        sidecar = {"command": args.command, "version": __version__,
+                   "config": config_json_dict(cfg), "warnings": [], **extras}
+        for note in sidecar["warnings"]:
+            print(f"warning: {note}", file=sys.stderr)
+        write_json(_beside(args.out, ".runconfig.json"), sidecar)
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

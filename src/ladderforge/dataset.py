@@ -7,7 +7,6 @@ score. Splits are by video so no title leaks across train/validation/test.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, fields
 
@@ -17,11 +16,11 @@ from . import feature_assembly
 from .errors import SchemaError
 from .gsm_vif import VifFeatureTensor
 from .ioutil import (
-    atomic_write_bytes,
     csv_text,
     finite_float,
     read_csv,
     read_json,
+    write_json,
 )
 
 CRF_MIN, CRF_MAX = 18, 50
@@ -115,14 +114,13 @@ def make_split(video_ids, seed: int) -> SplitManifest:
 
 
 def save_split(split: SplitManifest, path) -> None:
-    payload = {
+    write_json(path, {
         "format": _SPLIT_FORMAT,
         "seed": split.seed,
         "train": list(split.train),
         "validation": list(split.validation),
         "test": list(split.test),
-    }
-    atomic_write_bytes(path, (json.dumps(payload, indent=2) + "\n").encode())
+    })
 
 
 def load_split(path) -> SplitManifest:

@@ -69,6 +69,17 @@ def _positions_of(approach: int) -> np.ndarray:
         raise SchemaError(f"approach must be 1..9, got {approach}") from None
 
 
+def require_motion(approach: int, tensors) -> None:
+    """Raise unless every tensor holds the frame-difference features the approach reads."""
+    if _positions_of(approach).max() >= FRAME_FEATURE_COUNT:
+        still = next((t for t in tensors if not t.has_motion), None)
+        if still is not None:
+            raise SchemaError(
+                f"approach {approach} needs frame-difference features; "
+                f"video has {still.frame_count} frame(s)"
+            )
+
+
 def assemble(approach: int, tensors, bitrates, widths, heights) -> np.ndarray:
     """The (n, d) design matrix of n encodes in the approach's layout.
 
@@ -77,14 +88,8 @@ def assemble(approach: int, tensors, bitrates, widths, heights) -> np.ndarray:
     The log2 is math.log2 per value: np.log2 differs from it in the last
     bit for some integer rates, and the model bytes would follow.
     """
+    require_motion(approach, tensors)
     positions = _positions_of(approach)
-    if positions.max() >= FRAME_FEATURE_COUNT:
-        still = next((t for t in tensors if not t.has_motion), None)
-        if still is not None:
-            raise SchemaError(
-                f"approach {approach} needs frame-difference features; "
-                f"video has {still.frame_count} frame(s)"
-            )
     bad = next((bps for bps in bitrates if bps <= 0), None)
     if bad is not None:
         raise SchemaError(f"bitrate must be > 0 bps, got {bad}")

@@ -3,7 +3,8 @@
 Every CSV the package reads goes through read_csv and every CSV it
 writes through csv_text, so all file types share one set of rules: UTF-8,
 "\\n" line ends, an exact header, blank lines ignored, finite floats, and
-one rule for writing a cell. Every JSON file it reads goes through read_json.
+one rule for writing a cell. Every JSON file it reads goes through
+read_json, and every one it writes through write_json.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import os
 import tempfile
 from collections.abc import Iterator
 from dataclasses import fields, is_dataclass
+from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -124,8 +126,28 @@ def read_json(path, what: str) -> dict:
     return payload
 
 
-def _cell(value):
-    return repr(float(value)) if isinstance(value, (float, np.floating)) else value
+def write_json(path, payload) -> None:
+    """Write payload as JSON indented by 2 with a final newline, atomically.
+
+    NaN and infinities are not JSON: a payload holding one is a SchemaError
+    naming the path, and nothing is written.
+    """
+    try:
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    atomic_write_text(path, text + "\n")
+
+
+def _cell(column, value):
+    if not isinstance(value, (float, np.floating)):
+        return value
+    text = repr(float(value))
+    try:
+        finite_float(text)
+    except SchemaError as exc:
+        raise SchemaError(f"{column}: {exc}") from None
+    return text
 
 
 def csv_text(columns, rows) -> str:
@@ -134,7 +156,8 @@ def csv_text(columns, rows) -> str:
     A row is a sequence of cells or a dataclass whose fields are its cells.
     The one cell rule: a float, numpy floats included, is written as its
     shortest round-trip repr, None as an empty field, and the rest as csv
-    writes it.
+    writes it. A float that read_csv would refuse, NaN or an infinity, is a
+    SchemaError naming its column.
     """
     lines: list[str] = []
     # with "\r\n" as its terminator csv quotes a field holding either
@@ -143,7 +166,10 @@ def csv_text(columns, rows) -> str:
     if columns:
         writer.writerow(columns)
     for row in rows:
+        names = columns
         if is_dataclass(row):
-            row = [getattr(row, f.name) for f in fields(row)]
-        writer.writerow(map(_cell, row))
+            names = [f.name for f in fields(row)]
+            row = [getattr(row, name) for name in names]
+        # a cell past the named columns, as in a headerless row, is named by position
+        writer.writerow(map(_cell, chain(names, count(len(names) + 1)), row))
     return "".join(line[:-2] + "\n" for line in lines)

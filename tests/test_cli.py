@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 from concurrent.futures import process
 from pathlib import Path
@@ -10,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ladderforge import cli, config, dataset, gsm_vif, ladder
+from ladderforge import __version__, cli, config, dataset, gsm_vif, ladder
+from ladderforge.bd_metrics import parse_report_csv
 from ladderforge.cli import EXIT_DATA, EXIT_OK, EXIT_TOOL, EXIT_USAGE, main
 from ladderforge.errors import SchemaError
+from ladderforge.ioutil import read_json
 
 from helpers import is_monotone, random_plane, rung_resolutions, write_y4m
 
@@ -165,6 +168,20 @@ def test_extract_missing_input_no_partial_output(tmp_path, capsys):
     assert main(["extract", str(tmp_path / "nope.y4m"), "--out", str(out)]) == EXIT_DATA
     assert not out.exists()
     assert "error" in capsys.readouterr().err
+
+
+# pytest.ini makes the package's RuntimeWarnings errors; this overflow is the input under test
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_extract_non_finite_feature_exits_2_writing_nothing(tmp_path, capsys):
+    """A noise floor this small makes information terms overflow to inf, which the
+    features reader would refuse, so the writer refuses them."""
+    clip = make_clip(tmp_path, "a", frames=2, seed=1)
+    out = tmp_path / "features.csv"
+    assert main(["extract", str(clip), "--sigma-n2", "1e-320", "--out", str(out)]) == EXIT_DATA
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert re.fullmatch(r"error: \w+: 'inf' is not a finite number", errors[0])
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.y4m"]
 
 
 def test_extract_rejects_repeated_video_ids_before_reading(tmp_path, capsys, monkeypatch):
@@ -578,6 +595,45 @@ def test_ladder_missing_resolution_sweep(tmp_path, pipeline, capsys):
     assert not out.exists()
 
 
+def test_ladder_single_frame_row_under_a_motion_model_names_features_and_video(
+        tmp_path, pipeline, capsys):
+    model = tmp_path / "a8.txt"
+    assert main(["train", "--features", str(pipeline["features"]),
+                 "--encode-log", str(pipeline["log"]), "--split", str(pipeline["split"]),
+                 "--approach", "8", "--n-trees", "2", "--out", str(model)]) == EXIT_OK
+    features = tmp_path / "still.csv"
+    assert main(["extract", str(make_clip(tmp_path, "still", frames=1)),
+                 "--out", str(features)]) == EXIT_OK
+    log = tmp_path / "still_log.csv"
+    log.write_text(dataset.encode_log_text(synth_records("still", 0.0)))
+    capsys.readouterr()
+    out = tmp_path / "l.csv"
+    assert main(["ladder", "--model", str(model), "--features", str(features), "--video", "still",
+                 "--encode-log", str(log), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {features}: video 'still': approach 8 needs frame-difference features; "
+        "video has 1 frame(s)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["predicted", "fixed"])
+def test_ladder_missing_log_points_name_the_log_and_video(tmp_path, pipeline, capsys, family):
+    log = tmp_path / "partial.csv"
+    log.write_text(dataset.encode_log_text([r for r in dataset.parse_encode_log(pipeline["log"])
+                                            if (r.width, r.height) != (960, 540)]))
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"fixed_ladder": [{"bitrate_bps": 5e5, "width": 960, "height": 540}]}))
+    out, fixed = tmp_path / "l.csv", tmp_path / "fixed.csv"
+    argv = ladder_args(pipeline, out, extra=["--config", str(conf), "--fixed-out", str(fixed)])
+    argv[argv.index("--encode-log") + 1] = str(log)
+    if family == "predicted":
+        argv[argv.index("--resolutions") + 1] = "960x540"
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {log}: video 'v3': encode log has no points at 960x540 for rung 500000 bps\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["conf.json", "partial.csv"]
+
+
 def test_ladder_sidecar_config_reproduces_the_run(tmp_path, pipeline):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({
@@ -765,11 +821,38 @@ def test_compare_disjoint_is_warning_row(tmp_path, capsys):
     code = main(["compare", "--test", str(a), "--anchor", str(b),
                  "--video", "v", "--out", str(out)])
     assert code == EXIT_OK
-    assert "no quality interval" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no quality interval" in err
     rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[1][2] == ""
     summary = json.loads(Path(str(out) + ".aggregate.json").read_text())
     assert summary["n_skipped"] == 1
+    sidecar = json.loads(Path(str(out) + ".runconfig.json").read_text())
+    assert err == "".join(f"warning: {note}\n" for note in sidecar["warnings"])
+    assert sidecar["warnings"] == [f"v: {rows[1][-1]}"]
+
+
+def _write_ladder(path, points):
+    path.write_text("rung_bps,width,height,crf,realized_bps,vmaf\n" + "".join(
+        f"{1e6 * (i + 1)!r},640,360,30,{bps!r},{vmaf!r}\n" for i, (bps, vmaf) in enumerate(points)))
+    return path
+
+
+@pytest.mark.parametrize("anchor", [
+    [(5e-324, 10.0), (1e-300, 90.0)],  # 2 ** gap overflows
+    [(1.0, 10.0), (2.0, 90.0)],        # 2 ** gap is finite, times 100 is not
+], ids=["pow-overflows", "percent-overflows"])
+def test_compare_bd_rate_beyond_float_range_is_warning_row(tmp_path, capsys, anchor):
+    test = _write_ladder(tmp_path / "test.csv", [(5e-324, 10.0), (4.49e307, 10.0001),
+                                                 (8.98e307, 90.0)])
+    out = tmp_path / "report.csv"
+    assert main(["compare", "--test", str(test), "--anchor",
+                 str(_write_ladder(tmp_path / "anchor.csv", anchor)), "--out", str(out)]) == EXIT_OK
+    assert "warning: video: BD-rate is not a finite number" in capsys.readouterr().err
+    [row] = parse_report_csv(out)
+    assert row.bd_rate_percent is None and "BD-rate is not a finite number" in row.warnings
+    summary = read_json(Path(str(out) + ".aggregate.json"), "aggregate")
+    assert (summary["n_compared"], summary["n_skipped"]) == (0, 1)
 
 
 def test_compare_batch_degenerate_pair_is_warning_row(tmp_path, ladders, capsys):
@@ -1157,23 +1240,53 @@ def test_sweep_requires_template(tmp_path, pipeline, capsys):
 
 
 @pytest.mark.parametrize("command,flag,default_suffix", [
-    ("train", "--metrics", ".metrics.json"),
-    ("ladder", "--summary", ".summary.txt"),
-    ("compare", "--aggregate-out", ".aggregate.json"),
     ("encode-sweep", "--work-dir", ".work"),
 ])
-def test_output_path_flag_replaces_the_default_path(tmp_path, pipeline, ladders, command, flag,
+def test_output_path_flag_replaces_the_default_path(tmp_path, pipeline, command, flag,
                                                     default_suffix):
     out, given = tmp_path / "out.csv", tmp_path / "given"
-    pred = str(ladders[1]["v3"]["pred"])
-    argv = {
-        "train": lambda: ["train", "--features", str(pipeline["features"]),
-                          "--encode-log", str(pipeline["log"]), "--split", str(pipeline["split"]),
-                          "--approach", "1", "--n-trees", "2", "--out", str(out)],
-        "ladder": lambda: ladder_args(pipeline, out),
-        "compare": lambda: ["compare", "--test", pred, "--anchor", pred, "--out", str(out)],
-        "encode-sweep": lambda: sweep_args(pipeline, tmp_path, out, write_fake_encoder(tmp_path)[0]),
-    }[command]()
+    argv = sweep_args(pipeline, tmp_path, out, write_fake_encoder(tmp_path)[0])
     assert main([*argv, flag, str(given)]) == EXIT_OK
     assert given.exists()
     assert not Path(str(out) + default_suffix).exists()
+
+
+def _default_run_argv(command, out, pipeline, ladders, tmp_path):
+    pred = str(ladders[1]["v3"]["pred"])
+    return {
+        "extract": lambda: ["extract", str(pipeline["clips"][0]), "--out", str(out)],
+        "train": lambda: ["train", "--features", str(pipeline["features"]),
+                          "--encode-log", str(pipeline["log"]), "--approach", "1",
+                          "--n-trees", "2", "--out", str(out)],
+        "ladder": lambda: ladder_args(pipeline, out),
+        "compare": lambda: ["compare", "--test", pred, "--anchor", pred, "--out", str(out)],
+        "plot": lambda: ["plot", "--ladders", pred, "--out", str(out)],
+        "encode-sweep": lambda: sweep_args(pipeline, tmp_path, out, write_fake_encoder(tmp_path)[0]),
+    }[command]()
+
+
+@pytest.mark.parametrize("command,out_name,beside,removed_flag", [
+    ("extract", "out.csv", ["out.csv.runconfig.json"], None),
+    ("train", "out.csv",
+     ["out.csv.metrics.json", "out.csv.runconfig.json", "out.csv.split.json"], "--metrics"),
+    ("ladder", "out.csv", ["out.csv.runconfig.json", "out.csv.summary.txt"], "--summary"),
+    ("compare", "out.csv", ["out.csv.aggregate.json", "out.csv.runconfig.json"], "--aggregate-out"),
+    ("plot", "out.svg", ["out.csv", "out.svg.runconfig.json"], None),
+    ("encode-sweep", "out.csv",
+     ["out.csv.journal.csv", "out.csv.runconfig.json", "out.csv.work"], None),
+], ids=["extract", "train", "ladder", "compare", "plot", "encode-sweep"])
+def test_default_run_leaves_fixed_suffix_files_beside_out(tmp_path, pipeline, ladders, capsys,
+                                                          command, out_name, beside, removed_flag):
+    run = tmp_path / "run"
+    run.mkdir()
+    out = run / out_name
+    argv = _default_run_argv(command, out, pipeline, ladders, tmp_path)
+    if removed_flag is not None:
+        assert main([*argv, removed_flag, str(run / "given")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert list(run.iterdir()) == []
+    assert main(argv) == EXIT_OK
+    assert sorted(path.name for path in run.iterdir()) == sorted([out_name, *beside])
+    sidecar = json.loads(Path(str(out) + ".runconfig.json").read_text())
+    assert list(sidecar)[:4] == ["command", "version", "config", "warnings"]
+    assert (sidecar["command"], sidecar["version"]) == (command, __version__)

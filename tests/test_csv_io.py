@@ -6,6 +6,7 @@ bytes that are not UTF-8, a field over the csv module's 128 KiB limit,
 and nan or inf in a float column included.
 """
 
+import math
 import re
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from ladderforge import bd_metrics, cli, dataset, ladder
 from ladderforge.cli import EXIT_DATA, main
 from ladderforge.errors import LadderforgeError, SchemaError
 from ladderforge.gsm_vif import TENSOR_VALUE_COUNT, feature_column_names
-from ladderforge.ioutil import csv_text, finite_float, read_csv
+from ladderforge.ioutil import csv_text, finite_float, read_csv, write_json
 
 FEATURE_COLUMNS = feature_column_names() + list(cli.FEATURE_ID_COLUMNS)
 
@@ -131,6 +132,27 @@ def test_csv_text_cell_rule():
     assert csv_text((), [row]) == '0.10000000149011612,1e-320,2.5,,3,"x,y"\n'
     assert csv_text((), [ladder.LadderRung(1e6, 640, 360, 24, np.float64(9.5e5), 61.0)]) == (
         "1000000.0,640,360,24,950000.0,61.0\n")
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float32("inf")])
+def test_csv_text_refuses_what_read_csv_refuses(value):
+    """A non-finite float names its column: a header's, a dataclass field's, or its position."""
+    with pytest.raises(SchemaError, match=r"^b: '-?(inf|nan)' is not a finite number$"):
+        csv_text(("a", "b"), [[1.0, value]])
+    with pytest.raises(SchemaError, match=r"^vmaf: '-?(inf|nan)' is not a finite number$"):
+        csv_text((), [ladder.LadderRung(1e6, 640, 360, 24, 9.5e5, value)])
+    with pytest.raises(SchemaError, match=r"^2: '-?(inf|nan)' is not a finite number$"):
+        csv_text((), [["a", value]])
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_write_json_refuses_non_finite_numbers_naming_the_path(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: Out of range float"):
+        write_json(path, {"ok": 1.0, "nested": [value]})
+    assert list(tmp_path.iterdir()) == []
+    write_json(path, {"a": [1.5, None], "b": "x"})
+    assert path.read_text() == '{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": "x"\n}\n'
 
 
 def test_csv_text_quotes_a_carriage_return(tmp_path):
