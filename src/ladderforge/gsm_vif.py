@@ -205,17 +205,22 @@ def subband_information(multipliers, eigenvalues, noise_var: float) -> tuple[np.
     """
     validate_noise_var(noise_var)
     s2 = np.asarray(multipliers, dtype=np.float64).ravel()
-    gains = np.asarray(eigenvalues, dtype=np.float64).ravel() / noise_var
     if s2.size == 0:
         raise SchemaError("no multipliers")
-    rows = max(1, _CHUNK // s2.size)
-    per_eig = np.empty(gains.size)
-    slab = np.empty((min(rows, gains.size), s2.size))
-    for j in range(0, gains.size, rows):
-        part = gains[j : j + rows]
-        info = np.multiply.outer(part, s2, out=slab[: part.size])
-        info += 1.0
-        per_eig[j : j + rows] = np.log2(info, out=info).mean(axis=1)
+    # a noise floor near the smallest float can take a term past the
+    # largest one; that is reported below, so numpy need not warn
+    with np.errstate(over="ignore"):
+        gains = np.asarray(eigenvalues, dtype=np.float64).ravel() / noise_var
+        rows = max(1, _CHUNK // s2.size)
+        per_eig = np.empty(gains.size)
+        slab = np.empty((min(rows, gains.size), s2.size))
+        for j in range(0, gains.size, rows):
+            part = gains[j : j + rows]
+            info = np.multiply.outer(part, s2, out=slab[: part.size])
+            info += 1.0
+            per_eig[j : j + rows] = np.log2(info, out=info).mean(axis=1)
+    if np.isinf(per_eig).any():
+        raise SchemaError(f"sigma_n2 {noise_var} is too small: the information overflows")
     return per_eig, float(per_eig.sum())
 
 

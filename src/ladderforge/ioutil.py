@@ -14,7 +14,6 @@ import io
 import json
 import math
 import os
-import tempfile
 from collections.abc import Iterator
 from dataclasses import fields, is_dataclass
 from itertools import chain, count
@@ -26,16 +25,20 @@ import numpy as np
 from .errors import SchemaError
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, rename on success.
+def atomic_write_bytes(path, *chunks: bytes) -> None:
+    """Write the chunks, in order, via a temp file in the same directory,
+    renamed over path on success.
 
-    A failed write never leaves a partial file at the destination.
+    A failed write never leaves a partial file at the destination. The
+    temp file is created with mode 0666 less the umask, as open() would
+    create path itself, and the rename keeps that mode.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -18,47 +18,63 @@ smallest keys among those it does not hold constant; then one uniform
 threshold per (node, candidate), candidates in ascending feature order.
 Nodes are renumbered into pre-order before a tree is returned.
 
-A tree is its pre-order node list: a split's left child is the next node,
-and ``_right_children`` is the one rule that finds its right child, for
-grown trees and for loaded ones alike.
+A model holds its trees as one pre-order node table: per node its
+``feature`` (-1 at a leaf), ``threshold``, ``right`` and ``value``, and
+per tree its first node in ``roots``. A split's left child is the next
+node and ``right`` holds the table index of its right child, which
+``_right_children`` finds tree by tree, for grown trees and loaded ones
+alike. train joins the grown trees into the table once; save_model
+formats and hashes one tree at a time; load_model reads the file in
+blocks of ``_READ_BLOCK`` bytes, once to check it and once to parse its
+body into the table; predict_batch walks the table without copying it.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import io
 import math
+from functools import partial
 from itertools import zip_longest
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SchemaError
 from .feature_assembly import column_names
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_bytes
 
 _FORMAT_LINE = "ladderforge-extra-trees v1"
-
-
-@dataclass(frozen=True)
-class Tree:
-    """Flat pre-order node arrays; feature == -1 marks a leaf, a split's
-    left child is the next node and ``right`` holds its right child."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
+_SEPARATOR = b"\n---\n"  # between a model file's header and its body
+_READ_BLOCK = 1 << 16     # bytes per read of a model file
 
 
 @dataclass(frozen=True)
 class ExtraTreesModel:
+    """An ensemble as one pre-order node table: tree t's nodes run from
+    roots[t] up to the next root; feature == -1 marks a leaf, a split's left
+    child is the next node and ``right`` holds its right child's index."""
+
     approach: int
     columns: tuple[str, ...]
     min_samples_leaf: int
     k_features: int
     seed: int
-    trees: tuple[Tree, ...] = field(repr=False)
+    roots: np.ndarray = field(repr=False)
+    feature: np.ndarray = field(repr=False)
+    threshold: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+    value: np.ndarray = field(repr=False)
+
+
+class _Grown(NamedTuple):
+    """One grown tree's pre-order nodes, before train joins them into a table."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    value: np.ndarray
 
 
 def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
@@ -89,18 +105,14 @@ def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
     order = np.lexsort(keys)
     X, y = X[order], y[order]
 
-    trees = tuple(
-        _grow_tree(X, y, k, min_samples_leaf, np.random.default_rng(seed + t))
-        for t in range(n_trees)
-    )
-    return ExtraTreesModel(
-        approach=approach,
-        columns=columns,
-        min_samples_leaf=min_samples_leaf,
-        k_features=k,
-        seed=seed,
-        trees=trees,
-    )
+    trees = [_grow_tree(X, y, k, min_samples_leaf, np.random.default_rng(seed + t))
+             for t in range(n_trees)]
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
+    feature, threshold, value = map(np.concatenate, zip(*trees))
+    del trees
+    return ExtraTreesModel(approach, columns, min_samples_leaf, k, seed,
+                           roots, feature, threshold, _link(feature, roots), value)
 
 
 def validate_forest(approach: int, n_trees: int, min_samples_leaf: int,
@@ -119,7 +131,7 @@ def validate_forest(approach: int, n_trees: int, min_samples_leaf: int,
     return k
 
 
-def _grow_tree(X, y, k, min_leaf, rng) -> Tree:
+def _grow_tree(X, y, k, min_leaf, rng) -> _Grown:
     """Grow one tree breadth-first, with a fixed number of numpy calls per depth.
 
     The rows of each frontier node stay contiguous in ``rows``, in their
@@ -195,8 +207,8 @@ def _grow_tree(X, y, k, min_leaf, rng) -> Tree:
     return _preorder(levels)
 
 
-def _preorder(levels) -> Tree:
-    """Renumber breadth-first levels into the pre-order arrays of a Tree.
+def _preorder(levels) -> _Grown:
+    """Renumber breadth-first levels into a tree's pre-order nodes.
 
     Level D's j-th split node has its children at positions 2j and 2j + 1
     of level D + 1.
@@ -220,7 +232,7 @@ def _preorder(levels) -> Tree:
     feature[pre] = np.concatenate([f for f, _, _, _ in levels])
     threshold[pre] = np.concatenate([t for _, t, _, _ in levels])
     value[pre] = np.concatenate([v for _, _, v, _ in levels])
-    return Tree(feature, threshold, _right_children(feature), value)
+    return _Grown(feature, threshold, value)
 
 
 def _right_children(feature: np.ndarray) -> np.ndarray:
@@ -244,6 +256,28 @@ def _right_children(feature: np.ndarray) -> np.ndarray:
     return np.where(split, following, np.int32(-1))
 
 
+def _spans(roots: np.ndarray, size: int):
+    """(first node, end) of each tree of a table of size nodes."""
+    starts = roots.tolist()
+    return zip(starts, starts[1:] + [size])
+
+
+def _link(feature: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Table index of each node's right child (-1 at a leaf), tree by tree.
+
+    Raises ValueError naming the first tree whose nodes are not one whole tree.
+    """
+    right = np.empty(feature.size, dtype=np.intp)
+    for t, (a, b) in enumerate(_spans(roots, feature.size)):
+        try:
+            child = _right_children(feature[a:b])
+        except ValueError as exc:
+            raise ValueError(f"tree {t}: {exc}") from None
+        right[a:b] = child
+        right[a:b][child >= 0] += a
+    return right
+
+
 def predict_batch(model: ExtraTreesModel, X) -> np.ndarray:
     """Ensemble predictions for an (n, d) array in the model's layout."""
     X = np.asarray(X, dtype=np.float64)
@@ -251,14 +285,11 @@ def predict_batch(model: ExtraTreesModel, X) -> np.ndarray:
         raise SchemaError(
             f"expected (n, {len(model.columns)}) query, got shape {X.shape}"
         )
-    # every (tree, row) pair walks one table of all the trees' nodes
-    sizes = [tree.feature.size for tree in model.trees]
-    first = np.cumsum(sizes) - sizes
-    feature = np.concatenate([tree.feature for tree in model.trees])
-    threshold = np.concatenate([tree.threshold for tree in model.trees])
-    right = np.concatenate([tree.right for tree in model.trees]) + np.repeat(first, sizes)
-    node = np.repeat(first, X.shape[0])
-    row = np.tile(np.arange(X.shape[0]), len(sizes))
+    # every (tree, row) pair walks the model's one node table
+    feature, threshold, right = model.feature, model.threshold, model.right
+    n_trees = model.roots.size
+    node = np.repeat(model.roots, X.shape[0])
+    row = np.tile(np.arange(X.shape[0]), n_trees)
     active = np.flatnonzero(feature[node] >= 0)
     while active.size:
         cur = node[active]
@@ -266,29 +297,20 @@ def predict_batch(model: ExtraTreesModel, X) -> np.ndarray:
         nxt = np.where(go_left, cur + 1, right[cur])
         node[active] = nxt
         active = active[feature[nxt] >= 0]
-    per_tree = np.concatenate([tree.value for tree in model.trees])[node].reshape(len(sizes), -1)
+    per_tree = model.value[node].reshape(n_trees, -1)
     # accumulate tree by tree so the summation order is the same for any
     # batch size; the mean of the votes lies inside their range, so the
     # clip removes the last-ulp slop and identical votes return exactly
     total = np.zeros(X.shape[0])
     for votes in per_tree:
         total += votes
-    mean = total / len(model.trees)
+    mean = total / n_trees
     return np.clip(mean, per_tree.min(axis=0), per_tree.max(axis=0))
 
 
 # ---------------------------------------------------------------------------
 # persistence: versioned structured text with a body checksum
 # ---------------------------------------------------------------------------
-
-def _body_lines(model: ExtraTreesModel) -> list[str]:
-    lines = []
-    for t, tree in enumerate(model.trees):
-        lines.append(f"tree {t}")
-        for f, thr, v in zip(tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist()):
-            lines.append(f"l {v!r}" if f < 0 else f"s {f} {thr!r}")
-    return lines
-
 
 def _header_lines(approach, columns, n_trees, min_samples_leaf, k_features, seed,
                   checksum) -> list[str]:
@@ -306,61 +328,115 @@ def _header_lines(approach, columns, n_trees, min_samples_leaf, k_features, seed
 
 
 def save_model(model: ExtraTreesModel, path) -> None:
-    body = "\n".join(_body_lines(model)) + "\n"
-    header = _header_lines(model.approach, model.columns, len(model.trees),
+    """Write the model file: its header, then the body lines of each tree,
+    formatted, encoded and hashed one tree at a time."""
+    digest, body = hashlib.sha256(), []
+    for t, (a, b) in enumerate(_spans(model.roots, model.feature.size)):
+        nodes = zip(model.feature[a:b].tolist(), model.threshold[a:b].tolist(),
+                    model.value[a:b].tolist())
+        lines = [f"tree {t}"] + [f"l {v!r}" if f < 0 else f"s {f} {thr!r}" for f, thr, v in nodes]
+        body.append(("\n".join(lines) + "\n").encode())
+        digest.update(body[-1])
+    header = _header_lines(model.approach, model.columns, model.roots.size,
                            model.min_samples_leaf, model.k_features, model.seed,
-                           hashlib.sha256(body.encode()).hexdigest())
-    atomic_write_text(path, "\n".join(header) + "\n---\n" + body)
+                           digest.hexdigest())
+    atomic_write_bytes(path, "\n".join(header).encode() + _SEPARATOR, *body)
 
 
 def load_model(path) -> ExtraTreesModel:
-    data = Path(path).read_bytes()
+    """Read a model file, a block at a time, in two passes over one open file.
+
+    The first pass checks that the file is UTF-8, hashes the body and
+    counts its lines; the header and checksum are checked before the
+    second pass parses the body into the node table. A file replaced by
+    rename between the passes is not seen: the open file is the old one.
+    """
+    with open(path, "rb") as handle:
+        if not handle.seekable():  # a pipe cannot be read twice
+            raise SchemaError(f"{path}: not a seekable file")
+        head, digest, lines = _scan(iter(partial(handle.read, _READ_BLOCK), b""), path)
+        header_lines = head.decode("utf-8").split("\n")
+        if header_lines[0] != _FORMAT_LINE:
+            raise SchemaError(
+                f"{path}: expected {_FORMAT_LINE!r}, found {header_lines[0]!r}"
+            )
+        fields = dict(line.partition(" ")[::2] for line in header_lines[1:])
+        try:
+            approach = int(fields["approach"])
+            columns = tuple(fields["columns"].split(","))
+            n_trees = int(fields["n_trees"])
+            min_samples_leaf = int(fields["min_samples_leaf"])
+            k_features = int(fields["k_features"])
+            seed = int(fields["seed"])
+            checksum = fields["checksum"]
+        except (KeyError, ValueError) as exc:
+            raise SchemaError(f"{path}: bad header ({exc})") from None
+        # the parsed values must give back the header exactly: no unknown,
+        # repeated or reordered key, and each value in its one written form
+        expected = _header_lines(approach, columns, n_trees, min_samples_leaf, k_features, seed,
+                                 checksum)
+        for number, (got, want) in enumerate(zip_longest(header_lines, expected), 1):
+            if got != want:
+                want = "no line" if want is None else repr(want)
+                raise SchemaError(f"{path}: header line {number} is {got!r}, expected {want}")
+        if digest != checksum:
+            raise SchemaError(f"{path}: body checksum mismatch")
+        try:
+            validate_forest(approach, n_trees, min_samples_leaf, k_features, seed)
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+        if columns != tuple(column_names(approach)):
+            raise SchemaError(f"{path}: layout does not match approach {approach}")
+
+        handle.seek(len(head) + len(_SEPARATOR))
+        blocks = iter(partial(handle.read, _READ_BLOCK), b"")
+        roots, feature, threshold, value = _parse_body(_whole_lines(blocks), lines + 1, path,
+                                                       len(columns))
     try:
-        if not data.isascii():
-            data.decode("utf-8")  # only a check: the body is parsed as bytes
+        right = _link(feature, roots)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    if roots.size != n_trees:
+        raise SchemaError(f"{path}: expected {n_trees} trees, found {roots.size}")
+    return ExtraTreesModel(approach, columns, min_samples_leaf, k_features, seed,
+                           roots, feature, threshold, right, value)
+
+
+def _scan(blocks, path) -> tuple[bytes, str, int]:
+    """A model file's header, the sha256 of its body and the body's "\\n"
+    count, from its blocks; raises SchemaError when the file is not UTF-8
+    or has no header/body separator."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    digest, head, lines, found = hashlib.sha256(), b"", 0, b""
+    try:
+        for block in blocks:
+            decoder.decode(block)  # only a check: the body is parsed as bytes
+            if not found:  # the header so far, and the body after it once found
+                head, found, block = (head + block).partition(_SEPARATOR)
+            digest.update(block)
+            lines += block.count(b"\n")
+        decoder.decode(b"", final=True)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from None
-    head, sep, body = data.partition(b"\n---\n")
-    del data  # the body is the bulk of a model file; keep one copy of it
-    if not sep:
+    if not found:
         raise SchemaError(f"{path}: missing header/body separator")
-    header_lines = head.decode("utf-8").split("\n")
-    if header_lines[0] != _FORMAT_LINE:
-        raise SchemaError(
-            f"{path}: expected {_FORMAT_LINE!r}, found {header_lines[0]!r}"
-        )
-    fields = dict(line.partition(" ")[::2] for line in header_lines[1:])
-    try:
-        approach = int(fields["approach"])
-        columns = tuple(fields["columns"].split(","))
-        n_trees = int(fields["n_trees"])
-        min_samples_leaf = int(fields["min_samples_leaf"])
-        k_features = int(fields["k_features"])
-        seed = int(fields["seed"])
-        checksum = fields["checksum"]
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad header ({exc})") from None
-    # the parsed values must give back the header exactly: no unknown,
-    # repeated or reordered key, and each value in its one written form
-    expected = _header_lines(approach, columns, n_trees, min_samples_leaf, k_features, seed,
-                             checksum)
-    for number, (got, want) in enumerate(zip_longest(header_lines, expected), 1):
-        if got != want:
-            want = "no line" if want is None else repr(want)
-            raise SchemaError(f"{path}: header line {number} is {got!r}, expected {want}")
-    if hashlib.sha256(body).hexdigest() != checksum:
-        raise SchemaError(f"{path}: body checksum mismatch")
-    try:
-        validate_forest(approach, n_trees, min_samples_leaf, k_features, seed)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-    if columns != tuple(column_names(approach)):
-        raise SchemaError(f"{path}: layout does not match approach {approach}")
+    return head, digest.hexdigest(), lines
 
-    trees = _parse_trees(body, path, len(columns))
-    if len(trees) != n_trees:
-        raise SchemaError(f"{path}: expected {n_trees} trees, found {len(trees)}")
-    return ExtraTreesModel(approach, columns, min_samples_leaf, k_features, seed, tuple(trees))
+
+def _whole_lines(blocks):
+    """The blocks' bytes in runs of whole lines: each block with the part of
+    a line the block before it cut off, up to its own last "\\n". The
+    last run may lack a final "\\n"."""
+    rest = b""
+    for block in blocks:
+        end = block.rfind(b"\n") + 1
+        if end:
+            yield rest + block[:end]
+            rest = block[end:]
+        else:
+            rest += block
+    if rest:
+        yield rest
 
 
 # A body line is ``tree <t>``, ``l <value>`` or ``s <feature> <threshold>``:
@@ -383,48 +459,36 @@ class _Parsed(dict):
         return number
 
 
-def _parse_trees(body: bytes, path, width: int, block: int = 1 << 16, trees: int = 0) -> list[Tree]:
-    """The trees of a model body: each run of node lines after a ``tree``
-    line that carries the tree's index, with split features in [0, width)
-    and finite numbers.
+def _parse_body(chunks, size: int, path, width: int, trees: int = 0):
+    """Roots, feature, threshold and value of a model body given as runs of
+    whole lines, in a table with room for ``size`` nodes: each run of node
+    lines after a ``tree`` line that carries the tree's index, with split
+    features in [0, width) and finite numbers.
 
-    The body is parsed a block of about ``block`` bytes at a time, each
-    ending at a "\\n", into one node table that the trees slice. A bad block
-    is parsed again a line at a time (block 0), after ``trees`` tree lines,
+    A bad run is parsed again a line at a time, after ``trees`` tree lines,
     so the error names the tree of its first bad line.
     """
     features, leaves = _Parsed(int), _Parsed(float)
-    size = body.count(b"\n") + 1  # room for a node per line
     table = np.empty(size, dtype=np.int32), np.empty(size), np.empty(size)
-    starts, nodes = [], 0
-    start = 0
-    while start < len(body):
-        end = body.find(b"\n", start + block) + 1 or len(body)
-        seen = trees + len(starts)
+    roots, nodes = [], 0
+    for chunk in chunks:
+        seen = trees + len(roots)
         try:
-            at, labels, *columns = _node_table(body[start:end], width, features, leaves, not seen)
+            at, labels, *columns = _node_table(chunk, width, features, leaves, not seen)
         except ValueError as exc:
-            if block:
-                _parse_trees(body[start:end], path, width, 0, seen)
+            if b"\n" in chunk[:-1]:  # more than one line
+                _parse_body(iter(io.BytesIO(chunk).readline, b""), chunk.count(b"\n") + 1,
+                            path, width, seen)
             raise SchemaError(f"{path}: tree {max(seen - 1, 0)}: {exc}") from None
         indexes = list(map(b"%d".__mod__, range(seen, seen + len(labels))))
         if labels != indexes:
             i = next(i for i, (label, index) in enumerate(zip(labels, indexes)) if label != index)
             raise SchemaError(f"{path}: tree {seen + i}: tree line is 'tree {labels[i].decode()}'")
-        starts += (at + nodes).tolist()
+        roots += (at + nodes).tolist()
         for whole, part in zip(table, columns):
             whole[nodes:nodes + part.size] = part
         nodes += columns[0].size
-        start = end
-    feature, threshold, value = table
-    loaded = []
-    for t, (a, b) in enumerate(zip(starts, starts[1:] + [nodes])):
-        try:
-            right = _right_children(feature[a:b])
-        except ValueError as exc:
-            raise SchemaError(f"{path}: tree {t}: {exc}") from None
-        loaded.append(Tree(feature[a:b], threshold[a:b], right, value[a:b]))
-    return loaded
+    return (np.array(roots, dtype=np.intp), *(whole[:nodes] for whole in table))
 
 
 def _node_table(lines: bytes, width, features, leaves, first):

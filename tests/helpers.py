@@ -5,8 +5,11 @@ round-trip tests exercise two separate code paths.
 """
 
 import io
+from types import SimpleNamespace
 
 import numpy as np
+
+from ladderforge import regressor
 
 
 def y4m_bytes(planes, bit_depth=8, fps=(30, 1), chroma_value=None):
@@ -94,3 +97,33 @@ def is_monotone(rungs):
     """True when pixel counts never fall from one rung to the next."""
     pixels = [w * h for w, h in rung_resolutions(rungs)]
     return all(a <= b for a, b in zip(pixels, pixels[1:]))
+
+
+def trees_of(model):
+    """Each tree of a model's node table on its own: its slices of feature,
+    threshold and value, and its right children as indexes within the tree."""
+    bounds = model.roots.tolist() + [model.feature.size]
+    trees = []
+    for a, b in zip(bounds, bounds[1:]):
+        right = model.right[a:b]
+        trees.append(SimpleNamespace(feature=model.feature[a:b], threshold=model.threshold[a:b],
+                                     right=np.where(right >= 0, right - a, -1),
+                                     value=model.value[a:b]))
+    return trees
+
+
+def table_of(trees):
+    """(roots, feature, threshold, right, value) of one node table holding
+    the (feature, threshold, value) arrays of each tree in turn.
+
+    Each tree's right children are regressor._right_children of its own
+    features, moved by the tree's first index.
+    """
+    sizes = [feature.size for feature, _, _ in trees]
+    roots = np.cumsum([0] + sizes, dtype=np.intp)[:-1]
+    right = []
+    for a, (feature, _, _) in zip(roots.tolist(), trees):
+        child = regressor._right_children(feature).astype(np.intp)
+        right.append(np.where(child >= 0, child + a, -1))
+    feature, threshold, value = (np.concatenate(column) for column in zip(*trees))
+    return roots, feature, threshold, np.concatenate(right), value

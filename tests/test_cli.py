@@ -170,18 +170,29 @@ def test_extract_missing_input_no_partial_output(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-# pytest.ini makes the package's RuntimeWarnings errors; this overflow is the input under test
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_extract_non_finite_feature_exits_2_writing_nothing(tmp_path, capsys):
-    """A noise floor this small makes information terms overflow to inf, which the
-    features reader would refuse, so the writer refuses them."""
+    """A noise floor this small makes information terms overflow to inf; the
+    fit names the video and the noise floor instead, with no numpy warning,
+    which pytest.ini makes an error."""
     clip = make_clip(tmp_path, "a", frames=2, seed=1)
     out = tmp_path / "features.csv"
     assert main(["extract", str(clip), "--sigma-n2", "1e-320", "--out", str(out)]) == EXIT_DATA
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
-    assert len(errors) == 1
-    assert re.fullmatch(r"error: \w+: 'inf' is not a finite number", errors[0])
+    assert errors == [f"error: {clip}: sigma_n2 1e-320 is too small: the information overflows"]
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a.y4m"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_extract_outputs_take_the_umask(tmp_path, umask, mode):
+    clip = make_clip(tmp_path, "a", seed=2)
+    out = tmp_path / "f.csv"
+    old = os.umask(umask)
+    try:
+        assert main(["extract", str(clip), "--out", str(out)]) == EXIT_OK
+    finally:
+        os.umask(old)
+    for path in (out, tmp_path / "f.csv.runconfig.json"):
+        assert oct(path.stat().st_mode & 0o777) == oct(mode), path.name
 
 
 def test_extract_rejects_repeated_video_ids_before_reading(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ and nan or inf in a float column included.
 """
 
 import math
+import os
 import re
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from ladderforge import bd_metrics, cli, dataset, ladder
 from ladderforge.cli import EXIT_DATA, main
 from ladderforge.errors import LadderforgeError, SchemaError
 from ladderforge.gsm_vif import TENSOR_VALUE_COUNT, feature_column_names
-from ladderforge.ioutil import csv_text, finite_float, read_csv, write_json
+from ladderforge.ioutil import atomic_write_bytes, csv_text, finite_float, read_csv, write_json
 
 FEATURE_COLUMNS = feature_column_names() + list(cli.FEATURE_ID_COLUMNS)
 
@@ -153,6 +154,20 @@ def test_write_json_refuses_non_finite_numbers_naming_the_path(tmp_path, value):
     assert list(tmp_path.iterdir()) == []
     write_json(path, {"a": [1.5, None], "b": "x"})
     assert path.read_text() == '{\n  "a": [\n    1.5,\n    null\n  ],\n  "b": "x"\n}\n'
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_joins_its_chunks_under_the_umask(tmp_path, umask, mode):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(path, b"ab", b"", b"c")
+    finally:
+        os.umask(old)
+    assert path.read_bytes() == b"abc"
+    assert oct(path.stat().st_mode & 0o777) == oct(mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 def test_csv_text_quotes_a_carriage_return(tmp_path):

@@ -8,8 +8,10 @@ checksum. ``main`` answers every bad file with exit code 2 and an
 
 import hashlib
 import json
+import os
 import re
 from itertools import chain
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from ladderforge import config, dataset, regressor
 from ladderforge.cli import EXIT_DATA, EXIT_OK, main
 from ladderforge.errors import LadderforgeError, SchemaError
 from ladderforge.feature_assembly import column_names
+from helpers import table_of
 from test_csv_io import FEATURE_COLUMNS, LADDER_ROWS, csv_bytes, feature_row, log_rows
 
 # An approach-1 model as the depth-first grower of earlier versions wrote
@@ -92,11 +95,12 @@ def with_body(body: bytes) -> bytes:
 
 
 def line_loop_trees(body: str, path, width: int) -> list:
-    """The line-at-a-time body reader of earlier versions.
+    """The line-at-a-time body reader of earlier versions: each tree's
+    (feature, threshold, value) arrays.
 
-    The oracle for regressor._parse_trees: it split each line on any
-    whitespace and skipped blank lines, so it accepts every body the block
-    parser accepts, and more.
+    The oracle for the body parser of regressor.load_model: it split each
+    line on any whitespace and skipped blank lines, so it accepts every
+    body the block parser accepts, and more.
     """
     def lines(text, block=1 << 16):
         start = 0
@@ -126,25 +130,38 @@ def line_loop_trees(body: str, path, width: int) -> list:
                 if not (np.isfinite(thresholds).all() and np.isfinite(values).all()):
                     raise ValueError("threshold or leaf value not finite")
                 features = np.array(feature, dtype=np.int32)
-                trees.append(regressor.Tree(features, thresholds,
-                                            regressor._right_children(features), values))
+                regressor._right_children(features)  # raises unless the nodes are one tree
+                trees.append((features, thresholds, values))
                 feature, threshold, value = [], [], []
         except ValueError as exc:
             raise SchemaError(f"{path}: tree {len(trees)}: {exc}") from None
     return trees
 
 
-def assert_same_trees(got, want):
-    """Same trees, array by array, in bytes and dtype."""
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for name in ("feature", "threshold", "right", "value"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+def assert_same_table(model, trees):
+    """The model's node table is the table of trees, array by array, in bytes and dtype."""
+    for name, want in zip(("roots", "feature", "threshold", "right", "value"), table_of(trees)):
+        got = getattr(model, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
 
 
 def body_of(path) -> bytes:
     return path.read_bytes().partition(b"\n---\n")[2]
+
+
+def load_in_blocks(path, block):
+    """regressor.load_model reading the file block bytes at a time."""
+    with patch.object(regressor, "_READ_BLOCK", block):
+        return regressor.load_model(path)
+
+
+BLOCKS = (1, 9, 64, 1 << 16)  # read-block sizes every block-size test runs at
+
+
+def splitting_blocks(data: bytes, *marks: bytes) -> tuple:
+    """Read-block sizes for a model file's bytes whose first block ends one
+    byte into the header/body separator, and into each mark."""
+    return tuple(data.index(mark) + 1 for mark in (b"\n---\n", *marks))
 
 
 MODEL_PROBES = {
@@ -285,11 +302,38 @@ def test_lines_outside_the_body_grammar_exit_2(workspace, tmp_path, capsys, prob
     assert err.startswith("error: ") and "bad node line" in err and "Traceback" not in err
 
 
-def test_a_bad_line_is_named_whatever_the_block_size():
-    body = BODY.replace("l 0.1215\nl 0.0797", "l 0.1215 \nl 0.0797").encode()
-    for block in (0, 1, 9, 64, 1 << 16):
-        with pytest.raises(SchemaError, match=r"^m: tree 1: bad node line 'l 0\.1215 '$"):
-            regressor._parse_trees(body, "m", 7, block)
+def test_a_bad_line_is_named_whatever_the_block_size(tmp_path):
+    path = tmp_path / "line.model"
+    path.write_bytes(data := with_body(
+        BODY.replace("l 0.1215\nl 0.0797", "l 0.1215 \nl 0.0797").encode()))
+    for block in (*BLOCKS, *splitting_blocks(data, b"l 0.1215 ")):
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: tree 1: "
+                                              r"bad node line 'l 0\.1215 '$"):
+            load_in_blocks(path, block)
+
+
+def test_a_character_is_whole_whatever_the_block_size(tmp_path):
+    # a leaf token holding a two-byte character: the file is UTF-8, its line is not the grammar
+    path = tmp_path / "character.model"
+    path.write_bytes(data := with_body(BODY.replace("l 0.2188", "l 0.2\u00e988").encode()))
+    for block in (*BLOCKS, *splitting_blocks(data, "\u00e9".encode())):
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: tree 0: "
+                                              "bad node line 'l 0.2\u00e988'$"):
+            load_in_blocks(path, block)
+    # the same lead byte before a byte that cannot continue it
+    path.write_bytes(data := with_body(BODY.replace("l 0.2188", "l 0.2\xc388").encode("latin-1")))
+    for block in (*BLOCKS, *splitting_blocks(data, b"\xc38")):
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: "
+                                              r"not UTF-8 \(invalid continuation byte\)$"):
+            load_in_blocks(path, block)
+
+
+def test_a_wrong_checksum_is_named_before_a_bad_line(tmp_path):
+    path = tmp_path / "checksum.model"
+    good = with_body(BODY.encode())
+    path.write_bytes(good.replace(b"l 0.2188\n", b"l 0.2188 x\n"))
+    with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: body checksum mismatch$"):
+        regressor.load_model(path)
 
 
 # (the body's second tree line, the tree the error names); the checksum
@@ -315,11 +359,14 @@ def test_a_tree_line_must_carry_its_index(workspace, tmp_path, capsys, probe):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_a_misnumbered_tree_is_named_whatever_the_block_size():
-    body = (BODY + BODY.replace("tree 0", "tree 2").replace("tree 1", "tree 4")).encode()
-    for block in (0, 1, 9, 64, 1 << 16):
-        with pytest.raises(SchemaError, match=r"^m: tree 3: tree line is 'tree 4'$"):
-            regressor._parse_trees(body, "m", 7, block)
+def test_a_misnumbered_tree_is_named_whatever_the_block_size(tmp_path):
+    path = tmp_path / "misnumbered.model"
+    path.write_bytes(data := with_body(
+        (BODY + BODY.replace("tree 0", "tree 2").replace("tree 1", "tree 4")).encode()))
+    for block in (*BLOCKS, *splitting_blocks(data, b"tree 4")):
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: tree 3: "
+                                              r"tree line is 'tree 4'$"):
+            load_in_blocks(path, block)
 
 
 def test_a_tree_without_nodes_is_truncated(tmp_path):
@@ -347,21 +394,19 @@ def whole_trees(draw, width=7, max_splits=20):
         threshold.append(draw(FLOATS) if split else 0.0)
         value.append(0.0 if split else draw(FLOATS))
         open_slots += 1 if split else -1
-    feature = np.array(feature, dtype=np.int32)
-    return regressor.Tree(feature, np.array(threshold), regressor._right_children(feature),
-                          np.array(value))
+    return np.array(feature, dtype=np.int32), np.array(threshold), np.array(value)
 
 
 @settings(max_examples=60, deadline=None)
-@given(trees=st.lists(whole_trees(), min_size=1, max_size=4), block=st.integers(0, 80))
+@given(trees=st.lists(whole_trees(), min_size=1, max_size=4), block=st.integers(1, 80))
 def test_saved_trees_load_to_the_line_loop_arrays(tmp_path_factory, trees, block):
-    model = regressor.ExtraTreesModel(1, tuple(column_names(1)), 1, 3, 0, tuple(trees))
+    model = regressor.ExtraTreesModel(1, tuple(column_names(1)), 1, 3, 0, *table_of(trees))
     path = tmp_path_factory.mktemp("model") / "round.model"
     regressor.save_model(model, path)
     want = line_loop_trees(body_of(path).decode(), path, 7)
-    assert_same_trees(regressor.load_model(path).trees, want)
-    assert_same_trees(regressor._parse_trees(body_of(path), path, 7, block), want)
-    assert_same_trees(trees, want)
+    assert_same_table(regressor.load_model(path), want)
+    assert_same_table(load_in_blocks(path, block), want)
+    assert_same_table(model, want)
 
 
 def test_a_hundred_tree_model_loads_to_the_line_loop_arrays(tmp_path):
@@ -371,8 +416,24 @@ def test_a_hundred_tree_model_loads_to_the_line_loop_arrays(tmp_path):
     regressor.save_model(model, path)
     assert len(body_of(path)) > 8 << 16  # many blocks
     want = line_loop_trees(body_of(path).decode(), path, 7)
-    assert_same_trees(regressor.load_model(path).trees, want)
-    assert_same_trees(model.trees, want)
+    data = path.read_bytes()
+    for block in (1 << 16, *splitting_blocks(data, b"tree 50\n")):
+        assert_same_table(load_in_blocks(path, block), want)
+    assert_same_table(model, want)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_a_model_on_a_pipe_exits_2_naming_it(workspace, capsys):
+    # the loader reads a model file twice, which a pipe cannot give
+    read, write = os.pipe()
+    try:
+        os.write(write, OLD_MODEL.encode())
+        os.close(write)
+        path = f"/dev/fd/{read}"
+        assert main(ladder_argv(workspace, path)) == EXIT_DATA
+    finally:
+        os.close(read)
+    assert capsys.readouterr().err == f"error: {path}: not a seekable file\n"
 
 
 def test_zero_tree_model_exits_2(workspace, tmp_path, capsys):
@@ -445,7 +506,7 @@ def test_fuzzed_model_loads_or_raises_library_error(tmp_path_factory, edits, dro
         return
     regressor.predict_batch(model, np.full((2, 7), 0.5))
     # the block parser is never more lenient than the line loop before it
-    assert_same_trees(model.trees, line_loop_trees(body_of(path).decode(), path, 7))
+    assert_same_table(model, line_loop_trees(body_of(path).decode(), path, 7))
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import trees_of
 from ladderforge import regressor
 from ladderforge.errors import SchemaError
 
@@ -29,7 +31,7 @@ def predict(model, x):
 def test_constant_target_collapses_to_leaves():
     X, _ = make_rows(50)
     model = regressor.train(X, np.full(50, 0.42), 1, n_trees=10, seed=1)
-    for tree in model.trees:
+    for tree in trees_of(model):
         assert len(tree.feature) == 1 and tree.feature[0] == -1
     for x in X[:5]:
         assert predict(model, x) == 0.42
@@ -57,7 +59,7 @@ def test_min_samples_leaf_honoured():
     model = regressor.train(
         X, y, 1, n_trees=5, min_samples_leaf=5, seed=8
     )
-    for tree in model.trees:
+    for tree in trees_of(model):
         counts = np.zeros(len(tree.feature), dtype=int)
         for x in X:
             i = 0
@@ -97,7 +99,7 @@ def test_per_tree_seeds_share_prefix():
     X, targets = make_rows(60, seed=14)
     small = regressor.train(X, targets, 1, n_trees=6, seed=20)
     grown = regressor.train(X, targets, 1, n_trees=7, seed=20)
-    for ta, tb in zip(small.trees, grown.trees):
+    for ta, tb in zip(trees_of(small), trees_of(grown)):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.threshold, tb.threshold)
         assert np.array_equal(ta.value, tb.value)
@@ -137,7 +139,7 @@ def test_every_node_follows_the_growth_rules(min_leaf):
     model = regressor.train(
         X, y, 1, n_trees=4, min_samples_leaf=min_leaf, seed=22
     )
-    for tree in model.trees:
+    for tree in trees_of(model):
         assert_tree_follows_the_rules(tree, X, y, min_leaf)
 
 
@@ -210,7 +212,7 @@ def test_equal_cost_splits_take_the_lowest_feature():
     X = np.column_stack([bits, bits[:, :3]])
     y = bits @ [0.4, 0.3, 0.2, 0.1] + 0.01 * rng.random(200)
     model = regressor.train(X, y, 1, n_trees=10, k_features=7, seed=24)
-    used = {int(f) for tree in model.trees for f in tree.feature if f >= 0}
+    used = {int(f) for f in model.feature if f >= 0}
     assert used == {0, 1, 2, 3}
 
 
@@ -226,7 +228,7 @@ def tree_by_tree_predictions(model, X):
     The oracle for regressor.predict_batch, which walks every tree at once.
     """
     votes = []
-    for tree in model.trees:
+    for tree in trees_of(model):
         idx = np.zeros(len(X), dtype=np.int64)
         active = np.flatnonzero(tree.feature[idx] >= 0)
         while active.size:
@@ -375,3 +377,52 @@ def test_r2_and_spearman_helpers():
     assert regressor._average_ranks(np.array([1.0, 2.0, 2.0, 3.0])).tolist() == [1, 2.5, 2.5, 4]
     assert regressor._average_ranks(np.array([3.0, 2.0, 1.0, 2.0])).tolist() == [4, 2.5, 1, 2.5]
     assert regressor._average_ranks(np.array([5.0, 5.0, 5.0])).tolist() == [2, 2, 2]
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that fn() holds at once beyond what was held before it, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def hundred_trees(tmp_path_factory):
+    """A default-size model of about 60k nodes, its node table's bytes and its saved file."""
+    rng = np.random.default_rng(41)
+    model = regressor.train(rng.random((300, 7)), rng.random(300), 1, n_trees=100, seed=42)
+    table = sum(getattr(model, name).nbytes
+                for name in ("roots", "feature", "threshold", "right", "value"))
+    path = tmp_path_factory.mktemp("hundred") / "hundred.model"
+    regressor.save_model(model, path)
+    return model, table, path
+
+
+# Bounds on the traced peaks of a 100-tree model of 1.33 MB whose node table
+# holds 1.68 MB. An earlier version that joined the whole body as one
+# string peaked at 4.5 times the file in save_model, read the whole file
+# beside the table in load_model (2.1 times the table) and concatenated
+# every tree in predict_batch (1.7 MB); this version reads 1.10 times the
+# file, 1.38 times the table and 0.06 MB.
+def test_save_holds_about_one_copy_of_the_file(hundred_trees, tmp_path):
+    model, _, path = hundred_trees
+    peak = traced_peak(lambda: regressor.save_model(model, tmp_path / "again.model"))
+    assert peak < 1.25 * path.stat().st_size
+
+
+def test_load_holds_the_node_table_and_the_parse_of_one_block(hundred_trees):
+    _, table, path = hundred_trees
+    # parsing a block makes about a dozen bytes of Python objects per byte read
+    peak = traced_peak(lambda: regressor.load_model(path))
+    assert peak < table + 16 * regressor._READ_BLOCK
+
+
+def test_predict_holds_nothing_the_size_of_the_node_table(hundred_trees):
+    model, table, _ = hundred_trees
+    rows = np.random.default_rng(43).random((8, 7))
+    assert traced_peak(lambda: regressor.predict_batch(model, rows)) < table / 10
