@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, ladder
 from .bd_metrics import ReportRow, RqCurve, aggregate, compare_curves, parse_report_csv, report_csv_text
 from .config import RunConfig, apply_overrides, config_json_dict, load_config
 from .dataset import (
@@ -43,16 +43,15 @@ from .dataset import (
     parse_encode_log,
     save_split,
 )
-from .errors import DegenerateCurve, ExternalToolFailure, LadderforgeError, SchemaError
-from .feature_assembly import require_motion
+from .errors import DegenerateCurve, ExternalToolFailure, LadderforgeError, SchemaError, located
 from .gsm_vif import TENSOR_VALUE_COUNT, VifFeatureTensor, feature_column_names, video_features
 from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv, write_json
 from .ladder import (
     fixed_ladder,
     ladder_csv_text,
+    ladder_from_grid,
     ladder_summary_text,
     parse_ladder_csv,
-    predicted_ladder,
     reference_ladder,
     validate_rungs,
 )
@@ -157,11 +156,8 @@ def _usable_cpus() -> int:
 
 def _video_row(path: Path, noise_var: float, overlap: bool):
     """(video id, header, tensor) of one Y4M file; module-level, so a pool can send it."""
-    try:
-        with open_y4m(path) as (header, frames):
-            return path.stem, header, video_features(frames, noise_var, overlap)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    with located(path), open_y4m(path) as (header, frames):
+        return path.stem, header, video_features(frames, noise_var, overlap)
 
 
 def cmd_extract(args, cfg: RunConfig) -> tuple[int, dict]:
@@ -214,24 +210,22 @@ def cmd_train(args, cfg: RunConfig) -> tuple[int, dict]:
     if args.split:
         split = load_split(args.split)
     else:
-        try:
+        with located(args.encode_log):
             split = make_split(sorted({r.video_id for r in records}), cfg.seed)
-        except SchemaError as exc:
-            raise SchemaError(f"{args.encode_log}: {exc}") from None
         save_split(split, _beside(out, ".split.json"))
     known = set(split.train) | set(split.validation) | set(split.test)
     for record in records:
         if record.video_id not in known:
             raise SchemaError(f"{args.split}: video {record.video_id!r} is not in any split part")
-    try:
+    with located(args.features):
         (X, y), (X_val, y_val) = [
             build_training_matrix([r for r in records if r.video_id in ids], tensors, cfg.approach)
             for ids in (set(split.train), set(split.validation))
         ]
-    except SchemaError as exc:
-        raise SchemaError(f"{args.features}: {exc}") from None
-    model = train(X, y, cfg.approach, n_trees=cfg.n_trees, min_samples_leaf=cfg.min_samples_leaf,
-                  k_features=cfg.k_features, seed=cfg.seed)
+    # a split without training rows is the manifest's fault, or the log's when derived from it
+    with located(args.split or args.encode_log):
+        model = train(X, y, cfg.approach, n_trees=cfg.n_trees, min_samples_leaf=cfg.min_samples_leaf,
+                      k_features=cfg.k_features, seed=cfg.seed)
     save_model(model, out)
 
     metrics = {
@@ -260,7 +254,25 @@ def cmd_train(args, cfg: RunConfig) -> tuple[int, dict]:
 # ladder
 # ---------------------------------------------------------------------------
 
+_LADDER_INPUTS = ("--model", "--features", "--encode-log")
+_LADDER_OUTPUTS = ("--out", "--fixed-out", "--reference-out")
+
+
+def _refuse_shared_paths(args) -> None:
+    """A ladder output may name neither another output nor an input."""
+    flags: dict[Path, str] = {}
+    for flag in _LADDER_INPUTS + _LADDER_OUTPUTS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is None:
+            continue
+        path = Path(value).resolve()
+        if flag in _LADDER_OUTPUTS and path in flags:
+            raise UsageError(f"{flags[path]} and {flag} name the same file {value}")
+        flags.setdefault(path, flag)
+
+
 def cmd_ladder(args, cfg: RunConfig) -> tuple[int, dict]:
+    _refuse_shared_paths(args)
     model = load_model(args.model)
     tensors = parse_features_csv(args.features)
     if args.video not in tensors:
@@ -268,24 +280,21 @@ def cmd_ladder(args, cfg: RunConfig) -> tuple[int, dict]:
     records = [r for r in parse_encode_log(args.encode_log) if r.video_id == args.video]
     if not records:
         raise SchemaError(f"{args.encode_log}: no rows for video {args.video!r}")
-    try:
-        require_motion(model.approach, [tensors[args.video]])
-    except SchemaError as exc:
-        raise SchemaError(f"{args.features}: video {args.video!r}: {exc}") from None
+    # called through its module, where perfbench/layers.py wraps it
+    with located(f"{args.features}: video {args.video!r}"):
+        grid = ladder.predict_quality_grid(model, tensors[args.video], cfg.resolutions,
+                                           cfg.rung_bitrates_bps)
 
     # every ladder is built before any is written; what can still fail is the log
     correct = not args.no_correction
-    try:
-        ladders = [(args.out, "predicted", predicted_ladder(
-            model, tensors[args.video], records, rungs=cfg.rung_bitrates_bps,
-            resolutions=cfg.resolutions, correct=correct))]
+    with located(f"{args.encode_log}: video {args.video!r}"):
+        ladders = [(args.out, "predicted", ladder_from_grid(
+            grid, cfg.resolutions, cfg.rung_bitrates_bps, records, correct))]
         if args.fixed_out:
             ladders.append((args.fixed_out, "fixed", fixed_ladder(cfg.fixed_ladder, records)))
         if args.reference_out:
             ladders.append((args.reference_out, "reference",
                             reference_ladder(records, cfg.rung_bitrates_bps, correct=correct)))
-    except SchemaError as exc:
-        raise SchemaError(f"{args.encode_log}: video {args.video!r}: {exc}") from None
     for path, _, rungs in ladders:
         atomic_write_text(Path(path), ladder_csv_text(rungs))
     atomic_write_text(_beside(args.out, ".summary.txt"),

@@ -16,7 +16,7 @@ import os
 from dataclasses import asdict, dataclass, replace
 
 from .dataset import CRF_MAX, CRF_MIN
-from .errors import SchemaError
+from .errors import SchemaError, located
 from .gsm_vif import DEFAULT_NOISE_VAR, validate_noise_var
 from .ioutil import read_json
 from .ladder import (
@@ -62,11 +62,9 @@ def validate_config(config: RunConfig) -> RunConfig:
             f"crf range must satisfy {CRF_MIN} <= min <= max <= {CRF_MAX}, "
             f"got [{config.crf_min}, {config.crf_max}]"
         )
-    try:
+    with located("fixed_ladder"):
         validate_rungs([bps for bps, _ in config.fixed_ladder])
         validate_resolutions([res for _, res in config.fixed_ladder])
-    except SchemaError as exc:
-        raise SchemaError(f"fixed_ladder: {exc}") from None
     if config.encoder_template is not None:
         for name in TEMPLATE_PLACEHOLDERS:
             if "{" + name + "}" not in config.encoder_template:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import feature_assembly
-from .errors import SchemaError
+from .errors import SchemaError, located
 from .gsm_vif import VifFeatureTensor
 from .ioutil import (
     csv_text,
@@ -149,11 +149,15 @@ def build_training_matrix(
     """The (X, y) of the records in record order, X in the approach's layout.
 
     y is the quality score scaled to [0, 1]. Training always uses the
-    measured bitrate of the encode, not a nominal target rate.
+    measured bitrate of the encode, not a nominal target rate. A video
+    whose tensor the approach cannot use is named in the error.
     """
     missing = next((r.video_id for r in records if r.video_id not in tensors), None)
     if missing is not None:
         raise SchemaError(f"no feature tensor for video {missing!r}")
+    for video_id in dict.fromkeys(r.video_id for r in records):
+        with located(f"video {video_id!r}"):
+            feature_assembly.require_motion(approach, [tensors[video_id]])
     X = feature_assembly.assemble(
         approach,
         [tensors[r.video_id] for r in records],

@@ -5,7 +5,12 @@
 - DegenerateCurve: rate-quality curves that cannot be compared; compare
   writes a warning row instead of failing.
 - ExternalToolFailure: the encoder failed; exit code 3, with its stderr.
+
+located(where) is the one way a caller names the input at fault: a
+SchemaError raised inside its block comes out prefixed with "where: ".
 """
+
+from contextlib import contextmanager
 
 
 class LadderforgeError(Exception):
@@ -26,3 +31,12 @@ class ExternalToolFailure(LadderforgeError):
     def __init__(self, message: str, stderr: str = ""):
         super().__init__(message)
         self.stderr = stderr
+
+
+@contextmanager
+def located(where):
+    """Prefix a SchemaError raised in the block with "where: "; nothing else is caught."""
+    try:
+        yield
+    except SchemaError as exc:
+        raise SchemaError(f"{where}: {exc}") from None

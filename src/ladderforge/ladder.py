@@ -1,12 +1,14 @@
 """Bitrate-ladder construction.
 
-Three ladder families over the same rung grid: predicted (model argmax
-per rung plus monotonic correction), fixed (a configured rung to
-resolution table), and reference (per-rung best measured quality from an
-exhaustive encode log). Every ladder is realized against an encode log
-by snapping each rung to the closest logged point in log2 bitrate, which
-may lie above or below the rung's target. A ladder is its tuple of
-LadderRung rows in rung order.
+Three ladder families over the same rung grid. A predicted or reference
+ladder is a grid, a choice and a realization: ladder_from_grid takes a
+|resolutions| x |rungs| quality grid, predicted by the model
+(predict_quality_grid) or measured in the encode log (reference_ladder),
+picks the best resolution per rung, corrects the picks to be monotone and
+realizes them. A fixed ladder realizes a configured rung to resolution
+table. Realizing snaps each rung to the closest logged point at its
+resolution in log2 bitrate, which may lie above or below the rung's
+target. A ladder is its tuple of LadderRung rows in rung order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import BITRATE, CRF, DIMENSION, VMAF, EncodeRecord
-from .errors import SchemaError
+from .errors import SchemaError, located
 from .feature_assembly import assemble
 from .gsm_vif import VifFeatureTensor
 from .ioutil import (
@@ -209,12 +211,20 @@ def realize_ladder(choices, rungs, log) -> tuple[LadderRung, ...]:
     return tuple(realized)
 
 
+def ladder_from_grid(grid, resolutions, rungs, log, correct: bool = True) -> tuple[LadderRung, ...]:
+    """The ladder a quality grid implies: argmax per rung, correction unless disabled, realization."""
+    choices = select_ladder(grid, resolutions, rungs)
+    if correct:
+        choices = monotonic_correct(choices)
+    return realize_ladder(choices, rungs, log)
+
+
 def reference_ladder(log, rungs=DEFAULT_RUNG_BPS, correct: bool = True) -> tuple[LadderRung, ...]:
     """Best measured resolution per rung from an exhaustive encode log.
 
-    select_ladder picks from the vmaf of each logged resolution's closest
-    point per rung, resolutions in ascending pixel order. The same
-    monotonic correction as predicted ladders follows unless disabled.
+    The grid holds the vmaf of each logged resolution's closest point per
+    rung, resolutions in ascending pixel order; ladder_from_grid does the
+    rest, as for a predicted ladder.
     """
     rungs = validate_rungs(rungs)
     groups = _group_by_resolution(log)
@@ -222,10 +232,7 @@ def reference_ladder(log, rungs=DEFAULT_RUNG_BPS, correct: bool = True) -> tuple
         raise SchemaError("encode log is empty")
     resolutions = sorted(groups, key=pixel_count)
     grid = [[closest_point(groups[res], target).vmaf for target in rungs] for res in resolutions]
-    choices = select_ladder(grid, resolutions, rungs)
-    if correct:
-        choices = monotonic_correct(choices)
-    return realize_ladder(choices, rungs, log)
+    return ladder_from_grid(grid, resolutions, rungs, log, correct)
 
 
 def fixed_ladder(table, log) -> tuple[LadderRung, ...]:
@@ -235,22 +242,6 @@ def fixed_ladder(table, log) -> tuple[LadderRung, ...]:
     """
     rungs = [bps for bps, _ in table]
     choices = [tuple(res) for _, res in table]
-    return realize_ladder(choices, rungs, log)
-
-
-def predicted_ladder(
-    model: ExtraTreesModel,
-    vif: VifFeatureTensor,
-    log,
-    rungs=DEFAULT_RUNG_BPS,
-    resolutions=DEFAULT_RESOLUTIONS,
-    correct: bool = True,
-) -> tuple[LadderRung, ...]:
-    """Model-driven ladder: argmax selection, correction, realization."""
-    grid = predict_quality_grid(model, vif, resolutions, rungs)
-    choices = select_ladder(grid, resolutions, rungs)
-    if correct:
-        choices = monotonic_correct(choices)
     return realize_ladder(choices, rungs, log)
 
 
@@ -267,10 +258,8 @@ def parse_ladder_csv(path) -> tuple[LadderRung, ...]:
     rungs = []
     for line, values in read_csv(path, LADDER_COLUMNS, _CONVERTERS):
         rung = LadderRung(*values)
-        try:
+        with located(f"{path} line {line}: rung_bps"):
             validate_rungs([r.rung_bps for r in rungs[-1:]] + [rung.rung_bps])
-        except SchemaError as exc:
-            raise SchemaError(f"{path} line {line}: rung_bps: {exc}") from None
         rungs.append(rung)
     if not rungs:
         raise SchemaError(f"{path}: ladder has no rungs")

@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, located
 from .feature_assembly import column_names
 from .ioutil import atomic_write_bytes
 
@@ -381,10 +381,8 @@ def load_model(path) -> ExtraTreesModel:
                 raise SchemaError(f"{path}: header line {number} is {got!r}, expected {want}")
         if digest != checksum:
             raise SchemaError(f"{path}: body checksum mismatch")
-        try:
+        with located(path):
             validate_forest(approach, n_trees, min_samples_leaf, k_features, seed)
-        except SchemaError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
         if columns != tuple(column_names(approach)):
             raise SchemaError(f"{path}: layout does not match approach {approach}")
 

@@ -524,6 +524,36 @@ def test_train_without_split_writes_manifest(tmp_path, pipeline):
     assert set(manifest.train) | set(manifest.validation) | set(manifest.test) == set(pipeline["names"])
 
 
+def test_train_split_without_training_rows_names_the_manifest(tmp_path, pipeline, capsys):
+    payload = json.loads(pipeline["split"].read_text())
+    payload["validation"] += payload["train"]
+    payload["train"] = []
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(payload))
+    out = tmp_path / "m.txt"
+    assert main(["train", "--features", str(pipeline["features"]),
+                 "--encode-log", str(pipeline["log"]), "--split", str(split),
+                 "--approach", "1", "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {split}: no training rows\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["split.json"]
+
+
+def test_train_names_the_single_frame_video_under_a_motion_approach(tmp_path, pipeline, capsys):
+    clips = list(pipeline["clips"])
+    clips[1] = make_clip(tmp_path, "v1", frames=1, seed=1)
+    features = tmp_path / "features.csv"
+    assert main(["extract", *map(str, clips), "--out", str(features)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "m.txt"
+    assert main(["train", "--features", str(features), "--encode-log", str(pipeline["log"]),
+                 "--split", str(pipeline["split"]), "--approach", "8",
+                 "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {features}: video 'v1': approach 8 needs frame-difference features; "
+        "video has 1 frame(s)\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # ladder
 # ---------------------------------------------------------------------------
@@ -702,6 +732,38 @@ def test_ladder_unknown_video(tmp_path, pipeline, capsys):
     out = tmp_path / "l.csv"
     assert main(ladder_args(pipeline, out, video="nope")) == EXIT_DATA
     assert capsys.readouterr().err == f"error: {pipeline['features']}: no row for video 'nope'\n"
+
+
+@pytest.mark.parametrize("first, second", [
+    ("--out", "--reference-out"),
+    ("--out", "--fixed-out"),
+    ("--fixed-out", "--reference-out"),
+    ("--encode-log", "--out"),
+    ("--model", "--fixed-out"),
+    ("--features", "--reference-out"),
+])
+def test_ladder_outputs_naming_one_file_are_a_usage_error(tmp_path, pipeline, capsys,
+                                                          monkeypatch, first, second):
+    for name in ("model", "features", "log"):
+        (tmp_path / pipeline[name].name).write_bytes(pipeline[name].read_bytes())
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"fixed_ladder": [{"bitrate_bps": 5e5, "width": 960, "height": 540}]}))
+    paths = {"--model": tmp_path / pipeline["model"].name,
+             "--features": tmp_path / pipeline["features"].name,
+             "--encode-log": tmp_path / pipeline["log"].name,
+             "--out": tmp_path / "pred.csv", "--fixed-out": tmp_path / "fixed.csv",
+             "--reference-out": tmp_path / "ref.csv"}
+    monkeypatch.chdir(tmp_path)
+    paths[second] = Path(".", paths[first].name)  # the same file, spelled otherwise
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = ["ladder", "--video", "v3", "--config", str(conf), "--rungs", RUNGS_MBPS,
+            "--resolutions", "1920x1080,1280x720,960x540"]
+    for flag, path in paths.items():
+        argv += [flag, str(path)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: {first} and {second} name the same file {paths[second]}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------

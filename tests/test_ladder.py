@@ -342,7 +342,7 @@ def test_fixed_ladder_missing_resolution_names_rung():
 
 
 # ---------------------------------------------------------------------------
-# predicted_ladder end to end over a toy model
+# predicted ladder end to end over a toy model
 # ---------------------------------------------------------------------------
 
 def test_predicted_ladder_is_monotone_and_realized():
@@ -351,12 +351,11 @@ def test_predicted_ladder_is_monotone_and_realized():
     rungs = [0.5e6, 1e6, 2e6, 4e6]
     resolutions = [R1080, R720, R540]
     log = sweep_log(resolutions, rungs, lambda res, bps: 50.0)
-    out = ladder.predicted_ladder(model, tensor, log, rungs, resolutions)
+    grid = ladder.predict_quality_grid(model, tensor, resolutions, rungs)
+    out = ladder.ladder_from_grid(grid, resolutions, rungs, log)
     assert is_monotone(out)
     assert len(out) == 4
-    raw = ladder.predicted_ladder(
-        model, tensor, log, rungs, resolutions, correct=False
-    )
+    raw = ladder.ladder_from_grid(grid, resolutions, rungs, log, correct=False)
     assert [r.rung_bps for r in raw] == [r.rung_bps for r in out]
 
 
