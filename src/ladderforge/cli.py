@@ -7,7 +7,10 @@ failure. Every output is written atomically. Each ``cmd_*`` writes its
 suffix, and returns its exit code with its sidecar extras. ``main`` then
 prints the extras' warnings and writes the ``<out>.runconfig.json``
 sidecar: the command, the package version, the resolved settings, the
-warnings and the extras, so the run can be reproduced.
+warnings and the extras, so the run can be reproduced. Before anything is
+read or written, ``main`` refuses a run in which a file it writes is a
+file it reads or another file it writes, as a usage error naming both;
+encode-sweep's ``--out``, the log it resumes from, is the one file both.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ import numpy as np
 
 from . import __version__, ladder
 from .bd_metrics import ReportRow, RqCurve, aggregate, compare_curves, parse_report_csv, report_csv_text
-from .config import RunConfig, apply_overrides, config_json_dict, load_config
+from .config import RunConfig, apply_overrides, config_json_dict, config_path, load_config
 from .dataset import (
     BITRATE,
     DIMENSION,
-    SCHEMA,
     VIDEO_ID,
     VMAF,
     EncodeRecord,
@@ -45,7 +47,7 @@ from .dataset import (
 )
 from .errors import DegenerateCurve, ExternalToolFailure, LadderforgeError, SchemaError, located
 from .gsm_vif import TENSOR_VALUE_COUNT, VifFeatureTensor, feature_column_names, video_features
-from .ioutil import atomic_write_bytes, atomic_write_text, csv_text, finite_float, read_csv, write_json
+from .ioutil import atomic_write_text, csv_text, finite_float, read_csv, write_json
 from .ladder import (
     fixed_ladder,
     ladder_csv_text,
@@ -115,9 +117,51 @@ def parse_features_csv(path) -> dict[str, VifFeatureTensor]:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
+# The files a command writes beside its --out, each at --out plus a suffix.
+# Each parser lists its own with the flag that, when given, names that file
+# in its place, and _refuse_shared_paths reads the same list.
+_SPLIT, _METRICS, _SUMMARY, _AGGREGATE, _WORK, _FAILURES = (
+    ".split.json", ".metrics.json", ".summary.txt", ".aggregate.json", ".work", ".failures.txt")
+
+# every flag that names a file a command reads, then every one naming a file it writes
+_INPUTS = ("inputs", "--model", "--features", "--encode-log", "--split", "--test", "--anchor",
+           "--batch", "--report", "--ladders", "--input")
+_OUTPUTS = ("--out", "--fixed-out", "--reference-out", "--work-dir")
+
+
 def _beside(out, suffix: str) -> Path:
     """Where a command keeps a file that belongs to its --out file."""
     return Path(str(out) + suffix)
+
+
+def _refuse_shared_paths(args, runconfig: str) -> None:
+    """A file a run writes may be neither a file it reads nor another it writes.
+
+    Paths are compared once resolved. encode-sweep's --out is the one file
+    that a run both reads and writes: the log a sweep resumes from.
+    """
+    files = [("the config file", config_path(args.config), False)]
+    for flag in _INPUTS + _OUTPUTS:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        for one in value if isinstance(value, list) else [value]:
+            files.append((flag, one, flag in _OUTPUTS))
+    files += [(f"<out>{suffix}", _beside(args.out, suffix), True)
+              for suffix, flag in args.beside.items()
+              if flag is None or getattr(args, flag) is None]
+    if args.command == "plot":
+        files.append(("the CSV twin of --out", _csv_twin(Path(args.out)), True))
+    files.append((f"<out>{runconfig}", _beside(args.out, runconfig), True))
+    labels: dict[Path, str] = {}
+    for label, value, written in files:
+        if value is None:
+            continue
+        try:
+            path = Path(value).resolve()
+        except ValueError:  # a NUL byte, which the file's reader or writer reports
+            continue
+        if written and path in labels:
+            raise UsageError(f"{labels[path]} and {label} name the same file {value}")
+        labels.setdefault(path, label)
 
 
 def _resolutions_flag(text: str) -> tuple[tuple[int, int], ...]:
@@ -212,7 +256,7 @@ def cmd_train(args, cfg: RunConfig) -> tuple[int, dict]:
     else:
         with located(args.encode_log):
             split = make_split(sorted({r.video_id for r in records}), cfg.seed)
-        save_split(split, _beside(out, ".split.json"))
+        save_split(split, _beside(out, _SPLIT))
     known = set(split.train) | set(split.validation) | set(split.test)
     for record in records:
         if record.video_id not in known:
@@ -242,7 +286,7 @@ def cmd_train(args, cfg: RunConfig) -> tuple[int, dict]:
             r2=r2_score(y_val, preds),
             spearman=spearman_rho(y_val, preds),
         )
-    write_json(_beside(out, ".metrics.json"), metrics)
+    write_json(_beside(out, _METRICS), metrics)
     return EXIT_OK, {"split": {
         "train": list(split.train),
         "validation": list(split.validation),
@@ -254,25 +298,7 @@ def cmd_train(args, cfg: RunConfig) -> tuple[int, dict]:
 # ladder
 # ---------------------------------------------------------------------------
 
-_LADDER_INPUTS = ("--model", "--features", "--encode-log")
-_LADDER_OUTPUTS = ("--out", "--fixed-out", "--reference-out")
-
-
-def _refuse_shared_paths(args) -> None:
-    """A ladder output may name neither another output nor an input."""
-    flags: dict[Path, str] = {}
-    for flag in _LADDER_INPUTS + _LADDER_OUTPUTS:
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is None:
-            continue
-        path = Path(value).resolve()
-        if flag in _LADDER_OUTPUTS and path in flags:
-            raise UsageError(f"{flags[path]} and {flag} name the same file {value}")
-        flags.setdefault(path, flag)
-
-
 def cmd_ladder(args, cfg: RunConfig) -> tuple[int, dict]:
-    _refuse_shared_paths(args)
     model = load_model(args.model)
     tensors = parse_features_csv(args.features)
     if args.video not in tensors:
@@ -297,7 +323,7 @@ def cmd_ladder(args, cfg: RunConfig) -> tuple[int, dict]:
                             reference_ladder(records, cfg.rung_bitrates_bps, correct=correct)))
     for path, _, rungs in ladders:
         atomic_write_text(Path(path), ladder_csv_text(rungs))
-    atomic_write_text(_beside(args.out, ".summary.txt"),
+    atomic_write_text(_beside(args.out, _SUMMARY),
                       "".join(ladder_summary_text(name, rungs) for _, name, rungs in ladders))
     return EXIT_OK, {"video": args.video, "correction": correct}
 
@@ -349,7 +375,7 @@ def cmd_compare(args, cfg: RunConfig) -> tuple[int, dict]:
     summary: dict = {"pair": args.pair, "n_compared": len(results), "n_skipped": len(skipped)}
     if results:
         summary.update(aggregate(results))
-    write_json(_beside(out, ".aggregate.json"), summary)
+    write_json(_beside(out, _AGGREGATE), summary)
     return EXIT_OK, {"pair": args.pair, "warnings": skipped}
 
 
@@ -403,30 +429,6 @@ _BITRATE_RE = re.compile(r"bitrate_bps=([0-9.eE+\-]+)")
 _VMAF_RE = re.compile(r"vmaf=([0-9.eE+\-]+)")
 
 
-def _read_journal(path: Path, video_id: str) -> dict[tuple[int, int, int], EncodeRecord]:
-    """Cells an earlier run finished, validated like an encode log.
-
-    Every journal line is written with its newline, so a last line without
-    one is an interrupted write: it is cut from the file and its cell runs
-    again. Rows of another video belong to another input's sweep.
-    """
-    if not path.exists():
-        return {}
-    text = path.read_bytes()
-    complete = text[: text.rfind(b"\n") + 1]
-    if not complete:
-        path.unlink()
-        return {}
-    if complete != text:
-        atomic_write_bytes(path, complete)
-    done = {}
-    for r in parse_encode_log(path):
-        if r.video_id != video_id:
-            raise SchemaError(f"{path}: row for video {r.video_id!r}, not {video_id!r}")
-        done[(r.width, r.height, r.crf)] = r
-    return done
-
-
 def _run_cell(template: str, input_path: Path, video_id: str, w: int, h: int,
               crf: int, work_dir: Path) -> EncodeRecord:
     cell = f"{w}x{h} crf {crf}"
@@ -458,11 +460,16 @@ def cmd_encode_sweep(args, cfg: RunConfig) -> tuple[int, dict]:
         raise SchemaError(f"input not found: {input_path}")
     video_id = input_path.stem
     out = Path(args.out)
-    work_dir = Path(args.work_dir) if args.work_dir else _beside(out, ".work")
+    # the log is the sweep's record: a resume skips the cells it holds
+    done = {}
+    if out.exists():
+        for r in parse_encode_log(out):
+            if r.video_id != video_id:
+                raise SchemaError(f"{out}: row for video {r.video_id!r}, not {video_id!r}")
+            done[(r.width, r.height, r.crf)] = r
+    work_dir = Path(args.work_dir) if args.work_dir else _beside(out, _WORK)
     work_dir.mkdir(parents=True, exist_ok=True)
 
-    journal = _beside(out, ".journal.csv")
-    done = _read_journal(journal, video_id)
     grid = [
         (w, h, crf)
         for (w, h) in cfg.resolutions
@@ -476,25 +483,19 @@ def cmd_encode_sweep(args, cfg: RunConfig) -> tuple[int, dict]:
         except ExternalToolFailure as exc:
             return exc
 
-    # cells run in parallel but are journaled here, in grid order, so the
-    # journal is the same for any worker count
+    # cells run in parallel but are logged here, in grid order, so a kill
+    # loses only cells not yet logged; the log is rewritten whole each time
     failures: list[str] = []
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         for cell, outcome in zip(pending, pool.map(attempt, pending)):
             if isinstance(outcome, ExternalToolFailure):
                 failures.append(f"{outcome}\nstderr: {outcome.stderr}".rstrip())
                 continue
-            columns = () if journal.exists() else SCHEMA
-            with open(journal, "a", encoding="utf-8") as fh:
-                fh.write(csv_text(columns, [outcome]))
             done[cell] = outcome
+            atomic_write_text(out, encode_log_text(sorted(
+                done.values(), key=lambda r: (-(r.width * r.height), r.width, r.crf))))
 
-    records = sorted(
-        done.values(), key=lambda r: (-(r.width * r.height), r.width, r.crf)
-    )
-    if records:
-        atomic_write_text(out, encode_log_text(records))
-    failures_path = _beside(out, ".failures.txt")
+    failures_path = _beside(out, _FAILURES)
     if failures:
         atomic_write_text(failures_path, "\n\n".join(sorted(failures)) + "\n")
         print(f"error: {len(failures)} cell(s) failed, see {failures_path}", file=sys.stderr)
@@ -513,6 +514,7 @@ def build_parser() -> _Parser:
                      description="Per-title bitrate ladders from VIF features")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = _Parser(add_help=False)
+    common.set_defaults(beside={})
     common.add_argument("--config", help="JSON config path (default: $LADDERFORGE_CONFIG)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -536,7 +538,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-trees", type=int, dest="n_trees")
     p.add_argument("--min-samples-leaf", type=int, dest="min_samples_leaf")
     p.add_argument("--k-features", type=int, dest="k_features")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, beside={_METRICS: None, _SPLIT: "split"})
 
     p = sub.add_parser("ladder", parents=[common], help="construct bitrate ladders")
     p.add_argument("--model", required=True)
@@ -552,7 +554,7 @@ def build_parser() -> _Parser:
                    help="emit the raw argmax ladder without monotonic correction")
     p.add_argument("--fixed-out", help="also realize the configured fixed ladder")
     p.add_argument("--reference-out", help="also build the exhaustive reference ladder")
-    p.set_defaults(func=cmd_ladder)
+    p.set_defaults(func=cmd_ladder, beside={_SUMMARY: None})
 
     p = sub.add_parser("compare", parents=[common],
                        help="BD metrics between two realized ladders")
@@ -562,7 +564,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", help="CSV listing video_id,test,anchor for corpus mode")
     p.add_argument("--pair", default="test-vs-anchor", help="comparison label")
     p.add_argument("--out", required=True, help="BD report CSV")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, beside={_AGGREGATE: None})
 
     p = sub.add_parser("plot", parents=[common], help="emit SVG plots with CSV twins")
     group = p.add_mutually_exclusive_group(required=True)
@@ -586,7 +588,7 @@ def build_parser() -> _Parser:
     p.add_argument("--resolutions", type=_resolutions_flag, help="comma-separated WxH grid")
     p.add_argument("--crf-min", type=int, dest="crf_min")
     p.add_argument("--crf-max", type=int, dest="crf_max")
-    p.set_defaults(func=cmd_encode_sweep)
+    p.set_defaults(func=cmd_encode_sweep, beside={_WORK: "work_dir", _FAILURES: None})
 
     return parser
 
@@ -595,13 +597,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        runconfig = ".runconfig.json"
+        _refuse_shared_paths(args, runconfig)
         cfg = _resolve_config(args)
         code, extras = args.func(args, cfg)
         sidecar = {"command": args.command, "version": __version__,
                    "config": config_json_dict(cfg), "warnings": [], **extras}
         for note in sidecar["warnings"]:
             print(f"warning: {note}", file=sys.stderr)
-        write_json(_beside(args.out, ".runconfig.json"), sidecar)
+        write_json(_beside(args.out, runconfig), sidecar)
         return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

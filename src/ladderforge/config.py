@@ -143,11 +143,16 @@ def _config_from_dict(payload: dict, origin: str) -> RunConfig:
         raise SchemaError(f"{origin}: {exc}") from None
 
 
+def config_path(path=None, env=None):
+    """The config file a run reads: path if given, else $LADDERFORGE_CONFIG, else None."""
+    if path is not None:
+        return path
+    return (os.environ if env is None else env).get(ENV_CONFIG) or None
+
+
 def load_config(path=None, env=None) -> RunConfig:
     """Defaults, optionally overlaid with a JSON config file."""
-    env = os.environ if env is None else env
-    if path is None:
-        path = env.get(ENV_CONFIG) or None
+    path = config_path(path, env)
     if path is None:
         return RunConfig()
     return _config_from_dict(read_json(path, "config"), str(path))

@@ -39,8 +39,8 @@ def checked(convert, ok, rule: str):
 
 
 # One converter per column rule, shared by every file holding that column:
-# the encode log and sweep journal, the features CSV, the ladder CSV and the
-# encoder's stdout report.
+# the encode log, the features CSV, the ladder CSV and the encoder's stdout
+# report.
 VIDEO_ID = checked(str, bool, "must not be empty")
 DIMENSION = checked(int, lambda v: v > 0, "must be > 0")
 CRF = checked(int, lambda v: CRF_MIN <= v <= CRF_MAX, f"outside [{CRF_MIN}, {CRF_MAX}]")
@@ -50,7 +50,7 @@ VMAF = checked(finite_float, lambda v: 0.0 <= v <= 100.0, "outside [0, 100]")
 
 @dataclass(frozen=True)
 class EncodeRecord:
-    """One row of an encode log or sweep journal."""
+    """One row of an encode log."""
 
     video_id: str
     width: int

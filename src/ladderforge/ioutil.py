@@ -31,11 +31,15 @@ def atomic_write_bytes(path, *chunks: bytes) -> None:
 
     A failed write never leaves a partial file at the destination. The
     temp file is created with mode 0666 less the umask, as open() would
-    create path itself, and the rename keeps that mode.
+    create path itself, and the rename keeps that mode. A temp file that
+    cannot be created is an OSError naming path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    try:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)

@@ -4,7 +4,11 @@ import math
 import multiprocessing
 import os
 import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 from concurrent.futures import process
 from pathlib import Path
 
@@ -784,6 +788,55 @@ def ladders(pipeline, tmp_path_factory):
     return root, paths
 
 
+COLLISIONS = {  # a run whose output names a file it reads or writes -> the message
+    "extract": (["extract", "a.y4m", "--out", "a.y4m"],
+                "inputs and --out name the same file a.y4m"),
+    "train": (["train", "--features", "f.csv", "--encode-log", "log.csv", "--approach", "1",
+               "--n-trees", "2", "--out", "f.csv"],
+              "--features and --out name the same file f.csv"),
+    "compare": (["compare", "--test", "a.csv", "--anchor", "a.csv", "--out", "a.csv"],
+                "--test and --out name the same file a.csv"),
+    "plot": (["plot", "--ladders", "a.csv", "--out", "hull.csv"],
+             "--out and the CSV twin of --out name the same file hull.csv"),
+    "ladder": (["ladder", "--model", "model.txt", "--features", "f.csv", "--video", "v3",
+                "--encode-log", "log.csv", "--rungs", RUNGS_MBPS, "--out", "pred.csv",
+                "--reference-out", "pred.csv.summary.txt"],
+               "--reference-out and <out>.summary.txt name the same file pred.csv.summary.txt"),
+    "config": (["compare", "--test", "a.csv", "--anchor", "a.csv", "--config", "conf.json",
+                "--out", "conf.json"],
+               "the config file and --out name the same file conf.json"),
+}
+
+
+@pytest.mark.parametrize("command", COLLISIONS)
+def test_outputs_naming_a_file_the_run_reads_or_writes_are_a_usage_error(
+        tmp_path, pipeline, ladders, capsys, monkeypatch, command):
+    for name, source in (("a.y4m", pipeline["clips"][0]), ("f.csv", pipeline["features"]),
+                         ("log.csv", pipeline["log"]), ("model.txt", pipeline["model"]),
+                         ("a.csv", ladders[1]["v3"]["pred"])):
+        (tmp_path / name).write_bytes(source.read_bytes())
+    (tmp_path / "conf.json").write_text("{}\n")
+    monkeypatch.chdir(tmp_path)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv, message = COLLISIONS[command]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("parent", ["nodir", "a.csv"])
+def test_an_output_that_cannot_be_created_is_named_as_given(tmp_path, ladders, capsys,
+                                                            monkeypatch, parent):
+    (tmp_path / "a.csv").write_bytes(ladders[1]["v3"]["pred"].read_bytes())
+    monkeypatch.chdir(tmp_path)
+    out = f"{parent}/r.csv"
+    assert main(["compare", "--test", "a.csv", "--anchor", "a.csv", "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(f": '{out}'\n")
+    assert ".r.csv." not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv"]
+
+
 def test_compare_self_is_zero(tmp_path, ladders):
     _, paths = ladders
     out = tmp_path / "self.csv"
@@ -1090,11 +1143,12 @@ print(f"vmaf={{vmaf}}")
 """
 
 
-def write_fake_encoder(tmp_path, fail_crf=None, slow=False):
+def write_fake_encoder(tmp_path, fail_crf=None, slow=False, stall_at=None):
     """A template running a fake encoder, and the file it logs each call to.
 
     fail_crf makes that crf's cells crash; slow makes a cell take longer the
-    lower its crf, so cells finish out of grid order.
+    lower its crf, so cells finish out of grid order; the call numbered
+    stall_at creates the file "stalled" beside the encoder and sleeps.
     """
     counter = tmp_path / "calls.txt"
     counter.write_text("")
@@ -1107,6 +1161,12 @@ def write_fake_encoder(tmp_path, fail_crf=None, slow=False):
         )
     if slow:
         clause = "import time; time.sleep(0.15 * (21 - crf_i))"
+    if stall_at is not None:
+        clause = (
+            f"if len(open({str(counter)!r}).read().splitlines()) == {stall_at}:\n"
+            f"    open({str(tmp_path / 'stalled')!r}, 'w').close()\n"
+            f"    import time; time.sleep(60)"
+        )
     script = tmp_path / "fake_encoder.py"
     script.write_text(FAKE_ENCODER.format(counter=str(counter), clause=clause))
     template = (
@@ -1143,10 +1203,8 @@ def test_sweep_resume_skips_done_cells(tmp_path, pipeline):
     assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_OK
     first_calls = len(counter.read_text().splitlines())
 
-    journal = Path(str(out) + ".journal.csv")
-    lines = journal.read_text().splitlines()
-    journal.write_text("\n".join(lines[:4]) + "\n")  # keep header + 3 cells
-    out.unlink()
+    lines = out.read_text().splitlines()
+    out.write_text("\n".join(lines[:4]) + "\n")  # keep header + 3 cells
 
     assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_OK
     records = dataset.parse_encode_log(out)
@@ -1155,43 +1213,27 @@ def test_sweep_resume_skips_done_cells(tmp_path, pipeline):
     assert total_calls == first_calls + 3  # only the missing cells re-ran
 
 
-def test_sweep_resumes_after_truncated_journal_line(tmp_path, pipeline):
-    template, counter = write_fake_encoder(tmp_path)
-    out = tmp_path / "log.csv"
-    assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_OK
-    first_calls = len(counter.read_text().splitlines())
-
-    journal = Path(str(out) + ".journal.csv")
-    lines = journal.read_text().splitlines()
-    partial = ",".join(lines[4].split(",")[:4]) + ",10"  # a write cut inside the bitrate
-    journal.write_text("\n".join(lines[:4]) + "\n" + partial)
-    out.unlink()
-
-    assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_OK
-    assert len(dataset.parse_encode_log(out)) == 6
-    assert len(dataset.parse_encode_log(journal)) == 6
-    assert len(counter.read_text().splitlines()) == first_calls + 3
-
-
 def test_sweep_rejects_out_of_range_journal_row(tmp_path, pipeline, capsys):
     template, counter = write_fake_encoder(tmp_path)
     out = tmp_path / "log.csv"
-    journal = Path(str(out) + ".journal.csv")
-    journal.write_text("video_id,width,height,crf,bitrate_bps,vmaf\n"
-                       "clip0,64,36,18,inf,80.0\n")
+    out.write_text("video_id,width,height,crf,bitrate_bps,vmaf\n"
+                   "v0,64,36,18,inf,80.0\n")
     assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_DATA
-    assert "bitrate" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {out} line 2: bitrate_bps: 'inf' is not a finite number\n")
     assert counter.read_text() == ""
+    assert not Path(str(out) + ".work").exists()
 
 
 def test_sweep_rejects_journal_of_another_video(tmp_path, pipeline, capsys):
     template, counter = write_fake_encoder(tmp_path)
     out = tmp_path / "log.csv"
-    Path(str(out) + ".journal.csv").write_text("video_id,width,height,crf,bitrate_bps,vmaf\n"
-                                               "other,64,36,18,1000.0,80.0\n")
+    out.write_text("video_id,width,height,crf,bitrate_bps,vmaf\n"
+                   "other,64,36,18,1000.0,80.0\n")
     assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_DATA
-    assert "'other'" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {out}: row for video 'other', not 'v0'\n"
     assert counter.read_text() == ""
+    assert not Path(str(out) + ".work").exists()
 
 
 @pytest.mark.parametrize("report", [
@@ -1206,7 +1248,7 @@ def test_sweep_rejects_bad_encoder_output(tmp_path, pipeline, report):
     out = tmp_path / "log.csv"
     assert main(sweep_args(pipeline, tmp_path, out, template)) == EXIT_TOOL
     assert "64x36 crf 18" in Path(str(out) + ".failures.txt").read_text()
-    assert not Path(str(out) + ".journal.csv").exists()
+    assert not out.exists()
 
     template_ok, _ = write_fake_encoder(tmp_path)
     assert main(sweep_args(pipeline, tmp_path, out, template_ok)) == EXIT_OK
@@ -1228,7 +1270,7 @@ def test_sweep_quotes_paths_for_the_shell(tmp_path, pipeline, monkeypatch):
     assert len(list(work.iterdir())) == 6
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([
         source.name, "calls.txt", "fake_encoder.py", out.name, work.name,
-        out.name + ".journal.csv", out.name + ".runconfig.json",
+        out.name + ".runconfig.json",
     ])
 
 
@@ -1250,16 +1292,56 @@ def test_sweep_failures_recorded_and_resumable(tmp_path, pipeline, capsys):
 
 def test_sweep_journal_is_in_grid_order_for_any_finish_order(tmp_path, pipeline):
     template, _ = write_fake_encoder(tmp_path, slow=True)
-    journals = []
+    logs = []
     for name in ("a", "b"):
         out = tmp_path / f"{name}.csv"
         argv = sweep_args(pipeline, tmp_path, out, template)
         argv[argv.index("--workers") + 1] = "3"
         assert main(argv) == EXIT_OK
-        journals.append(Path(str(out) + ".journal.csv"))
-    grid = [(w, h, crf) for w, h in ((64, 36), (32, 18)) for crf in (18, 19, 20)]
-    assert [(r.width, r.height, r.crf) for r in dataset.parse_encode_log(journals[0])] == grid
-    assert journals[0].read_bytes() == journals[1].read_bytes()
+        logs.append(out)
+    # canonical order: larger resolutions first, then ascending crf
+    canonical = [(w, h, crf) for w, h in ((64, 36), (32, 18)) for crf in (18, 19, 20)]
+    assert [(r.width, r.height, r.crf) for r in dataset.parse_encode_log(logs[0])] == canonical
+    assert logs[0].read_bytes() == logs[1].read_bytes()
+
+
+def _wait_for(condition, seconds):
+    deadline = time.monotonic() + seconds
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs os.killpg")
+def test_a_killed_sweep_resumes_from_its_log(tmp_path, pipeline):
+    template, counter = write_fake_encoder(tmp_path, stall_at=4)
+    out = tmp_path / "log.csv"
+    argv = sweep_args(pipeline, tmp_path, out, template)
+    argv[argv.index("--workers") + 1] = "1"
+    child = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from ladderforge.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True)
+
+    def logged():
+        return out.exists() and len(dataset.parse_encode_log(out)) == 3
+
+    try:
+        _wait_for((tmp_path / "stalled").exists, 60)  # the 4th encode is running
+        _wait_for(logged, 10)  # and the 3rd cell is logged, or never will be
+    finally:
+        os.killpg(child.pid, signal.SIGKILL)  # the sweep and its sleeping encoder
+        child.wait(timeout=30)
+    assert (tmp_path / "stalled").exists()
+    cells = [(r.width, r.height, r.crf) for r in dataset.parse_encode_log(out)]
+    assert cells == [(64, 36, 18), (64, 36, 19), (64, 36, 20)]
+
+    calls = len(counter.read_text().splitlines())
+    assert main(argv) == EXIT_OK
+    assert len(counter.read_text().splitlines()) == calls + 3
+    whole = tmp_path / "whole.csv"
+    assert main(sweep_args(pipeline, tmp_path, whole, template)) == EXIT_OK
+    assert out.read_bytes() == whole.read_bytes()
 
 
 TEMPLATE_DEFECTS = {  # a good template -> a bad one, and the error it gives
@@ -1290,7 +1372,7 @@ def test_sweep_template_rule_runs_nothing(tmp_path, pipeline, capsys, source, de
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
     assert counter.read_text() == ""
-    assert not Path(str(out) + ".journal.csv").exists()
+    assert not out.exists()
 
 
 def test_sweep_template_validated_before_running(tmp_path, pipeline, capsys):
@@ -1300,7 +1382,7 @@ def test_sweep_template_validated_before_running(tmp_path, pipeline, capsys):
     assert main(sweep_args(pipeline, tmp_path, out, bad)) == EXIT_DATA
     assert "{crf}" in capsys.readouterr().err
     assert counter.read_text() == ""
-    assert not Path(str(out) + ".journal.csv").exists()
+    assert not out.exists()
 
 
 def test_sweep_requires_template(tmp_path, pipeline, capsys):
@@ -1346,7 +1428,7 @@ def _default_run_argv(command, out, pipeline, ladders, tmp_path):
     ("compare", "out.csv", ["out.csv.aggregate.json", "out.csv.runconfig.json"], "--aggregate-out"),
     ("plot", "out.svg", ["out.csv", "out.svg.runconfig.json"], None),
     ("encode-sweep", "out.csv",
-     ["out.csv.journal.csv", "out.csv.runconfig.json", "out.csv.work"], None),
+     ["out.csv.runconfig.json", "out.csv.work"], None),
 ], ids=["extract", "train", "ladder", "compare", "plot", "encode-sweep"])
 def test_default_run_leaves_fixed_suffix_files_beside_out(tmp_path, pipeline, ladders, capsys,
                                                           command, out_name, beside, removed_flag):

@@ -432,15 +432,20 @@ def _argv(root: Path, target: str, bad: Path) -> list[str]:
         "batch": ["compare", "--batch", str(bad), "--out", out],
         "report": ["plot", "--report", str(bad), "--out", out + ".svg"],
         "ladders": ["plot", "--ladders", str(bad), good["ladder.csv"], "--out", out + ".svg"],
-        "journal": ["encode-sweep", "--input", good["clip.y4m"], "--out", out,
-                    "--template", "false {input} {width} {height} {crf} {output}"],
+        "journal": ["encode-sweep", "--input", good["clip.y4m"], "--out", str(bad),
+                    "--resolutions", "64x36", "--crf-min", "18", "--crf-max", "18",
+                    "--template", "echo {input} {width} {height} {crf} {output} >> "
+                    + str(root / ENCODER_CALLS)],
     }[target]
 
 
-# target of main: the file type whose columns and good rows it is fuzzed with
+ENCODER_CALLS = "encoder-calls.txt"  # where the sweep target's encoder logs each call
+
+# target of main: the file type whose columns and good rows it is fuzzed with;
+# "journal" is the encode log a sweep resumes from, read at the sweep's own --out
 TARGETS = {
     "features": "features", "encode-log": "encode-log", "ladder": "ladder",
-    "batch": "batch", "report": "report", "ladders": "ladder",
+    "batch": "batch", "report": "report", "ladders": "ladder", "journal": "encode-log",
 }
 
 
@@ -456,19 +461,21 @@ def test_fuzzed_inputs_to_main_give_an_exit_code(workspace, target, edits, drop,
 
 
 @pytest.mark.parametrize("target,probe", [
-    (target, probe) for target in [*TARGETS, "journal"]
+    (target, probe) for target in TARGETS
     for probe in ("not-utf8", "huge-field", "nan")
     if not (target == "batch" and probe == "nan")  # a batch listing has no float column
 ])
 def test_probes_exit_2_with_an_error_line(workspace, capsys, target, probe):
-    _, columns, rows, float_columns = READERS[TARGETS.get(target, "encode-log")]
+    _, columns, rows, float_columns = READERS[TARGETS[target]]
     change = {"not-utf8": {"junk": b"\xff\xfe\n"},
               "huge-field": {"edits": [(0, 0, "x" * 200_000)]},
               "nan": {"edits": [(0, c, "nan") for c in float_columns[:1]]}}[probe]
-    bad = workspace / ("out.journal.csv" if target == "journal" else f"probe-{target}.csv")
+    bad = workspace / f"probe-{target}.csv"
     bad.write_bytes(csv_bytes(columns, rows, **change))
+    (workspace / ENCODER_CALLS).unlink(missing_ok=True)
     code = main(_argv(workspace, target, bad))
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (workspace / ENCODER_CALLS).exists()
     bad.unlink()

@@ -73,8 +73,8 @@ def test_walkthrough_runs(tmp_path, monkeypatch):
     rng = np.random.default_rng(0)
     for name in ("a", "b"):
         write_y4m(tmp_path / f"{name}.y4m", [random_plane(rng, 32, 32) for _ in range(3)])
-    (tmp_path / "encodes.csv").write_text(dataset.encode_log_text(
-        encode_records("a", 0.0) + encode_records("b", 2.0)))
+    log = dataset.encode_log_text(encode_records("a", 0.0) + encode_records("b", 2.0))
+    (tmp_path / "encodes.csv").write_text(log)
     dataset.save_split(dataset.SplitManifest(0, ("a", "b"), (), ()), tmp_path / "split.json")
     (tmp_path / "pairs.csv").write_text("video_id,test,anchor\na,ladder.csv,reference.csv\n")
     (tmp_path / "a.csv").write_text(ladder_text(0.0))
@@ -96,6 +96,7 @@ def test_walkthrough_runs(tmp_path, monkeypatch):
     with open(tmp_path / "report.csv", newline="") as fh:
         (report,) = csv.DictReader(fh)
     assert report["video_id"] == "a" and report["bd_rate_percent"]
-    sweep = dataset.parse_encode_log(tmp_path / "encodes.csv")
+    sweep = dataset.parse_encode_log(tmp_path / "sweep.csv")
     assert len(sweep) == 2 * 25
     assert {r.video_id for r in sweep} == {"a"}
+    assert (tmp_path / "encodes.csv").read_text() == log  # the log train and ladder read
