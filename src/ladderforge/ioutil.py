@@ -16,7 +16,6 @@ import math
 import os
 from collections.abc import Iterator
 from dataclasses import fields, is_dataclass
-from itertools import chain, count
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -32,7 +31,7 @@ def atomic_write_bytes(path, *chunks: bytes) -> None:
     A failed write never leaves a partial file at the destination. The
     temp file is created with mode 0666 less the umask, as open() would
     create path itself, and the rename keeps that mode. A temp file that
-    cannot be created is an OSError naming path.
+    cannot be created, or renamed over path, is an OSError naming path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
@@ -43,7 +42,10 @@ def atomic_write_bytes(path, *chunks: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.writelines(chunks)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         try:
             os.unlink(tmp)
@@ -158,9 +160,10 @@ def _cell(column, value):
 
 
 def csv_text(columns, rows) -> str:
-    """CSV text with "\\n" line ends: a header of columns, if any, then rows.
+    """CSV text with "\\n" line ends: a header of columns, then rows.
 
-    A row is a sequence of cells or a dataclass whose fields are its cells.
+    A row is a sequence of one cell per column, or a dataclass whose fields
+    are its cells.
     The one cell rule: a float, numpy floats included, is written as its
     shortest round-trip repr, None as an empty field, and the rest as csv
     writes it. A float that read_csv would refuse, NaN or an infinity, is a
@@ -170,13 +173,11 @@ def csv_text(columns, rows) -> str:
     # with "\r\n" as its terminator csv quotes a field holding either
     # character, so a lone "\r" reads back; each line then ends in "\n" alone
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
-    if columns:
-        writer.writerow(columns)
+    writer.writerow(columns)
     for row in rows:
         names = columns
         if is_dataclass(row):
             names = [f.name for f in fields(row)]
             row = [getattr(row, name) for name in names]
-        # a cell past the named columns, as in a headerless row, is named by position
-        writer.writerow(map(_cell, chain(names, count(len(names) + 1)), row))
+        writer.writerow(_cell(name, value) for name, value in zip(names, row, strict=True))
     return "".join(line[:-2] + "\n" for line in lines)

@@ -17,15 +17,25 @@ levels (its own samples at level 0, the frames' levels subtracted above)
 one subband at a time.
 
 Sample types: level 0 of integer samples is the plane as given, never
-copied; any other plane, and levels 1-3, are float64. A level is split,
-one subband at a time, in float32 when it is float32 or holds integers of
-at most 2 bytes (uint8 and uint16 frames, int16 differences), and in
-float64 otherwise. For integer samples that is exact: a level-0 subband
-value of samples in [-32768, 65535] is (a - b + c - d) / 4, whose partial
-sums are integers below 2^18; the value is below 2^16 and the difference
-of two such values below 2^17, and float32's 24-bit significand holds
-every quarter-integer below 2^22 in magnitude. Levels 1-3 carry
-denominators up to 2^26 and stay float64.
+copied; any other plane is float64 at level 0. Level 1 is float32 when
+the samples are known to be below 2^14: uint8 samples, and uint16 ones
+whose caller passes a peak below 2^14 (every 8- and 10-bit Y4M frame).
+Its blur is then exact in float32: the row pass gives n/16 with
+n < 2^18, the column pass n/256 with n < 2^22. Every other level 1 is
+float64, and so are levels 2-3 always: their values, n/2^16 and n/2^24,
+need more than float32's 24-bit significand. They are reduced in float64
+from level 1's exact values, so they are the same bits either way.
+
+A level is split, one subband at a time, in float32 when it is float32
+or holds integers of at most 2 bytes (uint8 and uint16 frames, int16
+differences), and in float64 otherwise. For integer samples that is
+exact: a level-0 subband value of samples in [-32768, 65535] is
+(a - b + c - d) / 4, whose partial sums are integers below 2^18; the
+value is below 2^16 and the difference of two such values below 2^17,
+and float32's 24-bit significand holds every quarter-integer below 2^22
+in magnitude. On a float32 level 1, or the float32 difference of two
+frames' level 1, the partial sums are n/256 with |n| <= 4 * 256 * peak
+< 2^24, which float32 holds too.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ from .errors import SchemaError
 NUM_SCALES = 4
 MIN_DIMENSION = 16  # floor for four dyadic scales of 3x3 analysis blocks
 _BINOMIAL = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+_BINOMIAL32 = _BINOMIAL.astype(np.float32)
+_NARROW_PEAK = 1 << 14  # samples below it give an exact float32 level 1
 
 
 def _as_plane(plane) -> np.ndarray:
@@ -46,31 +58,33 @@ def _as_plane(plane) -> np.ndarray:
     return plane
 
 
-def _reduce(plane: np.ndarray, axis: int) -> np.ndarray:
+def _reduce(plane: np.ndarray, axis: int, weights: np.ndarray = _BINOMIAL) -> np.ndarray:
     """Samples 0, 2, 4, ... along axis of the edge-replicated binomial blur
     along it; the same five products, summed in the same order, as a full
-    blur followed by decimation."""
+    blur followed by decimation. The weights' float type is the result's."""
     view = plane.swapaxes(0, axis)
     kept = view.shape[0] // 2
     padded = np.concatenate([view[:1], view[:1], view, view[-1:], view[-1:]])
     taps = [padded[t:t + 2 * kept:2] for t in range(5)]
     out = (
-        _BINOMIAL[0] * taps[0]
-        + _BINOMIAL[1] * taps[1]
-        + _BINOMIAL[2] * taps[2]
-        + _BINOMIAL[3] * taps[3]
-        + _BINOMIAL[4] * taps[4]
+        weights[0] * taps[0]
+        + weights[1] * taps[1]
+        + weights[2] * taps[2]
+        + weights[3] * taps[3]
+        + weights[4] * taps[4]
     )
     return out.swapaxes(0, axis)
 
 
-def build_scale_stack(plane) -> tuple[np.ndarray, ...]:
+def build_scale_stack(plane, peak=None) -> tuple[np.ndarray, ...]:
     """Four-level pyramid of a 2-D plane.
 
     Element 0 is the input plane, as given when it holds integers and as
-    float64 otherwise; element k is its k-fold reduction, in float64.
-    Requires at least MIN_DIMENSION in each direction so the smallest
-    level keeps a usable extent.
+    float64 otherwise; element k is its k-fold reduction, in float64,
+    except that element 1 is float32 when the samples are uint8, or uint16
+    with a peak below 2^14. peak, when given, is a bound the caller
+    guarantees no sample exceeds. Requires at least MIN_DIMENSION in each
+    direction so the smallest level keeps a usable extent.
     """
     plane = _as_plane(plane)
     if plane.dtype.kind not in "iu":
@@ -78,8 +92,11 @@ def build_scale_stack(plane) -> tuple[np.ndarray, ...]:
     h, w = plane.shape
     if h < MIN_DIMENSION or w < MIN_DIMENSION:
         raise SchemaError(f"{w}x{h} plane; need at least {MIN_DIMENSION}x{MIN_DIMENSION}")
-    levels = [plane]
-    for _ in range(NUM_SCALES - 1):
+    narrow = plane.dtype == np.uint8 or (
+        plane.dtype == np.uint16 and peak is not None and peak < _NARROW_PEAK)
+    weights = _BINOMIAL32 if narrow else _BINOMIAL
+    levels = [plane, _reduce(_reduce(plane, 0, weights), 1, weights)]
+    for _ in range(NUM_SCALES - 2):
         levels.append(_reduce(_reduce(levels[-1], 0), 1))
     return tuple(levels)
 

@@ -837,6 +837,20 @@ def test_an_output_that_cannot_be_created_is_named_as_given(tmp_path, ladders, c
     assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv"]
 
 
+def test_an_output_that_cannot_be_renamed_into_place_is_named_as_given(tmp_path, ladders, capsys,
+                                                                      monkeypatch):
+    (tmp_path / "a.csv").write_bytes(ladders[1]["v3"]["pred"].read_bytes())
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "adir" / "kept").write_bytes(b"x")
+    monkeypatch.chdir(tmp_path)
+    assert main(["compare", "--test", "a.csv", "--anchor", "a.csv", "--out", "adir"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(": 'adir'\n")
+    assert ".adir." not in err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["a.csv", "adir"]
+    assert [path.name for path in (tmp_path / "adir").iterdir()] == ["kept"]
+
+
 def test_compare_self_is_zero(tmp_path, ladders):
     _, paths = ladders
     out = tmp_path / "self.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ladderforge import cli, gsm_vif
-from ladderforge.media_io import LumaFrame, VideoHeader
+from ladderforge.media_io import LumaFrame, VideoHeader, frame_diff, mean_abs_luma_diff
 from ladderforge.errors import SchemaError
 
 from helpers import conv2d_replicate, split_plane
@@ -537,20 +537,26 @@ def test_video_features_match_the_per_plane_route(bit_depth, shape):
     assert np.abs(got[gsm_vif.MOTION_INDEX] - expected[-1]) <= 1e-9 * expected[-1]
 
 
-def plane_subbands(plane):
+def plane_subbands(plane, peak=None):
     """Both subbands of each pyramid level of a plane, per level."""
     return [[gsm_vif.subband_decompose(level, band) for band in (1, 2)]
-            for level in gsm_vif.build_scale_stack(plane)]
+            for level in gsm_vif.build_scale_stack(plane, peak)]
 
 
-@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
-def test_plane_subbands_of_narrow_integers_are_float32_at_level_0_only(dtype):
+@pytest.mark.parametrize("dtype, peak, narrow_levels", [
+    pytest.param(np.uint8, None, 2, id="uint8"),
+    pytest.param(np.uint16, None, 1, id="uint16"),
+    pytest.param(np.uint16, 1023.0, 2, id="uint16-peak1023"),
+    pytest.param(np.uint16, 65535.0, 1, id="uint16-peak65535"),
+])
+def test_plane_subbands_of_narrow_integers_are_float32_where_exact(dtype, peak, narrow_levels):
+    # level 1 is float32 only for samples known to be below 2^14
     plane = np.random.default_rng(24).integers(0, 256, (40, 52)).astype(dtype)
-    got = plane_subbands(plane)
+    got = plane_subbands(plane, peak)
     expected = plane_subbands(plane.astype(np.float64))
     for k, (pair, expected_pair) in enumerate(zip(got, expected)):
         for band, expected_band in zip(pair, expected_pair):
-            assert band.dtype == (np.float32 if k == 0 else np.float64)
+            assert band.dtype == (np.float32 if k < narrow_levels else np.float64)
             assert np.array_equal(band, expected_band)
 
 
@@ -597,6 +603,46 @@ def test_overlapped_difference_fits_change_no_bit(monkeypatch, bit_depth, shape,
         assert (thread is threading.current_thread()) == (kind == "u")
 
 
+@pytest.mark.parametrize("overlap", [False, True])
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_video_features_equal_the_float64_pyramid_route(monkeypatch, bit_depth, overlap):
+    # the oracle builds every plane's levels, difference planes' included,
+    # from a float64 copy of its samples; float32 levels 0-1 change no bit
+    frames = _video(bit_depth, (48, 64), 3, seed=bit_depth + 64)
+    diffs = [frame_diff(cur, prev) for prev, cur in zip(frames, frames[1:])]
+    build = gsm_vif.build_scale_stack
+
+    def fit(plane):
+        levels = build(plane.raw.astype(np.float64))
+        return gsm_vif.frame_vif_features(plane, gsm_vif.DEFAULT_NOISE_VAR, levels)
+
+    expected = gsm_vif.pool_video(map(fit, frames), map(fit, diffs),
+                                  map(mean_abs_luma_diff, diffs))
+    level1_dtypes = []
+
+    def recording_build(*args):
+        levels = build(*args)
+        level1_dtypes.append(levels[1].dtype)
+        return levels
+
+    monkeypatch.setattr(gsm_vif, "build_scale_stack", recording_build)
+    got = gsm_vif.video_features(frames, overlap=overlap)
+    assert np.array_equal(got.values, expected.values)
+    assert level1_dtypes == [np.float32] * len(frames)
+
+
+def test_a_bare_uint16_plane_is_fitted_as_its_float64_copy():
+    # a bare plane's default peak, 1.0, bounds nothing: at the edges of
+    # these dark and bright 16-bit stripes a float32 split of level 1 rounds
+    rng = np.random.default_rng(65)
+    shape = (48, 64)
+    bright = (np.arange(shape[1]) // 8) % 2 == 1
+    plane = np.where(bright, rng.integers(58982, 1 << 16, shape),
+                     rng.integers(0, 6554, shape)).astype(np.uint16)
+    assert np.array_equal(gsm_vif.frame_vif_features(plane),
+                          gsm_vif.frame_vif_features(plane.astype(np.float64)))
+
+
 def _traced_video_peak(bit_depth, overlap):
     """Traced peak of one 3-frame 640x360 video, in float64 planes."""
     height, width = 360, 640
@@ -634,8 +680,12 @@ def test_integer_planes_are_split_without_a_float64_copy(dtype):
                                                endpoint=True)
     stack = gsm_vif.build_scale_stack(plane)
     assert np.shares_memory(stack[0], plane)
-    for level, expected in zip(stack[1:], gsm_vif.build_scale_stack(plane.astype(np.float64))[1:]):
-        assert level.dtype == np.float64 and np.array_equal(level, expected)
+    expected_stack = gsm_vif.build_scale_stack(plane.astype(np.float64))
+    for k, (level, expected) in enumerate(zip(stack[1:], expected_stack[1:]), 1):
+        # level 1 of uint8 samples is float32; a bare uint16 plane has no bound
+        narrow = k == 1 and dtype == np.uint8
+        assert level.dtype == (np.float32 if narrow else np.float64)
+        assert np.array_equal(level, expected)
     tracemalloc.start()
     try:
         for level in gsm_vif.build_scale_stack(plane):
@@ -644,8 +694,9 @@ def test_integer_planes_are_split_without_a_float64_copy(dtype):
         _, traced_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # it reads 1.54 float64 planes, a peak set while the pyramid is built
-    assert traced_peak <= 1.75 * width * height * 8
+    # a peak set while the pyramid is built: it reads 0.88 float64 planes
+    # for uint8 samples, whose level 1 is float32, and 1.54 for uint16
+    assert traced_peak <= (1.0 if dtype == np.uint8 else 1.75) * width * height * 8
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,48 @@ def test_float32_level0_differences_equal_the_subbands_of_the_integer_difference
                 assert np.array_equal(band_got, band_expected), (current_name, previous_name)
 
 
+def _stacks_and_float64_routes(patterns, peak):
+    """Each pattern's pyramid with the bound peak, and that of its float64
+    copy, which every sum of the pyramid and the split holds exactly."""
+    return ({name: pyramid.build_scale_stack(plane, peak) for name, plane in patterns.items()},
+            {name: pyramid.build_scale_stack(plane.astype(np.float64))
+             for name, plane in patterns.items()})
+
+
+def _assert_levels(levels, expected_levels, level1_dtype, label):
+    """Level 1 and its subbands are level1_dtype, levels 2-3 and theirs
+    float64, and every one equals its float64-route counterpart."""
+    for k, (level, expected) in enumerate(zip(levels, expected_levels), 1):
+        dtype = level1_dtype if k == 1 else np.float64
+        assert level.dtype == dtype and np.array_equal(level, expected), (label, k)
+        for band, expected_band in zip(subbands(level), subbands(expected)):
+            assert band.dtype == dtype and np.array_equal(band, expected_band), (label, k)
+
+
+@pytest.mark.parametrize("bit_depth, peak", [(8, None), (8, 255.0), (10, 1023.0), (14, 16383.0)])
+def test_level_1_of_samples_below_2_14_is_float32_and_exact(bit_depth, peak):
+    # 14 bits is the edge of the bound: a difference's level-1 split
+    # reaches partial sums of n / 256 with |n| just below 2^24
+    patterns = _integer_patterns(bit_depth, (40, 53))
+    stacks, routes = _stacks_and_float64_routes(patterns, peak)
+    for name in patterns:
+        _assert_levels(stacks[name][1:], routes[name][1:], np.float32, name)
+    for current in patterns:
+        for previous in patterns:
+            diffs = [np.subtract(a, b) for a, b in zip(stacks[current][1:], stacks[previous][1:])]
+            expected = [a - b for a, b in zip(routes[current][1:], routes[previous][1:])]
+            _assert_levels(diffs, expected, np.float32, (current, previous))
+
+
+@pytest.mark.parametrize("bit_depth, peak", [(16, 65535.0), (16, None), (10, None), (10, 16384.0)])
+def test_level_1_of_unbounded_or_wide_samples_is_float64(bit_depth, peak):
+    # a uint16 plane is narrow only under a peak below 2^14
+    patterns = _integer_patterns(bit_depth, (40, 53))
+    stacks, routes = _stacks_and_float64_routes(patterns, peak)
+    for name in patterns:
+        _assert_levels(stacks[name][1:], routes[name][1:], np.float64, name)
+
+
 def test_subbands_are_float32_only_for_float32_and_narrow_integer_levels():
     for dtype in (np.float32, np.uint8, np.uint16, np.int16):
         for band in subbands(np.zeros((4, 5), dtype=dtype)):
