@@ -157,8 +157,8 @@ def _refuse_shared_paths(args, runconfig: str) -> None:
             continue
         try:
             path = Path(value).resolve()
-        except ValueError:  # a NUL byte, which the file's reader or writer reports
-            continue
+        except (ValueError, RuntimeError):
+            continue  # a NUL byte or a symlink loop: the file's reader or writer reports it
         if written and path in labels:
             raise UsageError(f"{labels[path]} and {label} name the same file {value}")
         labels.setdefault(path, label)

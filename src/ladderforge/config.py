@@ -97,6 +97,18 @@ def _json_str(value, key: str) -> str:
     return value
 
 
+def _json_array(value, key: str) -> list:
+    if type(value) is not list:
+        raise TypeError(f"{key} must be a JSON array, got {json.dumps(value)}")
+    return value
+
+
+def _json_size(value, key: str) -> tuple[int, int]:
+    if type(value) is not list or len(value) != 2:
+        raise TypeError(f"{key} must be pairs of a width and a height, got {json.dumps(value)}")
+    return _json_int(value[0], key), _json_int(value[1], key)
+
+
 def _optional(convert):
     return lambda value, key: None if value is None else convert(value, key)
 
@@ -117,9 +129,9 @@ def _fixed_ladder(rows, key: str) -> tuple[tuple[float, tuple[int, int]], ...]:
 _FROM_JSON = {
     "sigma_n2": _json_number,
     "approach": _json_int,
-    "resolutions": lambda pairs, key: tuple(
-        (_json_int(w, key), _json_int(h, key)) for w, h in pairs),
-    "rung_bitrates_bps": lambda rungs, key: tuple(_json_number(b, key) for b in rungs),
+    "resolutions": lambda pairs, key: tuple(_json_size(p, key) for p in _json_array(pairs, key)),
+    "rung_bitrates_bps": lambda rungs, key: tuple(
+        _json_number(b, key) for b in _json_array(rungs, key)),
     "n_trees": _json_int,
     "min_samples_leaf": _json_int,
     "k_features": _optional(_json_int),

@@ -24,8 +24,9 @@ Which float type each pyramid level is built and split in is the
 pyramid's rule (see pyramid): an 8- or 10-bit frame's levels 0 and 1 are
 split in float32, and so is a difference plane's level 1, the float32
 difference of the two frames' levels 1; levels 2-3 are float64. Every sum
-is exact either way. The rule for level 1 needs a bound on the samples,
-and a frame's peak is that bound. Each subband is formed just before its
+is exact either way. The pyramid reads the bound that the rule for level 1
+needs, samples below 2^14, from the samples themselves; a frame's peak is
+only the scale of its 8-bit unit. Each subband is formed just before its
 fit and dropped after it; extract_block_vectors copies it to float64, as
 nine channel rows of one (9, N) array that the fit then works on in place.
 """
@@ -232,9 +233,8 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, levels=None)
     """Information features of one luma or difference plane: the 84-value
     plane vector laid out as PLANE_SPANS says.
 
-    frame is a LumaFrame, whose peak bounds its samples, or a bare 2-D
-    plane taken as LumaFrame(plane), that is, normalized to [0, 1], whose
-    samples nothing bounds. levels, when given, stand for
+    frame is a LumaFrame or a bare 2-D plane taken as LumaFrame(plane),
+    that is, normalized to [0, 1]. levels, when given, stand for
     build_scale_stack of the frame's raw samples, one per scale; they may
     be generated one at a time. Each level is split one subband at a
     time, so only the subband being fitted exists.
@@ -244,12 +244,10 @@ def frame_vif_features(frame, noise_var: float = DEFAULT_NOISE_VAR, levels=None)
     feature layout fixed and the per-band/per-scale identities intact.
     """
     validate_noise_var(noise_var)
-    if isinstance(frame, LumaFrame):
-        peak = frame.peak
-    else:  # a bare plane's default peak, 1.0, bounds no sample
-        frame, peak = LumaFrame(frame), None
+    if not isinstance(frame, LumaFrame):
+        frame = LumaFrame(frame)
     if levels is None:
-        levels = build_scale_stack(frame.raw, peak)
+        levels = build_scale_stack(frame.raw)
     eig_scale = frame.unit ** 2
 
     features = np.zeros(FRAME_FEATURE_COUNT)
@@ -300,8 +298,7 @@ def pool_video(frame_feats, diff_feats, motions) -> VifFeatureTensor:
 
 def video_features(frames, noise_var: float = DEFAULT_NOISE_VAR,
                    overlap: bool = False) -> VifFeatureTensor:
-    """Run the whole per-video pipeline over an iterable of LumaFrames,
-    none of whose samples exceeds its peak, as open_y4m's do.
+    """Run the whole per-video pipeline over an iterable of LumaFrames.
 
     Each frame's pyramid levels are kept until the next frame. A
     difference plane's levels are frame_diff's integer samples at level 0
@@ -321,7 +318,7 @@ def video_features(frames, noise_var: float = DEFAULT_NOISE_VAR,
     previous_levels = None
     with ThreadPoolExecutor(1) if overlap else nullcontext() as pool:
         for frame in frames:
-            levels = build_scale_stack(frame.raw, frame.peak)
+            levels = build_scale_stack(frame.raw)
             diff_fit = None
             if previous is not None:
                 diff = frame_diff(frame, previous)

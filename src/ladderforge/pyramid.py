@@ -18,13 +18,14 @@ one subband at a time.
 
 Sample types: level 0 of integer samples is the plane as given, never
 copied; any other plane is float64 at level 0. Level 1 is float32 when
-the samples are known to be below 2^14: uint8 samples, and uint16 ones
-whose caller passes a peak below 2^14 (every 8- and 10-bit Y4M frame).
-Its blur is then exact in float32: the row pass gives n/16 with
-n < 2^18, the column pass n/256 with n < 2^22. Every other level 1 is
-float64, and so are levels 2-3 always: their values, n/2^16 and n/2^24,
-need more than float32's 24-bit significand. They are reduced in float64
-from level 1's exact values, so they are the same bits either way.
+the samples are below 2^14, which the plane itself shows: always for
+uint8 samples, and for uint16 ones when their maximum is below 2^14
+(every 8- and 10-bit Y4M frame). Its blur is then exact in float32: the
+row pass gives n/16 with n < 2^18, the column pass n/256 with n < 2^22.
+Every other level 1 is float64, and so are levels 2-3 always: their
+values, n/2^16 and n/2^24, need more than float32's 24-bit significand.
+They are reduced in float64 from level 1's exact values, so they are the
+same bits either way.
 
 A level is split, one subband at a time, in float32 when it is float32
 or holds integers of at most 2 bytes (uint8 and uint16 frames, int16
@@ -34,8 +35,8 @@ exact: a level-0 subband value of samples in [-32768, 65535] is
 value is below 2^16 and the difference of two such values below 2^17,
 and float32's 24-bit significand holds every quarter-integer below 2^22
 in magnitude. On a float32 level 1, or the float32 difference of two
-frames' level 1, the partial sums are n/256 with |n| <= 4 * 256 * peak
-< 2^24, which float32 holds too.
+frames' level 1, the partial sums are n/256 with |n| <= 4 * 256 * m
+< 2^24, m the largest sample, which float32 holds too.
 """
 
 from __future__ import annotations
@@ -76,14 +77,13 @@ def _reduce(plane: np.ndarray, axis: int, weights: np.ndarray = _BINOMIAL) -> np
     return out.swapaxes(0, axis)
 
 
-def build_scale_stack(plane, peak=None) -> tuple[np.ndarray, ...]:
+def build_scale_stack(plane) -> tuple[np.ndarray, ...]:
     """Four-level pyramid of a 2-D plane.
 
     Element 0 is the input plane, as given when it holds integers and as
     float64 otherwise; element k is its k-fold reduction, in float64,
     except that element 1 is float32 when the samples are uint8, or uint16
-    with a peak below 2^14. peak, when given, is a bound the caller
-    guarantees no sample exceeds. Requires at least MIN_DIMENSION in each
+    with a maximum below 2^14. Requires at least MIN_DIMENSION in each
     direction so the smallest level keeps a usable extent.
     """
     plane = _as_plane(plane)
@@ -92,8 +92,7 @@ def build_scale_stack(plane, peak=None) -> tuple[np.ndarray, ...]:
     h, w = plane.shape
     if h < MIN_DIMENSION or w < MIN_DIMENSION:
         raise SchemaError(f"{w}x{h} plane; need at least {MIN_DIMENSION}x{MIN_DIMENSION}")
-    narrow = plane.dtype == np.uint8 or (
-        plane.dtype == np.uint16 and peak is not None and peak < _NARROW_PEAK)
+    narrow = plane.dtype == np.uint8 or (plane.dtype == np.uint16 and plane.max() < _NARROW_PEAK)
     weights = _BINOMIAL32 if narrow else _BINOMIAL
     levels = [plane, _reduce(_reduce(plane, 0, weights), 1, weights)]
     for _ in range(NUM_SCALES - 2):

@@ -824,6 +824,28 @@ def test_outputs_naming_a_file_the_run_reads_or_writes_are_a_usage_error(
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+LOOPED = {  # a run one of whose files is the symlink loop "loop"
+    "compare": ["compare", "--test", "loop", "--anchor", "a.csv", "--out", "o.csv"],
+    "plot": ["plot", "--ladders", "loop", "--out", "hull.png"],
+    "train": ["train", "--features", "loop", "--encode-log", "log.csv", "--approach", "1",
+              "--n-trees", "2", "--out", "model.txt"],
+    "extract": ["extract", "loop", "--out", "o.csv"],
+    "config": ["compare", "--test", "a.csv", "--anchor", "a.csv", "--config", "loop",
+               "--out", "o.csv"],
+}
+
+
+@pytest.mark.parametrize("command", LOOPED)
+def test_a_symlink_loop_is_reported_by_its_reader(tmp_path, capsys, monkeypatch, command):
+    (tmp_path / "loop").symlink_to("loop")
+    monkeypatch.chdir(tmp_path)
+    assert main(LOOPED[command]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "loop" in lines[0], err
+
+
 @pytest.mark.parametrize("parent", ["nodir", "a.csv"])
 def test_an_output_that_cannot_be_created_is_named_as_given(tmp_path, ladders, capsys,
                                                             monkeypatch, parent):

@@ -183,6 +183,10 @@ INTEGER, NUMBER = "must be a JSON integer", "must be a JSON number"
     ({"fixed_ladder": [{"bitrate_bps": True, "width": 640, "height": 360}]},
      f"fixed_ladder bitrate_bps {NUMBER}"),
     ({"encoder_template": 5}, "encoder_template must be a JSON string or null"),
+    ({"resolutions": 5}, "resolutions must be a JSON array, got 5"),
+    ({"resolutions": [[1920, 1080, 3]]}, "resolutions must be pairs of a width and a height"),
+    ({"resolutions": [5]}, "resolutions must be pairs of a width and a height, got 5"),
+    ({"rung_bitrates_bps": 5}, "rung_bitrates_bps must be a JSON array, got 5"),
 ], ids=lambda value: value.split(" must be")[0] if isinstance(value, str) else None)
 def test_integer_keys_accept_only_json_integers(tmp_path, capsys, payload, message):
     path = tmp_path / "conf.json"

@@ -537,27 +537,31 @@ def test_video_features_match_the_per_plane_route(bit_depth, shape):
     assert np.abs(got[gsm_vif.MOTION_INDEX] - expected[-1]) <= 1e-9 * expected[-1]
 
 
-def plane_subbands(plane, peak=None):
+def plane_subbands(plane):
     """Both subbands of each pyramid level of a plane, per level."""
     return [[gsm_vif.subband_decompose(level, band) for band in (1, 2)]
-            for level in gsm_vif.build_scale_stack(plane, peak)]
+            for level in gsm_vif.build_scale_stack(plane)]
 
 
-@pytest.mark.parametrize("dtype, peak, narrow_levels", [
-    pytest.param(np.uint8, None, 2, id="uint8"),
-    pytest.param(np.uint16, None, 1, id="uint16"),
-    pytest.param(np.uint16, 1023.0, 2, id="uint16-peak1023"),
-    pytest.param(np.uint16, 65535.0, 1, id="uint16-peak65535"),
+@pytest.mark.parametrize("dtype, peak", [
+    pytest.param(np.uint8, None, id="uint8"),
+    pytest.param(np.uint16, None, id="uint16"),
+    pytest.param(np.uint16, 1023.0, id="uint16-peak1023"),
+    pytest.param(np.uint16, 65535.0, id="uint16-peak65535"),
 ])
-def test_plane_subbands_of_narrow_integers_are_float32_where_exact(dtype, peak, narrow_levels):
-    # level 1 is float32 only for samples known to be below 2^14
+def test_plane_subbands_of_narrow_integers_are_float32_where_exact(dtype, peak):
+    # samples below 2^14 give a float32 level 1 whatever peak their frame
+    # declares (None: the default); the peak scales only the information
     plane = np.random.default_rng(24).integers(0, 256, (40, 52)).astype(dtype)
-    got = plane_subbands(plane, peak)
+    got = plane_subbands(plane)
     expected = plane_subbands(plane.astype(np.float64))
     for k, (pair, expected_pair) in enumerate(zip(got, expected)):
         for band, expected_band in zip(pair, expected_pair):
-            assert band.dtype == (np.float32 if k < narrow_levels else np.float64)
+            assert band.dtype == (np.float32 if k < 2 else np.float64)
             assert np.array_equal(band, expected_band)
+    frame = LumaFrame(plane) if peak is None else LumaFrame(plane, peak)
+    copy = LumaFrame(plane.astype(np.float64), frame.peak)
+    assert np.array_equal(gsm_vif.frame_vif_features(frame), gsm_vif.frame_vif_features(copy))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int32, np.int64])
@@ -631,16 +635,31 @@ def test_video_features_equal_the_float64_pyramid_route(monkeypatch, bit_depth, 
     assert level1_dtypes == [np.float32] * len(frames)
 
 
-def test_a_bare_uint16_plane_is_fitted_as_its_float64_copy():
-    # a bare plane's default peak, 1.0, bounds nothing: at the edges of
-    # these dark and bright 16-bit stripes a float32 split of level 1 rounds
-    rng = np.random.default_rng(65)
+def _stripes_16bit(seed):
+    """Dark and bright 16-bit stripes, at whose edges a float32 split of
+    level 1 would round."""
+    rng = np.random.default_rng(seed)
     shape = (48, 64)
     bright = (np.arange(shape[1]) // 8) % 2 == 1
-    plane = np.where(bright, rng.integers(58982, 1 << 16, shape),
-                     rng.integers(0, 6554, shape)).astype(np.uint16)
+    return np.where(bright, rng.integers(58982, 1 << 16, shape),
+                    rng.integers(0, 6554, shape)).astype(np.uint16)
+
+
+def test_a_bare_uint16_plane_is_fitted_as_its_float64_copy():
+    plane = _stripes_16bit(65)
     assert np.array_equal(gsm_vif.frame_vif_features(plane),
                           gsm_vif.frame_vif_features(plane.astype(np.float64)))
+
+
+def test_16bit_frames_under_the_default_peak_are_fitted_as_their_float64_copies():
+    # a LumaFrame's default peak of 1.0 says nothing of its samples, which
+    # here reach 2^16 - 1: the pyramid must read that from the samples
+    planes = [_stripes_16bit(65), _stripes_16bit(66)]
+    assert np.array_equal(gsm_vif.frame_vif_features(LumaFrame(planes[0])),
+                          gsm_vif.frame_vif_features(LumaFrame(planes[0].astype(np.float64))))
+    got = gsm_vif.video_features([LumaFrame(p) for p in planes])
+    expected = gsm_vif.video_features([LumaFrame(p.astype(np.float64)) for p in planes])
+    assert np.array_equal(got.values, expected.values)
 
 
 def _traced_video_peak(bit_depth, overlap):
@@ -682,7 +701,7 @@ def test_integer_planes_are_split_without_a_float64_copy(dtype):
     assert np.shares_memory(stack[0], plane)
     expected_stack = gsm_vif.build_scale_stack(plane.astype(np.float64))
     for k, (level, expected) in enumerate(zip(stack[1:], expected_stack[1:]), 1):
-        # level 1 of uint8 samples is float32; a bare uint16 plane has no bound
+        # level 1 of uint8 samples is float32; these uint16 samples reach 2^14
         narrow = k == 1 and dtype == np.uint8
         assert level.dtype == (np.float32 if narrow else np.float64)
         assert np.array_equal(level, expected)

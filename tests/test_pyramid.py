@@ -246,12 +246,17 @@ def test_float32_level0_differences_equal_the_subbands_of_the_integer_difference
                 assert np.array_equal(band_got, band_expected), (current_name, previous_name)
 
 
-def _stacks_and_float64_routes(patterns, peak):
-    """Each pattern's pyramid with the bound peak, and that of its float64
-    copy, which every sum of the pyramid and the split holds exactly."""
-    return ({name: pyramid.build_scale_stack(plane, peak) for name, plane in patterns.items()},
+def _stacks_and_float64_routes(patterns):
+    """Each pattern's pyramid, and that of its float64 copy, which every
+    sum of the pyramid and the split holds exactly."""
+    return ({name: pyramid.build_scale_stack(plane) for name, plane in patterns.items()},
             {name: pyramid.build_scale_stack(plane.astype(np.float64))
              for name, plane in patterns.items()})
+
+
+def _level1_dtype(plane):
+    """The type the samples' own maximum dictates for level 1."""
+    return np.float32 if plane.max() < 1 << 14 else np.float64
 
 
 def _assert_levels(levels, expected_levels, level1_dtype, label):
@@ -264,28 +269,50 @@ def _assert_levels(levels, expected_levels, level1_dtype, label):
             assert band.dtype == dtype and np.array_equal(band, expected_band), (label, k)
 
 
-@pytest.mark.parametrize("bit_depth, peak", [(8, None), (8, 255.0), (10, 1023.0), (14, 16383.0)])
-def test_level_1_of_samples_below_2_14_is_float32_and_exact(bit_depth, peak):
-    # 14 bits is the edge of the bound: a difference's level-1 split
-    # reaches partial sums of n / 256 with |n| just below 2^24
+def _level1_dtypes_of_exact_patterns(bit_depth):
+    """The types of the patterns' level 1, once every pattern's levels 1-3,
+    and those of every difference of two patterns, are shown to be of the
+    types the samples dictate and exact."""
     patterns = _integer_patterns(bit_depth, (40, 53))
-    stacks, routes = _stacks_and_float64_routes(patterns, peak)
-    for name in patterns:
-        _assert_levels(stacks[name][1:], routes[name][1:], np.float32, name)
+    stacks, routes = _stacks_and_float64_routes(patterns)
+    for name, plane in patterns.items():
+        _assert_levels(stacks[name][1:], routes[name][1:], _level1_dtype(plane), name)
     for current in patterns:
         for previous in patterns:
             diffs = [np.subtract(a, b) for a, b in zip(stacks[current][1:], stacks[previous][1:])]
             expected = [a - b for a, b in zip(routes[current][1:], routes[previous][1:])]
-            _assert_levels(diffs, expected, np.float32, (current, previous))
+            dtype = np.result_type(stacks[current][1], stacks[previous][1])
+            _assert_levels(diffs, expected, dtype, (current, previous))
+    return {stack[1].dtype.type for stack in stacks.values()}
+
+
+# The second value of each case is a peak that a frame of these samples
+# might declare (None: the default). The pyramid takes the plane alone,
+# so whatever the peak, level 1's type follows the samples' own maximum.
+@pytest.mark.parametrize("bit_depth, peak", [(8, None), (8, 255.0), (10, 1023.0), (14, 16383.0)])
+def test_level_1_of_samples_below_2_14_is_float32_and_exact(bit_depth, peak):
+    # 14 bits is the edge of the bound: a difference's level-1 split
+    # reaches partial sums of n / 256 with |n| just below 2^24
+    assert _level1_dtypes_of_exact_patterns(bit_depth) == {np.float32}
 
 
 @pytest.mark.parametrize("bit_depth, peak", [(16, 65535.0), (16, None), (10, None), (10, 16384.0)])
 def test_level_1_of_unbounded_or_wide_samples_is_float64(bit_depth, peak):
-    # a uint16 plane is narrow only under a peak below 2^14
-    patterns = _integer_patterns(bit_depth, (40, 53))
-    stacks, routes = _stacks_and_float64_routes(patterns, peak)
-    for name in patterns:
-        _assert_levels(stacks[name][1:], routes[name][1:], np.float64, name)
+    # only samples that reach 2^14 are wide: 16-bit patterns do, and
+    # their level 1 is float64; 10-bit ones do not, whatever peak a frame
+    # of them declares, and theirs is float32
+    wide = bit_depth == 16
+    assert _level1_dtypes_of_exact_patterns(bit_depth) == {np.float64 if wide else np.float32}
+
+
+@pytest.mark.parametrize("largest, dtype", [((1 << 14) - 1, np.float32), (1 << 14, np.float64),
+                                            ((1 << 16) - 1, np.float64)])
+def test_one_uint16_sample_decides_the_type_of_level_1(largest, dtype):
+    plane = np.zeros((40, 53), dtype=np.uint16)
+    plane[17, 29] = largest
+    level1 = pyramid.build_scale_stack(plane)[1]
+    assert level1.dtype == dtype
+    assert np.array_equal(level1, pyramid.build_scale_stack(plane.astype(np.float64))[1])
 
 
 def test_subbands_are_float32_only_for_float32_and_narrow_integer_levels():
