@@ -12,7 +12,8 @@ MATLAB's and scipy's pchip, so deltas agree with those tools'.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -156,8 +157,7 @@ class RqCurve:
         return cls.from_points((rung.realized_bps, rung.vmaf) for rung in rungs)
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One line of a report CSV: both deltas and the intervals they cover.
 
     The result fields are all None in a warning row, whose warnings say
@@ -176,7 +176,7 @@ class ReportRow:
     warnings: str = ""
 
 
-REPORT_COLUMNS = tuple(f.name for f in fields(ReportRow))
+REPORT_COLUMNS = ReportRow._fields
 
 
 def _overlap(test_xs, anchor_xs, axis: str) -> tuple[float, float]:

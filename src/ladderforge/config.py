@@ -113,16 +113,22 @@ def _optional(convert):
     return lambda value, key: None if value is None else convert(value, key)
 
 
+def _fixed_rung(row, key: str) -> tuple[float, tuple[int, int]]:
+    if type(row) is not dict:
+        raise TypeError(f"{json.dumps(row)} is not a JSON object")
+    if row.keys() != {"bitrate_bps", "width", "height"}:
+        raise TypeError(f"{json.dumps(row)} must have exactly the keys bitrate_bps, width, height")
+    return (_json_number(row["bitrate_bps"], f"{key} bitrate_bps"),
+            (_json_int(row["width"], f"{key} width"), _json_int(row["height"], f"{key} height")))
+
+
 def _fixed_ladder(rows, key: str) -> tuple[tuple[float, tuple[int, int]], ...]:
     if rows is None:  # older files and sidecars wrote null for the default table
         return DEFAULT_FIXED_LADDER
+    rows = _json_array(rows, key)
     try:
-        return tuple(
-            (_json_number(row["bitrate_bps"], f"{key} bitrate_bps"),
-             (_json_int(row["width"], f"{key} width"), _json_int(row["height"], f"{key} height")))
-            for row in rows
-        )
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        return tuple(_fixed_rung(row, key) for row in rows)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TypeError(f"malformed {key} entry: {exc}") from None
 
 

@@ -8,7 +8,8 @@ score. Splits are by video so no title leaks across train/validation/test.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +49,7 @@ BITRATE = checked(finite_float, lambda v: v > 0, "must be > 0")
 VMAF = checked(finite_float, lambda v: 0.0 <= v <= 100.0, "outside [0, 100]")
 
 
-@dataclass(frozen=True)
-class EncodeRecord:
+class EncodeRecord(NamedTuple):
     """One row of an encode log."""
 
     video_id: str
@@ -60,7 +60,7 @@ class EncodeRecord:
     vmaf: float
 
 
-SCHEMA = tuple(f.name for f in fields(EncodeRecord))
+SCHEMA = EncodeRecord._fields
 _CONVERTERS = (VIDEO_ID, DIMENSION, DIMENSION, CRF, BITRATE, VMAF)
 
 

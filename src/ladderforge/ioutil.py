@@ -3,8 +3,9 @@
 Every CSV the package reads goes through read_csv and every CSV it
 writes through csv_text, so all file types share one set of rules: UTF-8,
 "\\n" line ends, an exact header, blank lines ignored, finite floats, and
-one rule for writing a cell. Every JSON file it reads goes through
-read_json, and every one it writes through write_json.
+one rule for writing a cell. A row, read or written, is a sequence of
+cells paired with the header by position. Every JSON file it reads goes
+through read_json, and every one it writes through write_json.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 import os
 from collections.abc import Iterator
-from dataclasses import fields, is_dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -162,11 +162,11 @@ def _cell(column, value):
 def csv_text(columns, rows) -> str:
     """CSV text with "\\n" line ends: a header of columns, then rows.
 
-    A row is a sequence of one cell per column, or a dataclass whose fields
-    are its cells.
-    The one cell rule: a float, numpy floats included, is written as its
-    shortest round-trip repr, None as an empty field, and the rest as csv
-    writes it. A float that read_csv would refuse, NaN or an infinity, is a
+    A row is a sequence of one cell per column, paired with columns by
+    position, so a row of another length is a ValueError. The one cell
+    rule: a float, numpy floats included, is written as its shortest
+    round-trip repr, None as an empty field, and the rest as csv writes it.
+    A float that read_csv would refuse, NaN or an infinity, is a
     SchemaError naming its column.
     """
     lines: list[str] = []
@@ -175,9 +175,5 @@ def csv_text(columns, rows) -> str:
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
     writer.writerow(columns)
     for row in rows:
-        names = columns
-        if is_dataclass(row):
-            names = [f.name for f in fields(row)]
-            row = [getattr(row, name) for name in names]
-        writer.writerow(_cell(name, value) for name, value in zip(names, row, strict=True))
+        writer.writerow(_cell(column, value) for column, value in zip(columns, row, strict=True))
     return "".join(line[:-2] + "\n" for line in lines)

@@ -14,7 +14,7 @@ target. A ladder is its tuple of LadderRung rows in rung order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,8 +75,7 @@ DEFAULT_FIXED_LADDER = (
     (10_500_000.0, (3840, 2160)),
 )
 
-@dataclass(frozen=True)
-class LadderRung:
+class LadderRung(NamedTuple):
     """One row of a ladder CSV: a rung target and the logged encode realizing it."""
 
     rung_bps: float
@@ -87,7 +86,7 @@ class LadderRung:
     vmaf: float
 
 
-LADDER_COLUMNS = tuple(f.name for f in fields(LadderRung))
+LADDER_COLUMNS = LadderRung._fields
 _CONVERTERS = (finite_float, DIMENSION, DIMENSION, CRF, BITRATE, VMAF)
 
 

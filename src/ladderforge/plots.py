@@ -10,7 +10,7 @@ the Freedman-Diaconis rule with documented fallbacks for degenerate data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SchemaError
 from .ioutil import csv_text
@@ -28,8 +28,7 @@ HISTOGRAM_COLUMNS = ("bin_lo", "bin_hi", "count")
 HULL_COLUMNS = ("label", "bitrate_bps", "quality")
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(NamedTuple):
     lo: float
     hi: float
     count: int

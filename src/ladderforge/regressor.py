@@ -31,7 +31,6 @@ body into the table; predict_batch walks the table without copying it.
 
 from __future__ import annotations
 
-import codecs
 import hashlib
 import io
 import math
@@ -346,16 +345,20 @@ def save_model(model: ExtraTreesModel, path) -> None:
 def load_model(path) -> ExtraTreesModel:
     """Read a model file, a block at a time, in two passes over one open file.
 
-    The first pass checks that the file is UTF-8, hashes the body and
-    counts its lines; the header and checksum are checked before the
-    second pass parses the body into the node table. A file replaced by
-    rename between the passes is not seen: the open file is the old one.
+    The first pass hashes the body and counts its lines; the header, which
+    must be UTF-8, and the checksum are checked before the second pass
+    parses the body into the node table, where the node grammar admits
+    only printable ASCII and "\\n". A file replaced by rename between the
+    passes is not seen: the open file is the old one.
     """
     with open(path, "rb") as handle:
         if not handle.seekable():  # a pipe cannot be read twice
             raise SchemaError(f"{path}: not a seekable file")
         head, digest, lines = _scan(iter(partial(handle.read, _READ_BLOCK), b""), path)
-        header_lines = head.decode("utf-8").split("\n")
+        try:
+            header_lines = head.decode("utf-8").split("\n")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from None
         if header_lines[0] != _FORMAT_LINE:
             raise SchemaError(
                 f"{path}: expected {_FORMAT_LINE!r}, found {header_lines[0]!r}"
@@ -402,20 +405,14 @@ def load_model(path) -> ExtraTreesModel:
 
 def _scan(blocks, path) -> tuple[bytes, str, int]:
     """A model file's header, the sha256 of its body and the body's "\\n"
-    count, from its blocks; raises SchemaError when the file is not UTF-8
-    or has no header/body separator."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
+    count, from its blocks; raises SchemaError when the file has no
+    header/body separator."""
     digest, head, lines, found = hashlib.sha256(), b"", 0, b""
-    try:
-        for block in blocks:
-            decoder.decode(block)  # only a check: the body is parsed as bytes
-            if not found:  # the header so far, and the body after it once found
-                head, found, block = (head + block).partition(_SEPARATOR)
-            digest.update(block)
-            lines += block.count(b"\n")
-        decoder.decode(b"", final=True)
-    except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 ({exc.reason})") from None
+    for block in blocks:
+        if not found:  # the header so far, and the body after it once found
+            head, found, block = (head + block).partition(_SEPARATOR)
+        digest.update(block)
+        lines += block.count(b"\n")
     if not found:
         raise SchemaError(f"{path}: missing header/body separator")
     return head, digest.hexdigest(), lines

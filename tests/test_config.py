@@ -187,6 +187,14 @@ INTEGER, NUMBER = "must be a JSON integer", "must be a JSON number"
     ({"resolutions": [[1920, 1080, 3]]}, "resolutions must be pairs of a width and a height"),
     ({"resolutions": [5]}, "resolutions must be pairs of a width and a height, got 5"),
     ({"rung_bitrates_bps": 5}, "rung_bitrates_bps must be a JSON array, got 5"),
+    ({"fixed_ladder": 5}, "fixed_ladder must be a JSON array, got 5"),
+    ({"fixed_ladder": "ab"}, 'fixed_ladder must be a JSON array, got "ab"'),
+    ({"fixed_ladder": {"a": 1}}, 'fixed_ladder must be a JSON array, got {"a": 1}'),
+    ({"fixed_ladder": [5]}, "malformed fixed_ladder entry: 5 is not a JSON object"),
+    ({"fixed_ladder": [{"bitrate_bps": 1e6, "width": 640}]},
+     '"width": 640} must have exactly the keys bitrate_bps, width, height'),
+    ({"fixed_ladder": [{"bitrate_bps": 1e6, "width": 640, "height": 360, "fps": 30}]},
+     '"fps": 30} must have exactly the keys bitrate_bps, width, height'),
 ], ids=lambda value: value.split(" must be")[0] if isinstance(value, str) else None)
 def test_integer_keys_accept_only_json_integers(tmp_path, capsys, payload, message):
     path = tmp_path / "conf.json"

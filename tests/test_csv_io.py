@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ladderforge import bd_metrics, cli, dataset, ladder
+from ladderforge import bd_metrics, cli, dataset, ladder, plots
 from ladderforge.cli import EXIT_DATA, main
 from ladderforge.errors import LadderforgeError, SchemaError
 from ladderforge.gsm_vif import TENSOR_VALUE_COUNT, feature_column_names
@@ -134,11 +134,36 @@ def test_csv_text_cell_rule():
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float32("inf")])
 def test_csv_text_refuses_what_read_csv_refuses(value):
-    """A non-finite float names its column: a header's or a dataclass field's."""
+    """A non-finite float names its header column, whatever the row's type."""
     with pytest.raises(SchemaError, match=r"^b: '-?(inf|nan)' is not a finite number$"):
         csv_text(("a", "b"), [[1.0, value]])
     with pytest.raises(SchemaError, match=r"^vmaf: '-?(inf|nan)' is not a finite number$"):
         csv_text(ladder.LADDER_COLUMNS, [ladder.LadderRung(1e6, 640, 360, 24, 9.5e5, value)])
+
+
+# each row type with the header it is written under
+ROW_TYPES = {
+    "encode-record": (dataset.SCHEMA, dataset.EncodeRecord("a", 640, 360, 24, 9.5e5, 61.0)),
+    "ladder-rung": (ladder.LADDER_COLUMNS, ladder.LadderRung(1e6, 640, 360, 24, 9.5e5, 61.0)),
+    "report-row": (bd_metrics.REPORT_COLUMNS, bd_metrics.ReportRow("a", "t vs a", warnings="w")),
+    "bin": (plots.HISTOGRAM_COLUMNS, plots.Bin(0.0, 1.0, 3)),
+}
+
+
+@pytest.mark.parametrize("kind", ROW_TYPES)
+def test_a_row_is_paired_with_the_header_by_position(kind):
+    """A row's cells fill the header's columns in order, so under a header
+    of another length the row is refused, whatever its type."""
+    columns, row = ROW_TYPES[kind]
+    for other in (columns[:-1], (*columns, "extra"), ("a",)):
+        with pytest.raises(ValueError):
+            csv_text(other, [row])
+    assert csv_text(columns, [row]) == csv_text(columns, [list(row)])
+
+
+def test_a_bin_edge_is_named_by_its_header_column():
+    with pytest.raises(SchemaError, match=r"^bin_lo: 'nan' is not a finite number$"):
+        plots.histogram_csv_text([plots.Bin(math.nan, 1.0, 3)])
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -320,9 +320,16 @@ def test_a_character_is_whole_whatever_the_block_size(tmp_path):
         with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: tree 0: "
                                               "bad node line 'l 0.2\u00e988'$"):
             load_in_blocks(path, block)
-    # the same lead byte before a byte that cannot continue it
+    # the same lead byte before a byte that cannot continue it: the body's
+    # grammar admits printable ASCII alone, so the line is named as it is
     path.write_bytes(data := with_body(BODY.replace("l 0.2188", "l 0.2\xc388").encode("latin-1")))
     for block in (*BLOCKS, *splitting_blocks(data, b"\xc38")):
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: tree 0: "
+                                              r"bad node line 'l 0\.2\\\\xc388'$"):
+            load_in_blocks(path, block)
+    # in the header it is a file that is not UTF-8
+    path.write_bytes(data := with_body(BODY.encode()).replace(b"approach", b"appr\xc3ach"))
+    for block in (*BLOCKS, *splitting_blocks(data, b"\xc3a")):
         with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: "
                                               r"not UTF-8 \(invalid continuation byte\)$"):
             load_in_blocks(path, block)
