@@ -11,22 +11,29 @@ result. Training rows are put into a canonical lexicographic order first,
 which makes the model a pure function of the row *set*, the tree settings
 and the seed; identical inputs give byte-identical model files.
 
-Trees grow level by level. At each depth the RNG is drawn twice, in the
-left-to-right order of the level's open nodes: first one uniform key per
-(node, feature), where a node's candidates are the features with its k
-smallest keys among those it does not hold constant; then one uniform
-threshold per (node, candidate), candidates in ascending feature order.
-Nodes are renumbered into pre-order before a tree is returned.
+Trees grow level by level, in groups: one call grows a group of trees
+with one batch of array operations per depth, the open nodes of every
+tree of the group in one array. A group holds as many trees as keep the
+X values it gathers per level within ``_GROUP_VALUES``. At each depth
+each tree draws from its own RNG twice, in the left-to-right order of
+its level's open nodes: first one uniform key per (node, feature), where
+a node's candidates are the features with its k smallest keys among
+those it does not hold constant; then one uniform threshold per (node,
+candidate), candidates in ascending feature order. So a tree is the same
+whatever group it grows in. Nodes are renumbered into pre-order, tree by
+tree, before a group is returned.
 
 A model holds its trees as one pre-order node table: per node its
 ``feature`` (-1 at a leaf), ``threshold``, ``right`` and ``value``, and
 per tree its first node in ``roots``. A split's left child is the next
 node and ``right`` holds the table index of its right child, which
 ``_right_children`` finds tree by tree, for grown trees and loaded ones
-alike. train joins the grown trees into the table once; save_model
-formats and hashes one tree at a time; load_model reads the file in
-blocks of ``_READ_BLOCK`` bytes, once to check it and once to parse its
-body into the table; predict_batch walks the table without copying it.
+alike. train joins the grown groups into the table once; save_model
+formats and hashes one tree at a time, a split line from a per-feature
+prefix and a leaf line from text made once per distinct value; load_model
+reads the file in blocks of ``_READ_BLOCK`` bytes, once to check it and
+once to parse its body into the table; predict_batch walks the table
+without copying it.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .ioutil import atomic_write_bytes
 _FORMAT_LINE = "ladderforge-extra-trees v1"
 _SEPARATOR = b"\n---\n"  # between a model file's header and its body
 _READ_BLOCK = 1 << 16     # bytes per read of a model file
+_GROUP_VALUES = 1 << 17   # most X values gathered per level of a group of trees
 
 
 @dataclass(frozen=True)
@@ -69,11 +77,13 @@ class ExtraTreesModel:
 
 
 class _Grown(NamedTuple):
-    """One grown tree's pre-order nodes, before train joins them into a table."""
+    """A grown group of trees, before train joins the groups into a table:
+    their pre-order nodes, one tree after another, and each tree's node count."""
 
     feature: np.ndarray
     threshold: np.ndarray
     value: np.ndarray
+    sizes: np.ndarray
 
 
 def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
@@ -104,12 +114,15 @@ def train(X, y, approach: int, *, n_trees: int = 100, min_samples_leaf: int = 1,
     order = np.lexsort(keys)
     X, y = X[order], y[order]
 
-    trees = [_grow_tree(X, y, k, min_samples_leaf, np.random.default_rng(seed + t))
-             for t in range(n_trees)]
-    sizes = [tree.feature.size for tree in trees]
-    roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)
-    feature, threshold, value = map(np.concatenate, zip(*trees))
-    del trees
+    # trees grow in groups whose gathered X[rows] holds at most
+    # _GROUP_VALUES values per level, or in groups of one
+    group = max(1, _GROUP_VALUES // X.size)
+    groups = [_grow_tree(X, y, k, min_samples_leaf,
+                         [np.random.default_rng(seed + t) for t in range(a, min(a + group, n_trees))])
+              for a in range(0, n_trees, group)]
+    feature, threshold, value, sizes = map(np.concatenate, zip(*groups))
+    del groups
+    roots = np.cumsum(sizes) - sizes
     return ExtraTreesModel(approach, columns, min_samples_leaf, k, seed,
                            roots, feature, threshold, _link(feature, roots), value)
 
@@ -130,19 +143,28 @@ def validate_forest(approach: int, n_trees: int, min_samples_leaf: int,
     return k
 
 
-def _grow_tree(X, y, k, min_leaf, rng) -> _Grown:
-    """Grow one tree breadth-first, with a fixed number of numpy calls per depth.
+def _grow_tree(X, y, k, min_leaf, rngs) -> _Grown:
+    """Grow a group of trees breadth-first, tree i drawing from ``rngs[i]``,
+    with a fixed number of numpy calls per depth for the whole group.
 
-    The rows of each frontier node stay contiguous in ``rows``, in their
-    canonical order, so every per-node statistic is one ``reduceat`` over
-    the node starts. Nodes get breadth-first ids while growing and are
-    renumbered into pre-order at the end. The ``del`` statements free the
-    (rows x d) and (nodes x d) temporaries before the (rows x k) ones are
-    made, which keeps the peak memory of a level down.
+    Every tree's frontier nodes are held in one array, tree by tree, with
+    ``owner`` naming each node's tree. The rows of each frontier node stay
+    contiguous in ``rows``, in their canonical order, so every per-node
+    statistic is one ``reduceat`` over the node starts. Only the RNG draws
+    loop over the group: each tree draws from its own generator the same
+    shapes, in the same order, as it would if grown alone (a tree with no
+    open node draws an empty shape, which takes no numbers), so grouping
+    cannot change a tree. Nodes get breadth-first ids while growing and are
+    renumbered into pre-order at the end. The result's arrays span every
+    node of the group, one tree after another, so len(result.feature) is
+    the number of nodes the call grew. The ``del`` statements free
+    the (rows x d) and (nodes x d) temporaries before the (rows x k) ones
+    are made, which keeps the peak memory of a level down.
     """
-    levels = []  # per depth: feature, threshold, value, positions that split
-    rows = np.arange(len(y))
-    starts = np.zeros(1, dtype=np.intp)
+    levels, splits = [], []  # per depth: (feature, threshold, value); positions that split
+    rows = np.tile(np.arange(len(y)), len(rngs))
+    starts = np.arange(len(rngs)) * len(y)
+    owner = np.arange(len(rngs))
     while starts.size:
         counts = np.diff(starts, append=rows.size)
         ys = y[rows]
@@ -153,8 +175,8 @@ def _grow_tree(X, y, k, min_leaf, rng) -> _Grown:
         threshold = np.zeros(starts.size)
         is_open = ~pure & (counts >= 2 * min_leaf)
         open_ = np.flatnonzero(is_open)
+        levels.append((feature, threshold, value))
         if not open_.size:
-            levels.append((feature, threshold, value, open_))
             break
         # only the rows of open nodes take part in the X reductions
         n_open = counts[open_]
@@ -162,20 +184,25 @@ def _grow_tree(X, y, k, min_leaf, rng) -> _Grown:
         rows, ys = rows[in_open], ys[in_open]
         at = np.cumsum(n_open) - n_open
         node = np.repeat(np.arange(open_.size), n_open)
+        # tree i's open nodes are open nodes bounds[i] up to bounds[i + 1]
+        bounds = np.searchsorted(owner[open_], np.arange(len(rngs) + 1)).tolist()
+        spans = list(zip(rngs, bounds, bounds[1:]))
         Xo = X[rows]
         lows = np.minimum.reduceat(Xo, at, axis=0)
         highs = np.maximum.reduceat(Xo, at, axis=0)
         del Xo
         # the k smallest of uniform keys over a node's non-constant
         # features are a uniform draw of min(k, #usable) distinct ones
-        keys = rng.random(lows.shape)
+        keys = np.empty(lows.shape)
+        for rng, a, b in spans:
+            rng.random(out=keys[a:b])
         keys[highs <= lows] = 2.0
         cand = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
         ok = np.take_along_axis(keys, cand, axis=1) < 1.0
         lo = np.take_along_axis(lows, cand, axis=1)
         hi = np.take_along_axis(highs, cand, axis=1)
         del keys, lows, highs
-        thr = rng.uniform(lo, hi)
+        thr = np.concatenate([rng.uniform(lo[a:b], hi[a:b]) for rng, a, b in spans])
         ok &= (lo < thr) & (thr < hi)  # a draw at the range edge is skipped
         del lo, hi
         left = X[rows[:, None], cand[node]] <= thr[node]
@@ -195,7 +222,7 @@ def _grow_tree(X, y, k, min_leaf, rng) -> _Grown:
         feature[split] = cand[chosen, best[chosen]]
         threshold[split] = thr[chosen, best[chosen]]
         value[split] = 0.0
-        levels.append((feature, threshold, value, split))
+        splits.append(split)
         # stable partition: per split node its left rows, then its right rows
         goes_left = left[np.arange(rows.size), best[node]]
         keep = np.flatnonzero(chosen[node])
@@ -203,35 +230,38 @@ def _grow_tree(X, y, k, min_leaf, rng) -> _Grown:
         n_l = n_left[chosen, best[chosen]]
         children = np.column_stack((n_l, n_open[chosen] - n_l)).ravel()
         starts = np.cumsum(children) - children
-    return _preorder(levels)
+        owner = np.repeat(owner[split], 2)
+    return _preorder(levels, splits, len(rngs))
 
 
-def _preorder(levels) -> _Grown:
-    """Renumber breadth-first levels into a tree's pre-order nodes.
+def _preorder(levels, splits, n_trees) -> _Grown:
+    """Renumber the breadth-first levels of a group of trees into pre-order
+    nodes, one tree after another.
 
-    Level D's j-th split node has its children at positions 2j and 2j + 1
-    of level D + 1.
+    Level 0 holds the trees' roots, and the j-th of level D's split
+    positions has its children at positions 2j and 2j + 1 of level D + 1.
     """
-    base = np.cumsum([0] + [len(f) for f, _, _, _ in levels])
+    base = np.cumsum([0] + [len(feature) for feature, _, _ in levels])
     total = int(base[-1])
-    parents = [base[depth] + split for depth, (_, _, _, split) in enumerate(levels)]
+    parents = [base[depth] + split for depth, split in enumerate(splits)]
     first = np.full(total, -1, dtype=np.int64)  # breadth-first id of the left child
     for depth, ids in enumerate(parents):
         first[ids] = base[depth + 1] + 2 * np.arange(ids.size)
-    size = np.ones(total, dtype=np.int64)
+    size = np.ones(total, dtype=np.intp)
     for ids in reversed(parents):
         size[ids] += size[first[ids]] + size[first[ids] + 1]
-    pre = np.zeros(total, dtype=np.int64)
+    sizes = size[:n_trees].copy()
+    pre = np.zeros(total, dtype=np.intp)
+    pre[:n_trees] = np.cumsum(sizes) - sizes
     for ids in parents:
         pre[first[ids]] = pre[ids] + 1
         pre[first[ids] + 1] = pre[ids] + 1 + size[first[ids]]
-    feature = np.empty(total, dtype=np.int32)
-    threshold = np.empty(total)
-    value = np.empty(total)
-    feature[pre] = np.concatenate([f for f, _, _, _ in levels])
-    threshold[pre] = np.concatenate([t for _, t, _, _ in levels])
-    value[pre] = np.concatenate([v for _, _, v, _ in levels])
-    return _Grown(feature, threshold, value)
+    del first, size
+    grown = _Grown(np.empty(total, dtype=np.int32), np.empty(total), np.empty(total), sizes)
+    for depth, level in enumerate(levels):
+        for whole, part in zip(grown, level):
+            whole[pre[base[depth]:base[depth + 1]]] = part
+    return grown
 
 
 def _right_children(feature: np.ndarray) -> np.ndarray:
@@ -326,14 +356,34 @@ def _header_lines(approach, columns, n_trees, min_samples_leaf, k_features, seed
     ]
 
 
+class _Memo(dict):
+    """Key -> make(key), making each distinct key's value once."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = made = self.make(key)
+        return made
+
+
 def save_model(model: ExtraTreesModel, path) -> None:
     """Write the model file: its header, then the body lines of each tree,
-    formatted, encoded and hashed one tree at a time."""
+    formatted, encoded and hashed one tree at a time.
+
+    A split line is its feature's ``s <f> `` prefix and the threshold's
+    repr. A leaf line is formatted once per distinct value, except at a
+    zero value, which is formatted every time: -0.0 == 0.0, so the two
+    would share one entry of the cache.
+    """
+    prefix = [f"s {f} " for f in range(len(model.columns))]
+    leaf = _Memo("l {!r}".format)
     digest, body = hashlib.sha256(), []
     for t, (a, b) in enumerate(_spans(model.roots, model.feature.size)):
         nodes = zip(model.feature[a:b].tolist(), model.threshold[a:b].tolist(),
                     model.value[a:b].tolist())
-        lines = [f"tree {t}"] + [f"l {v!r}" if f < 0 else f"s {f} {thr!r}" for f, thr, v in nodes]
+        lines = [f"tree {t}"] + [prefix[f] + repr(thr) if f >= 0 else leaf[v] if v else f"l {v!r}"
+                                 for f, thr, v in nodes]
         body.append(("\n".join(lines) + "\n").encode())
         digest.update(body[-1])
     header = _header_lines(model.approach, model.columns, model.roots.size,
@@ -407,10 +457,21 @@ def _scan(blocks, path) -> tuple[bytes, str, int]:
     """A model file's header, the sha256 of its body and the body's "\\n"
     count, from its blocks; raises SchemaError when the file has no
     header/body separator."""
-    digest, head, lines, found = hashlib.sha256(), b"", 0, b""
+    digest, lines, found = hashlib.sha256(), 0, False
+    parts, tail = [], b""  # the blocks before the separator; their last bytes
     for block in blocks:
-        if not found:  # the header so far, and the body after it once found
-            head, found, block = (head + block).partition(_SEPARATOR)
+        if not found:
+            # a separator that ends in this block starts in it or in tail
+            window = tail + block
+            at = window.find(_SEPARATOR)
+            if at < 0:
+                parts.append(block)
+                tail = window[1 - len(_SEPARATOR):]
+                continue
+            found = True
+            cut = at - len(tail)  # where the separator starts in block
+            head = b"".join(parts + [block[:cut]]) if cut >= 0 else b"".join(parts)[:cut]
+            block, parts = block[cut + len(_SEPARATOR):], None
         digest.update(block)
         lines += block.count(b"\n")
     if not found:
@@ -443,17 +504,6 @@ _TREE_HEAD = np.frombuffer(b"tree ", dtype=np.uint8)
 _LINE_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 
-class _Parsed(dict):
-    """Token -> number, parsing each distinct token once, as text."""
-
-    def __init__(self, parse):
-        self.parse = parse
-
-    def __missing__(self, token: bytes):
-        self[token] = number = self.parse(token.decode())
-        return number
-
-
 def _parse_body(chunks, size: int, path, width: int, trees: int = 0):
     """Roots, feature, threshold and value of a model body given as runs of
     whole lines, in a table with room for ``size`` nodes: each run of node
@@ -463,7 +513,9 @@ def _parse_body(chunks, size: int, path, width: int, trees: int = 0):
     A bad run is parsed again a line at a time, after ``trees`` tree lines,
     so the error names the tree of its first bad line.
     """
-    features, leaves = _Parsed(int), _Parsed(float)
+    # tokens are parsed as text, so a bad one is named as text
+    features = _Memo(lambda token: int(token.decode()))
+    leaves = _Memo(lambda token: float(token.decode()))
     table = np.empty(size, dtype=np.int32), np.empty(size), np.empty(size)
     roots, nodes = [], 0
     for chunk in chunks:

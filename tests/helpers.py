@@ -127,3 +127,93 @@ def table_of(trees):
         right.append(np.where(child >= 0, child + a, -1))
     feature, threshold, value = (np.concatenate(column) for column in zip(*trees))
     return roots, feature, threshold, np.concatenate(right), value
+
+
+def grow_alone(X, y, k, min_leaf, rng):
+    """(feature, threshold, value) of one tree grown on its own from rng.
+
+    The oracle for regressor._grow_tree, which grows a group of trees at
+    once: the one-tree grower, level by level, with the same draws in the
+    same order. X and y must already be in train's canonical row order.
+    """
+    levels = []  # per depth: feature, threshold, value, positions that split
+    rows = np.arange(len(y))
+    starts = np.zeros(1, dtype=np.intp)
+    while starts.size:
+        counts = np.diff(starts, append=rows.size)
+        ys = y[rows]
+        pure = np.minimum.reduceat(ys, starts) == np.maximum.reduceat(ys, starts)
+        value = np.where(pure, ys[starts], np.add.reduceat(ys, starts) / counts)
+        feature = np.full(starts.size, -1, dtype=np.int32)
+        threshold = np.zeros(starts.size)
+        is_open = ~pure & (counts >= 2 * min_leaf)
+        open_ = np.flatnonzero(is_open)
+        if not open_.size:
+            levels.append((feature, threshold, value, open_))
+            break
+        n_open = counts[open_]
+        in_open = np.repeat(is_open, counts)
+        rows, ys = rows[in_open], ys[in_open]
+        at = np.cumsum(n_open) - n_open
+        node = np.repeat(np.arange(open_.size), n_open)
+        lows = np.minimum.reduceat(X[rows], at, axis=0)
+        highs = np.maximum.reduceat(X[rows], at, axis=0)
+        keys = rng.random(lows.shape)
+        keys[highs <= lows] = 2.0
+        cand = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+        ok = np.take_along_axis(keys, cand, axis=1) < 1.0
+        lo = np.take_along_axis(lows, cand, axis=1)
+        hi = np.take_along_axis(highs, cand, axis=1)
+        thr = rng.uniform(lo, hi)
+        ok &= (lo < thr) & (thr < hi)
+        left = X[rows[:, None], cand[node]] <= thr[node]
+        n_left = np.add.reduceat(left, at, axis=0)
+        s_left = np.add.reduceat(np.where(left, ys[:, None], 0.0), at, axis=0)
+        n_right = n_open[:, None] - n_left
+        s_right = np.add.reduceat(ys, at)[:, None] - s_left
+        ok &= (n_left >= min_leaf) & (n_right >= min_leaf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score = np.where(ok, s_left**2 / n_left + s_right**2 / n_right, -np.inf)
+        best = np.argmax(score, axis=1)
+        chosen = ok[np.arange(open_.size), best]
+        split = open_[chosen]
+        feature[split] = cand[chosen, best[chosen]]
+        threshold[split] = thr[chosen, best[chosen]]
+        value[split] = 0.0
+        levels.append((feature, threshold, value, split))
+        goes_left = left[np.arange(rows.size), best[node]]
+        keep = np.flatnonzero(chosen[node])
+        rows = rows[keep[np.argsort(2 * node[keep] + ~goes_left[keep], kind="stable")]]
+        n_l = n_left[chosen, best[chosen]]
+        children = np.column_stack((n_l, n_open[chosen] - n_l)).ravel()
+        starts = np.cumsum(children) - children
+    # renumber into pre-order: level D's j-th split node has its children
+    # at positions 2j and 2j + 1 of level D + 1
+    base = np.cumsum([0] + [len(f) for f, _, _, _ in levels])
+    total = int(base[-1])
+    parents = [base[depth] + split for depth, (_, _, _, split) in enumerate(levels)]
+    first = np.full(total, -1, dtype=np.int64)
+    for depth, ids in enumerate(parents):
+        first[ids] = base[depth + 1] + 2 * np.arange(ids.size)
+    size = np.ones(total, dtype=np.int64)
+    for ids in reversed(parents):
+        size[ids] += size[first[ids]] + size[first[ids] + 1]
+    pre = np.zeros(total, dtype=np.int64)
+    for ids in parents:
+        pre[first[ids]] = pre[ids] + 1
+        pre[first[ids] + 1] = pre[ids] + 1 + size[first[ids]]
+    out = np.empty(total, dtype=np.int32), np.empty(total), np.empty(total)
+    for whole, column in zip(out, zip(*levels)):
+        whole[pre] = np.concatenate(column)
+    return out
+
+
+def body_text(model):
+    """A model file's body as text, one node line at a time, each formatted
+    by its own f-string: the oracle for regressor.save_model's body."""
+    lines = []
+    for t, tree in enumerate(trees_of(model)):
+        lines.append(f"tree {t}")
+        for f, thr, v in zip(tree.feature.tolist(), tree.threshold.tolist(), tree.value.tolist()):
+            lines.append(f"l {v!r}" if f < 0 else f"s {f} {thr!r}")
+    return "\n".join(lines) + "\n"

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import trees_of
+from helpers import body_text, grow_alone, table_of, trees_of
 from ladderforge import regressor
 from ladderforge.errors import SchemaError
+from ladderforge.feature_assembly import column_names
 
 
 def make_rows(n, seed=0, fn=None):
@@ -143,6 +144,71 @@ def test_every_node_follows_the_growth_rules(min_leaf):
         assert_tree_follows_the_rules(tree, X, y, min_leaf)
 
 
+def canonical(X, y):
+    """X and y in train's canonical order: by features, then target."""
+    order = np.lexsort([y] + [X[:, j] for j in reversed(range(X.shape[1]))])
+    return X[order], y[order]
+
+
+def assert_grown_as_alone(X, y, approach, n_trees, min_leaf, seed):
+    """train's node table, byte for byte, is the table of its trees grown
+    one at a time by the oracle; returns the model."""
+    model = regressor.train(X, y, approach, n_trees=n_trees, min_samples_leaf=min_leaf,
+                            seed=seed)
+    X, y = canonical(X, y)
+    trees = [grow_alone(X, y, model.k_features, min_leaf, np.random.default_rng(seed + t))
+             for t in range(n_trees)]
+    for name, want in zip(("roots", "feature", "threshold", "right", "value"), table_of(trees)):
+        got = getattr(model, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    return model
+
+
+def group_of(trees, monkeypatch, X):
+    """Make train grow X's trees that many at a time (None: as it does by default)."""
+    if trees is not None:
+        monkeypatch.setattr(regressor, "_GROUP_VALUES", trees * X.size)
+
+
+@pytest.mark.parametrize("group", [1, 3, None])
+@pytest.mark.parametrize("min_leaf", [1, 3])
+@pytest.mark.parametrize("approach", [1, 9])
+def test_trees_grown_in_groups_are_the_trees_grown_alone(approach, min_leaf, group, monkeypatch):
+    rng = np.random.default_rng(50 + approach)
+    X = rng.random((90, len(column_names(approach))))
+    # repeated rows make nodes whose features are all constant, and a
+    # rounded target makes pure nodes at several depths
+    X = np.concatenate([X, X[:15]])
+    y = np.round(np.sin(6 * X[:, 0]) + X[:, 3], 1)
+    group_of(group, monkeypatch, X)
+    # 7 trees: groups of 3 leave a group of 1
+    model = assert_grown_as_alone(X, y, approach, 7, min_leaf, 51)
+    assert (model.feature >= 0).sum() > 7 * 10
+
+
+@pytest.mark.parametrize("group", [3, None])
+def test_a_tree_that_stops_at_its_root_beside_deep_trees(group, monkeypatch):
+    # only feature 0 varies: one row at 0, the rest in [0.5, 1]; with two
+    # rows per leaf, a root threshold below the second-lowest value splits
+    # nothing, so about half the trees are one leaf and the rest grow deep
+    rng = np.random.default_rng(52)
+    X = np.zeros((120, 7))
+    X[1:, 0] = rng.uniform(0.5, 1.0, 119)
+    y = rng.random(120)
+    group_of(group, monkeypatch, X)
+    model = assert_grown_as_alone(X, y, 1, 10, 2, 53)
+    sizes = [tree.feature.size for tree in trees_of(model)]
+    assert min(sizes) == 1 and max(sizes) > 40, sizes
+
+
+@pytest.mark.parametrize("group", [3, None])
+def test_a_constant_target_grows_single_leaves_in_every_group(group, monkeypatch):
+    X, _ = make_rows(40, seed=54)
+    group_of(group, monkeypatch, X)
+    model = assert_grown_as_alone(X, np.full(40, -0.0), 1, 5, 1, 55)
+    assert model.feature.tolist() == [-1] * 5 and np.signbit(model.value).all()
+
+
 def pending_stack_children(feature):
     """Left and right children by a stack walk over the pre-order nodes.
 
@@ -252,6 +318,38 @@ def test_trees_walked_at_once_predict_what_each_walked_alone_does():
     for rows in (queries, queries[:1], queries[:0]):
         want = tree_by_tree_predictions(model, rows)
         assert regressor.predict_batch(model, rows).tobytes() == want.tobytes()
+
+
+def test_the_body_is_each_node_line_formatted_on_its_own(tmp_path):
+    # per tree a chain of splits on every feature, each with a leaf on its
+    # left; leaves hold signed zeros, the smallest subnormal and numbers
+    # whose repr switches to exponent form, in both orders across the trees
+    width = len(column_names(1))
+    leaves = [0.0, -0.0, 5e-324, 1e16, 1e-05, 0.1, -0.0, 0.0]
+    trees = []
+    for values in (leaves, leaves[::-1]):
+        feature = [f for j in range(width) for f in (j, -1)] + [-1]
+        threshold = [0.0] * len(feature)
+        threshold[:2 * width:2] = [-0.0, 5e-324, 1e16, 1e-05, 0.5, 1.0 / 3, 0.0]
+        feature = np.array(feature, dtype=np.int32)
+        value = np.zeros(feature.size)
+        value[feature < 0] = values
+        trees.append((feature, np.array(threshold), value))
+    model = regressor.ExtraTreesModel(1, tuple(column_names(1)), 1, 3, 0, *table_of(trees))
+    path = tmp_path / "m.model"
+    regressor.save_model(model, path)
+    body = path.read_bytes().partition(regressor._SEPARATOR)[2]
+    assert body.decode() == body_text(model)
+    assert b"\nl -0.0\n" in body and b"\nl 0.0\n" in body and b"\ns 0 -0.0\n" in body
+    loaded = regressor.load_model(path)
+    assert np.signbit(loaded.value).tolist() == np.signbit(model.value).tolist()
+    regressor.save_model(loaded, tmp_path / "again.model")
+    assert (tmp_path / "again.model").read_bytes() == path.read_bytes()
+
+
+def test_a_grown_body_is_each_node_line_formatted_on_its_own(hundred_trees):
+    model, _, path = hundred_trees
+    assert path.read_bytes().partition(regressor._SEPARATOR)[2].decode() == body_text(model)
 
 
 def test_model_bytes_repeat_in_a_separate_process(tmp_path):
@@ -408,7 +506,16 @@ def hundred_trees(tmp_path_factory):
 # string peaked at 4.5 times the file in save_model, read the whole file
 # beside the table in load_model (2.1 times the table) and concatenated
 # every tree in predict_batch (1.7 MB); this version reads 1.10 times the
-# file, 1.38 times the table and 0.06 MB.
+# file, 1.38 times the table and 0.06 MB. train grows the trees in groups
+# of 62 and 38 and peaks at 1.55 times the table, where growing one tree at
+# a time peaked at 1.54 times and one group of all 100 at 2.5 times.
+def test_train_holds_under_two_node_tables(hundred_trees):
+    _, table, _ = hundred_trees
+    rng = np.random.default_rng(41)
+    X, y = rng.random((300, 7)), rng.random(300)
+    assert traced_peak(lambda: regressor.train(X, y, 1, n_trees=100, seed=42)) < 2 * table
+
+
 def test_save_holds_about_one_copy_of_the_file(hundred_trees, tmp_path):
     model, _, path = hundred_trees
     peak = traced_peak(lambda: regressor.save_model(model, tmp_path / "again.model"))
@@ -426,3 +533,17 @@ def test_predict_holds_nothing_the_size_of_the_node_table(hundred_trees):
     model, table, _ = hundred_trees
     rows = np.random.default_rng(43).random((8, 7))
     assert traced_peak(lambda: regressor.predict_batch(model, rows)) < table / 10
+
+
+def test_a_file_without_a_separator_is_refused_holding_about_one_copy(tmp_path):
+    # the scan looks for the separator only where a block meets the bytes
+    # before it; joining the head to every block again peaked at twice the
+    # file and took time quadratic in its size
+    path = tmp_path / "no-separator.model"
+    path.write_bytes(b"x\n" * (3 << 20))
+
+    def load():
+        with pytest.raises(SchemaError, match="missing header/body separator$"):
+            regressor.load_model(path)
+
+    assert traced_peak(load) < 1.25 * path.stat().st_size
